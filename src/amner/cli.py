@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _say(f"usage error: {exc}")
         return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, train_mod.TrainingError) as exc:
         _say(f"error: {exc}")
         return DATA_ERROR
 

@@ -95,6 +95,28 @@ class EmbeddingTable:
         return {f"{prefix}.matrix": self.matrix, f"{prefix}.unk": self.unk_row}
 
 
+@dataclass
+class SparseRows:
+    """Row-sparse gradient of a (V, D) table: the rows not listed are zero.
+
+    ``rows`` are unique row indices and ``values[k]`` is the gradient of
+    row ``rows[k]``.
+    """
+
+    rows: np.ndarray  # (n,) int64
+    values: np.ndarray  # (n, D)
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.values.nbytes
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+
 def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
     idx = table.index_of(token)
     return table.matrix[idx] if idx is not None else table.unk_row
@@ -103,8 +125,11 @@ def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
 def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> EmbeddingTable:
     """Parse the text vector format: a `V D` header, then `token v1 .. vD` lines.
 
-    The unknown-token row is drawn fresh from the initializer, seeded for
-    reproducibility.
+    Fields are separated by single ASCII spaces, so tokens may contain
+    other whitespace such as U+00A0.  One trailing space and one trailing
+    carriage return per line are ignored, as fastText's `.vec` files end
+    every value with a space.  The unknown-token row is drawn fresh from
+    the initializer, seeded for reproducibility.
     """
     if isinstance(text, bytes):
         try:
@@ -129,7 +154,7 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(" ")
+        parts = line.removesuffix("\r").removesuffix(" ").split(" ")
         if len(parts) != dim + 1:
             raise EmbeddingFormatError(
                 f"expected a token plus {dim} values, got {len(parts)} fields", lineno
@@ -545,10 +570,24 @@ def encode_forward(
     return emissions, cache
 
 
-def encode_backward(params: EncoderParams, cache, d_emissions: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every encoder tensor given d(loss)/d(emissions)."""
+def encode_backward(
+    params: EncoderParams, cache, d_emissions: np.ndarray
+) -> dict[str, np.ndarray | SparseRows]:
+    """Gradients of every encoder tensor given d(loss)/d(emissions).
+
+    Keys follow ``params.tensors()``.  ``word_table.matrix`` is returned
+    as :class:`SparseRows` over the rows of the sentence's in-vocabulary
+    words, so its cost does not grow with the vocabulary; each row's
+    value is summed in token order from zero, exactly as a dense table
+    gradient would be.  Every other gradient is a dense array, and
+    out-of-vocabulary tokens feed ``word_table.unk``.
+    """
     words, word_rows, char_caches, in_masks, bilstm_cache, outs, out_masks = cache
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    # the word-table slot keeps its place and is filled in at the end
+    grads = {
+        name: None if name == "word_table.matrix" else np.zeros_like(arr)
+        for name, arr in params.tensors().items()
+    }
 
     grads["proj.weight"] += outs.T @ d_emissions
     grads["proj.bias"] += d_emissions.sum(axis=0)
@@ -564,6 +603,7 @@ def encode_backward(params: EncoderParams, cache, d_emissions: np.ndarray) -> di
         grads[f"word_bwd.{name}"] += arr
 
     word_dim = params.word_table.dim
+    row_grads: dict[int, np.ndarray] = {}
     for t, word in enumerate(words):
         dx = dxs[t]
         if in_masks:
@@ -573,7 +613,8 @@ def encode_backward(params: EncoderParams, cache, d_emissions: np.ndarray) -> di
         if row is None:
             grads["word_table.unk"] += d_word
         else:
-            grads["word_table.matrix"][row] += d_word
+            row_grads.setdefault(row, np.zeros(word_dim))
+            row_grads[row] += d_word
         cf_grads, cb_grads = _encode_chars_backward(
             params.char_table, params.char_bilstm, char_caches[t], dx[word_dim:],
             grads["char_table.matrix"], grads["char_table.unk"],
@@ -582,6 +623,11 @@ def encode_backward(params: EncoderParams, cache, d_emissions: np.ndarray) -> di
             grads[f"char_fwd.{name}"] += arr
         for name, arr in cb_grads.items():
             grads[f"char_bwd.{name}"] += arr
+    grads["word_table.matrix"] = SparseRows(
+        np.array(list(row_grads), dtype=np.int64),
+        np.array(list(row_grads.values())).reshape(len(row_grads), word_dim),
+        params.word_table.matrix.shape,
+    )
     return grads
 
 

@@ -74,16 +74,23 @@ def save_model(path, model: ModelParams, config: dict[str, str] | None = None) -
 
 
 class _Reader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
+    """Reads header lines off the front of a model file; ``pos`` is the
+    byte offset just past the last line read."""
+
+    def __init__(self, data: bytes):
+        self.data = data
         self.pos = 0
 
     def next_line(self) -> str:
-        if self.pos >= len(self.lines):
+        end = self.data.find(b"\n", self.pos)
+        if end < 0:
             raise ModelFormatError("truncated header")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+        raw = self.data[self.pos : end]
+        self.pos = end + 1
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"header is not UTF-8: {exc}") from exc
 
     def section(self, name: str) -> list[str]:
         header = self.next_line()
@@ -106,16 +113,9 @@ def _lstm_from(tensors: dict[str, np.ndarray], prefix: str) -> LstmParams:
 
 
 def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
-    marker = data.find(_BLOB_MARKER)
-    if marker < 0:
+    if _BLOB_MARKER not in data:
         raise ModelFormatError("missing blob marker; not a model file")
-    try:
-        header = data[:marker].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"header is not UTF-8: {exc}") from exc
-    blob = data[marker + len(_BLOB_MARKER):]
-
-    reader = _Reader(header.split("\n"))
+    reader = _Reader(data)
     if reader.next_line() != MAGIC:
         raise ModelFormatError("unknown magic line; not a model file")
     config: dict[str, str] = {}
@@ -125,9 +125,15 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     tags = reader.section("tags")
     chars = reader.section("chars")
     words = reader.section("words")
+    tensor_lines = reader.section("tensors")
+    # the blob starts after the counted sections; a vocabulary entry may
+    # itself read "[blob]"
+    if reader.next_line() != "[blob]":
+        raise ModelFormatError("missing blob marker after the tensor table")
+    blob = memoryview(data)[reader.pos :]
 
     tensors: dict[str, np.ndarray] = {}
-    for line in reader.section("tensors"):
+    for line in tensor_lines:
         parts = line.split()
         if len(parts) < 2:
             raise ModelFormatError(f"bad tensor line {line!r}")

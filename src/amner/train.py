@@ -20,6 +20,7 @@ from .corpus import Sentence, TagScheme, Token, tag_from_str, tag_to_str, valida
 from .model import (
     EmbeddingTable,
     ModelParams,
+    SparseRows,
     encode_backward,
     encode_forward,
     init_crf,
@@ -119,31 +120,64 @@ class AdamState:
         )
 
 
+# elements per Adam block: the block's slices of the parameter, gradient,
+# both moments and the two scratch vectors stay within a core's L2 cache
+_ADAM_BLOCK = 16384
+
+
 def adam_step(
     state: AdamState,
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     config: TrainConfig,
 ) -> tuple[AdamState, dict[str, np.ndarray]]:
-    """One bias-corrected Adam update, applied in place to ``params``."""
+    """One bias-corrected Adam update, applied in place to ``params``.
+
+    Per element, in this order:
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + ((1 - b2) * g) * g
+        p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+
+    Each tensor is updated in place over blocks of ``_ADAM_BLOCK``
+    elements through two scratch vectors of that size, so the step
+    allocates nothing sized by the tensors.  Parameters must be
+    C-contiguous.  A tensor's shape and finiteness checks run before
+    any of it is updated.
+    """
     state.step += 1
-    bc1 = 1.0 - config.beta1 ** state.step
-    bc2 = 1.0 - config.beta2 ** state.step
+    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
+    bc1 = 1.0 - b1 ** state.step
+    bc2 = 1.0 - b2 ** state.step
+    scratch_a, scratch_b = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for name, param in params.items():
         grad = grads[name]
         if grad.shape != param.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} != parameter shape {param.shape} for {name}"
             )
-        if not np.all(np.isfinite(grad)):
+        # min and max propagate NaN, and an infinity is one of them
+        if grad.size and not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
             raise ValueError(f"non-finite gradient in tensor {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * grad
-        v *= config.beta2
-        v += (1.0 - config.beta2) * grad * grad
-        param -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        if not param.flags.c_contiguous:
+            raise ValueError(f"parameter {name} is not C-contiguous")
+        p, g = param.reshape(-1), grad.reshape(-1)
+        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        for start in range(0, p.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+            a, b = scratch_a[: pb.size], scratch_b[: pb.size]
+            mb *= b1
+            mb += np.multiply(gb, 1.0 - b1, out=a)
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=a)
+            vb += np.multiply(a, gb, out=a)
+            np.divide(vb, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(mb, bc1, out=b)
+            b *= lr
+            pb -= np.divide(b, a, out=b)
     return state, params
 
 
@@ -304,8 +338,12 @@ def sentence_loss_and_grads(
     sentence: Sentence,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """CRF negative log-likelihood of one sentence plus all gradients."""
+) -> tuple[float, dict[str, np.ndarray | SparseRows]]:
+    """CRF negative log-likelihood of one sentence plus all gradients.
+
+    The gradients are keyed CRF tensors first, then encoder tensors in
+    ``encode_backward``'s order; the word-table gradient is row-sparse.
+    """
     emissions, cache = encode_forward(model.encoder, sentence, train=train, rng=rng)
     gold = gold_indices(model, sentence)
     loss, d_emissions, grads = crf_mod.nll_loss_and_grad(model.crf, emissions, gold)
@@ -367,6 +405,14 @@ def train_model(
         raise ValueError("cannot train on an empty corpus")
     params = model.tensors()
     state = AdamState.for_params(params)
+    # keyed in the order of sentence_loss_and_grads' dicts, because
+    # clip_global_norm sums the per-tensor norms in dict order
+    batch_grads = {
+        name: np.zeros(params[name].shape)
+        for name in (*model.crf.tensors(), *model.encoder.tensors())
+    }
+    # rows the current batch's sparse gradients wrote; only those are re-zeroed
+    touched: dict[str, list[np.ndarray]] = {}
     dropout_rng = np.random.default_rng(config.seed)
     logs: list[EpochLog] = []
     best_f1 = -1.0
@@ -376,28 +422,32 @@ def train_model(
         batches = make_batches(list(sentences), config.batch_size, config.seed + epoch)
         for batch_idx, batch in enumerate(batches):
             batch_loss = 0.0
-            batch_grads: dict[str, np.ndarray] | None = None
             try:
                 for sentence in batch:
                     loss, grads = sentence_loss_and_grads(
                         model, sentence, train=config.dropout > 0.0, rng=dropout_rng
                     )
                     batch_loss += loss
-                    if batch_grads is None:
-                        batch_grads = grads
-                    else:
-                        for name, arr in grads.items():
-                            batch_grads[name] += arr
+                    for name, grad in grads.items():
+                        if isinstance(grad, SparseRows):
+                            batch_grads[name][grad.rows] += grad.values
+                            touched.setdefault(name, []).append(grad.rows)
+                        else:
+                            batch_grads[name] += grad
+                if not np.isfinite(batch_loss):
+                    raise TrainingError(
+                        f"non-finite loss in epoch {epoch}, batch {batch_idx}"
+                    )
+                if config.clip_norm is not None:
+                    clip_global_norm(batch_grads, config.clip_norm)
+                adam_step(state, params, batch_grads, config)
             except ValueError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
-            if not np.isfinite(batch_loss):
-                raise TrainingError(
-                    f"non-finite loss in epoch {epoch}, batch {batch_idx}"
-                )
-            assert batch_grads is not None
-            if config.clip_norm is not None:
-                clip_global_norm(batch_grads, config.clip_norm)
-            adam_step(state, params, batch_grads, config)
+            for name, buf in batch_grads.items():
+                if name in touched:
+                    buf[np.concatenate(touched.pop(name))] = 0.0
+                else:
+                    buf.fill(0.0)
             epoch_loss += batch_loss
         entry = EpochLog(epoch=epoch, loss=epoch_loss)
         if dev is not None:
@@ -466,6 +516,8 @@ def gradient_check(
     report: dict[str, float] = {}
     for name, array in params.items():
         grad = analytic[name]
+        if isinstance(grad, SparseRows):
+            grad = grad.to_dense()
         worst = 0.0
         flat = array.reshape(-1)
         flat_grad = grad.reshape(-1)

@@ -179,6 +179,12 @@ class TestTrainTagEval:
         assert "epoch 0 loss" in log_text
         assert "epoch 1 loss" in log_text
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_is_data_error(self, tmp_path, corpus_path, capsys):
+        args = ["train", corpus_path, "--model", str(tmp_path / "m.model")] + self.TRAIN_ARGS
+        assert main(args + ["--lr", "1e300"]) == 1
+        assert "error: epoch 0, batch 1" in capsys.readouterr().err
+
     def test_train_is_byte_deterministic(self, tmp_path, corpus_path):
         a_path = tmp_path / "a.model"
         b_path = tmp_path / "b.model"

@@ -7,6 +7,7 @@ from amner.model import (
     BiLstmParams,
     EmbeddingFormatError,
     LstmParams,
+    SparseRows,
     bilstm_run,
     encode_backward,
     encode_forward,
@@ -73,6 +74,11 @@ class TestEmbeddings:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(EmbeddingFormatError):
             load_embeddings("1 3\na 1 2 3\n", expected_dim=2)
+
+    def test_fasttext_trailing_spaces(self):
+        table = load_embeddings("2 3 \r\na 1 0 0 \r\nb\u00a0c 0 1 0 \n", expected_dim=3)
+        assert table.vocab == {"a": 0, "b\u00a0c": 1}
+        assert np.array_equal(table.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_header_row_count_enforced(self):
         with pytest.raises(EmbeddingFormatError):
@@ -262,6 +268,8 @@ class TestEncoderGradients:
         step = 1e-5
         for name, array in enc.tensors().items():
             grad = grads[name]
+            if isinstance(grad, SparseRows):
+                grad = grad.to_dense()
             flat = array.reshape(-1)
             flat_grad = grad.reshape(-1)
             for pos in range(flat.shape[0]):
@@ -274,3 +282,56 @@ class TestEncoderGradients:
                 numeric = (up - down) / (2 * step)
                 denom = max(abs(numeric) + abs(flat_grad[pos]), 1e-3)
                 assert abs(numeric - flat_grad[pos]) / denom <= 1e-4, name
+
+
+class TestSparseWordGradient:
+    def per_token(self, enc, words, train=False):
+        """Sparse gradient for ``words`` and each token's own word-row gradient.
+
+        Backprop through a cache whose word rows are replaced by one
+        distinct row per position yields the per-token terms separately.
+        """
+        rng = np.random.default_rng(3)
+        emissions, cache = encode_forward(enc, words, train=train, rng=rng)
+        d_emissions = rng.normal(size=emissions.shape)
+        grads = encode_backward(enc, cache, d_emissions)
+        split = (cache[0], list(range(len(words)))) + cache[2:]
+        terms = encode_backward(enc, split, d_emissions)["word_table.matrix"]
+        assert list(terms.rows) == list(range(len(words)))
+        return cache[1], grads, terms.values
+
+    def test_repeated_word_sums_in_token_order(self):
+        enc = tiny_encoder(seed=1, dropout=0.5)
+        rows, grads, terms = self.per_token(enc, ["alpha", "beta", "alpha"], train=True)
+        sparse = grads["word_table.matrix"]
+        assert sparse.rows.dtype == np.int64
+        assert list(sparse.rows) == [rows[0], rows[1]]
+        expected = np.zeros(enc.word_table.dim)
+        expected += terms[0]
+        expected += terms[2]
+        assert sparse.values[0].tobytes() == expected.tobytes()
+
+    def test_oov_token_feeds_unk_only(self):
+        enc = tiny_encoder(seed=2)
+        rows, grads, terms = self.per_token(enc, ["alpha", "zzz"])
+        sparse = grads["word_table.matrix"]
+        assert list(sparse.rows) == [rows[0]]
+        expected_unk = np.zeros(enc.word_table.dim) + terms[1]
+        assert grads["word_table.unk"].tobytes() == expected_unk.tobytes()
+
+    def test_dense_equals_reference(self):
+        enc = tiny_encoder(seed=4, dropout=0.5)
+        words = ["gamma", "alpha", "zzz", "gamma", "beta", "alpha"]
+        rows, grads, terms = self.per_token(enc, words, train=True)
+        reference = np.zeros_like(enc.word_table.matrix)
+        for t, row in enumerate(rows):
+            if row is not None:
+                reference[row] += terms[t]
+        assert grads["word_table.matrix"].to_dense().tobytes() == reference.tobytes()
+
+    def test_key_order_and_nbytes(self):
+        enc = tiny_encoder()
+        _, grads, _ = self.per_token(enc, ["beta", "beta"])
+        assert list(grads) == list(enc.tensors())
+        sparse = grads["word_table.matrix"]
+        assert sparse.nbytes == 8 + 8 * enc.word_table.dim

@@ -68,6 +68,18 @@ class TestRoundTrip:
         assert np.array_equal(loaded.crf.trans_mask, model.crf.trans_mask)
         assert not loaded.crf.trans_mask.all()
 
+    def test_header_lookalike_words(self):
+        from amner.corpus import Sentence, Tag, Token
+
+        corpus = synthetic_corpus(3) + [
+            Sentence((Token("[blob]", Tag("O")), Token("[tensors 2]", Tag("O"))))
+        ]
+        model = build_model(corpus, word_dim=4, char_dim=2, char_hidden=2, word_hidden=2)
+        data = model_to_bytes(model)
+        loaded, _ = model_from_bytes(data)
+        assert loaded.encoder.word_table.vocab == model.encoder.word_table.vocab
+        assert model_to_bytes(loaded) == data
+
     def test_config_preserved_verbatim(self):
         _, model = small_model()
         config = {"seed": "42", "note": "two words here"}

@@ -3,6 +3,7 @@ import pytest
 from helpers import synthetic_corpus
 
 import amner.train as train_mod
+from amner.model import SparseRows
 from amner.train import (
     AdamState,
     GradCheckResult,
@@ -21,6 +22,47 @@ from amner.train import (
     tag_sentences,
     train_model,
 )
+
+
+def textbook_adam(param, m, v, grad, step, config):
+    """The Adam update as whole-array expressions: the reference for adam_step."""
+    m *= config.beta1
+    m += (1.0 - config.beta1) * grad
+    v *= config.beta2
+    v += (1.0 - config.beta2) * grad * grad
+    param -= (
+        config.learning_rate * (m / (1.0 - config.beta1 ** step))
+        / (np.sqrt(v / (1.0 - config.beta2 ** step)) + config.epsilon)
+    )
+
+
+def dense_reference_train(sentences, model, config):
+    """train_model with dense per-sentence gradients summed into the first one."""
+    params = model.tensors()
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    rng = np.random.default_rng(config.seed)
+    step = 0
+    for epoch in range(config.max_epochs):
+        for batch in make_batches(list(sentences), config.batch_size, config.seed + epoch):
+            batch_grads = None
+            for sentence in batch:
+                _, grads = sentence_loss_and_grads(
+                    model, sentence, train=config.dropout > 0.0, rng=rng
+                )
+                grads = {
+                    k: g.to_dense() if isinstance(g, SparseRows) else g for k, g in grads.items()
+                }
+                if batch_grads is None:
+                    batch_grads = grads
+                else:
+                    for name, grad in grads.items():
+                        batch_grads[name] += grad
+            if config.clip_norm is not None:
+                clip_global_norm(batch_grads, config.clip_norm)
+            step += 1
+            for name, param in params.items():
+                textbook_adam(param, m[name], v[name], batch_grads[name], step, config)
 
 
 def tiny_model(corpus, seed=0, dropout=0.0):
@@ -101,6 +143,27 @@ class TestAdam:
         state = AdamState.for_params(params)
         with pytest.raises(ValueError, match="shape"):
             adam_step(state, params, {"w": np.zeros(3)}, TrainConfig())
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2 * train_mod._ADAM_BLOCK + 7,), (3, 5461)])
+    def test_blocked_update_matches_textbook(self, shape):
+        rng = np.random.default_rng(len(shape))
+        config = TrainConfig(learning_rate=0.01)
+        params = {"w": rng.normal(size=shape)}
+        state = AdamState.for_params(params)
+        ref_p, ref_m, ref_v = params["w"].copy(), np.zeros(shape), np.zeros(shape)
+        for step in range(1, 4):
+            grad = rng.normal(size=shape)
+            adam_step(state, params, {"w": grad}, config)
+            textbook_adam(ref_p, ref_m, ref_v, grad, step, config)
+        assert params["w"].tobytes() == ref_p.tobytes()
+        assert state.m["w"].tobytes() == ref_m.tobytes()
+        assert state.v["w"].tobytes() == ref_v.tobytes()
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = {"w": np.zeros((3, 2)).T}
+        state = AdamState.for_params(params)
+        with pytest.raises(ValueError, match="contiguous"):
+            adam_step(state, params, {"w": np.ones((2, 3))}, TrainConfig())
 
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
@@ -264,6 +327,39 @@ class TestTraining:
         model = tiny_model(corpus, seed=15)
         model.encoder.proj_w[0, 0] = np.nan
         with pytest.raises(TrainingError, match="epoch 0, batch 0"):
+            train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0))
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_bit_identical_to_dense_reference(self, clip_norm):
+        corpus = synthetic_corpus(24, seed=25)
+        extra = [f"extra{i}" for i in range(2000)]
+        config = TrainConfig(max_epochs=2, batch_size=5, dropout=0.5, seed=25, clip_norm=clip_norm)
+
+        def fresh():
+            return build_model(
+                corpus, word_dim=10, char_dim=3, char_hidden=3, word_hidden=4,
+                dropout=0.5, seed=25, extra_vocab=extra,
+            )
+
+        model, reference = fresh(), fresh()
+        train_model(corpus, model, config)
+        dense_reference_train(corpus, reference, config)
+        expected = reference.tensors()
+        for name, arr in model.tensors().items():
+            assert arr.tobytes() == expected[name].tobytes(), name
+
+    def test_non_finite_word_row_gradient_names_tensor(self, monkeypatch):
+        corpus = synthetic_corpus(3, seed=27)
+        model = tiny_model(corpus, seed=27)
+        true_fn = train_mod.sentence_loss_and_grads
+
+        def poisoned(model, sentence, train=False, rng=None):
+            loss, grads = true_fn(model, sentence, train=train, rng=rng)
+            grads["word_table.matrix"].values[0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(train_mod, "sentence_loss_and_grads", poisoned)
+        with pytest.raises(TrainingError, match="epoch 0, batch 0: .*word_table.matrix"):
             train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0))
 
     def test_early_stop_patience(self):
