@@ -9,6 +9,7 @@ error, 2 usage error.  Machine-readable output is available behind
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -167,19 +168,12 @@ def _effective_config(args) -> TrainConfig:
     config = TrainConfig()
     if args.config:
         config = train_mod.parse_train_config(_read_text(args.config), base=config)
-    if args.epochs is not None:
-        config = train_mod.parse_train_config(f"max_epochs {args.epochs}", base=config)
-    if args.batch is not None:
-        config = train_mod.parse_train_config(f"batch_size {args.batch}", base=config)
-    if args.lr is not None:
-        config = train_mod.parse_train_config(f"learning_rate {args.lr}", base=config)
-    if args.dropout is not None:
-        config = train_mod.parse_train_config(f"dropout {args.dropout}", base=config)
-    if args.clip is not None:
-        config = train_mod.parse_train_config(f"clip_norm {args.clip}", base=config)
-    if args.seed is not None:
-        config = train_mod.parse_train_config(f"seed {args.seed}", base=config)
-    return config
+    flags = {
+        "max_epochs": args.epochs, "batch_size": args.batch, "learning_rate": args.lr,
+        "dropout": args.dropout, "clip_norm": args.clip, "seed": args.seed,
+    }
+    # TrainConfig.__post_init__ validates the result
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_train(args) -> int:

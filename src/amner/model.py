@@ -18,6 +18,13 @@ at the previous cell state, the output gate at the current one:
     c = f * c_prev + i * tanh(W_cx x + W_ch h_prev + b_c)
     o = sigmoid(W_ox x + W_oh h_prev + p_o * c + b_o)
     h = o * tanh(c)
+
+Each LSTM stacks its gates in the order f, i, c, o: ``w_x`` (4H, D),
+``w_h`` (4H, H), ``b`` (4H,) and the peepholes ``p`` (3, H).  The 15
+per-gate names above (``w_fx`` .. ``b_o``) are the model file's tensor
+names, each a row-block view into its stacked array.  One padded-batch
+routine runs both BiLSTMs; the character BiLSTM covers all words of a
+sentence in one pass.
 """
 
 from __future__ import annotations
@@ -31,12 +38,7 @@ from .crf import CrfParams
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -86,10 +88,8 @@ class EmbeddingTable:
         vocab = {tok: idx for idx, tok in enumerate(tokens)}
         if len(vocab) != len(tokens):
             raise ValueError("duplicate tokens in embedding vocabulary")
-        fan = (len(tokens), dim)
-        matrix = _glorot(rng, fan[0], fan[1], (len(tokens), dim))
-        unk = _glorot(rng, fan[0], fan[1], (dim,))
-        return cls(vocab, matrix, unk)
+        matrix = _glorot(rng, len(tokens), dim, (len(tokens), dim))
+        return cls(vocab, matrix, _glorot(rng, len(tokens), dim, (dim,)))
 
     def tensors(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.matrix": self.matrix, f"{prefix}.unk": self.unk_row}
@@ -180,153 +180,158 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
 # LSTM
 
 
-_LSTM_FIELDS = (
-    "w_fx", "w_ix", "w_cx", "w_ox",
-    "w_fh", "w_ih", "w_ch", "w_oh",
-    "p_f", "p_i", "p_o",
-    "b_f", "b_i", "b_c", "b_o",
-)
+# file names of an LSTM's tensors: (stacked array, gate row block)
+LSTM_FIELDS = {
+    "w_fx": ("w_x", 0), "w_ix": ("w_x", 1), "w_cx": ("w_x", 2), "w_ox": ("w_x", 3),
+    "w_fh": ("w_h", 0), "w_ih": ("w_h", 1), "w_ch": ("w_h", 2), "w_oh": ("w_h", 3),
+    "p_f": ("p", 0), "p_i": ("p", 1), "p_o": ("p", 2),
+    "b_f": ("b", 0), "b_i": ("b", 1), "b_c": ("b", 2), "b_o": ("b", 3),
+}
 
 
-@dataclass
+def _row_block(stacked: str, gate: int) -> property:
+    def get(self) -> np.ndarray:
+        array, hidden = getattr(self, stacked), self.hidden
+        return array[gate] if stacked == "p" else array[gate * hidden : (gate + 1) * hidden]
+
+    return property(get, lambda self, value: np.copyto(get(self), value))
+
+
 class LstmParams:
-    w_fx: np.ndarray
-    w_ix: np.ndarray
-    w_cx: np.ndarray
-    w_ox: np.ndarray
-    w_fh: np.ndarray
-    w_ih: np.ndarray
-    w_ch: np.ndarray
-    w_oh: np.ndarray
-    p_f: np.ndarray
-    p_i: np.ndarray
-    p_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    """Stacked peephole-LSTM weights (layout in the module docstring).
 
-    def __post_init__(self):
-        for name in _LSTM_FIELDS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        hidden, input_dim = self.w_fx.shape
-        for name in ("w_ix", "w_cx", "w_ox"):
-            if getattr(self, name).shape != (hidden, input_dim):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("w_fh", "w_ih", "w_ch", "w_oh"):
-            if getattr(self, name).shape != (hidden, hidden):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("p_f", "p_i", "p_o", "b_f", "b_i", "b_c", "b_o"):
-            if getattr(self, name).shape != (hidden,):
-                raise ValueError(f"{name} shape mismatch")
+    The constructor copies the 15 named tensors; :meth:`stacked` wraps
+    stacked arrays.  Assigning to a name writes into its row block.
+    """
+
+    def __init__(self, w_fx, w_ix, w_cx, w_ox, w_fh, w_ih, w_ch, w_oh,
+                 p_f, p_i, p_o, b_f, b_i, b_c, b_o):
+        def stack(*blocks):  # k blocks of (H, ...) -> (k * H, ...)
+            out = np.stack(blocks, dtype=np.float64)
+            return out.reshape(-1, *out.shape[2:])
+
+        self._bind(
+            stack(w_fx, w_ix, w_cx, w_ox), stack(w_fh, w_ih, w_ch, w_oh),
+            np.stack([p_f, p_i, p_o], dtype=np.float64), stack(b_f, b_i, b_c, b_o),
+        )
+
+    @classmethod
+    def stacked(cls, w_x, w_h, p, b) -> "LstmParams":
+        self = cls.__new__(cls)
+        self._bind(w_x, w_h, p, b)
+        return self
+
+    def _bind(self, w_x, w_h, p, b) -> None:
+        hidden = p.shape[-1]
+        expected = (3, hidden), (4 * hidden,), (4 * hidden, hidden), (4 * hidden, w_x.shape[-1])
+        if (p.shape, b.shape, w_h.shape, w_x.shape) != expected:
+            raise ValueError("LSTM tensor shapes disagree")
+        self.w_x, self.w_h, self.p, self.b = w_x, w_h, p, b
 
     @property
     def hidden(self) -> int:
-        return self.w_fx.shape[0]
+        return self.w_h.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.w_fx.shape[1]
+        return self.w_x.shape[1]
 
     @classmethod
     def random(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmParams":
-        def inp():
-            return _glorot(rng, input_dim, hidden, (hidden, input_dim))
-
-        def rec():
-            return _glorot(rng, hidden, hidden, (hidden, hidden))
-
-        return cls(
-            inp(), inp(), inp(), inp(),
-            rec(), rec(), rec(), rec(),
-            np.zeros(hidden), np.zeros(hidden), np.zeros(hidden),
-            np.zeros(hidden), np.zeros(hidden), np.zeros(hidden), np.zeros(hidden),
-        )
+        w_x = [_glorot(rng, input_dim, hidden, (hidden, input_dim)) for _ in range(4)]
+        w_h = [_glorot(rng, hidden, hidden, (hidden, hidden)) for _ in range(4)]
+        return cls(*w_x, *w_h, *np.zeros((7, hidden)))
 
     def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.{name}": getattr(self, name) for name in _LSTM_FIELDS}
+        return {f"{prefix}.{name}": getattr(self, name) for name in LSTM_FIELDS}
+
+
+for _name, _where in LSTM_FIELDS.items():
+    setattr(LstmParams, _name, _row_block(*_where))
+
+
+def _lstm_forward(params: LstmParams, xs: np.ndarray, h0=None, c0=None):
+    """Run N right-padded sequences ``xs`` (T, N, D) through one LSTM.
+
+    One GEMM computes every step's input projection; steps past a
+    sequence's end run on padding and are never read.  Returns the cache
+    (xs, hs, cs, gates, tanh_c): hs and cs (T + 1, N, H) start with the
+    initial states, zero by default; gates (T, N, 4, H) hold f, i, g, o.
+    """
+    steps, batch, _ = xs.shape
+    hidden = params.hidden
+    gates = xs.reshape(steps * batch, -1) @ params.w_x.T + params.b
+    gates = gates.reshape(steps, batch, 4, hidden)
+    # an overflowed product would saturate the gates instead of propagating
+    # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN
+    if not np.isfinite(gates).all():
+        raise ValueError("non-finite LSTM input projection")
+    hs, cs = np.zeros((2, steps + 1, batch, hidden))
+    if h0 is not None:
+        hs[0], cs[0] = h0, c0
+    tanh_c = np.empty((steps, batch, hidden))
+    w_h_t = params.w_h.T
+    for t in range(steps):
+        a = gates[t]
+        a += (hs[t] @ w_h_t).reshape(batch, 4, hidden)
+        a[:, :2] += params.p[:2] * cs[t][:, None]
+        a[:, :2] = _sigmoid(a[:, :2])
+        a[:, 2] = np.tanh(a[:, 2])
+        c = cs[t + 1]
+        np.multiply(a[:, 0], cs[t], out=c)
+        c += a[:, 1] * a[:, 2]
+        a[:, 3] = _sigmoid(a[:, 3] + params.p[2] * c)
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(a[:, 3], tanh_c[t], out=hs[t + 1])
+    return xs, hs, cs, gates, tanh_c
+
+
+def _lstm_backward(params: LstmParams, cache, d_hs: np.ndarray):
+    """(gradients as LstmParams, d_xs (T, N, D)) from ``d_hs`` (T, N, H),
+    the outside gradient on each hidden state, zero past each end.
+
+    The time loop only collects the gate pre-activation gradients d_a;
+    the weight and input gradients are then single GEMMs.
+    """
+    xs, hs, cs, gates, tanh_c = cache
+    steps, batch, _, hidden = gates.shape
+    f, i, g, o = (gates[:, :, k] for k in range(4))
+    c_prev = cs[:-1]
+    p_f, p_i, p_o = params.p
+    # for every step at once: d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
+    k_o = tanh_c * o * (1.0 - o)
+    k_c = o * (1.0 - tanh_c ** 2) + k_o * p_o
+    k_fig = np.stack([c_prev * f * (1.0 - f), g * i * (1.0 - i), i * (1.0 - g ** 2)], axis=2)
+    k_carry = f + k_fig[:, :, 0] * p_f + k_fig[:, :, 1] * p_i
+
+    d_a = np.empty((steps, batch, 4, hidden))
+    dh_carry, dc = np.zeros((2, batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        dh = d_hs[t] + dh_carry
+        dc += dh * k_c[t]
+        np.multiply(dc[:, None], k_fig[t], out=d_a[t, :, :3])
+        np.multiply(dh, k_o[t], out=d_a[t, :, 3])
+        dh_carry = d_a[t].reshape(batch, 4 * hidden) @ params.w_h
+        dc *= k_carry[t]
+
+    d_a2 = d_a.reshape(steps * batch, 4 * hidden)
+    peep_in = (c_prev, c_prev, cs[1:])
+    grads = LstmParams.stacked(
+        d_a2.T @ xs.reshape(steps * batch, -1),
+        d_a2.T @ hs[:-1].reshape(steps * batch, hidden),
+        np.stack([(d_a[:, :, k] * s).sum(axis=(0, 1)) for k, s in zip((0, 1, 3), peep_in)]),
+        d_a2.sum(axis=0),
+    )
+    return grads, (d_a2 @ params.w_x).reshape(steps, batch, -1)
 
 
 def lstm_step(
     params: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One peephole-LSTM update; returns (h_t, c_t)."""
-    h, c, _ = _lstm_step_cached(params, np.asarray(x_t, float), h_prev, c_prev)
-    return h, c
-
-
-def _lstm_step_cached(params, x_t, h_prev, c_prev):
-    if x_t.shape != (params.input_dim,):
-        raise ValueError(f"input width {x_t.shape} != expected ({params.input_dim},)")
-    if h_prev.shape != (params.hidden,) or c_prev.shape != (params.hidden,):
-        raise ValueError("state width mismatch")
-    f = _sigmoid(params.w_fx @ x_t + params.w_fh @ h_prev + params.p_f * c_prev + params.b_f)
-    i = _sigmoid(params.w_ix @ x_t + params.w_ih @ h_prev + params.p_i * c_prev + params.b_i)
-    g = np.tanh(params.w_cx @ x_t + params.w_ch @ h_prev + params.b_c)
-    c = f * c_prev + i * g
-    o = _sigmoid(params.w_ox @ x_t + params.w_oh @ h_prev + params.p_o * c + params.b_o)
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = (x_t, h_prev, c_prev, f, i, g, o, c, tanh_c)
-    return h, c, cache
-
-
-def _lstm_forward(params: LstmParams, xs: Sequence[np.ndarray]):
-    h = np.zeros(params.hidden)
-    c = np.zeros(params.hidden)
-    states, caches = [], []
-    for x in xs:
-        h, c, cache = _lstm_step_cached(params, x, h, c)
-        states.append(h)
-        caches.append(cache)
-    return states, caches
-
-
-def _lstm_backward(params: LstmParams, caches, d_states):
-    """Backprop through a whole run.
-
-    ``d_states[t]`` is the loss gradient flowing into h_t from outside;
-    returns (gradient dict keyed by field name, gradients on the inputs).
-    """
-    grads = {name: np.zeros_like(getattr(params, name)) for name in _LSTM_FIELDS}
-    dxs = [None] * len(caches)
-    dh_carry = np.zeros(params.hidden)
-    dc = np.zeros(params.hidden)
-    for t in range(len(caches) - 1, -1, -1):
-        x_t, h_prev, c_prev, f, i, g, o, c, tanh_c = caches[t]
-        dh = d_states[t] + dh_carry
-        d_ao = dh * tanh_c * o * (1.0 - o)
-        dc = dc + dh * o * (1.0 - tanh_c ** 2) + d_ao * params.p_o
-        d_af = dc * c_prev * f * (1.0 - f)
-        d_ai = dc * g * i * (1.0 - i)
-        d_ag = dc * i * (1.0 - g ** 2)
-
-        grads["w_fx"] += np.outer(d_af, x_t)
-        grads["w_ix"] += np.outer(d_ai, x_t)
-        grads["w_cx"] += np.outer(d_ag, x_t)
-        grads["w_ox"] += np.outer(d_ao, x_t)
-        grads["w_fh"] += np.outer(d_af, h_prev)
-        grads["w_ih"] += np.outer(d_ai, h_prev)
-        grads["w_ch"] += np.outer(d_ag, h_prev)
-        grads["w_oh"] += np.outer(d_ao, h_prev)
-        grads["p_f"] += d_af * c_prev
-        grads["p_i"] += d_ai * c_prev
-        grads["p_o"] += d_ao * c
-        grads["b_f"] += d_af
-        grads["b_i"] += d_ai
-        grads["b_c"] += d_ag
-        grads["b_o"] += d_ao
-
-        dxs[t] = (
-            params.w_fx.T @ d_af + params.w_ix.T @ d_ai
-            + params.w_cx.T @ d_ag + params.w_ox.T @ d_ao
-        )
-        dh_carry = (
-            params.w_fh.T @ d_af + params.w_ih.T @ d_ai
-            + params.w_ch.T @ d_ag + params.w_oh.T @ d_ao
-        )
-        dc = dc * f + d_af * params.p_f + d_ai * params.p_i
-    return grads, dxs
+    x = np.asarray(x_t, dtype=np.float64)[None, None]
+    _, hs, cs, _, _ = _lstm_forward(params, x, h_prev[None], c_prev[None])
+    return hs[1, 0], cs[1, 0]
 
 
 @dataclass
@@ -349,32 +354,32 @@ class BiLstmParams:
         return cls(LstmParams.random(input_dim, hidden, rng), LstmParams.random(input_dim, hidden, rng))
 
     def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        out = self.forward.tensors(f"{prefix}_fwd")
-        out.update(self.backward.tensors(f"{prefix}_bwd"))
-        return out
+        return {**self.forward.tensors(f"{prefix}_fwd"), **self.backward.tensors(f"{prefix}_bwd")}
 
 
-def _bilstm_forward(params: BiLstmParams, xs: Sequence[np.ndarray]):
-    if not len(xs):
-        raise ValueError("BiLSTM input must be non-empty")
-    f_states, f_caches = _lstm_forward(params.forward, xs)
-    b_states, b_caches = _lstm_forward(params.backward, xs[::-1])
-    length = len(xs)
-    outs = [
-        np.concatenate([f_states[t], b_states[length - 1 - t]]) for t in range(length)
-    ]
-    return outs, (f_caches, b_caches, length)
+def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
+    """Both directions over right-padded sequences ``xs`` (T, N, D), where
+    sequence n has lengths[n] steps; the reverse direction reads each
+    sequence from its own last position.  Returns (outs (T, N, 2H), cache),
+    outs[t, n] holding both directions' states after position t.
+    """
+    steps, batch, _ = xs.shape
+    t = np.arange(steps)[:, None]
+    # flip[t, n]: the position read at reverse step t; padding stays in place
+    flip = (np.where(t < lengths, lengths - 1 - t, t), np.arange(batch))
+    f_cache = _lstm_forward(params.forward, xs)
+    b_cache = _lstm_forward(params.backward, xs[flip])
+    outs = np.concatenate([f_cache[1][1:], b_cache[1][1:][flip]], axis=2)
+    return outs, (f_cache, b_cache, flip)
 
 
-def _bilstm_backward(params: BiLstmParams, cache, d_outs):
-    f_caches, b_caches, length = cache
+def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
+    """(gradients as BiLstmParams, d_xs) from d(outs)."""
+    f_cache, b_cache, flip = cache
     hidden = params.hidden
-    d_f = [d_outs[t][:hidden] for t in range(length)]
-    d_b = [d_outs[length - 1 - j][hidden:] for j in range(length)]
-    f_grads, f_dxs = _lstm_backward(params.forward, f_caches, d_f)
-    b_grads, b_dxs = _lstm_backward(params.backward, b_caches, d_b)
-    dxs = [f_dxs[t] + b_dxs[length - 1 - t] for t in range(length)]
-    return f_grads, b_grads, dxs
+    f_grads, f_dxs = _lstm_backward(params.forward, f_cache, d_outs[:, :, :hidden])
+    b_grads, b_dxs = _lstm_backward(params.backward, b_cache, d_outs[:, :, hidden:][flip])
+    return BiLstmParams(f_grads, b_grads), f_dxs + b_dxs[flip]
 
 
 def bilstm_run(params: BiLstmParams, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -383,52 +388,55 @@ def bilstm_run(params: BiLstmParams, inputs: Sequence[np.ndarray]) -> list[np.nd
     Both directions start from zero states; the reverse direction
     traverses the sequence back to front.
     """
-    xs = [np.asarray(x, dtype=np.float64) for x in inputs]
-    outs, _ = _bilstm_forward(params, xs)
-    return outs
+    if not len(inputs):
+        raise ValueError("BiLSTM input must be non-empty")
+    xs = np.asarray(inputs, dtype=np.float64)
+    outs, _ = _bilstm_forward(params, xs[:, None], np.array([len(xs)]))
+    return list(outs[:, 0])
 
 
 # ---------------------------------------------------------------------------
 # Character-level word encoding
 
 
-def _char_vectors(table: EmbeddingTable, word: str):
-    indices = [table.index_of(ch) for ch in word]
-    vecs = [table.matrix[i] if i is not None else table.unk_row for i in indices]
-    return indices, vecs
-
-
-def _encode_chars_forward(table: EmbeddingTable, params: BiLstmParams, word: str):
-    if not word:
+def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[str]):
+    """Character BiLSTM summaries (N, 2H) of all ``words`` in one padded
+    pass: the forward state after the last character and the reverse
+    state after the first.  Unknown characters read the unk row.
+    """
+    lengths = np.array([len(word) for word in words])
+    if not lengths.all():
         raise ValueError("cannot encode an empty word")
-    indices, vecs = _char_vectors(table, word)
-    f_states, f_caches = _lstm_forward(params.forward, vecs)
-    b_states, b_caches = _lstm_forward(params.backward, vecs[::-1])
-    vec = np.concatenate([f_states[-1], b_states[-1]])
-    return vec, (indices, f_caches, b_caches, len(vecs))
-
-
-def _encode_chars_backward(table, params, cache, d_vec, d_matrix, d_unk):
-    indices, f_caches, b_caches, length = cache
+    unk = len(table.vocab)
+    ids = np.full((lengths.max(), len(words)), unk)
+    for n, word in enumerate(words):
+        ids[: len(word), n] = [table.vocab.get(ch, unk) for ch in word]
+    rows = np.concatenate([table.matrix, table.unk_row[None]])
+    outs, cache = _bilstm_forward(params, rows[ids], lengths)
     hidden = params.hidden
-    zero = np.zeros(hidden)
-    d_f = [zero] * (length - 1) + [d_vec[:hidden]]
-    d_b = [zero] * (length - 1) + [d_vec[hidden:]]
-    f_grads, f_dxs = _lstm_backward(params.forward, f_caches, d_f)
-    b_grads, b_dxs = _lstm_backward(params.backward, b_caches, d_b)
-    for pos, idx in enumerate(indices):
-        d_emb = f_dxs[pos] + b_dxs[length - 1 - pos]
-        if idx is None:
-            d_unk += d_emb
-        else:
-            d_matrix[idx] += d_emb
-    return f_grads, b_grads
+    last = (lengths - 1, np.arange(len(words)))
+    vecs = np.concatenate([outs[last][:, :hidden], outs[0, :, hidden:]], axis=1)
+    return vecs, (ids, lengths, cache)
+
+
+def _chars_backward(table: EmbeddingTable, params: BiLstmParams, cache, d_vecs: np.ndarray):
+    """(table gradient with the unknown row last, BiLstmParams gradients)."""
+    ids, lengths, bilstm_cache = cache
+    hidden = params.hidden
+    d_outs = np.zeros(ids.shape + (2 * hidden,))
+    d_outs[lengths - 1, np.arange(len(lengths)), :hidden] = d_vecs[:, :hidden]
+    d_outs[0, :, hidden:] = d_vecs[:, hidden:]
+    grads, d_xs = _bilstm_backward(params, bilstm_cache, d_outs)
+    d_rows = np.zeros((len(table.vocab) + 1, table.dim))
+    valid = np.arange(len(ids))[:, None] < lengths
+    np.add.at(d_rows, ids[valid], d_xs[valid])
+    return d_rows, grads
 
 
 def encode_word_chars(char_table: EmbeddingTable, params: BiLstmParams, word: str) -> np.ndarray:
     """Character BiLSTM summary of a word: concat of the two final states."""
-    vec, _ = _encode_chars_forward(char_table, params, word)
-    return vec
+    vecs, _ = _chars_forward(char_table, params, [word])
+    return vecs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +458,8 @@ class EncoderParams:
     def __post_init__(self):
         self.proj_w = np.asarray(self.proj_w, dtype=np.float64)
         self.proj_b = np.asarray(self.proj_b, dtype=np.float64)
+        if self.char_bilstm.forward.input_dim != self.char_table.dim:
+            raise ValueError(f"char BiLSTM expects width {self.char_bilstm.forward.input_dim}")
         token_width = self.word_table.dim + 2 * self.char_bilstm.hidden
         if self.word_bilstm.forward.input_dim != token_width:
             raise ValueError(
@@ -468,13 +478,11 @@ class EncoderParams:
         return self.proj_w.shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = self.char_table.tensors("char_table")
-        out.update(self.char_bilstm.tensors("char"))
-        out.update(self.word_table.tensors("word_table"))
-        out.update(self.word_bilstm.tensors("word"))
-        out["proj.weight"] = self.proj_w
-        out["proj.bias"] = self.proj_b
-        return out
+        return {
+            **self.char_table.tensors("char_table"), **self.char_bilstm.tensors("char"),
+            **self.word_table.tensors("word_table"), **self.word_bilstm.tensors("word"),
+            "proj.weight": self.proj_w, "proj.bias": self.proj_b,
+        }
 
 
 def init_encoder(
@@ -514,9 +522,10 @@ def _as_words(sentence) -> list[str]:
     return [str(w) for w in surfaces]
 
 
-def _dropout_mask(rng: np.random.Generator, width: int, rate: float) -> np.ndarray:
-    # inverted dropout: surviving units are scaled so inference needs no rescale
-    return (rng.random(width) >= rate) / (1.0 - rate)
+def _dropout_masks(rng: np.random.Generator, shape: tuple[int, int], rate: float) -> np.ndarray:
+    # inverted dropout: surviving units are scaled so inference needs no rescale;
+    # row t is the mask of position t, drawn in row order
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def encode_forward(
@@ -538,35 +547,24 @@ def encode_forward(
     if use_dropout and rng is None:
         raise ValueError("train-mode encoding with dropout needs a random generator")
 
-    word_rows: list[int | None] = []
-    char_caches = []
-    xs = []
-    in_masks = []
-    for word in words:
-        row = params.word_table.index_of(word)
-        word_vec = params.word_table.matrix[row] if row is not None else params.word_table.unk_row
-        char_vec, char_cache = _encode_chars_forward(params.char_table, params.char_bilstm, word)
-        x = np.concatenate([word_vec, char_vec])
-        if use_dropout:
-            mask = _dropout_mask(rng, x.shape[0], params.dropout_rate)
-            in_masks.append(mask)
-            x = x * mask
-        word_rows.append(row)
-        char_caches.append(char_cache)
-        xs.append(x)
-
-    outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs)
-    out_masks = []
+    table = params.word_table
+    word_rows = [table.index_of(word) for word in words]
+    word_vecs = [table.matrix[row] if row is not None else table.unk_row for row in word_rows]
+    char_vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, words)
+    xs = np.concatenate([np.stack(word_vecs), char_vecs], axis=1)
+    in_masks = out_masks = None
     if use_dropout:
-        dropped = []
-        for out in outs:
-            mask = _dropout_mask(rng, out.shape[0], params.dropout_rate)
-            out_masks.append(mask)
-            dropped.append(out * mask)
-        outs = dropped
+        in_masks = _dropout_masks(rng, xs.shape, params.dropout_rate)
+        xs = xs * in_masks
 
-    emissions = np.stack(outs) @ params.proj_w + params.proj_b
-    cache = (words, word_rows, char_caches, in_masks, bilstm_cache, np.stack(outs), out_masks)
+    outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs[:, None], np.array([len(words)]))
+    outs = outs[:, 0]
+    if use_dropout:
+        out_masks = _dropout_masks(rng, outs.shape, params.dropout_rate)
+        outs = outs * out_masks
+
+    emissions = outs @ params.proj_w + params.proj_b
+    cache = (words, word_rows, char_cache, in_masks, bilstm_cache, outs, out_masks)
     return emissions, cache
 
 
@@ -575,59 +573,44 @@ def encode_backward(
 ) -> dict[str, np.ndarray | SparseRows]:
     """Gradients of every encoder tensor given d(loss)/d(emissions).
 
-    Keys follow ``params.tensors()``.  ``word_table.matrix`` is returned
-    as :class:`SparseRows` over the rows of the sentence's in-vocabulary
-    words, so its cost does not grow with the vocabulary; each row's
-    value is summed in token order from zero, exactly as a dense table
-    gradient would be.  Every other gradient is a dense array, and
+    Keys follow ``params.tensors()``; LSTM entries are views of stacked
+    arrays.  ``word_table.matrix`` is :class:`SparseRows` over the rows of
+    the sentence's in-vocabulary words, so its cost does not grow with the
+    vocabulary; each row is summed in token order from zero, exactly as a
+    dense gradient would be.  Every other gradient is dense, and
     out-of-vocabulary tokens feed ``word_table.unk``.
     """
-    words, word_rows, char_caches, in_masks, bilstm_cache, outs, out_masks = cache
-    # the word-table slot keeps its place and is filled in at the end
-    grads = {
-        name: None if name == "word_table.matrix" else np.zeros_like(arr)
-        for name, arr in params.tensors().items()
-    }
-
-    grads["proj.weight"] += outs.T @ d_emissions
-    grads["proj.bias"] += d_emissions.sum(axis=0)
+    _, word_rows, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
     d_outs = d_emissions @ params.proj_w.T
-    d_out_list = [d_outs[t] for t in range(d_outs.shape[0])]
-    if out_masks:
-        d_out_list = [d * m for d, m in zip(d_out_list, out_masks)]
-
-    f_grads, b_grads, dxs = _bilstm_backward(params.word_bilstm, bilstm_cache, d_out_list)
-    for name, arr in f_grads.items():
-        grads[f"word_fwd.{name}"] += arr
-    for name, arr in b_grads.items():
-        grads[f"word_bwd.{name}"] += arr
+    if out_masks is not None:
+        d_outs = d_outs * out_masks
+    word_grads, d_xs = _bilstm_backward(params.word_bilstm, bilstm_cache, d_outs[:, None])
+    d_xs = d_xs[:, 0]
+    if in_masks is not None:
+        d_xs = d_xs * in_masks
 
     word_dim = params.word_table.dim
-    row_grads: dict[int, np.ndarray] = {}
-    for t, word in enumerate(words):
-        dx = dxs[t]
-        if in_masks:
-            dx = dx * in_masks[t]
-        d_word = dx[:word_dim]
-        row = word_rows[t]
-        if row is None:
-            grads["word_table.unk"] += d_word
-        else:
-            row_grads.setdefault(row, np.zeros(word_dim))
-            row_grads[row] += d_word
-        cf_grads, cb_grads = _encode_chars_backward(
-            params.char_table, params.char_bilstm, char_caches[t], dx[word_dim:],
-            grads["char_table.matrix"], grads["char_table.unk"],
-        )
-        for name, arr in cf_grads.items():
-            grads[f"char_fwd.{name}"] += arr
-        for name, arr in cb_grads.items():
-            grads[f"char_bwd.{name}"] += arr
+    # per-row sums in token order; out-of-vocabulary tokens (row None) feed the unk row
+    row_grads: dict[int | None, np.ndarray] = {None: np.zeros(word_dim)}
+    for row, d_word in zip(word_rows, d_xs[:, :word_dim]):
+        row_grads.setdefault(row, np.zeros(word_dim))
+        row_grads[row] += d_word
+    d_unk = row_grads.pop(None)
+    d_chars, char_grads = _chars_backward(
+        params.char_table, params.char_bilstm, char_cache, d_xs[:, word_dim:]
+    )
+
+    grads = {"char_table.matrix": d_chars[:-1], "char_table.unk": d_chars[-1]}
+    grads.update(char_grads.tensors("char"))
     grads["word_table.matrix"] = SparseRows(
         np.array(list(row_grads), dtype=np.int64),
         np.array(list(row_grads.values())).reshape(len(row_grads), word_dim),
         params.word_table.matrix.shape,
     )
+    grads["word_table.unk"] = d_unk
+    grads.update(word_grads.tensors("word"))
+    grads["proj.weight"] = outs.T @ d_emissions
+    grads["proj.bias"] = d_emissions.sum(axis=0)
     return grads
 
 
@@ -674,6 +657,4 @@ class ModelParams:
         return {tag: idx for idx, tag in enumerate(self.tags)}
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = self.encoder.tensors()
-        out.update(self.crf.tensors())
-        return out
+        return {**self.encoder.tensors(), **self.crf.tensors()}

@@ -18,10 +18,20 @@ deterministic: identical models and config produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .crf import CrfParams, build_iob2_mask
-from .model import BiLstmParams, EmbeddingTable, EncoderParams, LstmParams, ModelParams
+from .model import (
+    LSTM_FIELDS,
+    BiLstmParams,
+    EmbeddingTable,
+    EncoderParams,
+    LstmParams,
+    ModelParams,
+)
 
 MAGIC = "amner-model 1"
 _BLOB_MARKER = b"\n[blob]\n"
@@ -38,8 +48,7 @@ def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> 
     config.setdefault("masked_training", "false")
 
     tensors = model.tensors()
-    lines = [MAGIC]
-    lines.append(f"[config {len(config)}]")
+    lines = [MAGIC, f"[config {len(config)}]"]
     for key, value in config.items():
         if any(c in key for c in " \n") or "\n" in str(value):
             raise ModelFormatError(f"bad config entry {key!r}")
@@ -56,14 +65,10 @@ def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> 
             lines.append(entry)
 
     lines.append(f"[tensors {len(tensors)}]")
-    offset = 0
-    blobs = []
-    for name, array in tensors.items():
-        dims = " ".join(str(d) for d in array.shape)
-        lines.append(f"{name} {offset} {dims}".rstrip())
-        raw = np.ascontiguousarray(array, dtype="<f8").tobytes()
-        blobs.append(raw)
-        offset += len(raw)
+    blobs = [np.ascontiguousarray(array, dtype="<f8").tobytes() for array in tensors.values()]
+    offsets = itertools.accumulate(map(len, blobs), initial=0)
+    for (name, array), offset in zip(tensors.items(), offsets):
+        lines.append(" ".join([name, str(offset), *map(str, array.shape)]))
     header = "\n".join(lines).encode("utf-8")
     return header + _BLOB_MARKER + b"".join(blobs)
 
@@ -95,21 +100,35 @@ class _Reader:
     def section(self, name: str) -> list[str]:
         header = self.next_line()
         parts = header.strip("[]").split()
-        if len(parts) != 2 or parts[0] != name:
+        if len(parts) != 2 or parts[0] != name or not parts[1].isdecimal():
             raise ModelFormatError(f"expected [{name} N] section, got {header!r}")
-        count = int(parts[1])
-        return [self.next_line() for _ in range(count)]
+        return [self.next_line() for _ in range(int(parts[1]))]
 
 
-def _lstm_from(tensors: dict[str, np.ndarray], prefix: str) -> LstmParams:
-    fields = {}
-    for name in ("w_fx", "w_ix", "w_cx", "w_ox", "w_fh", "w_ih", "w_ch", "w_oh",
-                 "p_f", "p_i", "p_o", "b_f", "b_i", "b_c", "b_o"):
-        key = f"{prefix}.{name}"
-        if key not in tensors:
-            raise ModelFormatError(f"missing tensor {key}")
-        fields[name] = tensors[key]
-    return LstmParams(**fields)
+def _read_tensors(tensor_lines: list[str], blob: memoryview) -> dict[str, np.ndarray]:
+    """Read-only views of each tensor in the blob, after checking that every
+    name appears once and the tensors tile the blob with no bytes left over."""
+    entries = []
+    for line in tensor_lines:
+        parts = line.split()
+        if len(parts) < 2 or not all(p.isdecimal() for p in parts[1:]):
+            raise ModelFormatError(f"bad tensor line {line!r}")
+        entries.append((int(parts[1]), parts[0], tuple(int(d) for d in parts[2:])))
+    tensors: dict[str, np.ndarray] = {}
+    end = 0
+    for offset, name, shape in sorted(entries):
+        size = 8 * math.prod(shape)
+        if name in tensors:
+            raise ModelFormatError(f"tensor {name} is listed twice")
+        if offset + size > len(blob):
+            raise ModelFormatError(f"tensor {name} extends past the end of the file")
+        if offset != end:
+            raise ModelFormatError(f"tensor {name} starts at blob byte {offset}, expected {end}")
+        tensors[name] = np.frombuffer(blob[offset : offset + size], dtype="<f8").reshape(shape)
+        end = offset + size
+    if end != len(blob):
+        raise ModelFormatError(f"{len(blob) - end} trailing bytes after the last tensor")
+    return tensors
 
 
 def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
@@ -118,10 +137,7 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     reader = _Reader(data)
     if reader.next_line() != MAGIC:
         raise ModelFormatError("unknown magic line; not a model file")
-    config: dict[str, str] = {}
-    for line in reader.section("config"):
-        key, _, value = line.partition(" ")
-        config[key] = value
+    config = dict(line.partition(" ")[::2] for line in reader.section("config"))
     tags = reader.section("tags")
     chars = reader.section("chars")
     words = reader.section("words")
@@ -130,44 +146,43 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     # itself read "[blob]"
     if reader.next_line() != "[blob]":
         raise ModelFormatError("missing blob marker after the tensor table")
-    blob = memoryview(data)[reader.pos :]
-
-    tensors: dict[str, np.ndarray] = {}
-    for line in tensor_lines:
-        parts = line.split()
-        if len(parts) < 2:
-            raise ModelFormatError(f"bad tensor line {line!r}")
-        name, offset = parts[0], int(parts[1])
-        shape = tuple(int(d) for d in parts[2:])
-        count = int(np.prod(shape)) if shape else 1
-        raw = blob[offset : offset + 8 * count]
-        if len(raw) != 8 * count:
-            raise ModelFormatError(f"tensor {name} extends past the end of the file")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
+    tensors = _read_tensors(tensor_lines, memoryview(data)[reader.pos :])
     try:
         dropout = float(config.get("dropout_rate", "0.0"))
     except ValueError:
         raise ModelFormatError("bad dropout_rate in config") from None
-    encoder = EncoderParams(
-        char_table=EmbeddingTable(
-            {c: i for i, c in enumerate(chars)},
-            tensors["char_table.matrix"], tensors["char_table.unk"],
-        ),
-        char_bilstm=BiLstmParams(_lstm_from(tensors, "char_fwd"), _lstm_from(tensors, "char_bwd")),
-        word_table=EmbeddingTable(
-            {w: i for i, w in enumerate(words)},
-            tensors["word_table.matrix"], tensors["word_table.unk"],
-        ),
-        word_bilstm=BiLstmParams(_lstm_from(tensors, "word_fwd"), _lstm_from(tensors, "word_bwd")),
-        proj_w=tensors["proj.weight"],
-        proj_b=tensors["proj.bias"],
-        dropout_rate=dropout,
-    )
-    crf = CrfParams(tensors["crf.transitions"], tensors["crf.start"], tensors["crf.end"])
-    if config.get("masked_training", "false") == "true":
-        crf = crf.with_masks(*build_iob2_mask(tags))
-    return ModelParams(tags, encoder, crf), config
+    def take(name: str) -> np.ndarray:  # a writable copy of the read-only blob view
+        return tensors.pop(name).astype(np.float64)
+
+    def lstm(prefix: str) -> LstmParams:  # the constructor copies into stacked arrays
+        return LstmParams(**{field: tensors.pop(f"{prefix}.{field}") for field in LSTM_FIELDS})
+
+    # the constructors check each shape against the vocabularies, tags and other tensors
+    try:
+        encoder = EncoderParams(
+            char_table=EmbeddingTable(
+                {c: i for i, c in enumerate(chars)}, take("char_table.matrix"), take("char_table.unk")
+            ),
+            char_bilstm=BiLstmParams(lstm("char_fwd"), lstm("char_bwd")),
+            word_table=EmbeddingTable(
+                {w: i for i, w in enumerate(words)}, take("word_table.matrix"), take("word_table.unk")
+            ),
+            word_bilstm=BiLstmParams(lstm("word_fwd"), lstm("word_bwd")),
+            proj_w=take("proj.weight"),
+            proj_b=take("proj.bias"),
+            dropout_rate=dropout,
+        )
+        crf = CrfParams(take("crf.transitions"), take("crf.start"), take("crf.end"))
+        if config.get("masked_training", "false") == "true":
+            crf = crf.with_masks(*build_iob2_mask(tags))
+        model = ModelParams(tags, encoder, crf)
+    except KeyError as exc:
+        raise ModelFormatError(f"missing tensor {exc.args[0]}") from None
+    except ValueError as exc:
+        raise ModelFormatError(f"inconsistent model: {exc}") from exc
+    if tensors:
+        raise ModelFormatError(f"unexpected tensors: {', '.join(sorted(tensors))}")
+    return model, config
 
 
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:

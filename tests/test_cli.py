@@ -204,6 +204,18 @@ class TestTrainTagEval:
         assert main(["validate", str(tagged)]) == 0
         assert main(["eval", "--metric", "conll", corpus_path, str(tagged)]) == 0
 
+    def test_tag_with_renamed_tensor_is_data_error(self, tmp_path, corpus_path, capsys):
+        model_path = tmp_path / "m.model"
+        assert main(["train", corpus_path, "--model", str(model_path)] + self.TRAIN_ARGS) == 0
+        data = model_path.read_bytes()
+        model_path.write_bytes(data.replace(b"\nproj.bias ", b"\nproj.bias2 ", 1))
+        capsys.readouterr()
+        code = main(["tag", "--model", str(model_path), corpus_path, str(tmp_path / "t.tsv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: " in err and "proj.bias" in err
+        assert "Traceback" not in err
+
     def test_tag_accepts_single_column_input(self, tmp_path, corpus_path):
         model_path = tmp_path / "m.model"
         assert main(["train", corpus_path, "--model", str(model_path)] + self.TRAIN_ARGS) == 0
@@ -245,3 +257,29 @@ class TestTrainTagEval:
         log_text = (tmp_path / "m.model.log").read_text(encoding="utf-8")
         assert "max_epochs 2" in log_text  # flag wins over config file
         assert "seed 9" in log_text  # config file value survives
+
+
+class TestEffectiveConfig:
+    def config_for(self, *flags):
+        from amner.cli import _effective_config, build_parser
+
+        return _effective_config(build_parser().parse_args(["train", "in.tsv", "--model", "m", *flags]))
+
+    def test_every_flag_reaches_the_config(self):
+        config = self.config_for(
+            "--epochs", "7", "--batch", "3", "--lr", "0.25",
+            "--dropout", "0.125", "--clip", "2.5", "--seed", "9",
+        )
+        assert (config.max_epochs, config.batch_size, config.learning_rate) == (7, 3, 0.25)
+        assert (config.dropout, config.clip_norm, config.seed) == (0.125, 2.5, 9)
+
+    def test_no_flags_keep_the_defaults(self):
+        from amner.train import TrainConfig
+
+        assert self.config_for() == TrainConfig()
+
+    def test_invalid_flag_value_is_data_error(self, tmp_path, capsys):
+        src = write(tmp_path / "in.tsv", IOB2_TEXT)
+        code = main(["train", src, "--model", str(tmp_path / "m"), "--dropout", "1.5"])
+        assert code == 1
+        assert "error: dropout must be in [0, 1)" in capsys.readouterr().err

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amner.model import (
+    LSTM_FIELDS,
     BiLstmParams,
     EmbeddingFormatError,
     LstmParams,
@@ -18,6 +21,7 @@ from amner.model import (
     lookup,
     lstm_step,
 )
+from amner.train import AdamState, TrainConfig, adam_step
 
 
 def zero_lstm(input_dim, hidden):
@@ -112,15 +116,17 @@ class TestLstmStep:
             lstm_step(zero_lstm(2, 3), np.zeros(5), np.zeros(3), np.zeros(3))
 
     def test_gates_bounded_and_h_below_one(self):
-        from amner.model import _lstm_step_cached
+        from amner.model import _lstm_forward
 
         rng = np.random.default_rng(0)
         params = LstmParams.random(3, 4, rng)
         h = np.zeros(4)
         c = np.zeros(4)
         for _ in range(20):
-            h, c, cache = _lstm_step_cached(params, rng.uniform(-5, 5, size=3), h, c)
-            _, _, _, f, i, _, o, _, _ = cache
+            x = rng.uniform(-5, 5, size=3)
+            _, hs, cs, gates, _ = _lstm_forward(params, x[None, None], h[None], c[None])
+            h, c = hs[1, 0], cs[1, 0]
+            f, i, _, o = gates[0, 0]
             for gate in (f, i, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
             assert np.all(np.abs(h) < 1.0)
@@ -335,3 +341,110 @@ class TestSparseWordGradient:
         assert list(grads) == list(enc.tensors())
         sparse = grads["word_table.matrix"]
         assert sparse.nbytes == 8 + 8 * enc.word_table.dim
+
+
+class TestStackedStorage:
+    def test_named_tensors_are_contiguous_views_of_the_stacks(self):
+        params = LstmParams.random(3, 4, np.random.default_rng(0))
+        hidden = params.hidden
+        for key, arr in params.tensors("x").items():
+            name, gate = LSTM_FIELDS[key.split(".")[1]]
+            stacked = getattr(params, name)
+            assert arr.flags.c_contiguous, key
+            assert np.shares_memory(arr, stacked), key
+            rows = stacked[gate] if name == "p" else stacked[gate * hidden : (gate + 1) * hidden]
+            assert np.array_equal(arr, rows), key
+
+    def test_constructor_places_gate_blocks_in_order(self):
+        rng = np.random.default_rng(1)
+        named = {k: rng.normal(size=v.shape) for k, v in LstmParams.random(3, 2, rng).tensors("x").items()}
+        params = LstmParams(**{k.split(".")[1]: v for k, v in named.items()})
+        assert np.array_equal(params.w_x, np.concatenate([named[f"x.w_{g}x"] for g in "fico"]))
+        assert np.array_equal(params.w_h, np.concatenate([named[f"x.w_{g}h"] for g in "fico"]))
+        assert np.array_equal(params.b, np.concatenate([named[f"x.b_{g}"] for g in "fico"]))
+        assert np.array_equal(params.p, np.stack([named[f"x.p_{g}"] for g in "fio"]))
+
+    def test_mismatched_gate_shapes_rejected(self):
+        named = {k.split(".")[1]: v for k, v in zero_lstm(2, 3).tensors("x").items()}
+        named["w_cx"] = np.zeros((3, 5))
+        with pytest.raises(ValueError):
+            LstmParams(**named)
+
+    def test_in_place_adam_reaches_the_kernel(self):
+        rng = np.random.default_rng(2)
+        params = LstmParams.random(3, 4, rng)
+        tensors = params.tensors("x")
+        grads = {k: rng.normal(size=v.shape) for k, v in tensors.items()}
+        before = params.w_x.copy(), params.w_h.copy(), params.p.copy(), params.b.copy()
+        adam_step(AdamState.for_params(tensors), tensors, grads, TrainConfig(learning_rate=0.1))
+        for old, new in zip(before, (params.w_x, params.w_h, params.p, params.b)):
+            assert not np.any(old == new)
+        x, h, c = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
+        rebuilt = LstmParams(**{k.split(".")[1]: v.copy() for k, v in tensors.items()})
+        assert np.array_equal(lstm_step(params, x, h, c)[0], lstm_step(rebuilt, x, h, c)[0])
+
+
+def random_char_encoder(seed):
+    """tiny_encoder with every tensor, biases and peepholes included, drawn at random."""
+    enc = tiny_encoder(seed=seed)
+    rng = np.random.default_rng(seed)
+    for arr in enc.tensors().values():
+        arr[...] = rng.normal(scale=0.7, size=arr.shape)
+    return enc
+
+
+def per_word_char_vector(enc, word):
+    """The character BiLSTM of one word as a loop of single lstm_step calls."""
+    xs = [lookup(enc.char_table, ch) for ch in word]
+    hidden = enc.char_bilstm.hidden
+    state = {}
+    for direction, seq in (("fwd", xs), ("bwd", xs[::-1])):
+        h, c = np.zeros(hidden), np.zeros(hidden)
+        lstm = enc.char_bilstm.forward if direction == "fwd" else enc.char_bilstm.backward
+        for x in seq:
+            h, c = lstm_step(lstm, x, h, c)
+        state[direction] = h
+    return np.concatenate([state["fwd"], state["bwd"]])
+
+
+# "abgelmt" is the character vocabulary; "xyzሀ" are out of it
+_WORDS = st.lists(st.text(alphabet="abgelmtxyzሀ", min_size=1, max_size=7), min_size=1, max_size=8)
+
+
+class TestBatchedCharPass:
+    @settings(max_examples=60, deadline=None)
+    @given(words=_WORDS, seed=st.integers(0, 2**16))
+    @example(words=["a"], seed=0)
+    @example(words=["m", "a", "t"], seed=1)
+    @example(words=["beta", "gate", "lamb"], seed=2)
+    @example(words=["beta", "a", "beta"], seed=3)
+    @example(words=["xyሀ", "ax", "ሀ"], seed=4)
+    def test_matches_per_word_lstm_steps(self, words, seed):
+        from amner.model import _chars_forward
+
+        enc = random_char_encoder(seed)
+        batched, _ = _chars_forward(enc.char_table, enc.char_bilstm, words)
+        for n, word in enumerate(words):
+            expected = per_word_char_vector(enc, word)
+            assert np.max(np.abs(batched[n] - expected)) <= 1e-12, word
+
+    @settings(max_examples=40, deadline=None)
+    @given(words=_WORDS, seed=st.integers(0, 2**16))
+    @example(words=["beta", "a", "beta", "xሀ"], seed=5)
+    def test_gradients_equal_sum_of_per_word_passes(self, words, seed):
+        from amner.model import _chars_backward, _chars_forward
+
+        enc = random_char_encoder(seed)
+        table, params = enc.char_table, enc.char_bilstm
+        d_vecs = np.random.default_rng(seed).normal(size=(len(words), 2 * params.hidden))
+        _, cache = _chars_forward(table, params, words)
+        d_rows, grads = _chars_backward(table, params, cache, d_vecs)
+        got = {"rows": d_rows, **grads.tensors("char")}
+        want = {name: np.zeros_like(arr) for name, arr in got.items()}
+        for n, word in enumerate(words):
+            _, one_cache = _chars_forward(table, params, [word])
+            one = _chars_backward(table, params, one_cache, d_vecs[n : n + 1])
+            for name, arr in {"rows": one[0], **one[1].tensors("char")}.items():
+                want[name] += arr
+        for name in got:
+            assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-12, name

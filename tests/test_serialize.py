@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import synthetic_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amner.serialize import (
     ModelFormatError,
@@ -80,6 +84,14 @@ class TestRoundTrip:
         assert loaded.encoder.word_table.vocab == model.encoder.word_table.vocab
         assert model_to_bytes(loaded) == data
 
+    def test_loaded_tensors_are_writable_copies(self):
+        # training a loaded model updates its tensors in place
+        _, model = small_model()
+        data = model_to_bytes(model)
+        file_bytes = np.frombuffer(data, dtype=np.uint8)
+        for name, arr in model_from_bytes(data)[0].tensors().items():
+            assert arr.flags.writeable and not np.shares_memory(arr, file_bytes), name
+
     def test_config_preserved_verbatim(self):
         _, model = small_model()
         config = {"seed": "42", "note": "two words here"}
@@ -104,3 +116,110 @@ class TestErrors:
         data = model_to_bytes(model)
         with pytest.raises(ModelFormatError, match="past the end"):
             model_from_bytes(data[:-16])
+
+    def test_trailing_blob_bytes(self):
+        _, model = small_model()
+        with pytest.raises(ModelFormatError, match="trailing bytes"):
+            model_from_bytes(model_to_bytes(model) + bytes(8))
+
+    def test_overlapping_offsets(self):
+        _, model = small_model()
+        data = model_to_bytes(model)
+        line = next(l for l in data.split(b"\n") if l.startswith(b"crf.end "))
+        name, offset, dims = line.split(b" ", 2)
+        moved = b" ".join([name, str(int(offset) - 8).encode(), dims])
+        with pytest.raises(ModelFormatError, match="starts at blob byte"):
+            model_from_bytes(data.replace(line, moved, 1))
+
+    def test_non_numeric_section_count(self):
+        _, model = small_model()
+        data = model_to_bytes(model).replace(b"\n[tags ", b"\n[tags x", 1)
+        with pytest.raises(ModelFormatError, match=r"\[tags N\]"):
+            model_from_bytes(data)
+
+
+def with_tensors(model, edit):
+    """Model file bytes whose tensor table is ``edit(model.tensors())``."""
+    tensors = edit(dict(model.tensors()))
+    model.tensors = lambda: tensors
+    return model_to_bytes(model)
+
+
+class TestTensorTable:
+    def test_renamed_tensor(self):
+        _, model = small_model()
+        data = with_tensors(
+            model, lambda t: {("proj.offset" if k == "proj.bias" else k): v for k, v in t.items()}
+        )
+        with pytest.raises(ModelFormatError, match="missing tensor proj.bias"):
+            model_from_bytes(data)
+
+    def test_dropped_tensor(self):
+        _, model = small_model()
+        data = with_tensors(model, lambda t: {k: v for k, v in t.items() if k != "crf.end"})
+        with pytest.raises(ModelFormatError, match="missing tensor crf.end"):
+            model_from_bytes(data)
+
+    def test_extra_tensor(self):
+        _, model = small_model()
+        data = with_tensors(model, lambda t: {**t, "proj.scale": np.ones(2)})
+        with pytest.raises(ModelFormatError, match="unexpected tensors: proj.scale"):
+            model_from_bytes(data)
+
+    def test_repeated_tensor(self):
+        _, model = small_model()
+        data = model_to_bytes(model)
+        data = data.replace(b"\ncrf.end ", b"\ncrf.start ", 1)
+        with pytest.raises(ModelFormatError, match="crf.start is listed twice"):
+            model_from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "name, reshape",
+        [
+            ("proj.weight", lambda a: a.T),
+            ("crf.start", lambda a: np.append(a, 0.0)),
+            ("word_fwd.w_ix", lambda a: a[:, :-1]),
+        ],
+    )
+    def test_changed_shape(self, name, reshape):
+        _, model = small_model()
+        data = with_tensors(model, lambda t: {k: reshape(v) if k == name else v for k, v in t.items()})
+        with pytest.raises(ModelFormatError, match="inconsistent model"):
+            model_from_bytes(data)
+
+    def test_char_width_checked_against_char_lstm(self):
+        # a narrower character table with matching unk row but unchanged char LSTMs
+        _, model = small_model()
+        narrow = {"char_table.matrix": lambda a: a[:, :-1], "char_table.unk": lambda a: a[:-1]}
+        data = with_tensors(
+            model, lambda t: {k: narrow[k](v) if k in narrow else v for k, v in t.items()}
+        )
+        with pytest.raises(ModelFormatError, match="char BiLSTM expects width"):
+            model_from_bytes(data)
+
+
+class TestGolden:
+    def test_fresh_model_bytes(self):
+        # SHA-256 of the file written by the per-gate LSTM storage that the
+        # stacked storage replaced; the format and init draw order are unchanged
+        _, model = small_model()
+        digest = hashlib.sha256(model_to_bytes(model)).hexdigest()
+        assert digest == "f40c60ce8842f485c1ed840e10e1a756c792b7f7957bfb9eeac0cc0010c974fe"
+
+
+_SMALL_FILE = model_to_bytes(small_model()[1], {"seed": "0", "masked_training": "true"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupt_or_truncated_file_loads_or_raises_format_error(data):
+    if data.draw(st.booleans(), label="truncate"):
+        blob = _SMALL_FILE[: data.draw(st.integers(0, len(_SMALL_FILE) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(_SMALL_FILE) - 1), label="pos")
+        value = data.draw(st.integers(0, 255).filter(lambda b: b != _SMALL_FILE[pos]), label="byte")
+        blob = _SMALL_FILE[:pos] + bytes([value]) + _SMALL_FILE[pos + 1 :]
+    try:
+        model_from_bytes(blob)
+    except ModelFormatError:
+        pass
