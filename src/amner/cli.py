@@ -219,29 +219,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_tagging_input(path: str) -> list[Sentence]:
-    """Corpus reader for `tag`: 1-column (no tags) or 2-column input."""
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    for line in _read_bytes(path).decode("utf-8").split("\n"):
-        line = line.rstrip("\r")
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            if tokens:
-                sentences.append(Sentence(tuple(tokens)))
-                tokens = []
-            continue
-        surface = line.split("\t")[0]
-        tokens.append(Token(surface, Tag("O")))
-    if tokens:
-        sentences.append(Sentence(tuple(tokens)))
-    return sentences
-
-
 def cmd_tag(args) -> int:
     model, _ = serialize_mod.load_model(args.model)
-    sentences = _read_tagging_input(args.input)
+    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), None)
     tagged = train_mod.tag_sentences(model, sentences, masked=not args.no_mask)
     _write_text(args.output, corpus_mod.write_corpus(tagged, TagScheme.IOB2))
     _say(f"tagged {len(tagged)} sentence(s)")

@@ -152,11 +152,13 @@ def tag_from_str(text: str, scheme: TagScheme) -> Tag:
     raise ValueError(f"bad {scheme.value} tag {text!r}; expected O, B-TYPE or I-TYPE")
 
 
-def parse_corpus(text: str | bytes, scheme: TagScheme) -> list[Sentence]:
+def parse_corpus(text: str | bytes, scheme: TagScheme | None) -> list[Sentence]:
     """Parse ``surface<TAB>tag`` lines into sentences.
 
     A blank line ends the current sentence; ``#``-prefixed lines are
-    comments.  Raises :class:`CorpusFormatError` with the offending
+    comments.  With ``scheme`` None the input is untagged: a line is a
+    surface, optionally followed by one ignored column, and every token
+    is tagged O.  Raises :class:`CorpusFormatError` with the offending
     1-based line number on malformed input.
     """
     if isinstance(text, bytes):
@@ -164,6 +166,7 @@ def parse_corpus(text: str | bytes, scheme: TagScheme) -> list[Sentence]:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"invalid UTF-8: {exc}") from exc
+    allowed_columns = (1, 2) if scheme is None else (2,)
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -176,18 +179,17 @@ def parse_corpus(text: str | bytes, scheme: TagScheme) -> list[Sentence]:
                 tokens = []
             continue
         columns = line.split("\t")
-        if len(columns) != 2:
+        if len(columns) not in allowed_columns:
             raise CorpusFormatError(
-                f"expected 2 tab-separated columns, got {len(columns)}", lineno
+                f"expected {' or '.join(map(str, allowed_columns))} tab-separated columns, "
+                f"got {len(columns)}",
+                lineno,
             )
-        surface, tag_text = columns
-        if not surface:
-            raise CorpusFormatError("empty token surface", lineno)
         try:
-            tag = tag_from_str(tag_text, scheme)
+            tag = O_TAG if scheme is None else tag_from_str(columns[1], scheme)
+            tokens.append(Token(columns[0], tag))
         except ValueError as exc:
             raise CorpusFormatError(str(exc), lineno) from exc
-        tokens.append(Token(surface, tag))
     if tokens:
         sentences.append(Sentence(tuple(tokens)))
     return sentences

@@ -5,14 +5,14 @@
 * MUC: matched span pairs are classified COR / INC / PAR, unmatched gold
   spans are MIS, unmatched predictions SPU; partial matches earn half
   credit.
-* SemEval: one matching pass scored four ways (strict, exact, partial,
-  type).
+* SemEval: the same matched pairs scored four ways (strict, exact,
+  partial, type).
 
-Span matching for MUC/SemEval is greedy one-to-one: exact
-boundary-plus-type pairs first, then exact-boundary pairs, then
-remaining overlapping pairs by decreasing overlap (ties toward the
-earlier gold start, then the earlier predicted start).  Scores are kept
-as ratios in [0, 1]; rendering converts to percent.
+MUC and SemEval share one matching pass.  Span matching is greedy
+one-to-one: exact boundary-plus-type pairs first, then exact-boundary
+pairs, then remaining overlapping pairs by decreasing overlap (ties
+toward the earlier gold start, then the earlier predicted start).
+Scores are kept as ratios in [0, 1]; rendering converts to percent.
 
 Empty denominators follow the usual NER convention: precision or recall
 is 0 when its denominator is 0, and F1 is 0 when precision + recall is 0.
@@ -20,6 +20,7 @@ is 0 when its denominator is 0, and F1 is 0 when precision + recall is 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -187,6 +188,41 @@ class MucTally:
         return f1_from_pr(self.precision, self.recall)
 
 
+# category of a matched pair in each mode, by (same boundaries, same type)
+_PAIR_CATEGORY = {
+    "muc": {(True, True): "cor", (True, False): "inc", (False, True): "par", (False, False): "par"},
+    "strict": {(True, True): "cor", (True, False): "inc", (False, True): "inc", (False, False): "inc"},
+    "exact": {(True, True): "cor", (True, False): "cor", (False, True): "inc", (False, False): "inc"},
+    "partial": {(True, True): "cor", (True, False): "cor", (False, True): "par", (False, False): "par"},
+    "type": {(True, True): "cor", (True, False): "inc", (False, True): "cor", (False, False): "inc"},
+}
+
+
+def _score_matches(
+    gold: Sequence[Sentence], pred: Sequence[Sentence], scheme: TagScheme
+) -> dict[str, MucTally]:
+    """One matching pass per sentence, tallied in every mode of ``_PAIR_CATEGORY``."""
+    _check_aligned(gold, pred)
+    kinds: Counter[tuple[bool, bool]] = Counter()
+    missed = spurious = 0
+    for g_sentence, p_sentence in zip(gold, pred):
+        pairs, g_left, p_left = match_spans(
+            extract_spans(g_sentence, scheme), extract_spans(p_sentence, scheme)
+        )
+        kinds.update(
+            ((g.start, g.end) == (p.start, p.end), g.etype == p.etype) for g, p in pairs
+        )
+        missed += len(g_left)
+        spurious += len(p_left)
+    tallies = {}
+    for mode, category in _PAIR_CATEGORY.items():
+        counts: Counter[str] = Counter()
+        for kind, count in kinds.items():
+            counts[category[kind]] += count
+        tallies[mode] = MucTally(**counts, mis=missed, spu=spurious)
+    return tallies
+
+
 def muc_evaluate(
     gold: Sequence[Sentence],
     pred: Sequence[Sentence],
@@ -198,23 +234,7 @@ def muc_evaluate(
     boundaries agree but the type does not, and PAR when the boundaries
     merely overlap.
     """
-    _check_aligned(gold, pred)
-    tally = MucTally()
-    for g_sentence, p_sentence in zip(gold, pred):
-        pairs, missed, spurious = match_spans(
-            extract_spans(g_sentence, scheme), extract_spans(p_sentence, scheme)
-        )
-        for g_span, p_span in pairs:
-            same_bounds = (g_span.start, g_span.end) == (p_span.start, p_span.end)
-            if same_bounds and g_span.etype == p_span.etype:
-                tally.cor += 1
-            elif same_bounds:
-                tally.inc += 1
-            else:
-                tally.par += 1
-        tally.mis += len(missed)
-        tally.spu += len(spurious)
-    return tally
+    return _score_matches(gold, pred, scheme)["muc"]
 
 
 # ---------------------------------------------------------------------------
@@ -250,43 +270,8 @@ def semeval_evaluate(
     overlapping boundaries earn half credit.  type: the types must agree
     on any overlapping pair.
     """
-    _check_aligned(gold, pred)
-    report = SemevalReport({mode: MucTally() for mode in SEMEVAL_MODES})
-    for g_sentence, p_sentence in zip(gold, pred):
-        pairs, missed, spurious = match_spans(
-            extract_spans(g_sentence, scheme), extract_spans(p_sentence, scheme)
-        )
-        for g_span, p_span in pairs:
-            same_bounds = (g_span.start, g_span.end) == (p_span.start, p_span.end)
-            same_type = g_span.etype == p_span.etype
-
-            strict = report.modes["strict"]
-            if same_bounds and same_type:
-                strict.cor += 1
-            else:
-                strict.inc += 1
-
-            exact = report.modes["exact"]
-            if same_bounds:
-                exact.cor += 1
-            else:
-                exact.inc += 1
-
-            partial = report.modes["partial"]
-            if same_bounds:
-                partial.cor += 1
-            else:
-                partial.par += 1
-
-            typed = report.modes["type"]
-            if same_type:
-                typed.cor += 1
-            else:
-                typed.inc += 1
-        for tally in report.modes.values():
-            tally.mis += len(missed)
-            tally.spu += len(spurious)
-    return report
+    tallies = _score_matches(gold, pred, scheme)
+    return SemevalReport({mode: tallies[mode] for mode in SEMEVAL_MODES})
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,19 @@ keeps the whole network finite-difference checkable.
 The LSTM cell uses peephole connections: the forget and input gates peek
 at the previous cell state, the output gate at the current one:
 
-    f = sigmoid(W_fx x + W_fh h_prev + p_f * c_prev + b_f)
-    i = sigmoid(W_ix x + W_ih h_prev + p_i * c_prev + b_i)
-    c = f * c_prev + i * tanh(W_cx x + W_ch h_prev + b_c)
-    o = sigmoid(W_ox x + W_oh h_prev + p_o * c + b_o)
+    (a_f, a_i, a_c, a_o) = w_x x + w_h h_prev + b
+    f = sigmoid(a_f + p[0] * c_prev)
+    i = sigmoid(a_i + p[1] * c_prev)
+    c = f * c_prev + i * tanh(a_c)
+    o = sigmoid(a_o + p[2] * c)
     h = o * tanh(c)
 
-Each LSTM stacks its gates in the order f, i, c, o: ``w_x`` (4H, D),
-``w_h`` (4H, H), ``b`` (4H,) and the peepholes ``p`` (3, H).  The 15
-per-gate names above (``w_fx`` .. ``b_o``) are the model file's tensor
-names, each a row-block view into its stacked array.  One padded-batch
-routine runs both BiLSTMs; the character BiLSTM covers all words of a
-sentence in one pass.
+An LSTM is these four tensors, its gates stacked in the order f, i, c,
+o: ``w_x`` (4H, D), ``w_h`` (4H, H), ``b`` (4H,) and the peepholes ``p``
+(3, H).  Training, clipping, Adam and the gradient check see only these;
+the per-gate names of the model file are a detail of
+:mod:`amner.serialize`.  One padded-batch routine runs both BiLSTMs; the
+character BiLSTM covers all words of a sentence in one pass.
 """
 
 from __future__ import annotations
@@ -180,53 +181,20 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
 # LSTM
 
 
-# file names of an LSTM's tensors: (stacked array, gate row block)
-LSTM_FIELDS = {
-    "w_fx": ("w_x", 0), "w_ix": ("w_x", 1), "w_cx": ("w_x", 2), "w_ox": ("w_x", 3),
-    "w_fh": ("w_h", 0), "w_ih": ("w_h", 1), "w_ch": ("w_h", 2), "w_oh": ("w_h", 3),
-    "p_f": ("p", 0), "p_i": ("p", 1), "p_o": ("p", 2),
-    "b_f": ("b", 0), "b_i": ("b", 1), "b_c": ("b", 2), "b_o": ("b", 3),
-}
-
-
-def _row_block(stacked: str, gate: int) -> property:
-    def get(self) -> np.ndarray:
-        array, hidden = getattr(self, stacked), self.hidden
-        return array[gate] if stacked == "p" else array[gate * hidden : (gate + 1) * hidden]
-
-    return property(get, lambda self, value: np.copyto(get(self), value))
-
-
+@dataclass
 class LstmParams:
-    """Stacked peephole-LSTM weights (layout in the module docstring).
+    """Stacked peephole-LSTM weights; layout in the module docstring."""
 
-    The constructor copies the 15 named tensors; :meth:`stacked` wraps
-    stacked arrays.  Assigning to a name writes into its row block.
-    """
+    w_x: np.ndarray  # (4H, D)
+    w_h: np.ndarray  # (4H, H)
+    p: np.ndarray  # (3, H)
+    b: np.ndarray  # (4H,)
 
-    def __init__(self, w_fx, w_ix, w_cx, w_ox, w_fh, w_ih, w_ch, w_oh,
-                 p_f, p_i, p_o, b_f, b_i, b_c, b_o):
-        def stack(*blocks):  # k blocks of (H, ...) -> (k * H, ...)
-            out = np.stack(blocks, dtype=np.float64)
-            return out.reshape(-1, *out.shape[2:])
-
-        self._bind(
-            stack(w_fx, w_ix, w_cx, w_ox), stack(w_fh, w_ih, w_ch, w_oh),
-            np.stack([p_f, p_i, p_o], dtype=np.float64), stack(b_f, b_i, b_c, b_o),
-        )
-
-    @classmethod
-    def stacked(cls, w_x, w_h, p, b) -> "LstmParams":
-        self = cls.__new__(cls)
-        self._bind(w_x, w_h, p, b)
-        return self
-
-    def _bind(self, w_x, w_h, p, b) -> None:
-        hidden = p.shape[-1]
-        expected = (3, hidden), (4 * hidden,), (4 * hidden, hidden), (4 * hidden, w_x.shape[-1])
-        if (p.shape, b.shape, w_h.shape, w_x.shape) != expected:
+    def __post_init__(self):
+        hidden = self.p.shape[-1]
+        expected = (3, hidden), (4 * hidden,), (4 * hidden, hidden), (4 * hidden, self.w_x.shape[-1])
+        if (self.p.shape, self.b.shape, self.w_h.shape, self.w_x.shape) != expected:
             raise ValueError("LSTM tensor shapes disagree")
-        self.w_x, self.w_h, self.p, self.b = w_x, w_h, p, b
 
     @property
     def hidden(self) -> int:
@@ -238,16 +206,15 @@ class LstmParams:
 
     @classmethod
     def random(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmParams":
-        w_x = [_glorot(rng, input_dim, hidden, (hidden, input_dim)) for _ in range(4)]
-        w_h = [_glorot(rng, hidden, hidden, (hidden, hidden)) for _ in range(4)]
-        return cls(*w_x, *w_h, *np.zeros((7, hidden)))
+        return cls(
+            _glorot(rng, input_dim, hidden, (4 * hidden, input_dim)),
+            _glorot(rng, hidden, hidden, (4 * hidden, hidden)),
+            np.zeros((3, hidden)),
+            np.zeros(4 * hidden),
+        )
 
     def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.{name}": getattr(self, name) for name in LSTM_FIELDS}
-
-
-for _name, _where in LSTM_FIELDS.items():
-    setattr(LstmParams, _name, _row_block(*_where))
+        return {f"{prefix}.{name}": getattr(self, name) for name in ("w_x", "w_h", "p", "b")}
 
 
 def _lstm_forward(params: LstmParams, xs: np.ndarray, h0=None, c0=None):
@@ -297,12 +264,12 @@ def _lstm_backward(params: LstmParams, cache, d_hs: np.ndarray):
     steps, batch, _, hidden = gates.shape
     f, i, g, o = (gates[:, :, k] for k in range(4))
     c_prev = cs[:-1]
-    p_f, p_i, p_o = params.p
+    peep_f, peep_i, peep_o = params.p
     # for every step at once: d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
     k_o = tanh_c * o * (1.0 - o)
-    k_c = o * (1.0 - tanh_c ** 2) + k_o * p_o
+    k_c = o * (1.0 - tanh_c ** 2) + k_o * peep_o
     k_fig = np.stack([c_prev * f * (1.0 - f), g * i * (1.0 - i), i * (1.0 - g ** 2)], axis=2)
-    k_carry = f + k_fig[:, :, 0] * p_f + k_fig[:, :, 1] * p_i
+    k_carry = f + k_fig[:, :, 0] * peep_f + k_fig[:, :, 1] * peep_i
 
     d_a = np.empty((steps, batch, 4, hidden))
     dh_carry, dc = np.zeros((2, batch, hidden))
@@ -316,7 +283,7 @@ def _lstm_backward(params: LstmParams, cache, d_hs: np.ndarray):
 
     d_a2 = d_a.reshape(steps * batch, 4 * hidden)
     peep_in = (c_prev, c_prev, cs[1:])
-    grads = LstmParams.stacked(
+    grads = LstmParams(
         d_a2.T @ xs.reshape(steps * batch, -1),
         d_a2.T @ hs[:-1].reshape(steps * batch, hidden),
         np.stack([(d_a[:, :, k] * s).sum(axis=(0, 1)) for k, s in zip((0, 1, 3), peep_in)]),
@@ -573,12 +540,12 @@ def encode_backward(
 ) -> dict[str, np.ndarray | SparseRows]:
     """Gradients of every encoder tensor given d(loss)/d(emissions).
 
-    Keys follow ``params.tensors()``; LSTM entries are views of stacked
-    arrays.  ``word_table.matrix`` is :class:`SparseRows` over the rows of
-    the sentence's in-vocabulary words, so its cost does not grow with the
-    vocabulary; each row is summed in token order from zero, exactly as a
-    dense gradient would be.  Every other gradient is dense, and
-    out-of-vocabulary tokens feed ``word_table.unk``.
+    Keys follow ``params.tensors()``.  ``word_table.matrix`` is
+    :class:`SparseRows` over the rows of the sentence's in-vocabulary
+    words, so its cost does not grow with the vocabulary; each row is
+    summed in token order from zero, exactly as a dense gradient would
+    be.  Every other gradient is dense, and out-of-vocabulary tokens feed
+    ``word_table.unk``.
     """
     _, word_rows, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
     d_outs = d_emissions @ params.proj_w.T

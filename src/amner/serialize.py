@@ -14,6 +14,12 @@ Layout: a UTF-8 text header, then raw tensor data.
 Section headers carry entry counts, so vocabulary entries are read by
 count and may contain any character except a line break.  Writing is
 deterministic: identical models and config produce identical bytes.
+
+The file stores each LSTM as 15 per-gate tensors (``w_fx`` .. ``b_o``,
+see ``_GATE_NAMES``): the row blocks of the four stacked tensors that the
+model, training and ``gradcheck`` use.  Writing splits the stacked
+tensors into these blocks and reading stacks them again; the per-gate
+names exist only here.
 """
 
 from __future__ import annotations
@@ -24,21 +30,38 @@ import math
 import numpy as np
 
 from .crf import CrfParams, build_iob2_mask
-from .model import (
-    LSTM_FIELDS,
-    BiLstmParams,
-    EmbeddingTable,
-    EncoderParams,
-    LstmParams,
-    ModelParams,
-)
+from .model import BiLstmParams, EmbeddingTable, EncoderParams, LstmParams, ModelParams
 
 MAGIC = "amner-model 1"
 _BLOB_MARKER = b"\n[blob]\n"
 
+# the file names of an LSTM's gate blocks, per stacked tensor, in gate order
+_GATE_NAMES = {
+    "w_x": ("w_fx", "w_ix", "w_cx", "w_ox"),
+    "w_h": ("w_fh", "w_ih", "w_ch", "w_oh"),
+    "p": ("p_f", "p_i", "p_o"),
+    "b": ("b_f", "b_i", "b_c", "b_o"),
+}
+
 
 class ModelFormatError(ValueError):
     pass
+
+
+def file_tensors(model: ModelParams) -> dict[str, np.ndarray]:
+    """``model.tensors()`` under the file's names, in file order: each
+    stacked LSTM tensor is replaced by its gate blocks."""
+    out: dict[str, np.ndarray] = {}
+    for name, array in model.tensors().items():
+        prefix, _, field = name.rpartition(".")
+        gates = _GATE_NAMES.get(field)
+        if gates is None:
+            out[name] = array
+            continue
+        # p holds one row per gate; the other stacks hold H-row blocks
+        blocks = array if field == "p" else np.split(array, len(gates))
+        out.update((f"{prefix}.{gate}", block) for gate, block in zip(gates, blocks))
+    return out
 
 
 def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> bytes:
@@ -47,7 +70,7 @@ def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> 
     config.setdefault("dropout_rate", repr(float(model.encoder.dropout_rate)))
     config.setdefault("masked_training", "false")
 
-    tensors = model.tensors()
+    tensors = file_tensors(model)
     lines = [MAGIC, f"[config {len(config)}]"]
     for key, value in config.items():
         if any(c in key for c in " \n") or "\n" in str(value):
@@ -154,8 +177,12 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     def take(name: str) -> np.ndarray:  # a writable copy of the read-only blob view
         return tensors.pop(name).astype(np.float64)
 
-    def lstm(prefix: str) -> LstmParams:  # the constructor copies into stacked arrays
-        return LstmParams(**{field: tensors.pop(f"{prefix}.{field}") for field in LSTM_FIELDS})
+    def lstm(prefix: str) -> LstmParams:  # stacking copies the gate blocks
+        stacked = {}
+        for field, gates in _GATE_NAMES.items():
+            blocks = np.stack([tensors.pop(f"{prefix}.{gate}") for gate in gates], dtype=np.float64)
+            stacked[field] = blocks if field == "p" else blocks.reshape(-1, *blocks.shape[2:])
+        return LstmParams(**stacked)
 
     # the constructors check each shape against the vocabularies, tags and other tensors
     try:

@@ -182,8 +182,13 @@ def adam_step(
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    """Scale all gradients jointly so their global L2 norm is at most max_norm.
+
+    Each tensor's sum of squares is one ``einsum`` dot product: it builds
+    no temporary and, unlike a BLAS dot, does not depend on the thread
+    count.
+    """
+    total = np.sqrt(sum(float(np.einsum("i,i->", g.ravel(), g.ravel())) for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for grad in grads.values():

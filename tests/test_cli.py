@@ -225,6 +225,22 @@ class TestTrainTagEval:
         lines = dst.read_text(encoding="utf-8").strip().split("\n")
         assert len([l for l in lines if l]) == 4
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("w0\nw1\tx\ty\n", "line 2: expected 1 or 2 tab-separated columns, got 3"),
+            ("w0\n\tO\n", "line 2: token surface must be non-empty"),
+        ],
+        ids=["three_columns", "empty_surface"],
+    )
+    def test_tag_malformed_line_is_data_error(self, tmp_path, corpus_path, capsys, text, message):
+        model_path = tmp_path / "m.model"
+        assert main(["train", corpus_path, "--model", str(model_path)] + self.TRAIN_ARGS) == 0
+        src = write(tmp_path / "plain.txt", text)
+        capsys.readouterr()
+        assert main(["tag", "--model", str(model_path), src, str(tmp_path / "t.tsv")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_ethiopic_script_end_to_end(self, tmp_path):
         # multibyte surfaces through training, serialization and decoding
         text = (

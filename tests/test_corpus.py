@@ -66,6 +66,17 @@ class TestParse:
             parse_corpus("a\tB-PER\n\nb\tQ-PER\n", IOB2)
         assert err.value.line == 3
 
+    def test_untagged_mode_ignores_second_column(self):
+        sentences = parse_corpus("a\nb\tB-PER\nc\tnot a tag\n\nd\n", None)
+        assert [s.surfaces for s in sentences] == [("a", "b", "c"), ("d",)]
+        assert all(tag == Tag("O") for s in sentences for tag in s.tags)
+
+    def test_empty_surface_reports_line(self):
+        for scheme in (IOB2, None):
+            with pytest.raises(CorpusFormatError) as err:
+                parse_corpus("a\tO\n\tO\n", scheme)
+            assert err.value.line == 2
+
     def test_missing_trailing_newline(self):
         sentences = parse_corpus("a\tB-PER", IOB2)
         assert len(sentences) == 1

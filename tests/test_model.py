@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amner.model import (
-    LSTM_FIELDS,
     BiLstmParams,
     EmbeddingFormatError,
     LstmParams,
@@ -25,15 +24,10 @@ from amner.train import AdamState, TrainConfig, adam_step
 
 
 def zero_lstm(input_dim, hidden):
-    shapes = dict(
-        w_fx=(hidden, input_dim), w_ix=(hidden, input_dim),
-        w_cx=(hidden, input_dim), w_ox=(hidden, input_dim),
-        w_fh=(hidden, hidden), w_ih=(hidden, hidden),
-        w_ch=(hidden, hidden), w_oh=(hidden, hidden),
-        p_f=(hidden,), p_i=(hidden,), p_o=(hidden,),
-        b_f=(hidden,), b_i=(hidden,), b_c=(hidden,), b_o=(hidden,),
+    return LstmParams(
+        np.zeros((4 * hidden, input_dim)), np.zeros((4 * hidden, hidden)),
+        np.zeros((3, hidden)), np.zeros(4 * hidden),
     )
-    return LstmParams(**{k: np.zeros(s) for k, s in shapes.items()})
 
 
 def tiny_encoder(seed=0, dropout=0.0, num_tags=3):
@@ -105,7 +99,7 @@ class TestLstmStep:
         # zero weights, large candidate bias: gates sit at 0.5, the
         # candidate saturates, so c = 0.5 * tanh(b_c) and h follows.
         params = zero_lstm(1, 1)
-        params.b_c = np.array([8.0])
+        params.b[2:3] = [8.0]  # gate order f, i, c, o
         h, c = lstm_step(params, np.zeros(1), np.zeros(1), np.zeros(1))
         expected_c = 0.5 * math.tanh(8.0)
         assert abs(c[0] - expected_c) < 1e-12
@@ -133,8 +127,8 @@ class TestLstmStep:
 
     def test_cell_carry_through_when_saturated(self):
         params = zero_lstm(1, 1)
-        params.b_f = np.array([40.0])   # forget gate ~1
-        params.b_i = np.array([-40.0])  # input gate ~0
+        params.b[0:1] = [40.0]   # forget gate ~1
+        params.b[1:2] = [-40.0]  # input gate ~0
         c_prev = np.array([0.37])
         _, c = lstm_step(params, np.zeros(1), np.zeros(1), c_prev)
         assert abs(c[0] - c_prev[0]) < 1e-6
@@ -344,31 +338,12 @@ class TestSparseWordGradient:
 
 
 class TestStackedStorage:
-    def test_named_tensors_are_contiguous_views_of_the_stacks(self):
-        params = LstmParams.random(3, 4, np.random.default_rng(0))
-        hidden = params.hidden
-        for key, arr in params.tensors("x").items():
-            name, gate = LSTM_FIELDS[key.split(".")[1]]
-            stacked = getattr(params, name)
-            assert arr.flags.c_contiguous, key
-            assert np.shares_memory(arr, stacked), key
-            rows = stacked[gate] if name == "p" else stacked[gate * hidden : (gate + 1) * hidden]
-            assert np.array_equal(arr, rows), key
-
-    def test_constructor_places_gate_blocks_in_order(self):
-        rng = np.random.default_rng(1)
-        named = {k: rng.normal(size=v.shape) for k, v in LstmParams.random(3, 2, rng).tensors("x").items()}
-        params = LstmParams(**{k.split(".")[1]: v for k, v in named.items()})
-        assert np.array_equal(params.w_x, np.concatenate([named[f"x.w_{g}x"] for g in "fico"]))
-        assert np.array_equal(params.w_h, np.concatenate([named[f"x.w_{g}h"] for g in "fico"]))
-        assert np.array_equal(params.b, np.concatenate([named[f"x.b_{g}"] for g in "fico"]))
-        assert np.array_equal(params.p, np.stack([named[f"x.p_{g}"] for g in "fio"]))
-
     def test_mismatched_gate_shapes_rejected(self):
-        named = {k.split(".")[1]: v for k, v in zero_lstm(2, 3).tensors("x").items()}
-        named["w_cx"] = np.zeros((3, 5))
+        zero = zero_lstm(2, 3)
         with pytest.raises(ValueError):
-            LstmParams(**named)
+            LstmParams(np.zeros((11, 2)), zero.w_h, zero.p, zero.b)
+        with pytest.raises(ValueError):
+            LstmParams(zero.w_x, zero.w_h, zero.p, np.zeros(11))
 
     def test_in_place_adam_reaches_the_kernel(self):
         rng = np.random.default_rng(2)

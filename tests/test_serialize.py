@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from helpers import synthetic_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amner import serialize
 from amner.serialize import (
     ModelFormatError,
+    file_tensors,
     load_model,
     model_from_bytes,
     model_to_bytes,
@@ -139,10 +142,10 @@ class TestErrors:
 
 
 def with_tensors(model, edit):
-    """Model file bytes whose tensor table is ``edit(model.tensors())``."""
-    tensors = edit(dict(model.tensors()))
-    model.tensors = lambda: tensors
-    return model_to_bytes(model)
+    """Model file bytes whose tensor table is ``edit(file_tensors(model))``."""
+    tensors = edit(file_tensors(model))
+    with mock.patch.object(serialize, "file_tensors", lambda _: tensors):
+        return model_to_bytes(model)
 
 
 class TestTensorTable:
@@ -196,6 +199,23 @@ class TestTensorTable:
         )
         with pytest.raises(ModelFormatError, match="char BiLSTM expects width"):
             model_from_bytes(data)
+
+
+class TestGateBlocks:
+    def test_gate_blocks_load_into_stacked_rows(self):
+        _, model = small_model()
+        lstm = model.encoder.word_bilstm.forward
+        hidden, width = lstm.hidden, lstm.input_dim
+        w_ix = np.arange(hidden * width, dtype=np.float64).reshape(hidden, width) + 0.5
+        p_o = -np.arange(1.0, hidden + 1.0)
+        data = with_tensors(model, lambda t: {**t, "word_fwd.w_ix": w_ix, "word_fwd.p_o": p_o})
+        loaded = model_from_bytes(data)[0].encoder.word_bilstm.forward
+        assert np.array_equal(loaded.w_x[hidden : 2 * hidden], w_ix)
+        assert np.array_equal(loaded.p[2], p_o)
+        # every other block loads where it was written
+        assert np.array_equal(loaded.w_x[:hidden], lstm.w_x[:hidden])
+        assert np.array_equal(loaded.w_x[2 * hidden :], lstm.w_x[2 * hidden :])
+        assert np.array_equal(loaded.p[:2], lstm.p[:2])
 
 
 class TestGolden:
