@@ -46,7 +46,7 @@ from amner.corpus import (
     render_stats,
 )
 from amner.metrics import conll_evaluate
-from amner.model import EmbeddingTable, load_embeddings, lookup
+from amner.model import EmbeddingTable, load_embeddings
 from amner.resample import MATCH_MAJORITY, FeatureRow, SmoteConfig, balance_token_dataset
 from amner.train import (
     AdamState,
@@ -172,12 +172,12 @@ def minority_sentence_oversample(train_set, seed: int) -> list[Sentence]:
 
 
 def token_rows(sentences, table: EmbeddingTable) -> list[FeatureRow]:
-    rows = []
-    for sentence in sentences:
-        for token in sentence.tokens:
-            label = token.tag.etype if token.tag.position != "O" else "O"
-            rows.append(FeatureRow(lookup(table, token.surface), label))
-    return rows
+    tokens = [token for sentence in sentences for token in sentence.tokens]
+    vectors = table.matrix[table.ids(token.surface for token in tokens)]
+    return [
+        FeatureRow(vector, token.tag.etype if token.tag.position != "O" else "O")
+        for token, vector in zip(tokens, vectors)
+    ]
 
 
 def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
@@ -206,10 +206,11 @@ def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
             adam_step(state, params, grads, config)
 
     def classify(sentence: Sentence) -> Sentence:
+        rows = table.ids(token.surface for token in sentence.tokens)
+        logits = table.matrix[rows] @ params["w"] + params["b"]
         tokens = []
-        for token in sentence.tokens:
-            logits = lookup(table, token.surface) @ params["w"] + params["b"]
-            label = labels[int(np.argmax(logits))]
+        for token, best in zip(sentence.tokens, np.argmax(logits, axis=1)):
+            label = labels[int(best)]
             tag = Tag("O") if label == "O" else Tag("I", label)
             tokens.append(Token(token.surface, tag))
         return Sentence(tuple(tokens))
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
         with open(args.embeddings, "rb") as handle:
             pretrained = load_embeddings(handle.read(), expected_dim=args.word_dim,
                                          seed=args.seed)
-        log(f"loaded {pretrained.matrix.shape[0]} pretrained vectors")
+        log(f"loaded {len(pretrained.vocab)} pretrained vectors")
 
     log("reference F1 values: 70.18 random-init / 74.12 pretrained / 93.18 SMOTE-train-only")
     if args.protocol in ("all", "kfold"):

@@ -121,19 +121,25 @@ def score_sequence(params: CrfParams, emissions: np.ndarray, tags) -> float:
     return float(total + params.end_scores[tags[-1]])
 
 
-def forward_log_partition(params: CrfParams, emissions: np.ndarray) -> float:
-    """log sum over all mask-legal paths of exp(path score)."""
-    emissions = _check_emissions(params, emissions)
+def _forward(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:
+    """(alpha (L, K), log_z): alpha[l, k] is the log-sum of the scores of
+    all legal prefixes that end at position l with tag k."""
     trans, start, end = params.effective()
-    alpha = start + emissions[0]
+    alpha = np.empty_like(emissions)
+    alpha[0] = start + emissions[0]
     for pos in range(1, emissions.shape[0]):
-        alpha = emissions[pos] + _logsumexp(alpha[:, None] + trans, axis=0)
-    log_z = float(_logsumexp(alpha + end, axis=0))
+        alpha[pos] = emissions[pos] + _logsumexp(alpha[pos - 1][:, None] + trans, axis=0)
+    log_z = float(_logsumexp(alpha[-1] + end, axis=0))
     if np.isnan(log_z):
         raise ValueError("non-finite scores in the partition computation")
     if log_z == NEG_INF:
         raise ValueError("no legal path: the constraint mask excludes every sequence")
-    return log_z
+    return alpha, log_z
+
+
+def forward_log_partition(params: CrfParams, emissions: np.ndarray) -> float:
+    """log sum over all mask-legal paths of exp(path score)."""
+    return _forward(params, _check_emissions(params, emissions))[1]
 
 
 def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[list[int], float]:
@@ -165,36 +171,18 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[list[int],
 
 def _posteriors(params: CrfParams, emissions: np.ndarray):
     """Forward-backward pass; returns (log_z, unary (L,K), pairwise (L-1,K,K))."""
-    trans, start, end = params.effective()
-    length = emissions.shape[0]
-
-    alpha = np.empty_like(emissions)
-    alpha[0] = start + emissions[0]
-    for pos in range(1, length):
-        alpha[pos] = emissions[pos] + _logsumexp(alpha[pos - 1][:, None] + trans, axis=0)
-    log_z = float(_logsumexp(alpha[-1] + end, axis=0))
-    if np.isnan(log_z):
-        raise ValueError("non-finite scores in the partition computation")
-    if log_z == NEG_INF:
-        raise ValueError("no legal path: the constraint mask excludes every sequence")
-
+    alpha, log_z = _forward(params, emissions)
+    trans, _, end = params.effective()
     beta = np.empty_like(emissions)
     beta[-1] = end
-    for pos in range(length - 2, -1, -1):
+    for pos in range(emissions.shape[0] - 2, -1, -1):
         beta[pos] = _logsumexp(trans + (emissions[pos + 1] + beta[pos + 1])[None, :], axis=1)
 
     with np.errstate(invalid="ignore"):
         unary = np.exp(alpha + beta - log_z)
-    unary = np.nan_to_num(unary, nan=0.0)
-    pairwise = np.zeros((max(length - 1, 0), params.num_tags, params.num_tags))
-    for pos in range(length - 1):
-        scores = (
-            alpha[pos][:, None] + trans + (emissions[pos + 1] + beta[pos + 1])[None, :]
-        )
-        with np.errstate(invalid="ignore"):
-            pairwise[pos] = np.exp(scores - log_z)
-        pairwise[pos] = np.nan_to_num(pairwise[pos], nan=0.0)
-    return log_z, unary, pairwise
+        pairwise = alpha[:-1, :, None] + trans + (emissions[1:] + beta[1:])[:, None, :]
+        pairwise = np.exp(pairwise - log_z)
+    return log_z, np.nan_to_num(unary, nan=0.0), np.nan_to_num(pairwise, nan=0.0)
 
 
 def nll_loss_and_grad(

@@ -22,16 +22,18 @@ at the previous cell state, the output gate at the current one:
 
 An LSTM is these four tensors, its gates stacked in the order f, i, c,
 o: ``w_x`` (4H, D), ``w_h`` (4H, H), ``b`` (4H,) and the peepholes ``p``
-(3, H).  Training, clipping, Adam and the gradient check see only these;
-the per-gate names of the model file are a detail of
-:mod:`amner.serialize`.  One padded-batch routine runs both BiLSTMs; the
-character BiLSTM covers all words of a sentence in one pass.
+(3, H).  An embedding table is one (V + 1, D) matrix whose last row, V,
+is the unknown token's.  Training, clipping, Adam and the gradient check
+see only these tensors; the per-gate names and the separate unknown row
+of the model file are details of :mod:`amner.serialize`.  One
+padded-batch routine runs both BiLSTMs; the character BiLSTM covers all
+words of a sentence in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,19 +61,15 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass
 class EmbeddingTable:
-    """Token-to-row lookup with a dedicated row for unseen tokens."""
+    """Token-to-row lookup; the last row, V, is the unknown token's."""
 
     vocab: dict[str, int]
-    matrix: np.ndarray  # (V, D)
-    unk_row: np.ndarray  # (D,)
+    matrix: np.ndarray  # (V + 1, D)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.unk_row = np.asarray(self.unk_row, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.unk_row.shape != (self.matrix.shape[1],):
-            raise ValueError("embedding matrix and unk row widths disagree")
-        if len(self.vocab) != self.matrix.shape[0]:
-            raise ValueError("vocab size does not match the matrix row count")
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.vocab) + 1:
+            raise ValueError("embedding matrix needs a row per token plus the unknown row")
 
     @property
     def dim(self) -> int:
@@ -80,20 +78,20 @@ class EmbeddingTable:
     def tokens(self) -> list[str]:
         return [tok for tok, _ in sorted(self.vocab.items(), key=lambda kv: kv[1])]
 
-    def index_of(self, token: str) -> int | None:
-        """Row index for an exact match (no case folding), else None."""
-        return self.vocab.get(token)
+    def ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """Row of each token by exact match (no case folding); unseen tokens get row V."""
+        unk = len(self.vocab)
+        return np.array([self.vocab.get(tok, unk) for tok in tokens], dtype=np.int64)
 
     @classmethod
     def random(cls, tokens: Sequence[str], dim: int, rng: np.random.Generator) -> "EmbeddingTable":
         vocab = {tok: idx for idx, tok in enumerate(tokens)}
         if len(vocab) != len(tokens):
             raise ValueError("duplicate tokens in embedding vocabulary")
-        matrix = _glorot(rng, len(tokens), dim, (len(tokens), dim))
-        return cls(vocab, matrix, _glorot(rng, len(tokens), dim, (dim,)))
+        return cls(vocab, _glorot(rng, len(tokens), dim, (len(tokens) + 1, dim)))
 
     def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.matrix": self.matrix, f"{prefix}.unk": self.unk_row}
+        return {f"{prefix}.matrix": self.matrix}
 
 
 @dataclass
@@ -118,19 +116,14 @@ class SparseRows:
         return out
 
 
-def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
-    idx = table.index_of(token)
-    return table.matrix[idx] if idx is not None else table.unk_row
-
-
 def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> EmbeddingTable:
     """Parse the text vector format: a `V D` header, then `token v1 .. vD` lines.
 
     Fields are separated by single ASCII spaces, so tokens may contain
     other whitespace such as U+00A0.  One trailing space and one trailing
     carriage return per line are ignored, as fastText's `.vec` files end
-    every value with a space.  The unknown-token row is drawn fresh from
-    the initializer, seeded for reproducibility.
+    every value with a space.  The unknown-token row, appended last, is
+    drawn fresh from the initializer, seeded for reproducibility.
     """
     if isinstance(text, bytes):
         try:
@@ -172,9 +165,8 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
     if len(rows) != count:
         raise EmbeddingFormatError(f"header declares {count} rows, file has {len(rows)}")
     rng = np.random.default_rng(seed)
-    unk = _glorot(rng, max(count, 1), dim, (dim,))
-    matrix = np.stack(rows) if rows else np.zeros((0, dim))
-    return EmbeddingTable(vocab, matrix, unk)
+    rows.append(_glorot(rng, max(count, 1), dim, (dim,)))
+    return EmbeddingTable(vocab, np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +361,16 @@ def bilstm_run(params: BiLstmParams, inputs: Sequence[np.ndarray]) -> list[np.nd
 def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[str]):
     """Character BiLSTM summaries (N, 2H) of all ``words`` in one padded
     pass: the forward state after the last character and the reverse
-    state after the first.  Unknown characters read the unk row.
+    state after the first.  Unknown characters and padding read row V.
     """
     lengths = np.array([len(word) for word in words])
     if not lengths.all():
         raise ValueError("cannot encode an empty word")
-    unk = len(table.vocab)
-    ids = np.full((lengths.max(), len(words)), unk)
-    for n, word in enumerate(words):
-        ids[: len(word), n] = [table.vocab.get(ch, unk) for ch in word]
-    rows = np.concatenate([table.matrix, table.unk_row[None]])
-    outs, cache = _bilstm_forward(params, rows[ids], lengths)
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(valid.shape, len(table.vocab))
+    ids[valid] = table.ids("".join(words))
+    ids = ids.T  # (T, N): one column per word
+    outs, cache = _bilstm_forward(params, table.matrix[ids], lengths)
     hidden = params.hidden
     last = (lengths - 1, np.arange(len(words)))
     vecs = np.concatenate([outs[last][:, :hidden], outs[0, :, hidden:]], axis=1)
@@ -387,14 +378,14 @@ def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[
 
 
 def _chars_backward(table: EmbeddingTable, params: BiLstmParams, cache, d_vecs: np.ndarray):
-    """(table gradient with the unknown row last, BiLstmParams gradients)."""
+    """(table gradient, BiLstmParams gradients)."""
     ids, lengths, bilstm_cache = cache
     hidden = params.hidden
     d_outs = np.zeros(ids.shape + (2 * hidden,))
     d_outs[lengths - 1, np.arange(len(lengths)), :hidden] = d_vecs[:, :hidden]
     d_outs[0, :, hidden:] = d_vecs[:, hidden:]
     grads, d_xs = _bilstm_backward(params, bilstm_cache, d_outs)
-    d_rows = np.zeros((len(table.vocab) + 1, table.dim))
+    d_rows = np.zeros_like(table.matrix)
     valid = np.arange(len(ids))[:, None] < lengths
     np.add.at(d_rows, ids[valid], d_xs[valid])
     return d_rows, grads
@@ -514,11 +505,9 @@ def encode_forward(
     if use_dropout and rng is None:
         raise ValueError("train-mode encoding with dropout needs a random generator")
 
-    table = params.word_table
-    word_rows = [table.index_of(word) for word in words]
-    word_vecs = [table.matrix[row] if row is not None else table.unk_row for row in word_rows]
+    word_rows = params.word_table.ids(words)
     char_vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, words)
-    xs = np.concatenate([np.stack(word_vecs), char_vecs], axis=1)
+    xs = np.concatenate([params.word_table.matrix[word_rows], char_vecs], axis=1)
     in_masks = out_masks = None
     if use_dropout:
         in_masks = _dropout_masks(rng, xs.shape, params.dropout_rate)
@@ -541,11 +530,10 @@ def encode_backward(
     """Gradients of every encoder tensor given d(loss)/d(emissions).
 
     Keys follow ``params.tensors()``.  ``word_table.matrix`` is
-    :class:`SparseRows` over the rows of the sentence's in-vocabulary
-    words, so its cost does not grow with the vocabulary; each row is
-    summed in token order from zero, exactly as a dense gradient would
-    be.  Every other gradient is dense, and out-of-vocabulary tokens feed
-    ``word_table.unk``.
+    :class:`SparseRows` over the rows of the sentence's words, row V
+    for out-of-vocabulary ones, so its cost does not grow with the
+    vocabulary; each row is summed in token order from zero, exactly as
+    a dense gradient would be.  Every other gradient is dense.
     """
     _, word_rows, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
     d_outs = d_emissions @ params.proj_w.T
@@ -557,24 +545,16 @@ def encode_backward(
         d_xs = d_xs * in_masks
 
     word_dim = params.word_table.dim
-    # per-row sums in token order; out-of-vocabulary tokens (row None) feed the unk row
-    row_grads: dict[int | None, np.ndarray] = {None: np.zeros(word_dim)}
-    for row, d_word in zip(word_rows, d_xs[:, :word_dim]):
-        row_grads.setdefault(row, np.zeros(word_dim))
-        row_grads[row] += d_word
-    d_unk = row_grads.pop(None)
+    # add.at sums each row's terms in token order, starting from zero
+    rows, slots = np.unique(word_rows, return_inverse=True)
+    d_word_rows = np.zeros((len(rows), word_dim))
+    np.add.at(d_word_rows, slots, d_xs[:, :word_dim])
     d_chars, char_grads = _chars_backward(
         params.char_table, params.char_bilstm, char_cache, d_xs[:, word_dim:]
     )
 
-    grads = {"char_table.matrix": d_chars[:-1], "char_table.unk": d_chars[-1]}
-    grads.update(char_grads.tensors("char"))
-    grads["word_table.matrix"] = SparseRows(
-        np.array(list(row_grads), dtype=np.int64),
-        np.array(list(row_grads.values())).reshape(len(row_grads), word_dim),
-        params.word_table.matrix.shape,
-    )
-    grads["word_table.unk"] = d_unk
+    grads = {"char_table.matrix": d_chars, **char_grads.tensors("char")}
+    grads["word_table.matrix"] = SparseRows(rows, d_word_rows, params.word_table.matrix.shape)
     grads.update(word_grads.tensors("word"))
     grads["proj.weight"] = outs.T @ d_emissions
     grads["proj.bias"] = d_emissions.sum(axis=0)

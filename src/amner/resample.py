@@ -210,13 +210,22 @@ def balance_token_dataset(
 
 
 def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
+    """Render rows in the file format; inverse of parse_feature_rows.
+
+    Labels starting with ``#`` (re-read as comments) or holding a tab or
+    a line break are rejected.
+    """
     if not rows:
         raise ValueError("nothing to write: no feature rows")
     width = rows[0].width
     lines = [str(width)]
-    for row in rows:
+    for idx, row in enumerate(rows):
         if row.width != width:
             raise ValueError(f"row width {row.width} != declared {width}")
+        if row.label.startswith("#") or any(c in row.label for c in "\t\r\n"):
+            raise ValueError(
+                f"row {idx}: label {row.label!r} starts with '#' or holds a tab or line break"
+            )
         lines.append(row.label + "\t" + " ".join(repr(float(v)) for v in row.values))
     return "\n".join(lines) + "\n"
 
@@ -243,5 +252,8 @@ def parse_feature_rows(text: str) -> list[FeatureRow]:
             values = np.array([float(p) for p in parts], dtype=np.float64)
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value") from None
-        rows.append(FeatureRow(values, label))
+        try:
+            rows.append(FeatureRow(values, label))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return rows

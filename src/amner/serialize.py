@@ -15,11 +15,17 @@ Section headers carry entry counts, so vocabulary entries are read by
 count and may contain any character except a line break.  Writing is
 deterministic: identical models and config produce identical bytes.
 
-The file stores each LSTM as 15 per-gate tensors (``w_fx`` .. ``b_o``,
-see ``_GATE_NAMES``): the row blocks of the four stacked tensors that the
-model, training and ``gradcheck`` use.  Writing splits the stacked
-tensors into these blocks and reading stacks them again; the per-gate
-names exist only here.
+Two kinds of tensor are stored in a layout other than the one the
+model, training and ``gradcheck`` use; these file layouts exist only
+here:
+
+* each LSTM as 15 per-gate tensors (``w_fx`` .. ``b_o``, see
+  ``_GATE_NAMES``), the row blocks of its four stacked tensors;
+* each embedding table, (V + 1, D) in memory with the unknown token's
+  row last, as ``X.matrix`` (V, D) followed by ``X.unk`` (D,).
+
+Writing splits the in-memory tensors into these pieces and reading joins
+them again.
 """
 
 from __future__ import annotations
@@ -50,10 +56,14 @@ class ModelFormatError(ValueError):
 
 def file_tensors(model: ModelParams) -> dict[str, np.ndarray]:
     """``model.tensors()`` under the file's names, in file order: each
-    stacked LSTM tensor is replaced by its gate blocks."""
+    stacked LSTM tensor is replaced by its gate blocks and each embedding
+    table by its vocabulary rows and unknown row."""
     out: dict[str, np.ndarray] = {}
     for name, array in model.tensors().items():
         prefix, _, field = name.rpartition(".")
+        if field == "matrix":
+            out[name], out[f"{prefix}.unk"] = array[:-1], array[-1]
+            continue
         gates = _GATE_NAMES.get(field)
         if gates is None:
             out[name] = array
@@ -177,6 +187,11 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     def take(name: str) -> np.ndarray:  # a writable copy of the read-only blob view
         return tensors.pop(name).astype(np.float64)
 
+    def table(prefix: str, tokens: list[str]) -> EmbeddingTable:  # joining copies the rows
+        rows = tensors.pop(f"{prefix}.matrix"), tensors.pop(f"{prefix}.unk")[None]
+        vocab = {token: i for i, token in enumerate(tokens)}
+        return EmbeddingTable(vocab, np.concatenate(rows, dtype=np.float64))
+
     def lstm(prefix: str) -> LstmParams:  # stacking copies the gate blocks
         stacked = {}
         for field, gates in _GATE_NAMES.items():
@@ -187,13 +202,9 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     # the constructors check each shape against the vocabularies, tags and other tensors
     try:
         encoder = EncoderParams(
-            char_table=EmbeddingTable(
-                {c: i for i, c in enumerate(chars)}, take("char_table.matrix"), take("char_table.unk")
-            ),
+            char_table=table("char_table", chars),
             char_bilstm=BiLstmParams(lstm("char_fwd"), lstm("char_bwd")),
-            word_table=EmbeddingTable(
-                {w: i for i, w in enumerate(words)}, take("word_table.matrix"), take("word_table.unk")
-            ),
+            word_table=table("word_table", words),
             word_bilstm=BiLstmParams(lstm("word_fwd"), lstm("word_bwd")),
             proj_w=take("proj.weight"),
             proj_b=take("proj.bias"),

@@ -309,10 +309,10 @@ def build_model(
             raise ValueError(
                 f"pretrained vectors have dim {pretrained.dim}, model uses {word_dim}"
             )
-        for token, row in encoder.word_table.vocab.items():
-            src = pretrained.index_of(token)
-            if src is not None:
-                encoder.word_table.matrix[row] = pretrained.matrix[src]
+        # rows of tokens with a pretrained vector take it; the unknown row keeps its init
+        src = pretrained.ids(encoder.word_table.tokens())
+        found = np.flatnonzero(src < len(pretrained.vocab))
+        encoder.word_table.matrix[found] = pretrained.matrix[src[found]]
 
     crf_params = init_crf(len(tags), np.random.default_rng(seed + 1))
     if masked_training:

@@ -1,6 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import synthetic_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amner.cli import main
 from amner.corpus import TagScheme, save_corpus
@@ -299,3 +304,83 @@ class TestEffectiveConfig:
         code = main(["train", src, "--model", str(tmp_path / "m"), "--dropout", "1.5"])
         assert code == 1
         assert "error: dropout must be in [0, 1)" in capsys.readouterr().err
+
+
+# Every file argument of every subcommand, fed malformed bytes.  Each form
+# names the fuzzed file ``F``; the other files are the valid ones below.
+TRAIN_FLAGS = ["--model", "m.model", "--epochs", "1", "--word-dim", "2", "--char-dim", "2",
+               "--word-hidden", "2", "--char-hidden", "2"]
+FUZZ_FORMS = {
+    "convert": ["convert", "--from", "iob2", "--to", "iob1", "F", "out.tsv"],
+    "validate": ["validate", "F"],
+    "stats": ["stats", "F"],
+    "translit-table": ["translit", "--table", "F", "corpus.tsv", "out.tsv"],
+    "translit-corpus": ["translit", "--table", "table.tsv", "F", "out.tsv"],
+    "kappa-first": ["kappa", "F", "corpus.tsv"],
+    "kappa-second": ["kappa", "corpus.tsv", "F"],
+    "smote": ["smote", "--target", "match-majority", "--smote-k", "1", "F", "out.rows"],
+    "train-corpus": ["train", "F", *TRAIN_FLAGS],
+    "train-embeddings": ["train", "corpus.tsv", "--embeddings", "F", *TRAIN_FLAGS],
+    "train-config": ["train", "corpus.tsv", "--config", "F", *TRAIN_FLAGS],
+    "tag-input": ["tag", "--model", "valid.model", "F", "out.tsv"],
+    "tag-model": ["tag", "--model", "F", "corpus.tsv", "out.tsv"],
+    "eval-gold": ["eval", "F", "corpus.tsv"],
+    "eval-pred": ["eval", "corpus.tsv", "F"],
+}
+VALID_FILES = {
+    "corpus.tsv": b"w1\tB-PER\nw2\tI-PER\nw3\tO\n\n# note\nw4\tB-LOC\nw1\tO\n\n",
+    "table.tsv": b"w\tv\n1\tone\n",
+    "rows.txt": b"2\nA\t1 2\nA\t2 3\nA\t3 1\nB\t1 1\nB\t0 1\n",
+    "vectors.txt": b"2 2\nw1 0.1 0.2\nw2 0.3 -0.4\n",
+    "train.cfg": b"learning_rate 0.01\nbatch_size 2\nclip_norm 5\n",
+}
+FUZZ_INPUTS = {*VALID_FILES, "valid.model"}
+PER_EXAMPLE_FILES = {"F", "m.model", "out.tsv", "out.rows"}
+# the valid file each form's fuzzed argument stands in for
+FUZZ_SEEDS = {
+    "translit-table": "table.tsv", "smote": "rows.txt", "train-embeddings": "vectors.txt",
+    "train-config": "train.cfg", "tag-model": "valid.model",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    for name, data in VALID_FILES.items():
+        (directory / name).write_bytes(data)
+    args = ["train", str(directory / "corpus.tsv"), *TRAIN_FLAGS]
+    args[args.index("m.model")] = str(directory / "valid.model")
+    assert main(args) == 0
+    return directory
+
+
+@st.composite
+def malformed(draw, valid: bytes):
+    """Arbitrary bytes, or the valid file with bytes replaced, inserted or cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from([b"", b"\t", b"\n", b"\r", b" ", b"#", b"-", b"0", b"9e999",
+                                      b"\xff", "ሀ".encode(), b"nan", b"[", b"B-"]))
+        cut = draw(st.integers(0, 3))
+        data[pos : pos + cut] = piece
+    return bytes(data)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("form", sorted(FUZZ_FORMS))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_exits_without_traceback(self, fuzz_dir, form, data):
+        valid = (fuzz_dir / FUZZ_SEEDS.get(form, "corpus.tsv")).read_bytes()
+        # the fuzzed file and the outputs go to a new directory: rewriting an
+        # existing file can force a disk flush on every example
+        work = Path(tempfile.mkdtemp(dir=fuzz_dir))
+        (work / "F").write_bytes(data.draw(malformed(valid)))
+        args = [
+            str(fuzz_dir / a) if a in FUZZ_INPUTS else str(work / a) if a in PER_EXAMPLE_FILES else a
+            for a in FUZZ_FORMS[form]
+        ]
+        assert main(args) in (0, 1, 2)

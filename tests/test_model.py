@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from amner.model import (
     BiLstmParams,
     EmbeddingFormatError,
+    EmbeddingTable,
     LstmParams,
     SparseRows,
     bilstm_run,
@@ -17,7 +18,6 @@ from amner.model import (
     encode_word_chars,
     init_encoder,
     load_embeddings,
-    lookup,
     lstm_step,
 )
 from amner.train import AdamState, TrainConfig, adam_step
@@ -28,6 +28,10 @@ def zero_lstm(input_dim, hidden):
         np.zeros((4 * hidden, input_dim)), np.zeros((4 * hidden, hidden)),
         np.zeros((3, hidden)), np.zeros(4 * hidden),
     )
+
+
+def row_of(table, token):
+    return table.matrix[table.ids([token])[0]]
 
 
 def tiny_encoder(seed=0, dropout=0.0, num_tags=3):
@@ -43,8 +47,8 @@ def tiny_encoder(seed=0, dropout=0.0, num_tags=3):
 class TestEmbeddings:
     def test_minimal_file(self):
         table = load_embeddings("2 3\na 1 0 0\nb 0 1 0\n", expected_dim=3)
-        assert table.matrix.shape == (2, 3)
-        assert np.array_equal(lookup(table, "a"), [1.0, 0.0, 0.0])
+        assert table.matrix.shape == (3, 3)  # two tokens plus the unknown row
+        assert np.array_equal(row_of(table, "a"), [1.0, 0.0, 0.0])
 
     def test_row_width_error_carries_line(self):
         with pytest.raises(EmbeddingFormatError) as err:
@@ -53,16 +57,27 @@ class TestEmbeddings:
 
     def test_unknown_token_gets_unk_row(self):
         table = load_embeddings("1 2\na 1 2\n", expected_dim=2)
-        assert np.array_equal(lookup(table, "zzz"), table.unk_row)
-        assert not np.array_equal(table.unk_row, np.zeros(2))
+        assert list(table.ids(["a", "zzz"])) == [0, 1]
+        assert np.array_equal(row_of(table, "zzz"), table.matrix[-1])
+        assert not np.array_equal(table.matrix[-1], np.zeros(2))
 
     def test_lookup_deterministic(self):
         table = load_embeddings("1 2\na 1 2\n", expected_dim=2)
-        assert np.array_equal(lookup(table, "a"), lookup(table, "a"))
+        assert np.array_equal(row_of(table, "a"), row_of(table, "a"))
 
     def test_no_case_folding(self):
         table = load_embeddings("1 2\nAbc 1 2\n", expected_dim=2)
-        assert np.array_equal(lookup(table, "abc"), table.unk_row)
+        assert np.array_equal(row_of(table, "abc"), table.matrix[-1])
+
+    def test_tables_end_with_the_unknown_row(self):
+        enc = tiny_encoder()
+        assert enc.word_table.matrix.shape == (4, 4)  # alpha, beta, gamma, unknown
+        assert enc.char_table.matrix.shape == (8, 2)
+        assert [name for name in enc.tensors() if "table" in name] == [
+            "char_table.matrix", "word_table.matrix"
+        ]
+        with pytest.raises(ValueError, match="unknown row"):
+            EmbeddingTable({"a": 0}, np.zeros((1, 2)))
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(EmbeddingFormatError) as err:
@@ -76,7 +91,7 @@ class TestEmbeddings:
     def test_fasttext_trailing_spaces(self):
         table = load_embeddings("2 3 \r\na 1 0 0 \r\nb\u00a0c 0 1 0 \n", expected_dim=3)
         assert table.vocab == {"a": 0, "b\u00a0c": 1}
-        assert np.array_equal(table.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(table.matrix[:-1], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_header_row_count_enforced(self):
         with pytest.raises(EmbeddingFormatError):
@@ -179,7 +194,7 @@ class TestCharEncoding:
     def test_single_char_word(self):
         enc = tiny_encoder()
         vec = encode_word_chars(enc.char_table, enc.char_bilstm, "a")
-        x = lookup(enc.char_table, "a")
+        x = row_of(enc.char_table, "a")
         fh, _ = lstm_step(enc.char_bilstm.forward, x, np.zeros(2), np.zeros(2))
         bh, _ = lstm_step(enc.char_bilstm.backward, x, np.zeros(2), np.zeros(2))
         assert np.array_equal(vec, np.concatenate([fh, bh]))
@@ -249,9 +264,9 @@ class TestEncodeSentence:
 
     def test_oov_word_uses_unk_row(self):
         enc = tiny_encoder()
-        # direct check through the cache: the OOV token records no row index
-        _, cache = encode_forward(enc, ["zzz"], train=False)
-        assert cache[1] == [None]
+        # direct check through the cache: the OOV token reads row V
+        _, cache = encode_forward(enc, ["zzz", "beta"], train=False)
+        assert list(cache[1]) == [len(enc.word_table.vocab), enc.word_table.vocab["beta"]]
 
 
 class TestEncoderGradients:
@@ -315,9 +330,11 @@ class TestSparseWordGradient:
         enc = tiny_encoder(seed=2)
         rows, grads, terms = self.per_token(enc, ["alpha", "zzz"])
         sparse = grads["word_table.matrix"]
-        assert list(sparse.rows) == [rows[0]]
+        unk = len(enc.word_table.vocab)
+        assert list(rows) == [0, unk]
+        assert list(sparse.rows) == [0, unk]
         expected_unk = np.zeros(enc.word_table.dim) + terms[1]
-        assert grads["word_table.unk"].tobytes() == expected_unk.tobytes()
+        assert sparse.values[1].tobytes() == expected_unk.tobytes()
 
     def test_dense_equals_reference(self):
         enc = tiny_encoder(seed=4, dropout=0.5)
@@ -325,8 +342,7 @@ class TestSparseWordGradient:
         rows, grads, terms = self.per_token(enc, words, train=True)
         reference = np.zeros_like(enc.word_table.matrix)
         for t, row in enumerate(rows):
-            if row is not None:
-                reference[row] += terms[t]
+            reference[row] += terms[t]
         assert grads["word_table.matrix"].to_dense().tobytes() == reference.tobytes()
 
     def test_key_order_and_nbytes(self):
@@ -370,7 +386,7 @@ def random_char_encoder(seed):
 
 def per_word_char_vector(enc, word):
     """The character BiLSTM of one word as a loop of single lstm_step calls."""
-    xs = [lookup(enc.char_table, ch) for ch in word]
+    xs = list(enc.char_table.matrix[enc.char_table.ids(word)])
     hidden = enc.char_bilstm.hidden
     state = {}
     for direction, seq in (("fwd", xs), ("bwd", xs[::-1])):

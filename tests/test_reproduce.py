@@ -1,0 +1,44 @@
+"""scripts/reproduce.py end to end on a tiny synthetic corpus and vector file."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+from helpers import synthetic_corpus
+
+from amner.corpus import TagScheme, write_corpus
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("reproduce", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_all_protocols_run(tmp_path, capsys):
+    corpus = synthetic_corpus(24, seed=6)
+    (tmp_path / "corpus.tsv").write_text(write_corpus(corpus, TagScheme.IOB2), encoding="utf-8")
+    # vectors for half of the corpus words, so token rows also read the unknown row
+    words = sorted({t.surface for s in corpus for t in s.tokens})[::2]
+    rng = np.random.default_rng(6)
+    lines = [f"{len(words)} 4"] + [
+        " ".join([word, *(repr(float(v)) for v in rng.normal(size=4))]) for word in words
+    ]
+    (tmp_path / "vectors.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    status = load_script().main([
+        "--corpus", str(tmp_path / "corpus.tsv"), "--embeddings", str(tmp_path / "vectors.txt"),
+        "--protocol", "all", "--folds", "2", "--epochs", "1", "--word-dim", "4",
+        "--smote-k", "1", "--allow-stats-mismatch",
+    ])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert f"loaded {len(words)} pretrained vectors" in out
+    for prefix in (
+        "kfold/random-init: F1", "kfold/pretrained: F1", "two-thirds split: F1",
+        "smote/sentence-oversample: F1", "smote/token-classifier (type runs): F1",
+    ):
+        assert any(line.startswith(prefix) for line in out.splitlines()), prefix

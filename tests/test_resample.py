@@ -186,3 +186,20 @@ class TestFeatureRowFormat:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_feature_rows("width\nPER\t1.0\n")
+
+    @pytest.mark.parametrize("label", ["#PER", "P\tER", "PER\n", "PER\r"])
+    def test_label_that_would_not_read_back_rejected(self, label):
+        rows = rows_from([(1.0, 2.0)], label="O") + rows_from([(3.0, 4.0)], label=label)
+        with pytest.raises(ValueError, match="row 1: label"):
+            write_feature_rows(rows)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\nO\t1 2\n\t1 2\n", "line 3: feature row needs a label"),
+            ("2\nX\t1e999 1\n", "line 2: feature row contains non-finite values"),
+        ],
+    )
+    def test_row_errors_carry_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_feature_rows(text)

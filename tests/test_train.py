@@ -268,8 +268,9 @@ class TestModelAssembly:
             corpus, word_dim=8, char_dim=3, char_hidden=3, word_hidden=4,
             dropout=0.0, seed=0, pretrained=pretrained,
         )
-        row = model.encoder.word_table.index_of(word)
-        assert np.allclose(model.encoder.word_table.matrix[row], 0.25)
+        table = model.encoder.word_table
+        assert np.allclose(table.matrix[table.vocab[word]], 0.25)
+        assert not np.allclose(table.matrix[-1], 0.25)
 
     def test_loss_positive_at_init(self):
         corpus = synthetic_corpus(4, seed=3)
