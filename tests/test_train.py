@@ -1,9 +1,11 @@
 import numpy as np
+import parity
 import pytest
 from helpers import synthetic_corpus
 
 import amner.train as train_mod
 from amner.model import SparseRows
+from amner.serialize import model_from_bytes
 from amner.train import (
     AdamState,
     GradCheckResult,
@@ -372,6 +374,42 @@ class TestTraining:
             dev=corpus,
         )
         assert len(logs) < 50  # dev F1 saturates quickly on a memorized corpus
+
+
+def relative_gaps(model, reference) -> dict[str, float]:
+    """max|p - p_ref| / max|p_ref| per tensor (the plain max where p_ref is all zero)."""
+    expected = reference.tensors()
+    gaps = {}
+    for name, arr in model.tensors().items():
+        scale = float(np.max(np.abs(expected[name]), initial=0.0)) or 1.0
+        gaps[name] = float(np.max(np.abs(arr - expected[name]), initial=0.0)) / scale
+    return gaps
+
+
+class TestParity:
+    """Against files written by tests/parity.py before training and tagging
+    ran on padded batches.  A batch GEMM sums in another order than one GEMM
+    per sentence, so equality is up to a bound well above the measured gap."""
+
+    @pytest.mark.parametrize("clip_norm", parity.CLIP_NORMS)
+    def test_matches_committed_parent_model(self, clip_norm):
+        model = parity.parity_model(clip_norm)
+        reference, _ = model_from_bytes(parity.model_path(clip_norm).read_bytes())
+        assert model.encoder.word_table.vocab == reference.encoder.word_table.vocab
+        gaps = relative_gaps(model, reference)
+        assert max(gaps.values()) <= 1e-12, gaps
+
+    def test_emissions_match_committed(self):
+        tagger, _ = model_from_bytes(parity.TAGGER_PATH.read_bytes())
+        expected = np.load(parity.EMISSIONS_PATH)
+        got = parity.emissions(tagger)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_tag_output_has_committed_sha256(self):
+        tagger, _ = model_from_bytes(parity.TAGGER_PATH.read_bytes())
+        expected = parity.TAG_SHA_PATH.read_text(encoding="utf-8").strip()
+        assert parity.tag_sha256(tagger) == expected
 
 
 class TestGradientCheck:
