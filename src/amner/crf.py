@@ -8,6 +8,12 @@ Boolean masks mark scheme-illegal transitions and boundary tags; masked
 entries contribute -inf, so illegal paths carry exactly zero probability.
 The partition function and the marginals behind the loss gradient are
 computed in the log domain.
+
+The loss and Viterbi decoding take a batch: right-padded (N, T, K)
+emissions plus each row's length.  Every recursion step runs on all rows
+at once with the same per-row operations as on a single sequence, and
+positions past a row's end are never read.  A single (L, K) matrix
+without lengths is a batch of one.
 """
 
 from __future__ import annotations
@@ -102,114 +108,167 @@ def _check_emissions(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
     return emissions
 
 
+def _as_batch(params: CrfParams, emissions: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(emissions (N, T, K), lengths (N,)); an (L, K) matrix without lengths is a batch of one."""
+    if lengths is None:
+        emissions = _check_emissions(params, emissions)[None]
+        return emissions, np.array([emissions.shape[1]])
+    emissions = np.asarray(emissions, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if emissions.ndim != 3 or emissions.shape[2] != params.num_tags:
+        raise ValueError(f"emissions must be (N, T, {params.num_tags}), got {emissions.shape}")
+    if lengths.shape != emissions.shape[:1] or not lengths.size:
+        raise ValueError("need one length per emission row, and at least one row")
+    if lengths.min() < 1 or lengths.max() > emissions.shape[1]:
+        raise ValueError(f"lengths must lie in [1, {emissions.shape[1]}]")
+    return emissions, lengths
+
+
+def _path_scores(params: CrfParams, emissions: np.ndarray, tags: np.ndarray, lengths) -> np.ndarray:
+    """Score (N,) of each row's tag path over its first lengths[n]
+    positions; raises if a path crosses a masked entry."""
+    rows = np.arange(len(lengths))
+    first, last = tags[:, 0], tags[rows, lengths - 1]
+    for name, mask, ends in (("start", params.start_mask, first), ("end", params.end_mask, last)):
+        bad = np.flatnonzero(~mask[ends])
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: {name} at tag {ends[bad[0]]} is masked out")
+    total = params.start_scores[first] + emissions[rows, 0, first]
+    for pos in range(1, emissions.shape[1]):
+        live = pos < lengths
+        prev, cur = tags[:, pos - 1], tags[:, pos]
+        bad = np.flatnonzero(live & ~params.trans_mask[prev, cur])
+        if bad.size:
+            n = bad[0]
+            raise ValueError(f"row {n}: transition {prev[n]} -> {cur[n]} at position {pos} is masked out")
+        step = params.transitions[prev, cur] + emissions[rows, pos, cur]
+        total = np.where(live, total + step, total)
+    return total + params.end_scores[last]
+
+
 def score_sequence(params: CrfParams, emissions: np.ndarray, tags) -> float:
     """Score of one tag path; raises if the path crosses a masked entry."""
     emissions = _check_emissions(params, emissions)
-    tags = list(tags)
-    if len(tags) != emissions.shape[0]:
-        raise ValueError(f"path length {len(tags)} != sequence length {emissions.shape[0]}")
-    if not params.start_mask[tags[0]]:
-        raise ValueError(f"start at tag {tags[0]} is masked out")
-    if not params.end_mask[tags[-1]]:
-        raise ValueError(f"end at tag {tags[-1]} is masked out")
-    total = params.start_scores[tags[0]] + emissions[0, tags[0]]
-    for pos in range(1, len(tags)):
-        prev, cur = tags[pos - 1], tags[pos]
-        if not params.trans_mask[prev, cur]:
-            raise ValueError(f"transition {prev} -> {cur} at position {pos} is masked out")
-        total += params.transitions[prev, cur] + emissions[pos, cur]
-    return float(total + params.end_scores[tags[-1]])
+    tags = np.array([list(tags)], dtype=np.int64)
+    if tags.shape[1] != emissions.shape[0]:
+        raise ValueError(f"path length {tags.shape[1]} != sequence length {emissions.shape[0]}")
+    return float(_path_scores(params, emissions[None], tags, np.array([tags.shape[1]]))[0])
 
 
-def _forward(params: CrfParams, emissions: np.ndarray) -> tuple[np.ndarray, float]:
-    """(alpha (L, K), log_z): alpha[l, k] is the log-sum of the scores of
-    all legal prefixes that end at position l with tag k."""
+def _forward(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
+    """(alpha (N, T, K), log_z (N,)): alpha[n, l, k] is the log-sum of the
+    scores of all legal prefixes of row n that end at position l with tag k."""
     trans, start, end = params.effective()
     alpha = np.empty_like(emissions)
-    alpha[0] = start + emissions[0]
-    for pos in range(1, emissions.shape[0]):
-        alpha[pos] = emissions[pos] + _logsumexp(alpha[pos - 1][:, None] + trans, axis=0)
-    log_z = float(_logsumexp(alpha[-1] + end, axis=0))
-    if np.isnan(log_z):
+    alpha[:, 0] = start + emissions[:, 0]
+    for pos in range(1, emissions.shape[1]):
+        alpha[:, pos] = emissions[:, pos] + _logsumexp(alpha[:, pos - 1, :, None] + trans, axis=1)
+    log_z = _logsumexp(alpha[np.arange(len(lengths)), lengths - 1] + end, axis=1)
+    if np.isnan(log_z).any():
         raise ValueError("non-finite scores in the partition computation")
-    if log_z == NEG_INF:
+    if (log_z == NEG_INF).any():
         raise ValueError("no legal path: the constraint mask excludes every sequence")
     return alpha, log_z
 
 
 def forward_log_partition(params: CrfParams, emissions: np.ndarray) -> float:
     """log sum over all mask-legal paths of exp(path score)."""
-    return _forward(params, _check_emissions(params, emissions))[1]
+    emissions, lengths = _as_batch(params, emissions, None)
+    return float(_forward(params, emissions, lengths)[1][0])
 
 
-def viterbi_decode(params: CrfParams, emissions: np.ndarray) -> tuple[list[int], float]:
-    """Highest-scoring legal path; ties break to the lexicographically
-    smallest tag sequence (via a suffix table and greedy reconstruction).
+def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
+    """Highest-scoring legal path of each row, as (paths, scores); for a
+    single (L, K) matrix without lengths, (path, score).  Ties break to
+    the lexicographically smallest tag sequence (via a suffix table and
+    greedy reconstruction).
     """
-    emissions = _check_emissions(params, emissions)
+    single = lengths is None
+    emissions, lengths = _as_batch(params, emissions, lengths)
     trans, start, end = params.effective()
-    length = emissions.shape[0]
+    size, steps, _ = emissions.shape
+    last = (lengths - 1)[:, None]
 
-    # suffix[t][i]: best score of a legal path over positions t..L-1 starting at tag i
+    # suffix[n, t, i]: best score of a legal path of row n over positions
+    # t..lengths[n]-1 starting at tag i
     suffix = np.empty_like(emissions)
-    suffix[-1] = emissions[-1] + end
-    for pos in range(length - 2, -1, -1):
-        suffix[pos] = emissions[pos] + np.max(trans + suffix[pos + 1][None, :], axis=1)
+    suffix[:, -1] = emissions[:, -1] + end
+    for pos in range(steps - 2, -1, -1):
+        rest = np.max(trans + suffix[:, pos + 1, None, :], axis=2)
+        suffix[:, pos] = np.where(pos == last, emissions[:, pos] + end, emissions[:, pos] + rest)
 
-    totals = start + suffix[0]
-    best = np.max(totals)
-    if np.isnan(best):
+    totals = start + suffix[:, 0]
+    best = np.max(totals, axis=1)
+    if np.isnan(best).any():
         raise ValueError("non-finite scores in Viterbi decoding")
-    if best == NEG_INF:
+    if (best == NEG_INF).any():
         raise ValueError("no legal path: the constraint mask excludes every sequence")
-    path = [int(np.argmax(totals))]  # argmax picks the smallest index on ties
-    for pos in range(1, length):
-        options = trans[path[-1]] + suffix[pos]
-        path.append(int(np.argmax(options)))
-    return path, score_sequence(params, emissions, path)
+    paths = np.zeros((size, steps), dtype=np.int64)
+    paths[:, 0] = np.argmax(totals, axis=1)  # argmax picks the smallest index on ties
+    for pos in range(1, steps):
+        paths[:, pos] = np.argmax(trans[paths[:, pos - 1]] + suffix[:, pos], axis=1)
+    scores = _path_scores(params, emissions, paths, lengths)
+    out = [paths[n, :length].tolist() for n, length in enumerate(lengths)]
+    return (out[0], float(scores[0])) if single else (out, scores)
 
 
-def _posteriors(params: CrfParams, emissions: np.ndarray):
-    """Forward-backward pass; returns (log_z, unary (L,K), pairwise (L-1,K,K))."""
-    alpha, log_z = _forward(params, emissions)
+def _posteriors(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
+    """Forward-backward pass; returns (log_z (N,), unary (N, T, K),
+    pairwise (N, T-1, K, K)), both zero past each row's end."""
+    alpha, log_z = _forward(params, emissions, lengths)
     trans, _, end = params.effective()
+    last = (lengths - 1)[:, None]
     beta = np.empty_like(emissions)
-    beta[-1] = end
-    for pos in range(emissions.shape[0] - 2, -1, -1):
-        beta[pos] = _logsumexp(trans + (emissions[pos + 1] + beta[pos + 1])[None, :], axis=1)
+    beta[:, -1] = end
+    for pos in range(emissions.shape[1] - 2, -1, -1):
+        inner = _logsumexp(trans + (emissions[:, pos + 1] + beta[:, pos + 1])[:, None, :], axis=2)
+        beta[:, pos] = np.where(pos >= last, end, inner)
 
-    with np.errstate(invalid="ignore"):
-        unary = np.exp(alpha + beta - log_z)
-        pairwise = alpha[:-1, :, None] + trans + (emissions[1:] + beta[1:])[:, None, :]
-        pairwise = np.exp(pairwise - log_z)
-    return log_z, np.nan_to_num(unary, nan=0.0), np.nan_to_num(pairwise, nan=0.0)
+    norm = log_z[:, None, None]
+    # padded positions may overflow or meet -inf - -inf; they are zeroed below
+    with np.errstate(invalid="ignore", over="ignore"):
+        unary = np.exp(alpha + beta - norm)
+        pairwise = alpha[:, :-1, :, None] + trans + (emissions[:, 1:] + beta[:, 1:])[:, :, None, :]
+        pairwise = np.exp(pairwise - norm[..., None])
+    valid = np.arange(emissions.shape[1]) < lengths[:, None]
+    unary[~valid] = 0.0
+    pairwise[~valid[:, 1:]] = 0.0
+    np.nan_to_num(unary, copy=False, nan=0.0)
+    np.nan_to_num(pairwise, copy=False, nan=0.0)
+    return log_z, unary, pairwise
 
 
 def nll_loss_and_grad(
-    params: CrfParams, emissions: np.ndarray, gold
+    params: CrfParams, emissions: np.ndarray, gold, lengths=None
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """Negative log-likelihood of the gold path plus all gradients.
+    """Summed negative log-likelihood of the gold paths plus all gradients.
 
-    Returns (loss, d_emissions, crf gradient dict keyed like tensors()).
-    Gradients are marginal expectations minus gold indicators.
+    ``gold`` is (N, T) beside (N, T, K) emissions and ``lengths``, or one
+    (L,) path beside a single (L, K) matrix.  Returns (loss,
+    d_emissions shaped like ``emissions`` and zero past each row's end,
+    crf gradient dict keyed like tensors()).  Gradients are marginal
+    expectations minus gold indicators, summed over the rows.
     """
-    emissions = _check_emissions(params, emissions)
-    gold = list(gold)
-    gold_score = score_sequence(params, emissions, gold)  # also validates legality
-    log_z, unary, pairwise = _posteriors(params, emissions)
-    loss = log_z - gold_score
+    single = lengths is None
+    emissions, lengths = _as_batch(params, emissions, lengths)
+    gold = np.asarray(gold, dtype=np.int64).reshape(emissions.shape[:2])
+    gold_score = _path_scores(params, emissions, gold, lengths)  # also validates legality
+    log_z, unary, pairwise = _posteriors(params, emissions, lengths)
+    loss = float(np.sum(log_z - gold_score))
 
-    d_emissions = unary.copy()
-    d_start = unary[0].copy()
-    d_end = unary[-1].copy()
-    d_trans = pairwise.sum(axis=0)
-    d_emissions[np.arange(len(gold)), gold] -= 1.0
-    d_start[gold[0]] -= 1.0
-    d_end[gold[-1]] -= 1.0
-    for prev, cur in zip(gold, gold[1:]):
-        d_trans[prev, cur] -= 1.0
+    rows = np.arange(len(lengths))
+    valid = np.arange(emissions.shape[1]) < lengths[:, None]
+    d_emissions = unary
+    d_start = unary[:, 0].sum(axis=0)
+    d_end = unary[rows, lengths - 1].sum(axis=0)
+    d_trans = pairwise.sum(axis=(0, 1))
+    d_emissions[valid, gold[valid]] -= 1.0
+    np.subtract.at(d_start, gold[:, 0], 1.0)
+    np.subtract.at(d_end, gold[rows, lengths - 1], 1.0)
+    pairs = valid[:, 1:]
+    np.subtract.at(d_trans, (gold[:, :-1][pairs], gold[:, 1:][pairs]), 1.0)
     grads = {"crf.transitions": d_trans, "crf.start": d_start, "crf.end": d_end}
-    return float(loss), d_emissions, grads
+    return loss, d_emissions[0] if single else d_emissions, grads
 
 
 def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,9 +25,13 @@ o: ``w_x`` (4H, D), ``w_h`` (4H, H), ``b`` (4H,) and the peepholes ``p``
 (3, H).  An embedding table is one (V + 1, D) matrix whose last row, V,
 is the unknown token's.  Training, clipping, Adam and the gradient check
 see only these tensors; the per-gate names and the separate unknown row
-of the model file are details of :mod:`amner.serialize`.  One
-padded-batch routine runs both BiLSTMs; the character BiLSTM covers all
-words of a sentence in one pass.
+of the model file are details of :mod:`amner.serialize`.
+
+The encoder works on batches of N sentences right-padded to T tokens.
+One padded-batch routine runs both BiLSTMs: the character BiLSTM once
+over the batch's unique word types, the word BiLSTM once over all N
+sentences.  Emissions are (N, T, K), as the CRF takes them; their
+padded positions hold values that nothing reads.
 """
 
 from __future__ import annotations
@@ -96,11 +100,8 @@ class EmbeddingTable:
 
 @dataclass
 class SparseRows:
-    """Row-sparse gradient of a (V, D) table: the rows not listed are zero.
-
-    ``rows`` are unique row indices and ``values[k]`` is the gradient of
-    row ``rows[k]``.
-    """
+    """Gradient of a (V, D) table that is zero outside the unique ``rows``;
+    ``values[k]`` is the gradient of row ``rows[k]``."""
 
     rows: np.ndarray  # (n,) int64
     values: np.ndarray  # (n, D)
@@ -284,15 +285,6 @@ def _lstm_backward(params: LstmParams, cache, d_hs: np.ndarray):
     return grads, (d_a2 @ params.w_x).reshape(steps, batch, -1)
 
 
-def lstm_step(
-    params: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One peephole-LSTM update; returns (h_t, c_t)."""
-    x = np.asarray(x_t, dtype=np.float64)[None, None]
-    _, hs, cs, _, _ = _lstm_forward(params, x, h_prev[None], c_prev[None])
-    return hs[1, 0], cs[1, 0]
-
-
 @dataclass
 class BiLstmParams:
     forward: LstmParams
@@ -322,6 +314,8 @@ def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
     sequence from its own last position.  Returns (outs (T, N, 2H), cache),
     outs[t, n] holding both directions' states after position t.
     """
+    if not lengths.all():
+        raise ValueError("cannot run a BiLSTM over an empty sequence")
     steps, batch, _ = xs.shape
     t = np.arange(steps)[:, None]
     # flip[t, n]: the position read at reverse step t; padding stays in place
@@ -341,19 +335,6 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     return BiLstmParams(f_grads, b_grads), f_dxs + b_dxs[flip]
 
 
-def bilstm_run(params: BiLstmParams, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per-position concat of forward and reverse-direction hidden states.
-
-    Both directions start from zero states; the reverse direction
-    traverses the sequence back to front.
-    """
-    if not len(inputs):
-        raise ValueError("BiLSTM input must be non-empty")
-    xs = np.asarray(inputs, dtype=np.float64)
-    outs, _ = _bilstm_forward(params, xs[:, None], np.array([len(xs)]))
-    return list(outs[:, 0])
-
-
 # ---------------------------------------------------------------------------
 # Character-level word encoding
 
@@ -364,8 +345,6 @@ def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[
     state after the first.  Unknown characters and padding read row V.
     """
     lengths = np.array([len(word) for word in words])
-    if not lengths.all():
-        raise ValueError("cannot encode an empty word")
     valid = np.arange(lengths.max()) < lengths[:, None]
     ids = np.full(valid.shape, len(table.vocab))
     ids[valid] = table.ids("".join(words))
@@ -391,14 +370,8 @@ def _chars_backward(table: EmbeddingTable, params: BiLstmParams, cache, d_vecs: 
     return d_rows, grads
 
 
-def encode_word_chars(char_table: EmbeddingTable, params: BiLstmParams, word: str) -> np.ndarray:
-    """Character BiLSTM summary of a word: concat of the two final states."""
-    vecs, _ = _chars_forward(char_table, params, [word])
-    return vecs[0]
-
-
 # ---------------------------------------------------------------------------
-# Sentence encoder
+# Batch encoder
 
 
 @dataclass
@@ -475,110 +448,125 @@ def init_crf(num_tags: int, rng: np.random.Generator) -> CrfParams:
     return CrfParams(transitions, np.zeros(num_tags), np.zeros(num_tags))
 
 
-def _as_words(sentence) -> list[str]:
-    surfaces = getattr(sentence, "surfaces", sentence)
-    return [str(w) for w in surfaces]
+@dataclass
+class Batch:
+    """N sentences right-padded to T tokens, as the encoder reads them."""
+
+    lengths: np.ndarray  # (N,)
+    word_rows: np.ndarray  # (N, T) word-table rows; padding reads row V
+    types: list[str]  # the batch's unique word types, in order of first use
+    type_ids: np.ndarray  # (N, T) index into ``types``; padding reads 0
 
 
-def _dropout_masks(rng: np.random.Generator, shape: tuple[int, int], rate: float) -> np.ndarray:
-    # inverted dropout: surviving units are scaled so inference needs no rescale;
-    # row t is the mask of position t, drawn in row order
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+def encode_batch(params: EncoderParams, sentences: Sequence) -> Batch:
+    """Encode ``sentences``, Sentence objects or lists of surfaces."""
+    words = [list(getattr(sentence, "surfaces", sentence)) for sentence in sentences]
+    lengths = np.array([len(ws) for ws in words], dtype=np.int64)
+    if not lengths.size or not lengths.all():
+        raise ValueError("cannot encode an empty batch or an empty sentence")
+    flat = [w for ws in words for w in ws]
+    types: dict[str, int] = {}
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    word_rows = np.full(valid.shape, len(params.word_table.vocab))
+    type_ids = np.zeros(valid.shape, dtype=np.int64)
+    word_rows[valid] = params.word_table.ids(flat)
+    type_ids[valid] = [types.setdefault(w, len(types)) for w in flat]
+    return Batch(lengths, word_rows, list(types), type_ids)
+
+
+def char_vectors(params: EncoderParams, words: Sequence[str]) -> np.ndarray:
+    """Character BiLSTM summaries (len(words), 2H), without a backward cache."""
+    return _chars_forward(params.char_table, params.char_bilstm, words)[0]
 
 
 def encode_forward(
     params: EncoderParams,
-    sentence,
+    batch: Batch,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    char_vecs: np.ndarray | None = None,
 ):
-    """Emission scores (L, K) plus the cache the backward pass needs.
+    """Emission scores (N, T, K) plus the cache the backward pass needs.
 
-    In train mode an inverted-dropout mask is applied to each token's
-    concatenated input vector and to each BiLSTM output vector; masks
-    are drawn per position, inputs first, then outputs.
+    Given ``char_vecs`` (one row per ``batch.types``), the character
+    pass is skipped and the cache is not fit for a backward pass.  In
+    train mode an inverted-dropout mask is applied to each token's
+    concatenated input vector and to each BiLSTM output vector.  The
+    masks are drawn sentence by sentence, inputs first, then outputs,
+    the order in which sentences encoded one at a time draw them.
     """
-    words = _as_words(sentence)
-    if not words:
-        raise ValueError("cannot encode an empty sentence")
     use_dropout = train and params.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode encoding with dropout needs a random generator")
-
-    word_rows = params.word_table.ids(words)
-    char_vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, words)
-    xs = np.concatenate([params.word_table.matrix[word_rows], char_vecs], axis=1)
+    char_cache = None
+    if char_vecs is None:
+        char_vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, batch.types)
+    # (T, N, D): the LSTM kernel steps over the first axis
+    xs = np.concatenate(
+        [params.word_table.matrix[batch.word_rows.T], char_vecs[batch.type_ids.T]], axis=2
+    )
+    steps, size, width = xs.shape
+    out_width = 2 * params.word_bilstm.hidden
     in_masks = out_masks = None
     if use_dropout:
-        in_masks = _dropout_masks(rng, xs.shape, params.dropout_rate)
-        xs = xs * in_masks
+        # inverted dropout: survivors are scaled, so inference needs no rescale
+        rate = params.dropout_rate
+        in_masks, out_masks = np.zeros(xs.shape), np.zeros((steps, size, out_width))
+        for n, length in enumerate(batch.lengths):
+            in_masks[:length, n] = (rng.random((length, width)) >= rate) / (1.0 - rate)
+            out_masks[:length, n] = (rng.random((length, out_width)) >= rate) / (1.0 - rate)
+        xs *= in_masks
 
-    outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs[:, None], np.array([len(words)]))
-    outs = outs[:, 0]
+    outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs, batch.lengths)
     if use_dropout:
-        out_masks = _dropout_masks(rng, outs.shape, params.dropout_rate)
-        outs = outs * out_masks
-
-    emissions = outs @ params.proj_w + params.proj_b
-    cache = (words, word_rows, char_cache, in_masks, bilstm_cache, outs, out_masks)
-    return emissions, cache
+        outs *= out_masks
+    outs = outs.reshape(steps * size, out_width)
+    emissions = (outs @ params.proj_w + params.proj_b).reshape(steps, size, -1)
+    cache = (batch, char_cache, in_masks, bilstm_cache, outs, out_masks)
+    return emissions.transpose(1, 0, 2), cache
 
 
 def encode_backward(
     params: EncoderParams, cache, d_emissions: np.ndarray
 ) -> dict[str, np.ndarray | SparseRows]:
-    """Gradients of every encoder tensor given d(loss)/d(emissions).
+    """Gradients of every encoder tensor given d(loss)/d(emissions) (N, T, K).
 
     Keys follow ``params.tensors()``.  ``word_table.matrix`` is
-    :class:`SparseRows` over the rows of the sentence's words, row V
-    for out-of-vocabulary ones, so its cost does not grow with the
-    vocabulary; each row is summed in token order from zero, exactly as
-    a dense gradient would be.  Every other gradient is dense.
+    :class:`SparseRows` over the rows of the batch's words, row V for
+    out-of-vocabulary ones, so its cost does not grow with the
+    vocabulary; each row is summed from zero, sentence by sentence in
+    token order.  Every other gradient is dense.  Padded positions of
+    ``d_emissions`` are ignored.
     """
-    _, word_rows, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
-    d_outs = d_emissions @ params.proj_w.T
+    batch, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
+    valid = np.arange(batch.word_rows.shape[1]) < batch.lengths[:, None]  # (N, T)
+    d_em = np.where(valid.T[..., None], d_emissions.transpose(1, 0, 2), 0.0)
+    d_em = d_em.reshape(outs.shape[0], -1)
+    d_outs = (d_em @ params.proj_w.T).reshape(valid.shape[::-1] + (-1,))
     if out_masks is not None:
-        d_outs = d_outs * out_masks
-    word_grads, d_xs = _bilstm_backward(params.word_bilstm, bilstm_cache, d_outs[:, None])
-    d_xs = d_xs[:, 0]
+        d_outs *= out_masks
+    word_grads, d_xs = _bilstm_backward(params.word_bilstm, bilstm_cache, d_outs)
     if in_masks is not None:
-        d_xs = d_xs * in_masks
+        d_xs *= in_masks
 
+    d_tokens = d_xs.transpose(1, 0, 2)[valid]  # sentence by sentence, in token order
     word_dim = params.word_table.dim
     # add.at sums each row's terms in token order, starting from zero
-    rows, slots = np.unique(word_rows, return_inverse=True)
+    rows, slots = np.unique(batch.word_rows[valid], return_inverse=True)
     d_word_rows = np.zeros((len(rows), word_dim))
-    np.add.at(d_word_rows, slots, d_xs[:, :word_dim])
+    np.add.at(d_word_rows, slots, d_tokens[:, :word_dim])
+    d_types = np.zeros((len(batch.types), d_tokens.shape[1] - word_dim))
+    np.add.at(d_types, batch.type_ids[valid], d_tokens[:, word_dim:])
     d_chars, char_grads = _chars_backward(
-        params.char_table, params.char_bilstm, char_cache, d_xs[:, word_dim:]
+        params.char_table, params.char_bilstm, char_cache, d_types
     )
 
     grads = {"char_table.matrix": d_chars, **char_grads.tensors("char")}
     grads["word_table.matrix"] = SparseRows(rows, d_word_rows, params.word_table.matrix.shape)
     grads.update(word_grads.tensors("word"))
-    grads["proj.weight"] = outs.T @ d_emissions
-    grads["proj.bias"] = d_emissions.sum(axis=0)
+    grads["proj.weight"] = outs.T @ d_em
+    grads["proj.bias"] = d_em.sum(axis=0)
     return grads
-
-
-def encode_sentence(
-    params: EncoderParams,
-    sentence,
-    mode: str = "infer",
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Per-token emission scores; ``mode`` is "train" or "infer".
-
-    Inference is a pure function of (params, sentence).  Train mode
-    applies dropout and therefore needs ``rng`` (a generator or a seed)
-    whenever the dropout rate is positive.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(rng, int):
-        rng = np.random.default_rng(rng)
-    emissions, _ = encode_forward(params, sentence, train=(mode == "train"), rng=rng)
-    return emissions
 
 
 # ---------------------------------------------------------------------------

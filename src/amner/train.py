@@ -9,7 +9,8 @@ logs and predictions bit for bit.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +22,9 @@ from .model import (
     EmbeddingTable,
     ModelParams,
     SparseRows,
+    char_vectors,
     encode_backward,
+    encode_batch,
     encode_forward,
     init_crf,
     init_encoder,
@@ -181,19 +184,22 @@ def adam_step(
     return state, params
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm.
+def clip_global_norm(grads: dict[str, np.ndarray | SparseRows], max_norm: float | None) -> float:
+    """Global L2 norm of all gradients, taken before they are scaled
+    jointly so that it is at most ``max_norm`` (None: measure only).
 
+    A :class:`SparseRows` gradient counts and scales its listed rows.
     Each tensor's sum of squares is one ``einsum`` dot product: it builds
     no temporary and, unlike a BLAS dot, does not depend on the thread
     count.
     """
-    total = np.sqrt(sum(float(np.einsum("i,i->", g.ravel(), g.ravel())) for g in grads.values()))
-    if total > max_norm and total > 0:
+    arrays = [g.values if isinstance(g, SparseRows) else g for g in grads.values()]
+    total = np.sqrt(sum(float(np.einsum("i,i->", a.ravel(), a.ravel())) for a in arrays))
+    if max_norm is not None and total > max_norm and total > 0:
         scale = max_norm / total
-        for grad in grads.values():
-            grad *= scale
-    return total
+        for array in arrays:
+            array *= scale
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +237,9 @@ def kfold_split(n: int, k: int, seed: int) -> SplitPlan:
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     order = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    cursor = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(tuple(int(x) for x in order[cursor : cursor + size]))
-        cursor += size
-    return SplitPlan(seed=seed, folds=tuple(folds))
+    # array_split gives the first n % k folds one item more than the rest
+    folds = tuple(tuple(int(x) for x in fold) for fold in np.array_split(order, k))
+    return SplitPlan(seed=seed, folds=folds)
 
 
 def holdout_split(n: int, train_fraction: float, seed: int) -> SplitPlan:
@@ -258,7 +259,7 @@ def holdout_split(n: int, train_fraction: float, seed: int) -> SplitPlan:
 
 
 # ---------------------------------------------------------------------------
-# Model assembly and the loss of one sentence
+# Model assembly, losses and tagging
 
 
 def build_model(
@@ -320,57 +321,70 @@ def build_model(
     return ModelParams(tags, encoder, crf_params)
 
 
-def gold_indices(model: ModelParams, sentence: Sentence) -> list[int]:
+def gold_ids(model: ModelParams, sentences: Sequence[Sentence], steps: int) -> np.ndarray:
+    """Gold tag ids (N, steps) of ``sentences``, zero past each end."""
     index = model.tag_index
-    out = []
-    for token in sentence.tokens:
-        text = tag_to_str(token.tag, TagScheme.IOB2)
-        if text not in index:
-            raise ValueError(f"tag {text!r} not in the model's tag vocabulary")
-        out.append(index[text])
-    return out
-
-
-def sentence_loss(model: ModelParams, sentence: Sentence) -> float:
-    emissions, _ = encode_forward(model.encoder, sentence, train=False)
-    gold = gold_indices(model, sentence)
-    log_z = crf_mod.forward_log_partition(model.crf, emissions)
-    return log_z - crf_mod.score_sequence(model.crf, emissions, gold)
+    gold = np.zeros((len(sentences), steps), dtype=np.int64)
+    for n, sentence in enumerate(sentences):
+        for t, token in enumerate(sentence.tokens):
+            text = tag_to_str(token.tag, TagScheme.IOB2)
+            if text not in index:
+                raise ValueError(f"tag {text!r} not in the model's tag vocabulary")
+            gold[n, t] = index[text]
+    return gold
 
 
 def sentence_loss_and_grads(
     model: ModelParams,
-    sentence: Sentence,
+    sentences: Sequence[Sentence],
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray | SparseRows]]:
-    """CRF negative log-likelihood of one sentence plus all gradients.
+    """Summed CRF negative log-likelihood of a batch of sentences plus
+    the gradients of that sum.
 
     The gradients are keyed CRF tensors first, then encoder tensors in
     ``encode_backward``'s order; the word-table gradient is row-sparse.
     """
-    emissions, cache = encode_forward(model.encoder, sentence, train=train, rng=rng)
-    gold = gold_indices(model, sentence)
-    loss, d_emissions, grads = crf_mod.nll_loss_and_grad(model.crf, emissions, gold)
+    batch = encode_batch(model.encoder, sentences)
+    emissions, cache = encode_forward(model.encoder, batch, train=train, rng=rng)
+    gold = gold_ids(model, sentences, emissions.shape[1])
+    loss, d_emissions, grads = crf_mod.nll_loss_and_grad(model.crf, emissions, gold, batch.lengths)
     grads.update(encode_backward(model.encoder, cache, d_emissions))
     return loss, grads
+
+
+# sentences per tagging batch; tag_sentences groups sentences of similar length
+TAG_BATCH = 64
 
 
 def tag_sentences(
     model: ModelParams, sentences: Sequence[Sentence], masked: bool = True
 ) -> list[Sentence]:
-    """Viterbi-decode each sentence; by default under the IOB2 mask."""
+    """Viterbi-decode each sentence; by default under the IOB2 mask.
+
+    Sentences are decoded in batches of similar length, and each word
+    type's character vector is computed once per call.
+    """
     params = model.crf
     if masked:
         params = params.with_masks(*crf_mod.build_iob2_mask(model.tags))
-    out = []
-    for sentence in sentences:
-        emissions, _ = encode_forward(model.encoder, sentence, train=False)
-        path, _ = crf_mod.viterbi_decode(params, emissions)
-        tags = [tag_from_str(model.tags[idx], TagScheme.IOB2) for idx in path]
-        out.append(
-            Sentence(tuple(Token(tok.surface, tag) for tok, tag in zip(sentence.tokens, tags)))
-        )
+    tags = [tag_from_str(text, TagScheme.IOB2) for text in model.tags]
+    char_cache: dict[str, np.ndarray] = {}
+    out: list[Sentence] = list(sentences)
+    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i].tokens))
+    for start in range(0, len(order), TAG_BATCH):
+        chunk = order[start : start + TAG_BATCH]
+        batch = encode_batch(model.encoder, [sentences[i] for i in chunk])
+        new = [word for word in batch.types if word not in char_cache]
+        if new:
+            char_cache.update(zip(new, char_vectors(model.encoder, new)))
+        char_vecs = np.array([char_cache[word] for word in batch.types])
+        emissions, _ = encode_forward(model.encoder, batch, char_vecs=char_vecs)
+        paths, _ = crf_mod.viterbi_decode(params, emissions, batch.lengths)
+        for i, path in zip(chunk, paths):
+            tokens = zip(sentences[i].tokens, path)
+            out[i] = Sentence(tuple(Token(tok.surface, tags[idx]) for tok, idx in tokens))
     return out
 
 
@@ -383,6 +397,12 @@ class EpochLog:
     epoch: int
     loss: float
     dev_f1: float | None = None
+    tokens: int = 0
+    wall_s: float = 0.0  # training time; dev scoring is not included
+    tok_s: float = 0.0
+    grad_norm_mean: float = 0.0  # global gradient norm before clipping, per batch
+    grad_norm_max: float = 0.0
+    clipped_batches: int = 0
 
 
 def _dev_f1(model: ModelParams, dev: Sequence[Sentence]) -> float:
@@ -401,73 +421,61 @@ def train_model(
     """Minimize the summed CRF NLL with Adam.
 
     Per epoch: reshuffle with seed + epoch, take one Adam step per batch
-    on the summed batch gradient, and log the epoch's total loss (plus
-    entity F1 on ``dev`` when given).  ``on_epoch`` may return True to
-    stop early; ``config.patience`` stops after that many epochs without
-    a dev F1 improvement.
+    on the batch's summed gradient, and log the epoch's total loss,
+    token rate and gradient norms (plus entity F1 on ``dev`` when
+    given).  ``on_epoch`` may return True to stop early;
+    ``config.patience`` stops after that many epochs without a dev F1
+    improvement.
     """
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
     params = model.tensors()
     state = AdamState.for_params(params)
-    # keyed in the order of sentence_loss_and_grads' dicts, because
-    # clip_global_norm sums the per-tensor norms in dict order
-    batch_grads = {
-        name: np.zeros(params[name].shape)
-        for name in (*model.crf.tensors(), *model.encoder.tensors())
-    }
-    # rows the current batch's sparse gradients wrote; only those are re-zeroed
-    touched: dict[str, list[np.ndarray]] = {}
+    # the row-sparse word-table gradient is scattered into this buffer for
+    # Adam; only the rows a step wrote are re-zeroed after it
+    word_grad = np.zeros_like(params["word_table.matrix"])
     dropout_rng = np.random.default_rng(config.seed)
     logs: list[EpochLog] = []
     best_f1 = -1.0
     stale = 0
     for epoch in range(config.max_epochs):
-        epoch_loss = 0.0
+        started = perf_counter()
+        entry = EpochLog(epoch=epoch, loss=0.0)
+        norms = []
         batches = make_batches(list(sentences), config.batch_size, config.seed + epoch)
         for batch_idx, batch in enumerate(batches):
-            batch_loss = 0.0
             try:
-                for sentence in batch:
-                    loss, grads = sentence_loss_and_grads(
-                        model, sentence, train=config.dropout > 0.0, rng=dropout_rng
-                    )
-                    batch_loss += loss
-                    for name, grad in grads.items():
-                        if isinstance(grad, SparseRows):
-                            batch_grads[name][grad.rows] += grad.values
-                            touched.setdefault(name, []).append(grad.rows)
-                        else:
-                            batch_grads[name] += grad
-                if not np.isfinite(batch_loss):
-                    raise TrainingError(
-                        f"non-finite loss in epoch {epoch}, batch {batch_idx}"
-                    )
-                if config.clip_norm is not None:
-                    clip_global_norm(batch_grads, config.clip_norm)
-                adam_step(state, params, batch_grads, config)
+                loss, grads = sentence_loss_and_grads(
+                    model, batch, train=config.dropout > 0.0, rng=dropout_rng
+                )
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_idx}")
+                norms.append(clip_global_norm(grads, config.clip_norm))
+                sparse = grads["word_table.matrix"]
+                word_grad[sparse.rows] = sparse.values
+                grads["word_table.matrix"] = word_grad
+                adam_step(state, params, grads, config)
             except ValueError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
-            for name, buf in batch_grads.items():
-                if name in touched:
-                    buf[np.concatenate(touched.pop(name))] = 0.0
-                else:
-                    buf.fill(0.0)
-            epoch_loss += batch_loss
-        entry = EpochLog(epoch=epoch, loss=epoch_loss)
+            word_grad[sparse.rows] = 0.0
+            entry.loss += loss
+            entry.tokens += sum(len(sentence.tokens) for sentence in batch)
+        entry.wall_s = perf_counter() - started
+        entry.tok_s = entry.tokens / entry.wall_s if entry.wall_s > 0 else 0.0
+        entry.grad_norm_mean = sum(norms) / len(norms)
+        entry.grad_norm_max = max(norms)
+        if config.clip_norm is not None:
+            entry.clipped_batches = sum(1 for norm in norms if norm > config.clip_norm)
         if dev is not None:
             entry.dev_f1 = _dev_f1(model, dev)
         logs.append(entry)
         if on_epoch is not None and on_epoch(entry):
             break
         if config.patience is not None and dev is not None:
-            if entry.dev_f1 > best_f1 + 1e-12:
-                best_f1 = entry.dev_f1
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+            improved = entry.dev_f1 > best_f1 + 1e-12
+            best_f1, stale = (entry.dev_f1, 0) if improved else (best_f1, stale + 1)
+            if stale >= config.patience:
+                break
     return logs
 
 
@@ -500,11 +508,6 @@ class GradCheckResult:
         return "\n".join(lines) + "\n"
 
 
-def _relative_error(analytic: float, numeric: float) -> float:
-    # floor keeps finite-difference noise on near-zero entries from dominating
-    return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-3)
-
-
 def gradient_check(
     model: ModelParams,
     sentence: Sentence,
@@ -514,9 +517,9 @@ def gradient_check(
     """Compare analytic NLL gradients against central differences.
 
     Dropout is disabled (the NLL would otherwise be stochastic).  Meant
-    for tiny models; the cost is two forward passes per parameter entry.
+    for tiny models; the cost is two loss evaluations per parameter entry.
     """
-    _, analytic = sentence_loss_and_grads(model, sentence, train=False)
+    _, analytic = sentence_loss_and_grads(model, [sentence], train=False)
     params = model.tensors()
     report: dict[str, float] = {}
     for name, array in params.items():
@@ -529,11 +532,13 @@ def gradient_check(
         for pos in range(flat.shape[0]):
             original = flat[pos]
             flat[pos] = original + step
-            up = sentence_loss(model, sentence)
+            up, _ = sentence_loss_and_grads(model, [sentence])
             flat[pos] = original - step
-            down = sentence_loss(model, sentence)
+            down, _ = sentence_loss_and_grads(model, [sentence])
             flat[pos] = original
             numeric = (up - down) / (2.0 * step)
-            worst = max(worst, _relative_error(float(flat_grad[pos]), numeric))
+            # the floor keeps finite-difference noise on near-zero entries from dominating
+            error = abs(flat_grad[pos] - numeric) / max(abs(flat_grad[pos]) + abs(numeric), 1e-3)
+            worst = max(worst, float(error))
         report[name] = worst
     return GradCheckResult(report, step, tolerance)

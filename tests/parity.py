@@ -6,7 +6,9 @@ The committed files were written by this script running the code of
 commit 81c89f2, the last to train and tag one sentence at a time.  Code that
 changes only the order of float operations must reproduce them within a
 stated tolerance (see tests/test_train.py); a file rewritten by later
-code is no longer a reference for that code.
+code is no longer a reference for that code.  The emissions were then
+computed one sentence at a time; this script now encodes the sentences
+as one padded batch.
 
 Each model is built from one synthetic corpus and trained (dims
 30/5/6/12, dropout 0.5) on a second corpus whose vocabulary is larger,
@@ -27,7 +29,7 @@ import numpy as np
 from helpers import synthetic_corpus
 
 from amner.corpus import TagScheme, write_corpus
-from amner.model import encode_forward
+from amner.model import encode_batch, encode_forward
 from amner.serialize import model_to_bytes
 from amner.train import TrainConfig, build_model, tag_sentences, train_model
 
@@ -79,8 +81,9 @@ def tagger_model():
 
 def emissions(model) -> np.ndarray:
     """Emission rows of the first tag_corpus() sentences, stacked in order."""
-    sentences = tag_corpus()[:EMISSION_SENTENCES]
-    return np.concatenate([encode_forward(model.encoder, s)[0] for s in sentences])
+    batch = encode_batch(model.encoder, tag_corpus()[:EMISSION_SENTENCES])
+    padded, _ = encode_forward(model.encoder, batch)
+    return np.concatenate([rows[:length] for rows, length in zip(padded, batch.lengths)])
 
 
 def tag_sha256(model) -> str:

@@ -266,3 +266,62 @@ class TestIob2Mask:
         assert default_tagset(["ORG", "PER", "LOC"]) == [
             "O", "B-LOC", "I-LOC", "B-ORG", "I-ORG", "B-PER", "I-PER",
         ]
+
+
+IOB2_TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
+
+
+def padded_batch(rng, trial):
+    """Random parameters and 1..5 emission matrices of lengths 1..4,
+    right-padded with NaN, which the batch functions must never read.
+    Odd trials use the IOB2 mask and small integer scores, so that
+    masked entries and exact ties occur."""
+    masked = trial % 2 == 1
+    k = len(IOB2_TAGS) if masked else int(rng.integers(1, 5))
+    params = CrfParams(
+        rng.uniform(-3, 3, size=(k, k)), rng.uniform(-3, 3, size=k), rng.uniform(-3, 3, size=k),
+    )
+    if masked:
+        params = CrfParams.zeros(k).with_masks(*build_iob2_mask(IOB2_TAGS))
+    lengths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
+    emissions = np.full((len(lengths), lengths.max(), k), np.nan)
+    for n, length in enumerate(lengths):
+        scores = rng.integers(-1, 2, size=(length, k)) if masked else rng.uniform(-3, 3, (length, k))
+        emissions[n, :length] = scores
+    return params, emissions, lengths
+
+
+class TestBatches:
+    def test_loss_and_gradients_sum_over_rows(self):
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            params, emissions, lengths = padded_batch(rng, trial)
+            gold = np.zeros(emissions.shape[:2], dtype=np.int64)
+            rows = []
+            for n, length in enumerate(lengths):
+                paths = list(enumerate_legal_paths(params, length))
+                gold[n, :length] = paths[int(rng.integers(len(paths)))]
+                rows.append(nll_loss_and_grad(params, emissions[n, :length], gold[n, :length]))
+            loss, d_em, grads = nll_loss_and_grad(params, emissions, gold, lengths)
+            assert abs(loss - sum(row[0] for row in rows)) <= 1e-12 * max(1.0, abs(loss))
+            for n, length in enumerate(lengths):
+                assert np.max(np.abs(d_em[n, :length] - rows[n][1])) <= 1e-12
+                assert not d_em[n, length:].any()
+            for name, grad in grads.items():
+                assert np.max(np.abs(grad - sum(row[2][name] for row in rows))) <= 1e-12, name
+
+    def test_viterbi_rows_match_single_decoding(self):
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            params, emissions, lengths = padded_batch(rng, trial)
+            paths, scores = viterbi_decode(params, emissions, lengths)
+            for n, length in enumerate(lengths):
+                path, score = viterbi_decode(params, emissions[n, :length])
+                assert paths[n] == path
+                assert scores[n] == score
+
+    def test_lengths_checked(self):
+        emissions = np.zeros((2, 3, 2))
+        for lengths in ([0, 3], [1, 4], [3]):
+            with pytest.raises(ValueError):
+                viterbi_decode(CrfParams.zeros(2), emissions, np.array(lengths))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,14 +12,16 @@ from amner.model import (
     EmbeddingTable,
     LstmParams,
     SparseRows,
-    bilstm_run,
+    _bilstm_forward,
+    _chars_backward,
+    _chars_forward,
+    _lstm_forward,
+    char_vectors,
     encode_backward,
+    encode_batch,
     encode_forward,
-    encode_sentence,
-    encode_word_chars,
     init_encoder,
     load_embeddings,
-    lstm_step,
 )
 from amner.train import AdamState, TrainConfig, adam_step
 
@@ -28,6 +31,24 @@ def zero_lstm(input_dim, hidden):
         np.zeros((4 * hidden, input_dim)), np.zeros((4 * hidden, hidden)),
         np.zeros((3, hidden)), np.zeros(4 * hidden),
     )
+
+
+def lstm_step(params, x, h_prev, c_prev):
+    """One update of the LSTM kernel: a batch of one sequence of one step."""
+    _, hs, cs, _, _ = _lstm_forward(params, np.asarray(x, dtype=np.float64)[None, None],
+                                    h_prev[None], c_prev[None])
+    return hs[1, 0], cs[1, 0]
+
+
+def bilstm_outputs(params, xs):
+    """BiLSTM kernel outputs (L, 2H) of one sequence."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return _bilstm_forward(params, xs[:, None], np.array([len(xs)]))[0][:, 0]
+
+
+def emissions_of(enc, sentences, train=False, rng=None):
+    """Emissions (N, T, K) of a batch, as the trainer and tagger compute them."""
+    return encode_forward(enc, encode_batch(enc, sentences), train=train, rng=rng)[0]
 
 
 def row_of(table, token):
@@ -125,8 +146,6 @@ class TestLstmStep:
             lstm_step(zero_lstm(2, 3), np.zeros(5), np.zeros(3), np.zeros(3))
 
     def test_gates_bounded_and_h_below_one(self):
-        from amner.model import _lstm_forward
-
         rng = np.random.default_rng(0)
         params = LstmParams.random(3, 4, rng)
         h = np.zeros(4)
@@ -153,23 +172,22 @@ class TestBilstm:
     def test_output_shape(self):
         rng = np.random.default_rng(1)
         params = BiLstmParams.random(3, 4, rng)
-        outs = bilstm_run(params, [rng.normal(size=3) for _ in range(5)])
-        assert len(outs) == 5
-        assert all(o.shape == (8,) for o in outs)
+        outs = bilstm_outputs(params, rng.normal(size=(5, 3)))
+        assert outs.shape == (5, 8)
 
     def test_length_one(self):
         rng = np.random.default_rng(2)
         params = BiLstmParams.random(2, 3, rng)
         x = rng.normal(size=2)
-        out = bilstm_run(params, [x])[0]
+        out = bilstm_outputs(params, [x])[0]
         fh, fc = lstm_step(params.forward, x, np.zeros(3), np.zeros(3))
         bh, bc = lstm_step(params.backward, x, np.zeros(3), np.zeros(3))
         assert np.array_equal(out, np.concatenate([fh, bh]))
 
     def test_zero_params_zero_output(self):
         params = BiLstmParams(zero_lstm(2, 3), zero_lstm(2, 3))
-        outs = bilstm_run(params, [np.ones(2), np.ones(2)])
-        assert all(np.array_equal(o, np.zeros(6)) for o in outs)
+        outs = bilstm_outputs(params, [np.ones(2), np.ones(2)])
+        assert np.array_equal(outs, np.zeros((2, 6)))
 
     def test_palindrome_symmetry(self):
         rng = np.random.default_rng(3)
@@ -177,7 +195,7 @@ class TestBilstm:
         params = BiLstmParams(shared, shared)
         half = [rng.normal(size=2) for _ in range(3)]
         xs = half + half[::-1]
-        outs = bilstm_run(params, xs)
+        outs = bilstm_outputs(params, xs)
         length = len(xs)
         for t in range(length):
             mirrored = outs[length - 1 - t]
@@ -186,14 +204,16 @@ class TestBilstm:
 
     def test_empty_rejected(self):
         params = BiLstmParams(zero_lstm(2, 3), zero_lstm(2, 3))
-        with pytest.raises(ValueError):
-            bilstm_run(params, [])
+        with pytest.raises(ValueError, match="empty"):
+            _bilstm_forward(params, np.zeros((0, 1, 2)), np.array([0]))
+        with pytest.raises(ValueError, match="empty"):  # an empty row among others
+            _bilstm_forward(params, np.zeros((2, 2, 2)), np.array([2, 0]))
 
 
 class TestCharEncoding:
     def test_single_char_word(self):
         enc = tiny_encoder()
-        vec = encode_word_chars(enc.char_table, enc.char_bilstm, "a")
+        vec = char_vectors(enc, ["a"])[0]
         x = row_of(enc.char_table, "a")
         fh, _ = lstm_step(enc.char_bilstm.forward, x, np.zeros(2), np.zeros(2))
         bh, _ = lstm_step(enc.char_bilstm.backward, x, np.zeros(2), np.zeros(2))
@@ -201,20 +221,21 @@ class TestCharEncoding:
 
     def test_deterministic(self):
         enc = tiny_encoder()
-        a = encode_word_chars(enc.char_table, enc.char_bilstm, "gamma")
-        b = encode_word_chars(enc.char_table, enc.char_bilstm, "gamma")
+        a = char_vectors(enc, ["gamma"])
+        b = char_vectors(enc, ["gamma"])
         assert np.array_equal(a, b)
 
     def test_shared_prefix_differs(self):
         enc = tiny_encoder(seed=9)
-        a = encode_word_chars(enc.char_table, enc.char_bilstm, "beta")
-        b = encode_word_chars(enc.char_table, enc.char_bilstm, "bet")
+        a, b = char_vectors(enc, ["beta", "bet"])
         assert not np.allclose(a, b)
 
     def test_empty_word_rejected(self):
         enc = tiny_encoder()
         with pytest.raises(ValueError):
-            encode_word_chars(enc.char_table, enc.char_bilstm, "")
+            char_vectors(enc, [""])
+        with pytest.raises(ValueError):
+            char_vectors(enc, ["beta", ""])
 
 
 class TestEncodeSentence:
@@ -222,62 +243,67 @@ class TestEncodeSentence:
 
     def test_shape(self):
         enc = tiny_encoder()
-        emissions = encode_sentence(enc, self.WORDS)
-        assert emissions.shape == (3, 3)
+        assert emissions_of(enc, [self.WORDS]).shape == (1, 3, 3)
+        assert emissions_of(enc, [self.WORDS, ["beta"]]).shape == (2, 3, 3)
 
     def test_zero_dropout_train_equals_infer(self):
         enc = tiny_encoder(dropout=0.0)
-        train = encode_sentence(enc, self.WORDS, mode="train", rng=0)
-        infer = encode_sentence(enc, self.WORDS, mode="infer")
+        train = emissions_of(enc, [self.WORDS], train=True, rng=np.random.default_rng(0))
+        infer = emissions_of(enc, [self.WORDS])
         assert np.array_equal(train, infer)
 
     def test_zero_projection_zero_scores(self):
         enc = tiny_encoder()
         enc.proj_w[:] = 0.0
         enc.proj_b[:] = 0.0
-        assert np.array_equal(encode_sentence(enc, self.WORDS), np.zeros((3, 3)))
+        assert np.array_equal(emissions_of(enc, [self.WORDS]), np.zeros((1, 3, 3)))
 
     def test_train_mode_deterministic_by_seed(self):
         enc = tiny_encoder(dropout=0.5)
-        a = encode_sentence(enc, self.WORDS, mode="train", rng=123)
-        b = encode_sentence(enc, self.WORDS, mode="train", rng=123)
+        a = emissions_of(enc, [self.WORDS], train=True, rng=np.random.default_rng(123))
+        b = emissions_of(enc, [self.WORDS], train=True, rng=np.random.default_rng(123))
         assert np.array_equal(a, b)
 
     def test_train_mode_needs_rng_when_dropping(self):
         enc = tiny_encoder(dropout=0.5)
         with pytest.raises(ValueError):
-            encode_sentence(enc, self.WORDS, mode="train")
+            emissions_of(enc, [self.WORDS], train=True)
 
     def test_infer_is_pure(self):
         enc = tiny_encoder()
-        a = encode_sentence(enc, self.WORDS)
-        b = encode_sentence(enc, self.WORDS)
+        a = emissions_of(enc, [self.WORDS])
+        b = emissions_of(enc, [self.WORDS])
         assert np.array_equal(a, b)
 
     def test_empty_sentence_rejected(self):
-        with pytest.raises(ValueError):
-            encode_sentence(tiny_encoder(), [])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            encode_sentence(tiny_encoder(), self.WORDS, mode="banana")
+        with pytest.raises(ValueError, match="empty"):
+            emissions_of(tiny_encoder(), [[]])
+        with pytest.raises(ValueError, match="empty"):
+            emissions_of(tiny_encoder(), [self.WORDS, []])
+        with pytest.raises(ValueError, match="empty"):
+            emissions_of(tiny_encoder(), [])
 
     def test_oov_word_uses_unk_row(self):
         enc = tiny_encoder()
-        # direct check through the cache: the OOV token reads row V
-        _, cache = encode_forward(enc, ["zzz", "beta"], train=False)
-        assert list(cache[1]) == [len(enc.word_table.vocab), enc.word_table.vocab["beta"]]
+        batch = encode_batch(enc, [["zzz", "beta"], ["gamma"]])
+        unk = len(enc.word_table.vocab)
+        assert batch.word_rows.tolist() == [[unk, enc.word_table.vocab["beta"]],
+                                            [enc.word_table.vocab["gamma"], unk]]
+        assert list(batch.lengths) == [2, 1]
+        assert batch.types == ["zzz", "beta", "gamma"]
 
 
 class TestEncoderGradients:
     def test_matches_finite_differences(self):
-        # scalar functional: sum of emissions weighted by a fixed random matrix
+        # scalar functional: emissions weighted by a fixed random array, zero
+        # past each sentence's end, over a batch of two sentences
         rng = np.random.default_rng(42)
         enc = tiny_encoder(seed=5)
-        words = ["alpha", "zzz", "beta"]
-        weights = rng.normal(size=(3, enc.num_tags))
+        sentences = [["alpha", "zzz", "beta"], ["gamma", "beta"]]
+        weights = rng.normal(size=(2, 3, enc.num_tags))
+        weights[1, 2] = 0.0
 
-        emissions, cache = encode_forward(enc, words, train=False)
+        _, cache = encode_forward(enc, encode_batch(enc, sentences))
         grads = encode_backward(enc, cache, weights)
 
         step = 1e-5
@@ -290,9 +316,9 @@ class TestEncoderGradients:
             for pos in range(flat.shape[0]):
                 original = flat[pos]
                 flat[pos] = original + step
-                up = float(np.sum(encode_sentence(enc, words) * weights))
+                up = float(np.sum(emissions_of(enc, sentences) * weights))
                 flat[pos] = original - step
-                down = float(np.sum(encode_sentence(enc, words) * weights))
+                down = float(np.sum(emissions_of(enc, sentences) * weights))
                 flat[pos] = original
                 numeric = (up - down) / (2 * step)
                 denom = max(abs(numeric) + abs(flat_grad[pos]), 1e-3)
@@ -307,13 +333,14 @@ class TestSparseWordGradient:
         distinct row per position yields the per-token terms separately.
         """
         rng = np.random.default_rng(3)
-        emissions, cache = encode_forward(enc, words, train=train, rng=rng)
+        batch = encode_batch(enc, [words])
+        emissions, cache = encode_forward(enc, batch, train=train, rng=rng)
         d_emissions = rng.normal(size=emissions.shape)
         grads = encode_backward(enc, cache, d_emissions)
-        split = (cache[0], list(range(len(words)))) + cache[2:]
-        terms = encode_backward(enc, split, d_emissions)["word_table.matrix"]
+        split = dataclasses.replace(batch, word_rows=np.arange(len(words))[None])
+        terms = encode_backward(enc, (split,) + cache[1:], d_emissions)["word_table.matrix"]
         assert list(terms.rows) == list(range(len(words)))
-        return cache[1], grads, terms.values
+        return batch.word_rows[0], grads, terms.values
 
     def test_repeated_word_sums_in_token_order(self):
         enc = tiny_encoder(seed=1, dropout=0.5)
@@ -411,8 +438,6 @@ class TestBatchedCharPass:
     @example(words=["beta", "a", "beta"], seed=3)
     @example(words=["xyሀ", "ax", "ሀ"], seed=4)
     def test_matches_per_word_lstm_steps(self, words, seed):
-        from amner.model import _chars_forward
-
         enc = random_char_encoder(seed)
         batched, _ = _chars_forward(enc.char_table, enc.char_bilstm, words)
         for n, word in enumerate(words):
@@ -423,8 +448,6 @@ class TestBatchedCharPass:
     @given(words=_WORDS, seed=st.integers(0, 2**16))
     @example(words=["beta", "a", "beta", "xሀ"], seed=5)
     def test_gradients_equal_sum_of_per_word_passes(self, words, seed):
-        from amner.model import _chars_backward, _chars_forward
-
         enc = random_char_encoder(seed)
         table, params = enc.char_table, enc.char_bilstm
         d_vecs = np.random.default_rng(seed).normal(size=(len(words), 2 * params.hidden))
@@ -439,3 +462,32 @@ class TestBatchedCharPass:
                 want[name] += arr
         for name in got:
             assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-12, name
+
+
+class TestBatchEncoding:
+    SENTENCES = [["alpha", "zzz", "beta", "alpha"], ["gamma"], ["beta", "xy"], ["alpha", "gamma"]]
+
+    def test_rows_match_sentences_encoded_one_at_a_time(self):
+        enc = random_char_encoder(7)
+        enc.dropout_rate = 0.5
+        batched = emissions_of(enc, self.SENTENCES, train=True, rng=np.random.default_rng(1))
+        rng = np.random.default_rng(1)  # one stream, drawn sentence after sentence
+        for n, words in enumerate(self.SENTENCES):
+            alone = emissions_of(enc, [words], train=True, rng=rng)[0]
+            assert np.max(np.abs(batched[n, : len(words)] - alone)) <= 1e-12
+
+    def test_gradients_equal_sum_over_sentences(self):
+        enc = random_char_encoder(8)
+        rng = np.random.default_rng(2)
+        d_emissions = rng.normal(size=(len(self.SENTENCES), 4, enc.num_tags))
+        _, cache = encode_forward(enc, encode_batch(enc, self.SENTENCES))
+        got = encode_backward(enc, cache, d_emissions)  # padding of d_emissions is ignored
+        want = {name: np.zeros_like(arr) for name, arr in enc.tensors().items()}
+        for n, words in enumerate(self.SENTENCES):
+            _, one_cache = encode_forward(enc, encode_batch(enc, [words]))
+            one = encode_backward(enc, one_cache, d_emissions[n : n + 1, : len(words)])
+            for name, grad in one.items():
+                want[name] += grad.to_dense() if isinstance(grad, SparseRows) else grad
+        for name, grad in got.items():
+            dense = grad.to_dense() if isinstance(grad, SparseRows) else grad
+            assert np.max(np.abs(dense - want[name])) <= 1e-12, name
