@@ -176,6 +176,11 @@ def _effective_config(args) -> TrainConfig:
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
+# per-epoch fields written as `epoch.N.<field> value` lines after the
+# `epoch N loss L dev_f1 F` line; wall_s and tok_s are clock readings
+_EPOCH_STATS = ("tokens", "wall_s", "tok_s", "grad_norm_mean", "grad_norm_max", "clipped_batches")
+
+
 def cmd_train(args) -> int:
     config = _effective_config(args)
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), TagScheme.IOB2)
@@ -199,8 +204,13 @@ def cmd_train(args) -> int:
     def on_epoch(entry):
         f1_text = "none" if entry.dev_f1 is None else repr(entry.dev_f1)
         line = f"epoch {entry.epoch} loss {entry.loss!r} dev_f1 {f1_text}"
-        log_lines.append(line)
-        _say(line)
+        stats = [f"epoch.{entry.epoch}.{name} {getattr(entry, name)!r}" for name in _EPOCH_STATS]
+        log_lines.extend([line, *stats])
+        if args.format == "kv":
+            _say(f"epoch.{entry.epoch}.loss {entry.loss!r}\nepoch.{entry.epoch}.dev_f1 {f1_text}")
+            _say("\n".join(stats))
+        else:
+            _say(line)
         return False
 
     train_mod.train_model(sentences, model, config, dev=dev, on_epoch=on_epoch)
@@ -346,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char-hidden", type=int, default=25)
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (overrides the config file)")
+    p.add_argument("--format", choices=("text", "kv"), default="text",
+                   help="per-epoch stderr lines: the summary line, or every field as kv")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="decode a corpus with a saved model")

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -160,6 +161,11 @@ class TestGradcheck:
         assert "PASS" in capsys.readouterr().out
 
 
+def without_clock(log_text: str) -> str:
+    """A training log without its wall-clock lines."""
+    return re.sub(r"(?m)^epoch\.\d+\.(wall_s|tok_s) .*\n", "", log_text)
+
+
 class TestTrainTagEval:
     @pytest.fixture()
     def corpus_path(self, tmp_path):
@@ -198,7 +204,28 @@ class TestTrainTagEval:
         assert a_path.read_bytes() == b_path.read_bytes()
         log_a = (tmp_path / "a.model.log").read_text(encoding="utf-8")
         log_b = (tmp_path / "b.model.log").read_text(encoding="utf-8")
-        assert log_a.replace("a.model", "X") == log_b.replace("b.model", "X")
+        assert without_clock(log_a.replace("a.model", "X")) == without_clock(log_b.replace("b.model", "X"))
+        assert len(without_clock(log_a).splitlines()) == len(log_a.splitlines()) - 4  # 2 epochs
+
+    def test_epoch_records_in_log_and_kv(self, tmp_path, corpus_path, capsys):
+        model_path = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model_path), "--format", "kv", "--clip", "0.5"]
+        assert main(args + self.TRAIN_ARGS) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "seed: 5" and all(line.startswith("epoch.") for line in lines[1:])
+        err = dict(line.split(" ", 1) for line in lines[1:])
+        log_text = (tmp_path / "m.model.log").read_text(encoding="utf-8")
+        for epoch in (0, 1):
+            assert f"epoch {epoch} loss {err[f'epoch.{epoch}.loss']} dev_f1 none" in log_text
+            assert int(err[f"epoch.{epoch}.tokens"]) == sum(
+                1 for line in open(corpus_path, encoding="utf-8") if line.strip()
+            )
+            assert 0.0 < float(err[f"epoch.{epoch}.grad_norm_mean"]) <= float(
+                err[f"epoch.{epoch}.grad_norm_max"])
+            assert int(err[f"epoch.{epoch}.clipped_batches"]) == 2  # 8 sentences, batch 4
+            for name in ("tokens", "wall_s", "tok_s", "grad_norm_max"):
+                key = f"epoch.{epoch}.{name}"
+                assert f"{key} {err[key]}\n" in log_text
 
     def test_tag_and_eval_round(self, tmp_path, corpus_path, capsys):
         model_path = tmp_path / "m.model"

@@ -302,6 +302,17 @@ class TestTraining:
         with pytest.raises(TrainingError, match="epoch 0, batch 0"):
             train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0))
 
+    def test_epoch_records(self):
+        corpus = synthetic_corpus(7, seed=29)
+        tokens = sum(len(sentence.tokens) for sentence in corpus)
+        for clip_norm, clipped in ((None, 0), (1e-9, 3)):  # 7 sentences in batches of 3
+            model = tiny_model(corpus, seed=29)
+            config = TrainConfig(max_epochs=2, batch_size=3, dropout=0.0, clip_norm=clip_norm)
+            for entry in train_model(corpus, model, config):
+                assert entry.tokens == tokens and entry.clipped_batches == clipped
+                assert 0.0 < entry.grad_norm_mean <= entry.grad_norm_max
+                assert entry.wall_s > 0.0 and entry.tok_s == tokens / entry.wall_s
+
     def test_non_finite_word_row_gradient_names_tensor(self, monkeypatch):
         corpus = synthetic_corpus(3, seed=27)
         model = tiny_model(corpus, seed=27)
