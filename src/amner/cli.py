@@ -176,9 +176,11 @@ def _effective_config(args) -> TrainConfig:
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
-# per-epoch fields written as `epoch.N.<field> value` lines after the
-# `epoch N loss L dev_f1 F` line; wall_s and tok_s are clock readings
-_EPOCH_STATS = ("tokens", "wall_s", "tok_s", "grad_norm_mean", "grad_norm_max", "clipped_batches")
+# EpochLog fields written as `epoch.N.<field> value` lines.  The .log
+# sidecar gets the seed-determined ones after each `epoch N loss L dev_f1 F`
+# line; the clock readings go to stderr only, so equal seeds give equal logs.
+_EPOCH_STATS = ("tokens", "grad_norm_mean", "grad_norm_max", "clipped_batches")
+_EPOCH_CLOCK = ("wall_s", "tok_s")
 
 
 def cmd_train(args) -> int:
@@ -204,11 +206,14 @@ def cmd_train(args) -> int:
     def on_epoch(entry):
         f1_text = "none" if entry.dev_f1 is None else repr(entry.dev_f1)
         line = f"epoch {entry.epoch} loss {entry.loss!r} dev_f1 {f1_text}"
-        stats = [f"epoch.{entry.epoch}.{name} {getattr(entry, name)!r}" for name in _EPOCH_STATS]
+        stats, clock = (
+            [f"epoch.{entry.epoch}.{name} {getattr(entry, name)!r}" for name in names]
+            for names in (_EPOCH_STATS, _EPOCH_CLOCK)
+        )
         log_lines.extend([line, *stats])
         if args.format == "kv":
             _say(f"epoch.{entry.epoch}.loss {entry.loss!r}\nepoch.{entry.epoch}.dev_f1 {f1_text}")
-            _say("\n".join(stats))
+            _say("\n".join(stats + clock))
         else:
             _say(line)
         return False

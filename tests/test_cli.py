@@ -1,4 +1,3 @@
-import re
 import tempfile
 from pathlib import Path
 
@@ -161,11 +160,6 @@ class TestGradcheck:
         assert "PASS" in capsys.readouterr().out
 
 
-def without_clock(log_text: str) -> str:
-    """A training log without its wall-clock lines."""
-    return re.sub(r"(?m)^epoch\.\d+\.(wall_s|tok_s) .*\n", "", log_text)
-
-
 class TestTrainTagEval:
     @pytest.fixture()
     def corpus_path(self, tmp_path):
@@ -204,8 +198,7 @@ class TestTrainTagEval:
         assert a_path.read_bytes() == b_path.read_bytes()
         log_a = (tmp_path / "a.model.log").read_text(encoding="utf-8")
         log_b = (tmp_path / "b.model.log").read_text(encoding="utf-8")
-        assert without_clock(log_a.replace("a.model", "X")) == without_clock(log_b.replace("b.model", "X"))
-        assert len(without_clock(log_a).splitlines()) == len(log_a.splitlines()) - 4  # 2 epochs
+        assert log_a.replace("a.model", "X") == log_b.replace("b.model", "X")
 
     def test_epoch_records_in_log_and_kv(self, tmp_path, corpus_path, capsys):
         model_path = tmp_path / "m.model"
@@ -223,9 +216,11 @@ class TestTrainTagEval:
             assert 0.0 < float(err[f"epoch.{epoch}.grad_norm_mean"]) <= float(
                 err[f"epoch.{epoch}.grad_norm_max"])
             assert int(err[f"epoch.{epoch}.clipped_batches"]) == 2  # 8 sentences, batch 4
-            for name in ("tokens", "wall_s", "tok_s", "grad_norm_max"):
+            assert float(err[f"epoch.{epoch}.tok_s"]) > 0.0
+            for name in ("tokens", "grad_norm_mean", "grad_norm_max", "clipped_batches"):
                 key = f"epoch.{epoch}.{name}"
                 assert f"{key} {err[key]}\n" in log_text
+            assert f"epoch.{epoch}.wall_s" not in log_text  # clock readings: stderr only
 
     def test_tag_and_eval_round(self, tmp_path, corpus_path, capsys):
         model_path = tmp_path / "m.model"
