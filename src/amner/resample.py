@@ -75,14 +75,13 @@ def _as_matrix(samples: Sequence[FeatureRow]) -> np.ndarray:
     return np.stack([row.values for row in samples])
 
 
-def knn_minority(samples: Sequence[FeatureRow], i: int, k: int) -> list[int]:
-    """Indices of the k nearest rows to sample i (self excluded).
+def knn_minority(matrix: np.ndarray, i: int, k: int) -> list[int]:
+    """Indices of the k nearest rows of ``matrix`` (T, D) to row i (self excluded).
 
     Distance is Euclidean; ties break toward the lower index.
     """
-    if k >= len(samples):
-        raise ValueError(f"k={k} must be smaller than the sample count {len(samples)}")
-    matrix = _as_matrix(samples)
+    if k >= len(matrix):
+        raise ValueError(f"k={k} must be smaller than the sample count {len(matrix)}")
     diffs = matrix - matrix[i]
     sq_dist = np.einsum("ij,ij->i", diffs, diffs)
     order = np.argsort(sq_dist, kind="stable")
@@ -113,7 +112,7 @@ def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
     labels = {row.label for row in minority}
     if len(labels) > 1:
         raise ValueError(f"minority rows carry mixed labels {sorted(labels)}")
-    _as_matrix(minority)  # width check up front
+    matrix = _as_matrix(minority)  # checks the widths up front
 
     rng = np.random.default_rng(config.seed)
     n_percent = config.n_percent
@@ -132,9 +131,10 @@ def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
 
     per_sample = n_percent // 100
     subset = [minority[idx] for idx in selected]
+    subset_matrix = matrix[selected]
     out = SyntheticSet()
     for local_i, orig_i in enumerate(selected):
-        neighbors = knn_minority(subset, local_i, config.k)
+        neighbors = knn_minority(subset_matrix, local_i, config.k)
         for _ in range(per_sample):
             nn_local = neighbors[int(rng.integers(config.k))]
             gap = float(rng.random())
@@ -248,8 +248,8 @@ def parse_feature_rows(text: str) -> list[FeatureRow]:
         parts = values_text.split()
         if len(parts) != width:
             raise ValueError(f"line {lineno}: expected {width} values, got {len(parts)}")
-        try:
-            values = np.array([float(p) for p in parts], dtype=np.float64)
+        try:  # one call per line; numpy reads each string as float() does
+            values = np.array(parts, dtype=np.float64)
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value") from None
         try:

@@ -19,28 +19,52 @@ def rows_from(points, label="PER"):
     return [FeatureRow(np.array(p, dtype=float), label) for p in points]
 
 
+def knn(samples, i, k):
+    return knn_minority(np.stack([row.values for row in samples]), i, k)
+
+
+def restacking_knn(samples, i, k):
+    """The neighbour search as it was before smote stacked the rows once."""
+    matrix = np.stack([row.values for row in samples])
+    diffs = matrix - matrix[i]
+    order = np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")
+    return [int(idx) for idx in order if idx != i][:k]
+
+
 class TestKnn:
     def test_nearest_by_euclidean_distance(self):
         samples = rows_from([(0, 0), (1, 0), (5, 5)])
-        assert knn_minority(samples, 0, 1) == [1]
+        assert knn(samples, 0, 1) == [1]
 
     def test_duplicate_point_is_nearest(self):
         samples = rows_from([(2, 2), (2, 2)])
-        assert knn_minority(samples, 0, 1) == [1]
+        assert knn(samples, 0, 1) == [1]
 
     def test_k_equal_to_count_rejected(self):
         samples = rows_from([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
-            knn_minority(samples, 0, 2)
+            knn(samples, 0, 2)
 
     def test_tie_breaks_to_lower_index(self):
         samples = rows_from([(0, 0), (1, 0), (-1, 0), (0, 1)])
-        assert knn_minority(samples, 0, 2) == [1, 2]
+        assert knn(samples, 0, 2) == [1, 2]
 
     def test_width_mismatch_rejected(self):
         samples = [FeatureRow(np.zeros(2), "PER"), FeatureRow(np.zeros(3), "PER")]
         with pytest.raises(ValueError, match="width"):
-            knn_minority(samples, 0, 1)
+            smote(samples, SmoteConfig(n_percent=100, k=1))
+
+    def test_neighbours_equal_restacking_search(self):
+        # small integer coordinates, with duplicate rows: many exact distance ties
+        rng = np.random.default_rng(4)
+        for trial in range(20):
+            points = rng.integers(-2, 3, size=(int(rng.integers(2, 30)), 3)).astype(float)
+            points[rng.integers(len(points), size=3)] = points[0]
+            samples = rows_from(points)
+            matrix = np.stack([row.values for row in samples])
+            for k in range(1, min(len(samples), 6)):
+                for i in range(len(samples)):
+                    assert knn_minority(matrix, i, k) == restacking_knn(samples, i, k)
 
 
 class TestPopulate:
