@@ -121,10 +121,12 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
     """Parse the text vector format: a `V D` header, then `token v1 .. vD` lines.
 
     Fields are separated by single ASCII spaces, so tokens may contain
-    other whitespace such as U+00A0.  One trailing space and one trailing
-    carriage return per line are ignored, as fastText's `.vec` files end
-    every value with a space.  The unknown-token row, appended last, is
-    drawn fresh from the initializer, seeded for reproducibility.
+    other whitespace such as U+00A0, but a token that contains an ASCII
+    space cannot have a vector in this format.  One trailing space and
+    one trailing carriage return per line are ignored, as fastText's
+    `.vec` files end every value with a space.  Values are read as
+    Python's ``float()`` reads them.  The unknown-token row, appended
+    last, is drawn fresh from the initializer, seeded for reproducibility.
     """
     if isinstance(text, bytes):
         try:
@@ -157,8 +159,8 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
         token = parts[0]
         if token in vocab:
             raise EmbeddingFormatError(f"duplicate token {token!r}", lineno)
-        try:
-            values = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+        try:  # one call per line; numpy reads each string as float() does
+            values = np.array(parts[1:], dtype=np.float64)
         except ValueError:
             raise EmbeddingFormatError("non-numeric value", lineno) from None
         vocab[token] = len(rows)

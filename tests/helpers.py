@@ -1,6 +1,8 @@
-"""Shared test utilities: deterministic synthetic IOB2 corpora."""
+"""Shared test utilities: deterministic synthetic IOB2 corpora, and
+number fields for the parsers of the text vector and feature-row files."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from amner.corpus import Sentence, Tag, Token
 
@@ -48,3 +50,27 @@ def synthetic_corpus(
                 position += 1
         sentences.append(Sentence(tuple(tokens)))
     return sentences
+
+
+# Strings that Python's float() reads or rejects, for comparing a parser with it
+NUMBER_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from([
+        "nan", "-nan", "NaN", "inf", "-Infinity", "1e400", "-1e400", "1_000", "1__0", "_1",
+        "1_", "", "0x10", "\u0661\u0662", "1e5_0", "+.5", "5.", ".", "nan(1)", "1d5", "\t2",
+        "2\u00a0", "1,5", "--1", "1e", "e1", "\x00",
+    ]),
+    st.text(alphabet="0123456789.eE+-_naifINFx\u0661\t\u00a0", max_size=8),
+)
+
+
+def float_or_none(field: str):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal, or both NaN."""
+    return a == b or (a != a and b != b)

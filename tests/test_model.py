@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import NUMBER_FIELDS, float_or_none, same_float
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,19 @@ class TestEmbeddings:
         with pytest.raises(EmbeddingFormatError) as err:
             load_embeddings("1 2\na 1 x\n", expected_dim=2)
         assert err.value.line == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=NUMBER_FIELDS.filter(lambda f: not set(f) & {" ", "\n", "\r"}))
+    def test_values_read_as_float_reads_them(self, field):
+        text = f"2 2\na 0.5 -1\nb {field} 0.25\n"  # an empty field gives `b  0.25`
+        expected = float_or_none(field)
+        if expected is None:
+            with pytest.raises(EmbeddingFormatError, match="non-numeric") as err:
+                load_embeddings(text, expected_dim=2)
+            assert err.value.line == 3
+        else:
+            table = load_embeddings(text, expected_dim=2)
+            assert same_float(table.matrix[1, 0], expected)
 
 
 class TestLstmStep:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from helpers import NUMBER_FIELDS, float_or_none, same_float
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amner.resample import (
     MATCH_MAJORITY,
@@ -227,3 +230,45 @@ class TestFeatureRowFormat:
     def test_row_errors_carry_line(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_feature_rows(text)
+
+
+# labels the writer accepts: it refuses a leading '#', a tab and a line break
+_LABELS = st.text(min_size=1, max_size=5)
+
+
+def _writable(label: str) -> bool:
+    return not label.startswith("#") and not set(label) & {"\t", "\r", "\n"}
+
+
+class TestFeatureRowProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(field=NUMBER_FIELDS.filter(lambda f: f and not any(c.isspace() for c in f)))
+    def test_values_read_as_float_reads_them(self, field):
+        text = f"2\nA\t1 2\nB\t{field} 0.25\n"
+        expected = float_or_none(field)
+        if expected is None:
+            with pytest.raises(ValueError, match="line 3: non-numeric value"):
+                parse_feature_rows(text)
+        elif not np.isfinite(expected):
+            with pytest.raises(ValueError, match="line 3: feature row contains non-finite"):
+                parse_feature_rows(text)
+        else:
+            assert same_float(parse_feature_rows(text)[1].values[0], expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_write_then_parse_round_trips(self, data):
+        width = data.draw(st.integers(1, 4), label="width")
+        values = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=width, max_size=width)
+        rows = [FeatureRow(np.array(v), label)
+                for label, v in data.draw(st.lists(st.tuples(_LABELS, values), min_size=1,
+                                                   max_size=5), label="rows")]
+        if not all(_writable(row.label) for row in rows):
+            with pytest.raises(ValueError, match="label"):
+                write_feature_rows(rows)
+            return
+        back = parse_feature_rows(write_feature_rows(rows))
+        assert [row.label for row in back] == [row.label for row in rows]
+        for got, want in zip(back, rows):
+            assert got.values.tobytes() == want.values.tobytes()

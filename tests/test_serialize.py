@@ -244,3 +244,24 @@ def test_corrupt_or_truncated_file_loads_or_raises_format_error(data):
         model_from_bytes(blob)
     except ModelFormatError:
         pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    words=st.lists(st.text(max_size=6), unique=True, max_size=6),
+    chars=st.lists(st.text(min_size=1, max_size=2), unique=True, max_size=4),
+)
+def test_any_vocabulary_round_trips(words, chars):
+    from amner.model import ModelParams, init_crf, init_encoder
+
+    encoder = init_encoder(words, chars, 3, word_dim=2, char_dim=2, char_hidden=1, word_hidden=1)
+    model = ModelParams(["O", "B-X", "I-X"], encoder, init_crf(3, np.random.default_rng(0)))
+    if any("\n" in token or "\r" in token for token in words + chars):
+        with pytest.raises(ModelFormatError, match="line break"):
+            model_to_bytes(model)
+        return
+    loaded, _ = model_from_bytes(model_to_bytes(model))
+    assert loaded.encoder.word_table.vocab == encoder.word_table.vocab
+    assert loaded.encoder.char_table.vocab == encoder.char_table.vocab
+    for name, array in model.tensors().items():
+        assert loaded.tensors()[name].tobytes() == array.tobytes(), name
