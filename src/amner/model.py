@@ -476,33 +476,35 @@ def encode_batch(params: EncoderParams, sentences: Sequence) -> Batch:
     return Batch(lengths, word_rows, list(types), type_ids)
 
 
-def char_vectors(params: EncoderParams, words: Sequence[str]) -> np.ndarray:
-    """Character BiLSTM summaries (len(words), 2H), without a backward cache."""
-    return _chars_forward(params.char_table, params.char_bilstm, words)[0]
-
-
 def encode_forward(
     params: EncoderParams,
     batch: Batch,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    char_vecs: np.ndarray | None = None,
+    type_vectors: dict[str, np.ndarray] | None = None,
 ):
     """Emission scores (N, T, K) plus the cache the backward pass needs.
 
-    Given ``char_vecs`` (one row per ``batch.types``), the character
-    pass is skipped and the cache is not fit for a backward pass.  In
-    train mode an inverted-dropout mask is applied to each token's
-    concatenated input vector and to each BiLSTM output vector.  The
-    masks are drawn sentence by sentence, inputs first, then outputs,
-    the order in which sentences encoded one at a time draw them.
+    ``type_vectors`` maps word types to character vectors computed
+    before; when given, the character pass covers only the batch's types
+    missing from it and adds them to it, and the cache is not fit for a
+    backward pass.  In train mode an inverted-dropout mask is applied to
+    each token's concatenated input vector and to each BiLSTM output
+    vector.  The masks are drawn sentence by sentence, inputs first, then
+    outputs, the order in which sentences encoded one at a time draw them.
     """
     use_dropout = train and params.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode encoding with dropout needs a random generator")
     char_cache = None
-    if char_vecs is None:
+    if type_vectors is None:
         char_vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, batch.types)
+    else:
+        new = [word for word in batch.types if word not in type_vectors]
+        if new:
+            vecs, _ = _chars_forward(params.char_table, params.char_bilstm, new)
+            type_vectors.update(zip(new, vecs))
+        char_vecs = np.array([type_vectors[word] for word in batch.types])
     # (T, N, D): the LSTM kernel steps over the first axis
     xs = np.concatenate(
         [params.word_table.matrix[batch.word_rows.T], char_vecs[batch.type_ids.T]], axis=2

@@ -22,7 +22,6 @@ from .model import (
     EmbeddingTable,
     ModelParams,
     SparseRows,
-    char_vectors,
     encode_backward,
     encode_batch,
     encode_forward,
@@ -237,9 +236,14 @@ def kfold_split(n: int, k: int, seed: int) -> SplitPlan:
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     order = np.random.default_rng(seed).permutation(n)
-    # array_split gives the first n % k folds one item more than the rest
-    folds = tuple(tuple(int(x) for x in fold) for fold in np.array_split(order, k))
-    return SplitPlan(seed=seed, folds=folds)
+    base, extra = divmod(n, k)
+    folds = []
+    cursor = 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        folds.append(tuple(int(x) for x in order[cursor : cursor + size]))
+        cursor += size
+    return SplitPlan(seed=seed, folds=tuple(folds))
 
 
 def holdout_split(n: int, train_fraction: float, seed: int) -> SplitPlan:
@@ -340,8 +344,7 @@ def sentence_loss_and_grads(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray | SparseRows]]:
-    """Summed CRF negative log-likelihood of a batch of sentences plus
-    the gradients of that sum.
+    """Summed CRF negative log-likelihood of ``sentences`` plus all gradients.
 
     The gradients are keyed CRF tensors first, then encoder tensors in
     ``encode_backward``'s order; the word-table gradient is row-sparse.
@@ -354,8 +357,9 @@ def sentence_loss_and_grads(
     return loss, grads
 
 
-# sentences per tagging batch; tag_sentences groups sentences of similar length
-TAG_BATCH = 64
+# sentences per tagging batch, taken in order of length: batches of 8 tag
+# as fast as larger ones and keep the padded activations to a few MB
+TAG_BATCH = 8
 
 
 def tag_sentences(
@@ -370,17 +374,13 @@ def tag_sentences(
     if masked:
         params = params.with_masks(*crf_mod.build_iob2_mask(model.tags))
     tags = [tag_from_str(text, TagScheme.IOB2) for text in model.tags]
-    char_cache: dict[str, np.ndarray] = {}
+    type_vectors: dict[str, np.ndarray] = {}
     out: list[Sentence] = list(sentences)
     order = sorted(range(len(sentences)), key=lambda i: len(sentences[i].tokens))
     for start in range(0, len(order), TAG_BATCH):
         chunk = order[start : start + TAG_BATCH]
         batch = encode_batch(model.encoder, [sentences[i] for i in chunk])
-        new = [word for word in batch.types if word not in char_cache]
-        if new:
-            char_cache.update(zip(new, char_vectors(model.encoder, new)))
-        char_vecs = np.array([char_cache[word] for word in batch.types])
-        emissions, _ = encode_forward(model.encoder, batch, char_vecs=char_vecs)
+        emissions, _ = encode_forward(model.encoder, batch, type_vectors=type_vectors)
         paths, _ = crf_mod.viterbi_decode(params, emissions, batch.lengths)
         for i, path in zip(chunk, paths):
             tokens = zip(sentences[i].tokens, path)
@@ -421,11 +421,10 @@ def train_model(
     """Minimize the summed CRF NLL with Adam.
 
     Per epoch: reshuffle with seed + epoch, take one Adam step per batch
-    on the batch's summed gradient, and log the epoch's total loss,
-    token rate and gradient norms (plus entity F1 on ``dev`` when
-    given).  ``on_epoch`` may return True to stop early;
-    ``config.patience`` stops after that many epochs without a dev F1
-    improvement.
+    on the summed batch gradient, and log an :class:`EpochLog` (with
+    entity F1 on ``dev`` when given).  ``on_epoch`` may return True to
+    stop early; ``config.patience`` stops after that many epochs without
+    a dev F1 improvement.
     """
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
@@ -472,10 +471,13 @@ def train_model(
         if on_epoch is not None and on_epoch(entry):
             break
         if config.patience is not None and dev is not None:
-            improved = entry.dev_f1 > best_f1 + 1e-12
-            best_f1, stale = (entry.dev_f1, 0) if improved else (best_f1, stale + 1)
-            if stale >= config.patience:
-                break
+            if entry.dev_f1 > best_f1 + 1e-12:
+                best_f1 = entry.dev_f1
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
     return logs
 
 

@@ -17,7 +17,6 @@ from amner.model import (
     _chars_backward,
     _chars_forward,
     _lstm_forward,
-    char_vectors,
     encode_backward,
     encode_batch,
     encode_forward,
@@ -45,6 +44,11 @@ def bilstm_outputs(params, xs):
     """BiLSTM kernel outputs (L, 2H) of one sequence."""
     xs = np.asarray(xs, dtype=np.float64)
     return _bilstm_forward(params, xs[:, None], np.array([len(xs)]))[0][:, 0]
+
+
+def char_vectors(enc, words):
+    """Character BiLSTM summaries (len(words), 2H) of ``words``."""
+    return _chars_forward(enc.char_table, enc.char_bilstm, words)[0]
 
 
 def emissions_of(enc, sentences, train=False, rng=None):
@@ -505,3 +509,17 @@ class TestBatchEncoding:
         for name, grad in got.items():
             dense = grad.to_dense() if isinstance(grad, SparseRows) else grad
             assert np.max(np.abs(dense - want[name])) <= 1e-12, name
+
+    def test_type_vectors_are_reused_and_extended(self):
+        enc = random_char_encoder(9)
+        type_vectors = {}
+        first, second = self.SENTENCES[:2], self.SENTENCES[2:]
+        for sentences in (first, second):
+            batch = encode_batch(enc, sentences)
+            reused, _ = encode_forward(enc, batch, type_vectors=type_vectors)
+            assert np.max(np.abs(reused - emissions_of(enc, sentences))) <= 1e-12
+            assert set(batch.types) <= set(type_vectors)
+        type_vectors["beta"] = np.zeros(2 * enc.char_bilstm.hidden)  # a stored vector is used as is
+        batch = encode_batch(enc, [["beta"]])
+        assert not np.allclose(encode_forward(enc, batch, type_vectors=type_vectors)[0],
+                               emissions_of(enc, [["beta"]]))
