@@ -251,7 +251,9 @@ def nll_loss_and_grad(
     """
     single = lengths is None
     emissions, lengths = _as_batch(params, emissions, lengths)
-    gold = np.asarray(gold, dtype=np.int64).reshape(emissions.shape[:2])
+    gold = np.asarray(gold, dtype=np.int64).reshape(len(lengths), -1)
+    if gold.shape != emissions.shape[:2]:
+        raise ValueError(f"gold paths {gold.shape} do not match the emissions' {emissions.shape[:2]}")
     gold_score = _path_scores(params, emissions, gold, lengths)  # also validates legality
     log_z, unary, pairwise = _posteriors(params, emissions, lengths)
     loss = float(np.sum(log_z - gold_score))

@@ -325,3 +325,7 @@ class TestBatches:
         for lengths in ([0, 3], [1, 4], [3]):
             with pytest.raises(ValueError):
                 viterbi_decode(CrfParams.zeros(2), emissions, np.array(lengths))
+        with pytest.raises(ValueError, match="gold paths"):
+            nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1, 1])
+        with pytest.raises(ValueError, match="gold paths"):
+            nll_loss_and_grad(CrfParams.zeros(2), emissions, np.zeros((2, 2), int), [3, 3])
