@@ -4,7 +4,6 @@ import pytest
 from helpers import synthetic_corpus
 
 import amner.train as train_mod
-from amner.model import SparseRows
 from amner.serialize import model_from_bytes
 from amner.train import (
     AdamState,
