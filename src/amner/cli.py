@@ -40,11 +40,6 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -114,16 +109,9 @@ def cmd_kappa(args) -> int:
     scheme = _scheme(args.scheme)
     first = corpus_mod.parse_corpus(_read_bytes(args.first), scheme)
     second = corpus_mod.parse_corpus(_read_bytes(args.second), scheme)
-    labels_a, labels_b = [], []
-    if len(first) != len(second):
-        raise ValueError(
-            f"annotators disagree on sentence count: {len(first)} vs {len(second)}"
-        )
-    for idx, (a, b) in enumerate(zip(first, second)):
-        if a.surfaces != b.surfaces:
-            raise ValueError(f"sentence {idx}: the two files tag different tokens")
-        labels_a.extend(corpus_mod.tag_to_str(t.tag, scheme) for t in a.tokens)
-        labels_b.extend(corpus_mod.tag_to_str(t.tag, scheme) for t in b.tokens)
+    metrics_mod.check_aligned(first, second)
+    labels_a = [corpus_mod.tag_to_str(t.tag, scheme) for s in first for t in s.tokens]
+    labels_b = [corpus_mod.tag_to_str(t.tag, scheme) for s in second for t in s.tokens]
     table = metrics_mod.agreement_from_labels(labels_a, labels_b)
     kappa = metrics_mod.cohen_kappa(table)
     band = metrics_mod.interpret_kappa(kappa)
@@ -138,7 +126,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_smote(args) -> int:
-    rows = resample_mod.parse_feature_rows(_read_text(args.input))
+    rows = resample_mod.parse_feature_rows(_read_bytes(args.input))
     config = resample_mod.SmoteConfig(
         n_percent=args.n if args.n else 100, k=args.k, seed=args.seed
     )
@@ -167,7 +155,7 @@ def cmd_smote(args) -> int:
 def _effective_config(args) -> TrainConfig:
     config = TrainConfig()
     if args.config:
-        config = train_mod.parse_train_config(_read_text(args.config), base=config)
+        config = train_mod.parse_train_config(_read_bytes(args.config), base=config)
     flags = {
         "max_epochs": args.epochs, "batch_size": args.batch, "learning_rate": args.lr,
         "dropout": args.dropout, "clip_norm": args.clip, "seed": args.seed,

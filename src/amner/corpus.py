@@ -13,13 +13,18 @@ File format: UTF-8, one token per line as ``surface<TAB>tag``, a blank
 line ends a sentence, lines starting with ``#`` are comments.  Stanford
 tags are stored internally with an ``I`` position marker because the
 format carries no boundary information.
+
+Every text input of the toolkit (corpus, transliteration table, word
+vectors, feature rows, training config) is read through
+:func:`text_lines`, and a malformed one raises :class:`FormatError`,
+which names the offending line where there is one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 OUTSIDE = "O"
 
@@ -40,14 +45,29 @@ class TagScheme(enum.Enum):
             ) from None
 
 
-class CorpusFormatError(ValueError):
-    """Malformed corpus or table file; carries a 1-based line number."""
+class FormatError(ValueError):
+    """Malformed text input; carries the 1-based line number, if one applies."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def text_lines(data: str | bytes) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` pairs of UTF-8 text, 1-based, with the
+    trailing carriage returns of each line removed.  Only ``\\n`` ends a
+    line.  Bytes that are not UTF-8 raise :class:`FormatError`."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid UTF-8: {exc}") from exc
+    lines = data.split("\n")
+    if "\r" in data:  # LF files, the common case, skip the per-line strip
+        lines = (line.rstrip("\r") for line in lines)
+    yield from enumerate(lines, start=1)
 
 
 @dataclass(frozen=True)
@@ -158,19 +178,12 @@ def parse_corpus(text: str | bytes, scheme: TagScheme | None) -> list[Sentence]:
     A blank line ends the current sentence; ``#``-prefixed lines are
     comments.  With ``scheme`` None the input is untagged: a line is a
     surface, optionally followed by one ignored column, and every token
-    is tagged O.  Raises :class:`CorpusFormatError` with the offending
-    1-based line number on malformed input.
+    is tagged O.  Raises :class:`FormatError` on malformed input.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"invalid UTF-8: {exc}") from exc
     allowed_columns = (1, 2) if scheme is None else (2,)
     sentences: list[Sentence] = []
     tokens: list[Token] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
+    for lineno, line in text_lines(text):
         if line.startswith("#"):
             continue
         if not line.strip():
@@ -180,7 +193,7 @@ def parse_corpus(text: str | bytes, scheme: TagScheme | None) -> list[Sentence]:
             continue
         columns = line.split("\t")
         if len(columns) not in allowed_columns:
-            raise CorpusFormatError(
+            raise FormatError(
                 f"expected {' or '.join(map(str, allowed_columns))} tab-separated columns, "
                 f"got {len(columns)}",
                 lineno,
@@ -189,7 +202,7 @@ def parse_corpus(text: str | bytes, scheme: TagScheme | None) -> list[Sentence]:
             tag = O_TAG if scheme is None else tag_from_str(columns[1], scheme)
             tokens.append(Token(columns[0], tag))
         except ValueError as exc:
-            raise CorpusFormatError(str(exc), lineno) from exc
+            raise FormatError(str(exc), lineno) from exc
     if tokens:
         sentences.append(Sentence(tuple(tokens)))
     return sentences
@@ -404,28 +417,20 @@ class TranslitResult:
 
 def load_translit_table(text: str | bytes) -> TranslitTable:
     """Parse a ``char<TAB>latin`` table; ``#`` comments and blanks allowed."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"invalid UTF-8: {exc}") from exc
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
+    for lineno, line in text_lines(text):
         if not line.strip() or line.startswith("#"):
             continue
         columns = line.split("\t")
         if len(columns) != 2:
-            raise CorpusFormatError(
-                f"expected 2 tab-separated columns, got {len(columns)}", lineno
-            )
+            raise FormatError(f"expected 2 tab-separated columns, got {len(columns)}", lineno)
         char, latin = columns
         if len(char) != 1:
-            raise CorpusFormatError(f"first column {char!r} is not a single character", lineno)
+            raise FormatError(f"first column {char!r} is not a single character", lineno)
         if not latin:
-            raise CorpusFormatError("empty replacement string", lineno)
+            raise FormatError("empty replacement string", lineno)
         if char in mapping and mapping[char] != latin:
-            raise CorpusFormatError(f"conflicting duplicate entry for {char!r}", lineno)
+            raise FormatError(f"conflicting duplicate entry for {char!r}", lineno)
         mapping[char] = latin
     return TranslitTable(mapping)
 

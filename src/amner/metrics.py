@@ -40,13 +40,12 @@ def _safe_ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def _check_aligned(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> None:
-    if len(gold) != len(pred):
-        raise ValueError(
-            f"corpora disagree: {len(gold)} gold sentences vs {len(pred)} predicted"
-        )
-    for idx, (g, p) in enumerate(zip(gold, pred)):
-        if g.surfaces != p.surfaces:
+def check_aligned(first: Sequence[Sentence], second: Sequence[Sentence]) -> None:
+    """Raise unless two corpora hold the same sentences of the same tokens."""
+    if len(first) != len(second):
+        raise ValueError(f"corpora disagree: {len(first)} vs {len(second)} sentences")
+    for idx, (a, b) in enumerate(zip(first, second)):
+        if a.surfaces != b.surfaces:
             raise ValueError(f"sentence {idx}: token structure differs between corpora")
 
 
@@ -85,7 +84,7 @@ def conll_evaluate(
     scheme: TagScheme = TagScheme.IOB2,
 ) -> ConllResult:
     """Exact-match entity scoring over aligned corpora."""
-    _check_aligned(gold, pred)
+    check_aligned(gold, pred)
     per_type: dict[str, ConllTally] = {}
     overall = ConllTally()
     for g_sentence, p_sentence in zip(gold, pred):
@@ -202,7 +201,7 @@ def _score_matches(
     gold: Sequence[Sentence], pred: Sequence[Sentence], scheme: TagScheme
 ) -> dict[str, MucTally]:
     """One matching pass per sentence, tallied in every mode of ``_PAIR_CATEGORY``."""
-    _check_aligned(gold, pred)
+    check_aligned(gold, pred)
     kinds: Counter[tuple[bool, bool]] = Counter()
     missed = spurious = 0
     for g_sentence, p_sentence in zip(gold, pred):

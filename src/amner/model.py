@@ -41,6 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import FormatError, text_lines
 from .crf import CrfParams
 
 
@@ -51,16 +52,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-class EmbeddingFormatError(ValueError):
-    """Malformed embedding file; carries a 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 @dataclass
@@ -122,51 +113,44 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
 
     Fields are separated by single ASCII spaces, so tokens may contain
     other whitespace such as U+00A0, but a token that contains an ASCII
-    space cannot have a vector in this format.  One trailing space and
-    one trailing carriage return per line are ignored, as fastText's
-    `.vec` files end every value with a space.  Values are read as
-    Python's ``float()`` reads them.  The unknown-token row, appended
-    last, is drawn fresh from the initializer, seeded for reproducibility.
+    space cannot have a vector in this format.  Trailing carriage returns
+    and one trailing space per line are ignored, as fastText's `.vec`
+    files end every value with a space.  Values are read as Python's
+    ``float()`` reads them.  The unknown-token row, appended last, is
+    drawn fresh from the initializer, seeded for reproducibility.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EmbeddingFormatError(f"invalid UTF-8: {exc}") from exc
-    lines = text.split("\n")
-    if not lines or not lines[0].strip():
-        raise EmbeddingFormatError("missing `V D` header", 1)
-    header = lines[0].split()
+    lines = text_lines(text)
+    header = next(lines)[1].split()
+    if not header:
+        raise FormatError("missing `V D` header", 1)
     if len(header) != 2:
-        raise EmbeddingFormatError("header must be `V D`", 1)
+        raise FormatError("header must be `V D`", 1)
     try:
         count, dim = int(header[0]), int(header[1])
     except ValueError:
-        raise EmbeddingFormatError("non-numeric header", 1) from None
+        raise FormatError("non-numeric header", 1) from None
     if dim != expected_dim:
-        raise EmbeddingFormatError(f"dimension {dim} != expected {expected_dim}", 1)
+        raise FormatError(f"dimension {dim} != expected {expected_dim}", 1)
 
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
-        parts = line.removesuffix("\r").removesuffix(" ").split(" ")
+        parts = line.removesuffix(" ").split(" ")
         if len(parts) != dim + 1:
-            raise EmbeddingFormatError(
-                f"expected a token plus {dim} values, got {len(parts)} fields", lineno
-            )
+            raise FormatError(f"expected a token plus {dim} values, got {len(parts)} fields", lineno)
         token = parts[0]
         if token in vocab:
-            raise EmbeddingFormatError(f"duplicate token {token!r}", lineno)
+            raise FormatError(f"duplicate token {token!r}", lineno)
         try:  # one call per line; numpy reads each string as float() does
             values = np.array(parts[1:], dtype=np.float64)
         except ValueError:
-            raise EmbeddingFormatError("non-numeric value", lineno) from None
+            raise FormatError("non-numeric value", lineno) from None
         vocab[token] = len(rows)
         rows.append(values)
     if len(rows) != count:
-        raise EmbeddingFormatError(f"header declares {count} rows, file has {len(rows)}")
+        raise FormatError(f"header declares {count} rows, file has {len(rows)}")
     rng = np.random.default_rng(seed)
     rows.append(_glorot(rng, max(count, 1), dim, (dim,)))
     return EmbeddingTable(vocab, np.stack(rows))

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import FormatError, text_lines
+
 MATCH_MAJORITY = "match-majority"
 
 
@@ -230,30 +232,30 @@ def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_feature_rows(text: str) -> list[FeatureRow]:
-    lines = text.split("\n")
-    header = lines[0].strip() if lines else ""
+def parse_feature_rows(text: str | bytes) -> list[FeatureRow]:
+    lines = text_lines(text)
+    header = next(lines)[1].strip()
     try:
         width = int(header)
     except ValueError:
-        raise ValueError(f"line 1: expected the attribute count, got {header!r}") from None
+        raise FormatError(f"expected the attribute count, got {header!r}", 1) from None
     rows: list[FeatureRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip() or line.startswith("#"):
             continue
         columns = line.split("\t")
         if len(columns) != 2:
-            raise ValueError(f"line {lineno}: expected `label<TAB>values`")
+            raise FormatError("expected `label<TAB>values`", lineno)
         label, values_text = columns
         parts = values_text.split()
         if len(parts) != width:
-            raise ValueError(f"line {lineno}: expected {width} values, got {len(parts)}")
+            raise FormatError(f"expected {width} values, got {len(parts)}", lineno)
         try:  # one call per line; numpy reads each string as float() does
             values = np.array(parts, dtype=np.float64)
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric value") from None
+            raise FormatError("non-numeric value", lineno) from None
         try:
             rows.append(FeatureRow(values, label))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise FormatError(str(exc), lineno) from None
     return rows

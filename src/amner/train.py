@@ -9,6 +9,7 @@ logs and predictions bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
@@ -17,7 +18,9 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import metrics as metrics_mod
-from .corpus import Sentence, TagScheme, Token, tag_from_str, tag_to_str, validate_tags
+from .corpus import (
+    FormatError, Sentence, TagScheme, Token, tag_from_str, tag_to_str, text_lines, validate_tags
+)
 from .model import (
     EmbeddingTable,
     ModelParams,
@@ -48,14 +51,23 @@ class TrainConfig:
     patience: int | None = None  # early stopping on dev F1, off by default
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # NaN fails every comparison, so each bound below also rejects it
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be none or finite and positive")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError("patience must be none or at least 1")
 
     def to_kv(self) -> str:
         lines = []
@@ -71,35 +83,29 @@ class TrainConfig:
         return "\n".join(lines) + "\n"
 
 
-_OPTIONAL_FLOAT = ("clip_norm",)
-_OPTIONAL_INT = ("patience",)
+def parse_train_config(text: str | bytes, base: TrainConfig | None = None) -> TrainConfig:
+    """Parse the flat `name value` config document into a TrainConfig.
 
-
-def parse_train_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse the flat `name value` config document into a TrainConfig."""
-    values = dataclasses.asdict(base) if base is not None else dataclasses.asdict(TrainConfig())
-    known = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    Each value is read as its field's annotated type; ``none`` clears an optional field.
+    """
+    values = dataclasses.asdict(base or TrainConfig())
+    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    for lineno, line in text_lines(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
-            raise ValueError(f"config line {lineno}: expected `name value`")
+            raise FormatError("expected `name value`", lineno)
         name, raw = parts
-        if name not in known:
-            raise ValueError(f"config line {lineno}: unknown option {name!r}")
+        if name not in types:
+            raise FormatError(f"unknown option {name!r}", lineno)
+        kind = types[name].removesuffix(" | None")  # the type of a set value
         try:
-            if name in _OPTIONAL_FLOAT:
-                values[name] = None if raw.lower() == "none" else float(raw)
-            elif name in _OPTIONAL_INT:
-                values[name] = None if raw.lower() == "none" else int(raw)
-            elif name in ("batch_size", "max_epochs", "seed"):
-                values[name] = int(raw)
-            else:
-                values[name] = float(raw)
+            unset = kind != types[name] and raw.lower() == "none"
+            values[name] = None if unset else {"int": int, "float": float}[kind](raw)
         except ValueError:
-            raise ValueError(f"config line {lineno}: bad value {raw!r} for {name}") from None
+            raise FormatError(f"bad value {raw!r} for {name}", lineno) from None
     return TrainConfig(**values)
 
 
@@ -519,9 +525,17 @@ def gradient_check(
     """Compare analytic NLL gradients against central differences.
 
     Dropout is disabled (the NLL would otherwise be stochastic).  Meant
-    for tiny models; the cost is two loss evaluations per parameter entry.
+    for tiny models; the cost is two forward passes per parameter entry.
     """
     _, analytic = sentence_loss_and_grads(model, [sentence], train=False)
+    batch = encode_batch(model.encoder, [sentence])
+    gold = gold_ids(model, [sentence], len(sentence))[0]
+
+    def loss() -> float:  # the NLL without its backward pass: log Z minus the gold score
+        emissions = encode_forward(model.encoder, batch)[0][0]
+        log_z = crf_mod.forward_log_partition(model.crf, emissions)
+        return log_z - crf_mod.score_sequence(model.crf, emissions, gold)
+
     params = model.tensors()
     report: dict[str, float] = {}
     for name, array in params.items():
@@ -534,9 +548,9 @@ def gradient_check(
         for pos in range(flat.shape[0]):
             original = flat[pos]
             flat[pos] = original + step
-            up, _ = sentence_loss_and_grads(model, [sentence])
+            up = loss()
             flat[pos] = original - step
-            down, _ = sentence_loss_and_grads(model, [sentence])
+            down = loss()
             flat[pos] = original
             numeric = (up - down) / (2.0 * step)
             # the floor keeps finite-difference noise on near-zero entries from dominating

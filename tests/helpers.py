@@ -1,5 +1,6 @@
-"""Shared test utilities: deterministic synthetic IOB2 corpora, and
-number fields for the parsers of the text vector and feature-row files."""
+"""Shared test utilities: deterministic synthetic IOB2 corpora, number
+fields for the parsers of the text vector and feature-row files, and
+malformed variants of a valid input file."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -74,3 +75,18 @@ def float_or_none(field: str):
 def same_float(a: float, b: float) -> bool:
     """Equal, or both NaN."""
     return a == b or (a != a and b != b)
+
+
+@st.composite
+def malformed(draw, valid: bytes):
+    """Arbitrary bytes, or the valid file with bytes replaced, inserted or cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from([b"", b"\t", b"\n", b"\r", b" ", b"#", b"-", b"0", b"9e999",
+                                      b"\xff", "ሀ".encode(), b"nan", b"[", b"B-"]))
+        cut = draw(st.integers(0, 3))
+        data[pos : pos + cut] = piece
+    return bytes(data)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import synthetic_corpus
+from helpers import malformed, synthetic_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +109,12 @@ class TestKappa:
         second = write(tmp_path / "b.tsv", "b\tO\n\n")
         assert main(["kappa", first, second]) == 1
 
+    def test_sentence_count_mismatch_rejected(self, tmp_path, capsys):
+        first = write(tmp_path / "a.tsv", "a\tO\n\nb\tO\n\n")
+        second = write(tmp_path / "b.tsv", "a\tO\n\n")
+        assert main(["kappa", first, second]) == 1
+        assert "error: corpora disagree: 2 vs 1 sentences" in capsys.readouterr().err
+
 
 class TestSmote:
     def make_rows(self, tmp_path):
@@ -138,6 +144,11 @@ class TestSmote:
     def test_needs_mode_flag(self, tmp_path):
         src = self.make_rows(tmp_path)
         assert main(["smote", src, "out.tsv"]) == 2
+
+    def test_bad_utf8_is_a_format_error(self, tmp_path, capsys):
+        (tmp_path / "rows.tsv").write_bytes(b"1\nA\xff\t1\n")
+        assert main(["smote", "--target", "2", str(tmp_path / "rows.tsv"), "out.tsv"]) == 1
+        assert "error: invalid UTF-8: " in capsys.readouterr().err
 
 
 class TestEval:
@@ -189,6 +200,31 @@ class TestTrainTagEval:
         args = ["train", corpus_path, "--model", str(tmp_path / "m.model")] + self.TRAIN_ARGS
         assert main(args + ["--lr", "1e300"]) == 1
         assert "error: epoch 0, batch 1" in capsys.readouterr().err
+
+    def test_nan_learning_rate_is_data_error(self, tmp_path, corpus_path, capsys):
+        model = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model)] + self.TRAIN_ARGS
+        assert main(args + ["--lr", "nan"]) == 1
+        assert "error: learning_rate must be finite and positive" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("setting", [["--clip", "-1"], ["--config", "epsilon 0\n"]])
+    def test_settings_that_corrupt_a_model_are_data_errors(self, tmp_path, corpus_path, setting):
+        if setting[0] == "--config":
+            setting = ["--config", write(tmp_path / "train.cfg", setting[1])]
+        model = tmp_path / "m.model"
+        assert main(["train", corpus_path, "--model", str(model)] + self.TRAIN_ARGS + setting) == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        (b"seed 1\nbatch 4\n", "error: line 2: unknown option 'batch'"),
+        (b"seed \xff\n", "error: invalid UTF-8: "),
+    ])
+    def test_config_errors_name_the_line(self, tmp_path, corpus_path, capsys, config, message):
+        (tmp_path / "train.cfg").write_bytes(config)
+        args = ["train", corpus_path, "--model", str(tmp_path / "m"), "--config", str(tmp_path / "train.cfg")]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
 
     def test_train_is_byte_deterministic(self, tmp_path, corpus_path):
         a_path = tmp_path / "a.model"
@@ -374,21 +410,6 @@ def fuzz_dir(tmp_path_factory):
     args[args.index("m.model")] = str(directory / "valid.model")
     assert main(args) == 0
     return directory
-
-
-@st.composite
-def malformed(draw, valid: bytes):
-    """Arbitrary bytes, or the valid file with bytes replaced, inserted or cut."""
-    if draw(st.booleans()):
-        return draw(st.binary(max_size=200))
-    data = bytearray(valid)
-    for _ in range(draw(st.integers(1, 4))):
-        pos = draw(st.integers(0, len(data)))
-        piece = draw(st.sampled_from([b"", b"\t", b"\n", b"\r", b" ", b"#", b"-", b"0", b"9e999",
-                                      b"\xff", "ሀ".encode(), b"nan", b"[", b"B-"]))
-        cut = draw(st.integers(0, 3))
-        data[pos : pos + cut] = piece
-    return bytes(data)
 
 
 class TestMalformedFiles:

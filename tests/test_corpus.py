@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amner.corpus import (
-    CorpusFormatError,
     EntitySpan,
+    FormatError,
     Sentence,
     Tag,
     TagScheme,
@@ -57,12 +57,12 @@ class TestParse:
         assert parse_corpus("", IOB2) == []
 
     def test_column_count_violation(self):
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(FormatError) as err:
             parse_corpus("a\tB-PER\tX\n", IOB2)
         assert err.value.line == 1
 
     def test_unknown_tag_reports_line(self):
-        with pytest.raises(CorpusFormatError) as err:
+        with pytest.raises(FormatError) as err:
             parse_corpus("a\tB-PER\n\nb\tQ-PER\n", IOB2)
         assert err.value.line == 3
 
@@ -73,7 +73,7 @@ class TestParse:
 
     def test_empty_surface_reports_line(self):
         for scheme in (IOB2, None):
-            with pytest.raises(CorpusFormatError) as err:
+            with pytest.raises(FormatError) as err:
                 parse_corpus("a\tO\n\tO\n", scheme)
             assert err.value.line == 2
 
@@ -87,7 +87,7 @@ class TestParse:
         assert [len(s) for s in sentences] == [2, 1]
 
     def test_invalid_utf8(self):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(FormatError):
             parse_corpus(b"\xff\xfe\tO\n", IOB2)
 
     def test_stanford_bare_type(self):
@@ -96,7 +96,7 @@ class TestParse:
         assert sentences[0].tokens[1].tag == Tag("O")
 
     def test_bare_type_rejected_under_iob(self):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(FormatError):
             parse_corpus("x\tORG\n", IOB2)
 
 
@@ -298,15 +298,15 @@ class TestTransliterate:
         assert (mapped, unmapped) == (2, 1)
 
     def test_table_rejects_multichar_key(self):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(FormatError):
             load_translit_table("ab\tx\n")
 
     def test_table_rejects_conflicting_duplicate(self):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(FormatError):
             load_translit_table("ሀ\tha\nሀ\thu\n")
 
     def test_table_rejects_empty_replacement(self):
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(FormatError):
             load_translit_table("ሀ\t\n")
 
 

@@ -7,9 +7,9 @@ from helpers import NUMBER_FIELDS, float_or_none, same_float
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amner.corpus import FormatError
 from amner.model import (
     BiLstmParams,
-    EmbeddingFormatError,
     EmbeddingTable,
     LstmParams,
     SparseRows,
@@ -77,7 +77,7 @@ class TestEmbeddings:
         assert np.array_equal(row_of(table, "a"), [1.0, 0.0, 0.0])
 
     def test_row_width_error_carries_line(self):
-        with pytest.raises(EmbeddingFormatError) as err:
+        with pytest.raises(FormatError) as err:
             load_embeddings("2 3\na 1 0 0\nb 0 1\n", expected_dim=3)
         assert err.value.line == 3
 
@@ -106,12 +106,12 @@ class TestEmbeddings:
             EmbeddingTable({"a": 0}, np.zeros((1, 2)))
 
     def test_duplicate_token_rejected(self):
-        with pytest.raises(EmbeddingFormatError) as err:
+        with pytest.raises(FormatError) as err:
             load_embeddings("2 1\na 1\na 2\n", expected_dim=1)
         assert err.value.line == 3
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(FormatError):
             load_embeddings("1 3\na 1 2 3\n", expected_dim=2)
 
     def test_fasttext_trailing_spaces(self):
@@ -120,11 +120,11 @@ class TestEmbeddings:
         assert np.array_equal(table.matrix[:-1], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_header_row_count_enforced(self):
-        with pytest.raises(EmbeddingFormatError):
+        with pytest.raises(FormatError):
             load_embeddings("3 2\na 1 2\n", expected_dim=2)
 
     def test_non_numeric_value(self):
-        with pytest.raises(EmbeddingFormatError) as err:
+        with pytest.raises(FormatError) as err:
             load_embeddings("1 2\na 1 x\n", expected_dim=2)
         assert err.value.line == 2
 
@@ -134,7 +134,7 @@ class TestEmbeddings:
         text = f"2 2\na 0.5 -1\nb {field} 0.25\n"  # an empty field gives `b  0.25`
         expected = float_or_none(field)
         if expected is None:
-            with pytest.raises(EmbeddingFormatError, match="non-numeric") as err:
+            with pytest.raises(FormatError, match="non-numeric") as err:
                 load_embeddings(text, expected_dim=2)
             assert err.value.line == 3
         else:

@@ -1,0 +1,120 @@
+"""The shared text reader, corpus.text_lines, and the parsers built on it:
+every malformed input raises FormatError naming a real line, and a
+file's content parses alike as str or bytes, with LF or CRLF endings."""
+
+import inspect
+
+import pytest
+from helpers import malformed
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amner.corpus import FormatError, TagScheme, load_translit_table, parse_corpus, text_lines
+from amner.model import load_embeddings
+from amner.resample import parse_feature_rows
+from amner.train import parse_train_config
+
+# each parser with a valid input for it, and its result in a form that == compares
+PARSERS = {
+    "corpus": (
+        lambda data: parse_corpus(data, TagScheme.IOB2),
+        b"w1\tB-PER\nw2\tI-PER\nw3\tO\n\n# note\nw4\tB-LOC\nw1\tO\n\n",
+        lambda sentences: sentences,
+    ),
+    "untagged": (
+        lambda data: parse_corpus(data, None),
+        b"w1\nw2\tx\n\nw3\n",
+        lambda sentences: sentences,
+    ),
+    "translit": (
+        load_translit_table,
+        "# table\nሀ\tha\nw\tv\n".encode(),
+        lambda table: table.mapping,
+    ),
+    "vectors": (
+        lambda data: load_embeddings(data, expected_dim=2),
+        b"2 2\nw1 0.1 0.2\nw2 0.3 -0.4 \n",
+        lambda table: (table.vocab, table.matrix.tobytes()),
+    ),
+    "feature-rows": (
+        parse_feature_rows,
+        b"2\nA\t1 2\n# c\nA\t2 3\nB\t0 1\n",
+        lambda rows: [(row.label, row.values.tobytes()) for row in rows],
+    ),
+}
+CONFIG = (parse_train_config, b"# run\nlearning_rate 0.01\nbatch_size 2\nclip_norm none\n", repr)
+
+
+class TestTextLines:
+    def test_numbers_lines_and_strips_trailing_carriage_returns(self):
+        assert list(text_lines("a\r\r\n\rb\n")) == [(1, "a"), (2, "\rb"), (3, "")]
+
+    def test_only_line_feed_ends_a_line(self):
+        assert list(text_lines("a\rb\x0bc d")) == [(1, "a\rb\x0bc d")]
+
+    def test_bytes_read_as_utf8(self):
+        assert list(text_lines("ሀ\r\nb".encode())) == [(1, "ሀ"), (2, "b")]
+
+    def test_is_lazy(self):
+        assert inspect.isgenerator(text_lines("a\nb"))
+
+    def test_invalid_utf8_has_no_line(self):
+        with pytest.raises(FormatError, match="^invalid UTF-8: ") as err:
+            list(text_lines(b"ok\n\xff\n"))
+        assert err.value.line is None
+
+
+class TestParsers:
+    def test_errors_carry_their_line(self):
+        with pytest.raises(FormatError, match="^line 3: ") as err:
+            parse_feature_rows("1\nA\t1\nA\t1 2\n")
+        assert err.value.line == 3
+
+    def test_config_errors_carry_their_line(self):
+        with pytest.raises(FormatError, match="^line 2: bad value '1.5' for batch_size$"):
+            parse_train_config("seed 1\nbatch_size 1.5\n")
+        with pytest.raises(FormatError, match="^line 1: unknown option 'warmup'$"):
+            parse_train_config(b"warmup 10\n")
+
+    def test_config_reads_each_field_as_its_annotated_type(self):
+        config = parse_train_config("seed 4\nclip_norm 2\npatience none\ndropout 0\n")
+        assert (config.seed, config.clip_norm, config.patience, config.dropout) == (4, 2.0, None, 0.0)
+        assert all(type(v) is float for v in (config.clip_norm, config.dropout))
+        with pytest.raises(FormatError, match="bad value 'none' for seed"):
+            parse_train_config("seed none\n")
+
+    def test_vectors_ignore_every_trailing_carriage_return(self):
+        table = load_embeddings(b"1 2\r\r\na 1 2 \r\r\n", expected_dim=2)
+        assert table.vocab == {"a": 0}
+        assert table.matrix[0].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("name", sorted(PARSERS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bytes_parse_or_fail_on_a_real_line(self, name, data):
+        parse, valid, _ = PARSERS[name]
+        raw = data.draw(malformed(valid))
+        try:
+            parse(raw)
+        except FormatError as exc:
+            assert exc.line is None or 1 <= exc.line <= raw.count(b"\n") + 1
+
+    @pytest.mark.parametrize("name", sorted(PARSERS) + ["config"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_str_bytes_lf_and_crlf_parse_alike(self, name, data):
+        parse, valid, comparable = CONFIG if name == "config" else PARSERS[name]
+        try:
+            text = data.draw(malformed(valid)).decode("utf-8")
+        except UnicodeDecodeError:
+            text = valid.decode("utf-8")
+
+        def outcome(content):
+            try:
+                return comparable(parse(content))
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        crlf = text.replace("\n", "\r\n")
+        results = [outcome(form) for form in (text, text.encode(), crlf, crlf.encode())]
+        assert all(result == results[0] for result in results)

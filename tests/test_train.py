@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import parity
 import pytest
@@ -74,6 +76,21 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.0)
+
+    # each of these trains to NaN tensors, or turns the step into gradient ascent
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -1.0),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", math.nan),
+        ("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", math.nan), ("epsilon", math.inf),
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", math.nan), ("clip_norm", math.inf),
+        ("patience", 0), ("patience", -1),
+    ])
+    def test_settings_that_corrupt_a_model_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_edge_settings_accepted(self):
+        TrainConfig(beta1=0.0, beta2=0.0, epsilon=1e-300, clip_norm=1e-9, patience=1)
 
 
 class TestAdam:
