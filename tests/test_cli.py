@@ -201,30 +201,21 @@ class TestTrainTagEval:
         assert main(args + ["--lr", "1e300"]) == 1
         assert "error: epoch 0, batch 1" in capsys.readouterr().err
 
-    def test_nan_learning_rate_is_data_error(self, tmp_path, corpus_path, capsys):
-        model = tmp_path / "m.model"
-        args = ["train", corpus_path, "--model", str(model)] + self.TRAIN_ARGS
-        assert main(args + ["--lr", "nan"]) == 1
-        assert "error: learning_rate must be finite and positive" in capsys.readouterr().err
-        assert not model.exists()
-
-    @pytest.mark.parametrize("setting", [["--clip", "-1"], ["--config", "epsilon 0\n"]])
-    def test_settings_that_corrupt_a_model_are_data_errors(self, tmp_path, corpus_path, setting):
-        if setting[0] == "--config":
-            setting = ["--config", write(tmp_path / "train.cfg", setting[1])]
-        model = tmp_path / "m.model"
-        assert main(["train", corpus_path, "--model", str(model)] + self.TRAIN_ARGS + setting) == 1
-        assert not model.exists()
-
-    @pytest.mark.parametrize("config, message", [
-        (b"seed 1\nbatch 4\n", "error: line 2: unknown option 'batch'"),
-        (b"seed \xff\n", "error: invalid UTF-8: "),
+    @pytest.mark.parametrize("config, flags, message", [
+        ("", ["--lr", "nan"], "error: learning_rate must be finite and positive"),
+        ("", ["--clip", "-1"], "error: clip_norm must be"),
+        ("epsilon 0\n", [], "error: epsilon must be"),
+        ("seed 1\nbatch 4\n", [], "error: line 2: unknown option 'batch'"),
+        (b"seed \xff\n", [], "error: invalid UTF-8: "),
     ])
-    def test_config_errors_name_the_line(self, tmp_path, corpus_path, capsys, config, message):
-        (tmp_path / "train.cfg").write_bytes(config)
-        args = ["train", corpus_path, "--model", str(tmp_path / "m"), "--config", str(tmp_path / "train.cfg")]
-        assert main(args) == 1
+    def test_bad_settings_are_data_errors(self, tmp_path, corpus_path, capsys, config, flags, message):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
+        model = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model), "--config", str(cfg)]
+        assert main(args + self.TRAIN_ARGS + flags) == 1
         assert message in capsys.readouterr().err
+        assert not model.exists()
 
     def test_train_is_byte_deterministic(self, tmp_path, corpus_path):
         a_path = tmp_path / "a.model"
