@@ -64,10 +64,8 @@ def text_lines(data: str | bytes) -> Iterator[tuple[int, str]]:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"invalid UTF-8: {exc}") from exc
-    lines = data.split("\n")
-    if "\r" in data:  # LF files, the common case, skip the per-line strip
-        lines = (line.rstrip("\r") for line in lines)
-    yield from enumerate(lines, start=1)
+    for lineno, line in enumerate(data.split("\n"), start=1):
+        yield lineno, line.rstrip("\r")
 
 
 @dataclass(frozen=True)
@@ -423,7 +421,9 @@ def load_translit_table(text: str | bytes) -> TranslitTable:
             continue
         columns = line.split("\t")
         if len(columns) != 2:
-            raise FormatError(f"expected 2 tab-separated columns, got {len(columns)}", lineno)
+            raise FormatError(
+                f"expected 2 tab-separated columns, got {len(columns)}", lineno
+            )
         char, latin = columns
         if len(char) != 1:
             raise FormatError(f"first column {char!r} is not a single character", lineno)

@@ -139,7 +139,9 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
             continue
         parts = line.removesuffix(" ").split(" ")
         if len(parts) != dim + 1:
-            raise FormatError(f"expected a token plus {dim} values, got {len(parts)} fields", lineno)
+            raise FormatError(
+                f"expected a token plus {dim} values, got {len(parts)} fields", lineno
+            )
         token = parts[0]
         if token in vocab:
             raise FormatError(f"duplicate token {token!r}", lineno)
