@@ -173,6 +173,7 @@ _EPOCH_CLOCK = ("wall_s", "tok_s")
 
 def cmd_train(args) -> int:
     config = _effective_config(args)
+    _say(f"seed: {config.seed}")  # the config file's seed unless --seed overrides it
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), TagScheme.IOB2)
     dev = None
     if args.dev:
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smote", help="oversample minority classes in a feature-row file")
     p.add_argument("--smote-n", "--n", dest="n", type=int, default=None,
-                   help="amount of oversampling in percent (multiple of 100)")
+                   help="amount of oversampling in percent (below 100, or a multiple of 100)")
     p.add_argument("--smote-k", "--k", dest="k", type=int, default=5, help="neighbor count")
     p.add_argument("--target", default=None, help="per-class count or 'match-majority'")
     p.add_argument("--label", default=None, help="class to oversample in --smote-n mode")
@@ -381,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = getattr(args, "seed", None)
-    _say(f"seed: {0 if seed is None else seed}")
+    if args.func is not cmd_train:  # train prints the seed its config resolves to
+        _say(f"seed: {args.seed}")
     try:
         return args.func(args)
     except UsageError as exc:

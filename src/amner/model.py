@@ -20,18 +20,21 @@ at the previous cell state, the output gate at the current one:
     o = sigmoid(a_o + p[2] * c)
     h = o * tanh(c)
 
-An LSTM is these four tensors, its gates stacked in the order f, i, c,
-o: ``w_x`` (4H, D), ``w_h`` (4H, H), ``b`` (4H,) and the peepholes ``p``
-(3, H).  An embedding table is one (V + 1, D) matrix whose last row, V,
-is the unknown token's.  Training, clipping, Adam and the gradient check
-see only these tensors; the per-gate names and the separate unknown row
-of the model file are details of :mod:`amner.serialize`.
+A BiLSTM is these four tensors with a leading direction axis, index 0
+the forward LSTM and index 1 the reverse one, and the gates stacked in
+the order f, i, c, o: ``w_x`` (2, 4H, D), ``w_h`` (2, 4H, H), ``b``
+(2, 4H) and the peepholes ``p`` (2, 3, H).  An embedding table is one
+(V + 1, D) matrix whose last row, V, is the unknown token's.  Training,
+clipping, Adam and the gradient check see only these tensors; the
+per-direction, per-gate names and the separate unknown row of the model
+file are details of :mod:`amner.serialize`.
 
 The encoder works on batches of N sentences right-padded to T tokens.
-One padded-batch routine runs both BiLSTMs: the character BiLSTM once
-over the batch's unique word types, the word BiLSTM once over all N
-sentences.  Emissions are (N, T, K), as the CRF takes them; their
-padded positions hold values that nothing reads.
+One padded-batch routine, whose time loop steps both directions at once,
+runs both BiLSTMs: the character BiLSTM once over the batch's unique
+word types, the word BiLSTM once over all N sentences.  Emissions are
+(N, T, K), as the CRF takes them; their padded positions hold values
+that nothing reads.
 """
 
 from __future__ import annotations
@@ -159,141 +162,43 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
 
 
 # ---------------------------------------------------------------------------
-# LSTM
-
-
-@dataclass
-class LstmParams:
-    """Stacked peephole-LSTM weights; layout in the module docstring."""
-
-    w_x: np.ndarray  # (4H, D)
-    w_h: np.ndarray  # (4H, H)
-    p: np.ndarray  # (3, H)
-    b: np.ndarray  # (4H,)
-
-    def __post_init__(self):
-        hidden = self.p.shape[-1]
-        expected = (3, hidden), (4 * hidden,), (4 * hidden, hidden), (4 * hidden, self.w_x.shape[-1])
-        if (self.p.shape, self.b.shape, self.w_h.shape, self.w_x.shape) != expected:
-            raise ValueError("LSTM tensor shapes disagree")
-
-    @property
-    def hidden(self) -> int:
-        return self.w_h.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_x.shape[1]
-
-    @classmethod
-    def random(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmParams":
-        return cls(
-            _glorot(rng, input_dim, hidden, (4 * hidden, input_dim)),
-            _glorot(rng, hidden, hidden, (4 * hidden, hidden)),
-            np.zeros((3, hidden)),
-            np.zeros(4 * hidden),
-        )
-
-    def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.{name}": getattr(self, name) for name in ("w_x", "w_h", "p", "b")}
-
-
-def _lstm_forward(params: LstmParams, xs: np.ndarray, h0=None, c0=None):
-    """Run N right-padded sequences ``xs`` (T, N, D) through one LSTM.
-
-    One GEMM computes every step's input projection; steps past a
-    sequence's end run on padding and are never read.  Returns the cache
-    (xs, hs, cs, gates, tanh_c): hs and cs (T + 1, N, H) start with the
-    initial states, zero by default; gates (T, N, 4, H) hold f, i, g, o.
-    """
-    steps, batch, _ = xs.shape
-    hidden = params.hidden
-    gates = xs.reshape(steps * batch, -1) @ params.w_x.T + params.b
-    gates = gates.reshape(steps, batch, 4, hidden)
-    # an overflowed product would saturate the gates instead of propagating
-    # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN
-    if not np.isfinite(gates).all():
-        raise ValueError("non-finite LSTM input projection")
-    hs, cs = np.zeros((2, steps + 1, batch, hidden))
-    if h0 is not None:
-        hs[0], cs[0] = h0, c0
-    tanh_c = np.empty((steps, batch, hidden))
-    w_h_t = params.w_h.T
-    for t in range(steps):
-        a = gates[t]
-        a += (hs[t] @ w_h_t).reshape(batch, 4, hidden)
-        a[:, :2] += params.p[:2] * cs[t][:, None]
-        a[:, :2] = _sigmoid(a[:, :2])
-        a[:, 2] = np.tanh(a[:, 2])
-        c = cs[t + 1]
-        np.multiply(a[:, 0], cs[t], out=c)
-        c += a[:, 1] * a[:, 2]
-        a[:, 3] = _sigmoid(a[:, 3] + params.p[2] * c)
-        np.tanh(c, out=tanh_c[t])
-        np.multiply(a[:, 3], tanh_c[t], out=hs[t + 1])
-    return xs, hs, cs, gates, tanh_c
-
-
-def _lstm_backward(params: LstmParams, cache, d_hs: np.ndarray):
-    """(gradients as LstmParams, d_xs (T, N, D)) from ``d_hs`` (T, N, H),
-    the outside gradient on each hidden state, zero past each end.
-
-    The time loop only collects the gate pre-activation gradients d_a;
-    the weight and input gradients are then single GEMMs.
-    """
-    xs, hs, cs, gates, tanh_c = cache
-    steps, batch, _, hidden = gates.shape
-    f, i, g, o = (gates[:, :, k] for k in range(4))
-    c_prev = cs[:-1]
-    peep_f, peep_i, peep_o = params.p
-    # for every step at once: d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
-    k_o = tanh_c * o * (1.0 - o)
-    k_c = o * (1.0 - tanh_c ** 2) + k_o * peep_o
-    k_fig = np.stack([c_prev * f * (1.0 - f), g * i * (1.0 - i), i * (1.0 - g ** 2)], axis=2)
-    k_carry = f + k_fig[:, :, 0] * peep_f + k_fig[:, :, 1] * peep_i
-
-    d_a = np.empty((steps, batch, 4, hidden))
-    dh_carry, dc = np.zeros((2, batch, hidden))
-    for t in range(steps - 1, -1, -1):
-        dh = d_hs[t] + dh_carry
-        dc += dh * k_c[t]
-        np.multiply(dc[:, None], k_fig[t], out=d_a[t, :, :3])
-        np.multiply(dh, k_o[t], out=d_a[t, :, 3])
-        dh_carry = d_a[t].reshape(batch, 4 * hidden) @ params.w_h
-        dc *= k_carry[t]
-
-    d_a2 = d_a.reshape(steps * batch, 4 * hidden)
-    peep_in = (c_prev, c_prev, cs[1:])
-    grads = LstmParams(
-        d_a2.T @ xs.reshape(steps * batch, -1),
-        d_a2.T @ hs[:-1].reshape(steps * batch, hidden),
-        np.stack([(d_a[:, :, k] * s).sum(axis=(0, 1)) for k, s in zip((0, 1, 3), peep_in)]),
-        d_a2.sum(axis=0),
-    )
-    return grads, (d_a2 @ params.w_x).reshape(steps, batch, -1)
+# BiLSTM
 
 
 @dataclass
 class BiLstmParams:
-    forward: LstmParams
-    backward: LstmParams
+    """Stacked peephole-BiLSTM weights; layout in the module docstring."""
+
+    w_x: np.ndarray  # (2, 4H, D)
+    w_h: np.ndarray  # (2, 4H, H)
+    p: np.ndarray  # (2, 3, H)
+    b: np.ndarray  # (2, 4H)
 
     def __post_init__(self):
-        if self.forward.hidden != self.backward.hidden:
-            raise ValueError("forward and backward hidden widths disagree")
-        if self.forward.input_dim != self.backward.input_dim:
-            raise ValueError("forward and backward input widths disagree")
+        hidden = self.p.shape[-1]
+        width = self.w_x.shape[-1]
+        expected = (2, 3, hidden), (2, 4 * hidden), (2, 4 * hidden, hidden), (2, 4 * hidden, width)
+        if (self.p.shape, self.b.shape, self.w_h.shape, self.w_x.shape) != expected:
+            raise ValueError("BiLSTM tensor shapes disagree")
 
     @property
     def hidden(self) -> int:
-        return self.forward.hidden
+        return self.w_h.shape[2]
+
+    @property
+    def input_dim(self) -> int:
+        return self.w_x.shape[2]
 
     @classmethod
     def random(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "BiLstmParams":
-        return cls(LstmParams.random(input_dim, hidden, rng), LstmParams.random(input_dim, hidden, rng))
+        w_x, w_h = np.empty((2, 4 * hidden, input_dim)), np.empty((2, 4 * hidden, hidden))
+        for direction in range(2):  # drawn forward w_x, forward w_h, reverse w_x, reverse w_h
+            w_x[direction] = _glorot(rng, input_dim, hidden, w_x.shape[1:])
+            w_h[direction] = _glorot(rng, hidden, hidden, w_h.shape[1:])
+        return cls(w_x, w_h, np.zeros((2, 3, hidden)), np.zeros((2, 4 * hidden)))
 
     def tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {**self.forward.tensors(f"{prefix}_fwd"), **self.backward.tensors(f"{prefix}_bwd")}
+        return {f"{prefix}.{name}": getattr(self, name) for name in ("w_x", "w_h", "p", "b")}
 
 
 def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
@@ -301,26 +206,90 @@ def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
     sequence n has lengths[n] steps; the reverse direction reads each
     sequence from its own last position.  Returns (outs (T, N, 2H), cache),
     outs[t, n] holding both directions' states after position t.
+
+    The directions run together along a leading axis of 2: one batched
+    GEMM computes every step's input projection, and one time loop steps
+    both.  Steps past a sequence's end run on padding and are never
+    read.  The cache holds xs (2, T, N, D) as each direction reads it, hs
+    and cs (2, T + 1, N, H) starting from zero states, gates (2, T, N, 4,
+    H) holding f, i, g, o, and tanh_c (2, T, N, H).
     """
     if not lengths.all():
         raise ValueError("cannot run a BiLSTM over an empty sequence")
     steps, batch, _ = xs.shape
+    hidden = params.hidden
     t = np.arange(steps)[:, None]
     # flip[t, n]: the position read at reverse step t; padding stays in place
     flip = (np.where(t < lengths, lengths - 1 - t, t), np.arange(batch))
-    f_cache = _lstm_forward(params.forward, xs)
-    b_cache = _lstm_forward(params.backward, xs[flip])
-    outs = np.concatenate([f_cache[1][1:], b_cache[1][1:][flip]], axis=2)
-    return outs, (f_cache, b_cache, flip)
+    xs = np.stack([xs, xs[flip]])
+    gates = xs.reshape(2, steps * batch, -1) @ params.w_x.transpose(0, 2, 1)
+    gates += params.b[:, None]
+    gates = gates.reshape(2, steps, batch, 4, hidden)
+    # an overflowed product would saturate the gates instead of propagating
+    # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN
+    if not np.isfinite(gates).all():
+        raise ValueError("non-finite LSTM input projection")
+    hs, cs = np.zeros((2, 2, steps + 1, batch, hidden))
+    tanh_c = np.empty((2, steps, batch, hidden))
+    w_h_t = params.w_h.transpose(0, 2, 1)
+    peep = params.p[:, None]  # (2, 1, 3, H): broadcast over the batch
+    for t in range(steps):
+        a = gates[:, t]
+        a += (hs[:, t] @ w_h_t).reshape(2, batch, 4, hidden)
+        a[:, :, :2] += peep[:, :, :2] * cs[:, t, :, None]
+        a[:, :, :2] = _sigmoid(a[:, :, :2])
+        a[:, :, 2] = np.tanh(a[:, :, 2])
+        c = cs[:, t + 1]
+        np.multiply(a[:, :, 0], cs[:, t], out=c)
+        c += a[:, :, 1] * a[:, :, 2]
+        a[:, :, 3] = _sigmoid(a[:, :, 3] + peep[:, :, 2] * c)
+        np.tanh(c, out=tanh_c[:, t])
+        np.multiply(a[:, :, 3], tanh_c[:, t], out=hs[:, t + 1])
+    outs = np.concatenate([hs[0, 1:], hs[1, 1:][flip]], axis=2)
+    return outs, (xs, hs, cs, gates, tanh_c, flip)
 
 
 def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
-    """(gradients as BiLstmParams, d_xs) from d(outs)."""
-    f_cache, b_cache, flip = cache
-    hidden = params.hidden
-    f_grads, f_dxs = _lstm_backward(params.forward, f_cache, d_outs[:, :, :hidden])
-    b_grads, b_dxs = _lstm_backward(params.backward, b_cache, d_outs[:, :, hidden:][flip])
-    return BiLstmParams(f_grads, b_grads), f_dxs + b_dxs[flip]
+    """(gradients as BiLstmParams, d_xs (T, N, D)) from d(outs) (T, N, 2H).
+
+    One reverse time loop over both directions only collects the gate
+    pre-activation gradients d_a; the weight and input gradients are then
+    batched GEMMs.
+    """
+    xs, hs, cs, gates, tanh_c, flip = cache
+    _, steps, batch, _, hidden = gates.shape
+    d_hs = np.stack([d_outs[:, :, :hidden], d_outs[:, :, hidden:][flip]])
+    f, i, g, o = (gates[:, :, :, k] for k in range(4))
+    c_prev = cs[:, :-1]
+    peep_f, peep_i, peep_o = params.p.transpose(1, 0, 2)[:, :, None, None]  # each (2, 1, 1, H)
+    # for every step at once: d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
+    k_o = tanh_c * o * (1.0 - o)
+    k_c = o * (1.0 - tanh_c ** 2) + k_o * peep_o
+    k_fig = np.stack([c_prev * f * (1.0 - f), g * i * (1.0 - i), i * (1.0 - g ** 2)], axis=3)
+    k_carry = f + k_fig[:, :, :, 0] * peep_f + k_fig[:, :, :, 1] * peep_i
+
+    d_a = np.empty((2, steps, batch, 4, hidden))
+    dh_carry, dc = np.zeros((2, 2, batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        dh = d_hs[:, t] + dh_carry
+        dc += dh * k_c[:, t]
+        np.multiply(dc[:, :, None], k_fig[:, t], out=d_a[:, t, :, :3])
+        np.multiply(dh, k_o[:, t], out=d_a[:, t, :, 3])
+        dh_carry = d_a[:, t].reshape(2, batch, 4 * hidden) @ params.w_h
+        dc *= k_carry[:, t]
+
+    d_a2 = d_a.reshape(2, steps * batch, 4 * hidden)
+    d_a2_t = d_a2.transpose(0, 2, 1)
+    peep_in = (c_prev, c_prev, cs[:, 1:])
+    d_p = [(d_a[:, :, :, k] * s).sum(axis=(1, 2)) for k, s in zip((0, 1, 3), peep_in)]
+    grads = BiLstmParams(
+        d_a2_t @ xs.reshape(2, steps * batch, -1),
+        d_a2_t @ hs[:, :-1].reshape(2, steps * batch, hidden),
+        np.stack(d_p, axis=1),
+        d_a2.sum(axis=1),
+    )
+    d_xs = (d_a2 @ params.w_x).reshape(2, steps, batch, -1)
+    return grads, d_xs[0] + d_xs[1][flip]
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +346,12 @@ class EncoderParams:
     def __post_init__(self):
         self.proj_w = np.asarray(self.proj_w, dtype=np.float64)
         self.proj_b = np.asarray(self.proj_b, dtype=np.float64)
-        if self.char_bilstm.forward.input_dim != self.char_table.dim:
-            raise ValueError(f"char BiLSTM expects width {self.char_bilstm.forward.input_dim}")
+        if self.char_bilstm.input_dim != self.char_table.dim:
+            raise ValueError(f"char BiLSTM expects width {self.char_bilstm.input_dim}")
         token_width = self.word_table.dim + 2 * self.char_bilstm.hidden
-        if self.word_bilstm.forward.input_dim != token_width:
+        if self.word_bilstm.input_dim != token_width:
             raise ValueError(
-                f"word BiLSTM expects width {self.word_bilstm.forward.input_dim}, "
+                f"word BiLSTM expects width {self.word_bilstm.input_dim}, "
                 f"token vectors have {token_width}"
             )
         if self.proj_w.shape[0] != 2 * self.word_bilstm.hidden:

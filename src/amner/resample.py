@@ -51,6 +51,8 @@ class SmoteConfig:
     def __post_init__(self):
         if self.n_percent <= 0:
             raise ValueError("n_percent must be positive")
+        if self.n_percent >= 100 and self.n_percent % 100:
+            raise ValueError(f"n_percent {self.n_percent} is over 100 but not a multiple of 100")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 

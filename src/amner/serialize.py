@@ -19,8 +19,10 @@ Two kinds of tensor are stored in a layout other than the one the
 model, training and ``gradcheck`` use; these file layouts exist only
 here:
 
-* each LSTM as 15 per-gate tensors (``w_fx`` .. ``b_o``, see
-  ``_GATE_NAMES``), the row blocks of its four stacked tensors;
+* each BiLSTM ``X`` as 30 per-gate tensors: ``X_fwd.w_fx`` ..
+  ``X_fwd.b_o`` (see ``_GATE_NAMES``), the row blocks of direction 0 of
+  its four stacked tensors, followed by the same blocks of direction 1
+  as ``X_bwd.w_fx`` .. ``X_bwd.b_o``;
 * each embedding table, (V + 1, D) in memory with the unknown token's
   row last, as ``X.matrix`` (V, D) followed by ``X.unk`` (D,).
 
@@ -36,7 +38,7 @@ import math
 import numpy as np
 
 from .crf import CrfParams, build_iob2_mask
-from .model import BiLstmParams, EmbeddingTable, EncoderParams, LstmParams, ModelParams
+from .model import BiLstmParams, EmbeddingTable, EncoderParams, ModelParams
 
 MAGIC = "amner-model 1"
 _BLOB_MARKER = b"\n[blob]\n"
@@ -48,29 +50,41 @@ _GATE_NAMES = {
     "p": ("p_f", "p_i", "p_o"),
     "b": ("b_f", "b_i", "b_c", "b_o"),
 }
+# the file prefixes of a BiLSTM's directions, in the order of its direction axis
+_DIRECTIONS = ("fwd", "bwd")
 
 
 class ModelFormatError(ValueError):
     pass
 
 
+def _gate_blocks(prefix: str, tensors: dict[str, np.ndarray]):
+    """(file name, block) of every gate block of BiLSTM ``prefix``: the
+    forward direction's, then the reverse direction's, each in the order
+    of ``_GATE_NAMES``."""
+    for direction, file_prefix in enumerate(_DIRECTIONS):
+        for field, gates in _GATE_NAMES.items():
+            stacked = tensors[f"{prefix}.{field}"][direction]
+            # p holds one row per gate; the other stacks hold H-row blocks
+            blocks = stacked if field == "p" else np.split(stacked, len(gates))
+            for gate, block in zip(gates, blocks):
+                yield f"{prefix}_{file_prefix}.{gate}", block
+
+
 def file_tensors(model: ModelParams) -> dict[str, np.ndarray]:
     """``model.tensors()`` under the file's names, in file order: each
-    stacked LSTM tensor is replaced by its gate blocks and each embedding
-    table by its vocabulary rows and unknown row."""
+    BiLSTM's four stacked tensors are replaced by its gate blocks and
+    each embedding table by its vocabulary rows and unknown row."""
+    tensors = model.tensors()
     out: dict[str, np.ndarray] = {}
-    for name, array in model.tensors().items():
+    for name, array in tensors.items():
         prefix, _, field = name.rpartition(".")
         if field == "matrix":
             out[name], out[f"{prefix}.unk"] = array[:-1], array[-1]
-            continue
-        gates = _GATE_NAMES.get(field)
-        if gates is None:
+        elif field == "w_x":  # a BiLSTM's first tensor stands for all four
+            out.update(_gate_blocks(prefix, tensors))
+        elif field not in _GATE_NAMES:
             out[name] = array
-            continue
-        # p holds one row per gate; the other stacks hold H-row blocks
-        blocks = array if field == "p" else np.split(array, len(gates))
-        out.update((f"{prefix}.{gate}", block) for gate, block in zip(gates, blocks))
     return out
 
 
@@ -192,20 +206,22 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
         vocab = {token: i for i, token in enumerate(tokens)}
         return EmbeddingTable(vocab, np.concatenate(rows, dtype=np.float64))
 
-    def lstm(prefix: str) -> LstmParams:  # stacking copies the gate blocks
+    def bilstm(prefix: str) -> BiLstmParams:  # stacking copies the gate blocks
         stacked = {}
         for field, gates in _GATE_NAMES.items():
-            blocks = np.stack([tensors.pop(f"{prefix}.{gate}") for gate in gates], dtype=np.float64)
-            stacked[field] = blocks if field == "p" else blocks.reshape(-1, *blocks.shape[2:])
-        return LstmParams(**stacked)
+            names = [f"{prefix}_{direction}.{gate}" for direction in _DIRECTIONS for gate in gates]
+            blocks = np.stack([tensors.pop(name) for name in names], dtype=np.float64)
+            # p holds one row per gate; the other stacks join H-row blocks
+            stacked[field] = blocks.reshape(2, -1, *blocks.shape[1 if field == "p" else 2 :])
+        return BiLstmParams(**stacked)
 
     # the constructors check each shape against the vocabularies, tags and other tensors
     try:
         encoder = EncoderParams(
             char_table=table("char_table", chars),
-            char_bilstm=BiLstmParams(lstm("char_fwd"), lstm("char_bwd")),
+            char_bilstm=bilstm("char"),
             word_table=table("word_table", words),
-            word_bilstm=BiLstmParams(lstm("word_fwd"), lstm("word_bwd")),
+            word_bilstm=bilstm("word"),
             proj_w=take("proj.weight"),
             proj_b=take("proj.bias"),
             dropout_rate=dropout,

@@ -430,10 +430,12 @@ def train_model(
     on the summed batch gradient, and log an :class:`EpochLog` (with
     entity F1 on ``dev`` when given).  ``on_epoch`` may return True to
     stop early; ``config.patience`` stops after that many epochs without
-    a dev F1 improvement.
+    a dev F1 improvement, and is refused without ``dev``.
     """
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
+    if config.patience is not None and dev is None:
+        raise ValueError("patience stops on dev F1 and needs a dev set")
     params = model.tensors()
     state = AdamState.for_params(params)
     # the row-sparse word-table gradient is scattered into this buffer for
@@ -476,7 +478,7 @@ def train_model(
         logs.append(entry)
         if on_epoch is not None and on_epoch(entry):
             break
-        if config.patience is not None and dev is not None:
+        if config.patience is not None:
             if entry.dev_f1 > best_f1 + 1e-12:
                 best_f1 = entry.dev_f1
                 stale = 0

@@ -141,6 +141,14 @@ class TestSmote:
         assert code == 0
         assert "count.PER 6" in capsys.readouterr().out  # 2 originals + 4 synthetic
 
+    def test_amount_not_a_multiple_of_100_is_data_error(self, tmp_path, capsys):
+        src = self.make_rows(tmp_path)
+        dst = tmp_path / "out.tsv"
+        code = main(["smote", "--smote-n", "150", "--smote-k", "1", "--label", "PER", src, str(dst)])
+        assert code == 1
+        assert "error: n_percent 150 is over 100 but not a multiple of 100" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_needs_mode_flag(self, tmp_path):
         src = self.make_rows(tmp_path)
         assert main(["smote", src, "out.tsv"]) == 2
@@ -207,6 +215,7 @@ class TestTrainTagEval:
         ("epsilon 0\n", [], "error: epsilon must be"),
         ("seed 1\nbatch 4\n", [], "error: line 2: unknown option 'batch'"),
         (b"seed \xff\n", [], "error: invalid UTF-8: "),
+        ("patience 1\n", [], "error: patience stops on dev F1 and needs a dev set"),
     ])
     def test_bad_settings_are_data_errors(self, tmp_path, corpus_path, capsys, config, flags, message):
         cfg = tmp_path / "train.cfg"
@@ -314,7 +323,7 @@ class TestTrainTagEval:
         assert "አህመድ\t" in out_text
         assert main(["validate", str(tagged)]) == 0
 
-    def test_config_file_with_flag_override(self, tmp_path, corpus_path):
+    def test_config_file_with_flag_override(self, tmp_path, corpus_path, capsys):
         config = write(tmp_path / "c.cfg", "max_epochs 1\nseed 9\nbatch_size 2\n")
         model_path = tmp_path / "m.model"
         code = main([
@@ -327,6 +336,8 @@ class TestTrainTagEval:
         log_text = (tmp_path / "m.model.log").read_text(encoding="utf-8")
         assert "max_epochs 2" in log_text  # flag wins over config file
         assert "seed 9" in log_text  # config file value survives
+        seed_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("seed:")]
+        assert seed_lines == ["seed: 9"]  # the seed training used, printed once
 
 
 class TestEffectiveConfig:

@@ -11,12 +11,10 @@ from amner.corpus import FormatError
 from amner.model import (
     BiLstmParams,
     EmbeddingTable,
-    LstmParams,
     SparseRows,
     _bilstm_forward,
     _chars_backward,
     _chars_forward,
-    _lstm_forward,
     encode_backward,
     encode_batch,
     encode_forward,
@@ -26,24 +24,57 @@ from amner.model import (
 from amner.train import AdamState, TrainConfig, adam_step
 
 
-def zero_lstm(input_dim, hidden):
-    return LstmParams(
-        np.zeros((4 * hidden, input_dim)), np.zeros((4 * hidden, hidden)),
-        np.zeros((3, hidden)), np.zeros(4 * hidden),
+def zero_bilstm(input_dim, hidden):
+    return BiLstmParams(
+        np.zeros((2, 4 * hidden, input_dim)), np.zeros((2, 4 * hidden, hidden)),
+        np.zeros((2, 3, hidden)), np.zeros((2, 4 * hidden)),
     )
 
 
-def lstm_step(params, x, h_prev, c_prev):
-    """One update of the LSTM kernel: a batch of one sequence of one step."""
-    _, hs, cs, _, _ = _lstm_forward(params, np.asarray(x, dtype=np.float64)[None, None],
-                                    h_prev[None], c_prev[None])
-    return hs[1, 0], cs[1, 0]
+def same_directions(params):
+    """``params`` with its reverse direction replaced by its forward one."""
+    return BiLstmParams(*(np.stack([t[0], t[0]]) for t in params.tensors("").values()))
+
+
+def run_bilstm(params, xs):
+    """BiLSTM kernel outputs (L, 2H) of one sequence, and the kernel's cache."""
+    xs = np.asarray(xs, dtype=np.float64)
+    outs, cache = _bilstm_forward(params, xs[:, None], np.array([len(xs)]))
+    return outs[:, 0], cache
 
 
 def bilstm_outputs(params, xs):
     """BiLSTM kernel outputs (L, 2H) of one sequence."""
-    xs = np.asarray(xs, dtype=np.float64)
-    return _bilstm_forward(params, xs[:, None], np.array([len(xs)]))[0][:, 0]
+    return run_bilstm(params, xs)[0]
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_step(params, direction, x, h_prev, c_prev):
+    """One step of one direction, transcribed from the model docstring's equations."""
+    a_f, a_i, a_c, a_o = np.split(
+        params.w_x[direction] @ x + params.w_h[direction] @ h_prev + params.b[direction], 4
+    )
+    p_f, p_i, p_o = params.p[direction]
+    f = sigmoid(a_f + p_f * c_prev)
+    i = sigmoid(a_i + p_i * c_prev)
+    c = f * c_prev + i * np.tanh(a_c)
+    o = sigmoid(a_o + p_o * c)
+    return o * np.tanh(c), c
+
+
+def reference_outputs(params, xs):
+    """The BiLSTM outputs (L, 2H) of one sequence as a loop of single reference steps."""
+    hidden = params.hidden
+    outs = np.zeros((len(xs), 2 * hidden))
+    for direction, order in enumerate((range(len(xs)), reversed(range(len(xs))))):
+        h, c = np.zeros(hidden), np.zeros(hidden)
+        for t in order:
+            h, c = reference_step(params, direction, np.asarray(xs[t], dtype=np.float64), h, c)
+            outs[t, direction * hidden : (direction + 1) * hidden] = h
+    return outs
 
 
 def char_vectors(enc, words):
@@ -144,46 +175,43 @@ class TestEmbeddings:
 
 class TestLstmStep:
     def test_all_zero(self):
-        params = zero_lstm(2, 3)
-        h, c = lstm_step(params, np.zeros(2), np.zeros(3), np.zeros(3))
-        assert np.array_equal(h, np.zeros(3))
-        assert np.array_equal(c, np.zeros(3))
+        outs, (_, _, cs, _, _, _) = run_bilstm(zero_bilstm(2, 3), np.zeros((1, 2)))
+        assert np.array_equal(outs, np.zeros((1, 6)))
+        assert np.array_equal(cs, np.zeros((2, 2, 1, 3)))
 
     def test_scalar_hand_example(self):
         # zero weights, large candidate bias: gates sit at 0.5, the
         # candidate saturates, so c = 0.5 * tanh(b_c) and h follows.
-        params = zero_lstm(1, 1)
-        params.b[2:3] = [8.0]  # gate order f, i, c, o
-        h, c = lstm_step(params, np.zeros(1), np.zeros(1), np.zeros(1))
+        params = zero_bilstm(1, 1)
+        params.b[:, 2] = 8.0  # gate order f, i, c, o; both directions
+        outs, (_, _, cs, _, _, _) = run_bilstm(params, np.zeros((1, 1)))
         expected_c = 0.5 * math.tanh(8.0)
-        assert abs(c[0] - expected_c) < 1e-12
-        assert abs(h[0] - 0.5 * math.tanh(expected_c)) < 1e-12
+        assert np.all(np.abs(cs[:, 1, 0, 0] - expected_c) < 1e-12)
+        assert np.all(np.abs(outs[0] - 0.5 * math.tanh(expected_c)) < 1e-12)
 
     def test_wrong_input_width(self):
         with pytest.raises(ValueError):
-            lstm_step(zero_lstm(2, 3), np.zeros(5), np.zeros(3), np.zeros(3))
+            run_bilstm(zero_bilstm(2, 3), np.zeros((1, 5)))
 
     def test_gates_bounded_and_h_below_one(self):
         rng = np.random.default_rng(0)
-        params = LstmParams.random(3, 4, rng)
-        h = np.zeros(4)
-        c = np.zeros(4)
-        for _ in range(20):
-            x = rng.uniform(-5, 5, size=3)
-            _, hs, cs, gates, _ = _lstm_forward(params, x[None, None], h[None], c[None])
-            h, c = hs[1, 0], cs[1, 0]
-            f, i, _, o = gates[0, 0]
-            for gate in (f, i, o):
-                assert np.all(gate > 0.0) and np.all(gate < 1.0)
-            assert np.all(np.abs(h) < 1.0)
+        params = BiLstmParams.random(3, 4, rng)
+        outs, (_, _, _, gates, _, _) = run_bilstm(params, rng.uniform(-5, 5, size=(20, 3)))
+        f, i, _, o = (gates[:, :, 0, k] for k in range(4))
+        for gate in (f, i, o):
+            assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        assert np.all(np.abs(outs) < 1.0)
 
     def test_cell_carry_through_when_saturated(self):
-        params = zero_lstm(1, 1)
-        params.b[0:1] = [40.0]   # forget gate ~1
-        params.b[1:2] = [-40.0]  # input gate ~0
-        c_prev = np.array([0.37])
-        _, c = lstm_step(params, np.zeros(1), np.zeros(1), c_prev)
-        assert abs(c[0] - c_prev[0]) < 1e-6
+        # the forget gate is ~1 throughout; the input gate opens only for
+        # x = 1, so the cell written at the first step is carried unchanged
+        params = zero_bilstm(1, 1)
+        params.b[:, :3] = [40.0, -40.0, 0.4]
+        params.w_x[:, 1] = 80.0  # input gate
+        _, (_, _, cs, _, _, _) = run_bilstm(params, [[1.0], [0.0], [0.0], [0.0]])
+        carried = cs[0, 1:, 0, 0]  # forward direction
+        assert abs(carried[0] - math.tanh(0.4)) < 1e-6
+        assert np.all(np.abs(carried - carried[0]) < 1e-6)
 
 
 class TestBilstm:
@@ -198,19 +226,17 @@ class TestBilstm:
         params = BiLstmParams.random(2, 3, rng)
         x = rng.normal(size=2)
         out = bilstm_outputs(params, [x])[0]
-        fh, fc = lstm_step(params.forward, x, np.zeros(3), np.zeros(3))
-        bh, bc = lstm_step(params.backward, x, np.zeros(3), np.zeros(3))
-        assert np.array_equal(out, np.concatenate([fh, bh]))
+        fh, _ = reference_step(params, 0, x, np.zeros(3), np.zeros(3))
+        bh, _ = reference_step(params, 1, x, np.zeros(3), np.zeros(3))
+        assert np.max(np.abs(out - np.concatenate([fh, bh]))) <= 1e-12
 
     def test_zero_params_zero_output(self):
-        params = BiLstmParams(zero_lstm(2, 3), zero_lstm(2, 3))
-        outs = bilstm_outputs(params, [np.ones(2), np.ones(2)])
+        outs = bilstm_outputs(zero_bilstm(2, 3), [np.ones(2), np.ones(2)])
         assert np.array_equal(outs, np.zeros((2, 6)))
 
     def test_palindrome_symmetry(self):
         rng = np.random.default_rng(3)
-        shared = LstmParams.random(2, 3, rng)
-        params = BiLstmParams(shared, shared)
+        params = same_directions(BiLstmParams.random(2, 3, rng))
         half = [rng.normal(size=2) for _ in range(3)]
         xs = half + half[::-1]
         outs = bilstm_outputs(params, xs)
@@ -221,7 +247,7 @@ class TestBilstm:
             assert np.allclose(outs[t][3:], mirrored[:3])
 
     def test_empty_rejected(self):
-        params = BiLstmParams(zero_lstm(2, 3), zero_lstm(2, 3))
+        params = zero_bilstm(2, 3)
         with pytest.raises(ValueError, match="empty"):
             _bilstm_forward(params, np.zeros((0, 1, 2)), np.array([0]))
         with pytest.raises(ValueError, match="empty"):  # an empty row among others
@@ -232,10 +258,8 @@ class TestCharEncoding:
     def test_single_char_word(self):
         enc = tiny_encoder()
         vec = char_vectors(enc, ["a"])[0]
-        x = row_of(enc.char_table, "a")
-        fh, _ = lstm_step(enc.char_bilstm.forward, x, np.zeros(2), np.zeros(2))
-        bh, _ = lstm_step(enc.char_bilstm.backward, x, np.zeros(2), np.zeros(2))
-        assert np.array_equal(vec, np.concatenate([fh, bh]))
+        expected = reference_outputs(enc.char_bilstm, [row_of(enc.char_table, "a")])[0]
+        assert np.max(np.abs(vec - expected)) <= 1e-12
 
     def test_deterministic(self):
         enc = tiny_encoder()
@@ -400,24 +424,26 @@ class TestSparseWordGradient:
 
 class TestStackedStorage:
     def test_mismatched_gate_shapes_rejected(self):
-        zero = zero_lstm(2, 3)
+        zero = zero_bilstm(2, 3)
         with pytest.raises(ValueError):
-            LstmParams(np.zeros((11, 2)), zero.w_h, zero.p, zero.b)
+            BiLstmParams(np.zeros((2, 11, 2)), zero.w_h, zero.p, zero.b)
         with pytest.raises(ValueError):
-            LstmParams(zero.w_x, zero.w_h, zero.p, np.zeros(11))
+            BiLstmParams(zero.w_x, zero.w_h, zero.p, np.zeros((2, 11)))
+        with pytest.raises(ValueError):  # one direction only
+            BiLstmParams(zero.w_x[:1], zero.w_h[:1], zero.p[:1], zero.b[:1])
 
     def test_in_place_adam_reaches_the_kernel(self):
         rng = np.random.default_rng(2)
-        params = LstmParams.random(3, 4, rng)
+        params = BiLstmParams.random(3, 4, rng)
         tensors = params.tensors("x")
         grads = {k: rng.normal(size=v.shape) for k, v in tensors.items()}
         before = params.w_x.copy(), params.w_h.copy(), params.p.copy(), params.b.copy()
         adam_step(AdamState.for_params(tensors), tensors, grads, TrainConfig(learning_rate=0.1))
         for old, new in zip(before, (params.w_x, params.w_h, params.p, params.b)):
             assert not np.any(old == new)
-        x, h, c = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
-        rebuilt = LstmParams(**{k.split(".")[1]: v.copy() for k, v in tensors.items()})
-        assert np.array_equal(lstm_step(params, x, h, c)[0], lstm_step(rebuilt, x, h, c)[0])
+        xs = rng.normal(size=(4, 3))
+        rebuilt = BiLstmParams(**{k.split(".")[1]: v.copy() for k, v in tensors.items()})
+        assert np.array_equal(bilstm_outputs(params, xs), bilstm_outputs(rebuilt, xs))
 
 
 def random_char_encoder(seed):
@@ -430,17 +456,10 @@ def random_char_encoder(seed):
 
 
 def per_word_char_vector(enc, word):
-    """The character BiLSTM of one word as a loop of single lstm_step calls."""
-    xs = list(enc.char_table.matrix[enc.char_table.ids(word)])
+    """The character BiLSTM summary of one word from a loop of single reference steps."""
+    outs = reference_outputs(enc.char_bilstm, enc.char_table.matrix[enc.char_table.ids(word)])
     hidden = enc.char_bilstm.hidden
-    state = {}
-    for direction, seq in (("fwd", xs), ("bwd", xs[::-1])):
-        h, c = np.zeros(hidden), np.zeros(hidden)
-        lstm = enc.char_bilstm.forward if direction == "fwd" else enc.char_bilstm.backward
-        for x in seq:
-            h, c = lstm_step(lstm, x, h, c)
-        state[direction] = h
-    return np.concatenate([state["fwd"], state["bwd"]])
+    return np.concatenate([outs[-1, :hidden], outs[0, hidden:]])
 
 
 # "abgelmt" is the character vocabulary; "xyzሀ" are out of it

@@ -153,6 +153,14 @@ class TestSmote:
         out = smote(rows_from([(0,), (1,), (2,)], label="ORG"), SmoteConfig(100, k=1, seed=0))
         assert {row.label for row in out.rows} == {"ORG"}
 
+    @pytest.mark.parametrize("n_percent", [150, 101, 250, 1099])
+    def test_amount_over_100_must_be_a_multiple_of_100(self, n_percent):
+        # Chawla et al. oversample by whole multiples of 100% above 100%
+        with pytest.raises(ValueError, match="multiple of 100"):
+            SmoteConfig(n_percent, k=1)
+        for valid in (1, 50, 99, 100, 200, 300, 1000):
+            assert SmoteConfig(valid, k=1).n_percent == valid
+
 
 class TestBalance:
     def test_match_majority_expands_minority(self):

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,9 @@ from amner.serialize import (
     save_model,
 )
 from amner.train import build_model, sentence_loss_and_grads
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def small_model(seed=0, masked=False):
@@ -52,6 +56,15 @@ class TestRoundTrip:
     def test_resave_identical_bytes(self):
         _, model = small_model()
         data = model_to_bytes(model)
+        loaded, config = model_from_bytes(data)
+        assert model_to_bytes(loaded, config) == data
+
+    @pytest.mark.parametrize(
+        "path", sorted(DATA.glob("parity-*.model")), ids=lambda path: path.name
+    )
+    def test_committed_models_resave_identically(self, path):
+        # trained models: non-zero peepholes and biases in both directions
+        data = path.read_bytes()
         loaded, config = model_from_bytes(data)
         assert model_to_bytes(loaded, config) == data
 
@@ -205,18 +218,25 @@ class TestTensorTable:
 class TestGateBlocks:
     def test_gate_blocks_load_into_stacked_rows(self):
         _, model = small_model()
-        lstm = model.encoder.word_bilstm.forward
-        hidden, width = lstm.hidden, lstm.input_dim
+        bilstm = model.encoder.word_bilstm
+        hidden, width = bilstm.hidden, bilstm.input_dim
         w_ix = np.arange(hidden * width, dtype=np.float64).reshape(hidden, width) + 0.5
         p_o = -np.arange(1.0, hidden + 1.0)
-        data = with_tensors(model, lambda t: {**t, "word_fwd.w_ix": w_ix, "word_fwd.p_o": p_o})
-        loaded = model_from_bytes(data)[0].encoder.word_bilstm.forward
-        assert np.array_equal(loaded.w_x[hidden : 2 * hidden], w_ix)
-        assert np.array_equal(loaded.p[2], p_o)
+        b_c = np.arange(1.0, hidden + 1.0) / 4
+        edits = {"word_fwd.w_ix": w_ix, "word_fwd.p_o": p_o, "word_bwd.b_c": b_c}
+        data = with_tensors(model, lambda t: {**t, **edits})
+        loaded = model_from_bytes(data)[0].encoder.word_bilstm
+        # direction 0 is the forward LSTM, direction 1 the reverse
+        assert np.array_equal(loaded.w_x[0, hidden : 2 * hidden], w_ix)
+        assert np.array_equal(loaded.p[0, 2], p_o)
+        assert np.array_equal(loaded.b[1, 2 * hidden : 3 * hidden], b_c)
         # every other block loads where it was written
-        assert np.array_equal(loaded.w_x[:hidden], lstm.w_x[:hidden])
-        assert np.array_equal(loaded.w_x[2 * hidden :], lstm.w_x[2 * hidden :])
-        assert np.array_equal(loaded.p[:2], lstm.p[:2])
+        assert np.array_equal(loaded.w_x[0, :hidden], bilstm.w_x[0, :hidden])
+        assert np.array_equal(loaded.w_x[0, 2 * hidden :], bilstm.w_x[0, 2 * hidden :])
+        assert np.array_equal(loaded.w_x[1], bilstm.w_x[1])
+        assert np.array_equal(loaded.p[0, :2], bilstm.p[0, :2])
+        assert np.array_equal(loaded.b[1, : 2 * hidden], bilstm.b[1, : 2 * hidden])
+        assert np.array_equal(loaded.b[0], bilstm.b[0])
 
 
 class TestGolden:
