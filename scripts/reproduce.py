@@ -108,14 +108,13 @@ def train_and_score(train_set, test_set, args, pretrained) -> float:
 
 
 def protocol_kfold(sentences, args, pretrained) -> None:
-    plan = kfold_split(len(sentences), args.folds, args.seed)
+    splits = kfold_split(len(sentences), args.folds, args.seed)
     variants = [("random-init", None)]
     if pretrained is not None:
         variants.append(("pretrained", pretrained))
     for name, table in variants:
         scores = []
-        for fold in range(args.folds):
-            train_idx, test_idx = plan.fold_train_test(fold)
+        for fold, (train_idx, test_idx) in enumerate(splits):
             f1 = train_and_score(
                 [sentences[i] for i in train_idx], [sentences[i] for i in test_idx],
                 args, table,
@@ -131,10 +130,9 @@ def protocol_kfold(sentences, args, pretrained) -> None:
 
 
 def protocol_two_thirds(sentences, args, pretrained) -> None:
-    plan = holdout_split(len(sentences), 2.0 / 3.0, args.seed)
+    train_idx, test_idx = holdout_split(len(sentences), 2.0 / 3.0, args.seed)
     f1 = train_and_score(
-        [sentences[i] for i in plan.train], [sentences[i] for i in plan.test],
-        args, pretrained,
+        [sentences[i] for i in train_idx], [sentences[i] for i in test_idx], args, pretrained
     )
     log(f"two-thirds split: F1 {100.0 * f1:.2f}")
 
@@ -221,9 +219,9 @@ def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
 
 
 def protocol_smote(sentences, args, pretrained) -> None:
-    plan = holdout_split(len(sentences), 0.8, args.seed)
-    train_set = [sentences[i] for i in plan.train]
-    test_set = [sentences[i] for i in plan.test]
+    train_idx, test_idx = holdout_split(len(sentences), 0.8, args.seed)
+    train_set = [sentences[i] for i in train_idx]
+    test_set = [sentences[i] for i in test_idx]
 
     oversampled = minority_sentence_oversample(train_set, args.seed)
     log(f"smote/sentence mode: {len(train_set)} -> {len(oversampled)} training sentences")

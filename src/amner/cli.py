@@ -128,12 +128,12 @@ def cmd_kappa(args) -> int:
 def cmd_smote(args) -> int:
     rows = resample_mod.parse_feature_rows(_read_bytes(args.input))
     config = resample_mod.SmoteConfig(
-        n_percent=args.n if args.n else 100, k=args.k, seed=args.seed
+        n_percent=100 if args.n is None else args.n, k=args.k, seed=args.seed
     )
     if args.target is not None:
         target = args.target if args.target == resample_mod.MATCH_MAJORITY else int(args.target)
         out = resample_mod.balance_token_dataset(rows, target, config)
-    elif args.n:
+    elif args.n is not None:
         label = args.label
         if label is None:
             label = min(resample_mod.class_counts(rows).items(), key=lambda kv: (kv[1], kv[0]))[0]

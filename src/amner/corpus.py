@@ -212,15 +212,9 @@ def write_corpus(sentences: Sequence[Sentence], scheme: TagScheme) -> str:
     Every sentence must validate under ``scheme``.  Surfaces starting
     with ``#`` are rejected because they would be re-read as comments.
     """
+    check_valid(sentences, scheme)
     pieces: list[str] = []
     for s_idx, sentence in enumerate(sentences):
-        violations = validate_tags(sentence, scheme)
-        if violations:
-            v = violations[0]
-            raise ValueError(
-                f"sentence {s_idx}, token {v.index}: tag sequence invalid "
-                f"under {scheme.value}: {v.message}"
-            )
         for t_idx, token in enumerate(sentence.tokens):
             if token.surface.startswith("#"):
                 raise ValueError(
@@ -273,6 +267,17 @@ def validate_tags(sentence: Sentence, scheme: TagScheme) -> list[TagViolation]:
                     )
         prev = tag
     return violations
+
+
+def check_valid(sentences: Sequence[Sentence], scheme: TagScheme) -> None:
+    """Raise ValueError naming the first sentence and token that violate ``scheme``."""
+    for s_idx, sentence in enumerate(sentences):
+        violations = validate_tags(sentence, scheme)
+        if violations:
+            v = violations[0]
+            raise ValueError(
+                f"sentence {s_idx}, token {v.index}: invalid under {scheme.value}: {v.message}"
+            )
 
 
 def _check_valid(sentence: Sentence, scheme: TagScheme) -> None:
@@ -488,16 +493,11 @@ class CorpusStats:
 
 def corpus_stats(sentences: Sequence[Sentence], scheme: TagScheme) -> CorpusStats:
     """Per-type token counts over a valid corpus; a B/I token counts toward its type."""
+    check_valid(sentences, scheme)
     type_counts: dict[str, int] = {}
     outside = 0
     total = 0
-    for s_idx, sentence in enumerate(sentences):
-        violations = validate_tags(sentence, scheme)
-        if violations:
-            v = violations[0]
-            raise ValueError(
-                f"sentence {s_idx}, token {v.index}: invalid under {scheme.value}: {v.message}"
-            )
+    for sentence in sentences:
         for token in sentence.tokens:
             total += 1
             if token.tag.position == "O":

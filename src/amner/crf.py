@@ -82,11 +82,11 @@ class CrfParams:
             trans_mask, start_mask, end_mask,
         )
 
-    def tensors(self, prefix: str = "crf") -> dict[str, np.ndarray]:
+    def tensors(self) -> dict[str, np.ndarray]:
         return {
-            f"{prefix}.transitions": self.transitions,
-            f"{prefix}.start": self.start_scores,
-            f"{prefix}.end": self.end_scores,
+            "crf.transitions": self.transitions,
+            "crf.start": self.start_scores,
+            "crf.end": self.end_scores,
         }
 
     def effective(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,23 +97,13 @@ class CrfParams:
         return trans, start, end
 
 
-def _check_emissions(params: CrfParams, emissions: np.ndarray) -> np.ndarray:
-    emissions = np.asarray(emissions, dtype=np.float64)
-    if emissions.ndim != 2 or emissions.shape[0] < 1:
-        raise ValueError(f"emissions must be (L, K) with L >= 1, got {emissions.shape}")
-    if emissions.shape[1] != params.num_tags:
-        raise ValueError(
-            f"emissions have {emissions.shape[1]} tags, params have {params.num_tags}"
-        )
-    return emissions
-
-
 def _as_batch(params: CrfParams, emissions: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     """(emissions (N, T, K), lengths (N,)); an (L, K) matrix without lengths is a batch of one."""
-    if lengths is None:
-        emissions = _check_emissions(params, emissions)[None]
-        return emissions, np.array([emissions.shape[1]])
     emissions = np.asarray(emissions, dtype=np.float64)
+    if lengths is None:
+        if emissions.ndim != 2 or emissions.shape[0] < 1:
+            raise ValueError(f"emissions must be (L, K) with L >= 1, got {emissions.shape}")
+        emissions, lengths = emissions[None], emissions.shape[:1]
     lengths = np.asarray(lengths, dtype=np.int64)
     if emissions.ndim != 3 or emissions.shape[2] != params.num_tags:
         raise ValueError(f"emissions must be (N, T, {params.num_tags}), got {emissions.shape}")
@@ -148,11 +138,11 @@ def _path_scores(params: CrfParams, emissions: np.ndarray, tags: np.ndarray, len
 
 def score_sequence(params: CrfParams, emissions: np.ndarray, tags) -> float:
     """Score of one tag path; raises if the path crosses a masked entry."""
-    emissions = _check_emissions(params, emissions)
+    emissions, lengths = _as_batch(params, emissions, None)
     tags = np.array([list(tags)], dtype=np.int64)
-    if tags.shape[1] != emissions.shape[0]:
-        raise ValueError(f"path length {tags.shape[1]} != sequence length {emissions.shape[0]}")
-    return float(_path_scores(params, emissions[None], tags, np.array([tags.shape[1]]))[0])
+    if tags.shape[1] != emissions.shape[1]:
+        raise ValueError(f"path length {tags.shape[1]} != sequence length {emissions.shape[1]}")
+    return float(_path_scores(params, emissions, tags, lengths)[0])
 
 
 def _forward(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
@@ -177,6 +167,25 @@ def forward_log_partition(params: CrfParams, emissions: np.ndarray) -> float:
     return float(_forward(params, emissions, lengths)[1][0])
 
 
+def _backward(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray, reduce):
+    """The backward recursion under ``reduce``: np.max gives Viterbi's
+    suffix table, _logsumexp the marginals' beta.  Returns (inner, table),
+    both (N, T, K).  inner[n, t, i] reduces the scores of the legal
+    continuations of row n after tag i at position t, end score included;
+    it is ``end`` from the row's last position on.  table = emissions + inner.
+    """
+    trans, _, end = params.effective()
+    last = (lengths - 1)[:, None]
+    inner, table = np.empty_like(emissions), np.empty_like(emissions)
+    inner[:, -1] = end
+    table[:, -1] = emissions[:, -1] + end
+    for pos in range(emissions.shape[1] - 2, -1, -1):
+        rest = reduce(trans + table[:, pos + 1, None, :], axis=2)
+        inner[:, pos] = np.where(pos >= last, end, rest)
+        table[:, pos] = emissions[:, pos] + inner[:, pos]
+    return inner, table
+
+
 def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
     """Highest-scoring legal path of each row, as (paths, scores); for a
     single (L, K) matrix without lengths, (path, score).  Ties break to
@@ -185,17 +194,9 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
     """
     single = lengths is None
     emissions, lengths = _as_batch(params, emissions, lengths)
-    trans, start, end = params.effective()
+    trans, start, _ = params.effective()
     size, steps, _ = emissions.shape
-    last = (lengths - 1)[:, None]
-
-    # suffix[n, t, i]: best score of a legal path of row n over positions
-    # t..lengths[n]-1 starting at tag i
-    suffix = np.empty_like(emissions)
-    suffix[:, -1] = emissions[:, -1] + end
-    for pos in range(steps - 2, -1, -1):
-        rest = np.max(trans + suffix[:, pos + 1, None, :], axis=2)
-        suffix[:, pos] = np.where(pos == last, emissions[:, pos] + end, emissions[:, pos] + rest)
+    _, suffix = _backward(params, emissions, lengths, np.max)
 
     totals = start + suffix[:, 0]
     best = np.max(totals, axis=1)
@@ -216,19 +217,14 @@ def _posteriors(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
     """Forward-backward pass; returns (log_z (N,), unary (N, T, K),
     pairwise (N, T-1, K, K)), both zero past each row's end."""
     alpha, log_z = _forward(params, emissions, lengths)
-    trans, _, end = params.effective()
-    last = (lengths - 1)[:, None]
-    beta = np.empty_like(emissions)
-    beta[:, -1] = end
-    for pos in range(emissions.shape[1] - 2, -1, -1):
-        inner = _logsumexp(trans + (emissions[:, pos + 1] + beta[:, pos + 1])[:, None, :], axis=2)
-        beta[:, pos] = np.where(pos >= last, end, inner)
+    beta, table = _backward(params, emissions, lengths, _logsumexp)
+    trans, _, _ = params.effective()
 
     norm = log_z[:, None, None]
     # padded positions may overflow or meet -inf - -inf; they are zeroed below
     with np.errstate(invalid="ignore", over="ignore"):
         unary = np.exp(alpha + beta - norm)
-        pairwise = alpha[:, :-1, :, None] + trans + (emissions[:, 1:] + beta[:, 1:])[:, :, None, :]
+        pairwise = alpha[:, :-1, :, None] + trans + table[:, 1:, None, :]
         pairwise = np.exp(pairwise - norm[..., None])
     valid = np.arange(emissions.shape[1]) < lengths[:, None]
     unary[~valid] = 0.0
@@ -269,7 +265,7 @@ def nll_loss_and_grad(
     np.subtract.at(d_end, gold[rows, lengths - 1], 1.0)
     pairs = valid[:, 1:]
     np.subtract.at(d_trans, (gold[:, :-1][pairs], gold[:, 1:][pairs]), 1.0)
-    grads = {"crf.transitions": d_trans, "crf.start": d_start, "crf.end": d_end}
+    grads = CrfParams(d_trans, d_start, d_end).tensors()
     return loss, d_emissions[0] if single else d_emissions, grads
 
 

@@ -21,7 +21,7 @@ is 0 when its denominator is 0, and F1 is 0 when precision + recall is 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -243,26 +243,12 @@ def muc_evaluate(
 SEMEVAL_MODES = ("strict", "exact", "partial", "type")
 
 
-@dataclass
-class SemevalReport:
-    modes: dict[str, MucTally] = field(default_factory=dict)
-
-    def precision(self, mode: str) -> float:
-        return self.modes[mode].precision
-
-    def recall(self, mode: str) -> float:
-        return self.modes[mode].recall
-
-    def f1(self, mode: str) -> float:
-        return self.modes[mode].f1
-
-
 def semeval_evaluate(
     gold: Sequence[Sentence],
     pred: Sequence[Sentence],
     scheme: TagScheme = TagScheme.IOB2,
-) -> SemevalReport:
-    """Score one matching pass four ways.
+) -> dict[str, MucTally]:
+    """Score one matching pass four ways, as a tally per mode.
 
     strict: boundaries and type must agree.  exact: boundaries must
     agree, type is ignored.  partial: exact boundaries count fully,
@@ -270,7 +256,7 @@ def semeval_evaluate(
     on any overlapping pair.
     """
     tallies = _score_matches(gold, pred, scheme)
-    return SemevalReport({mode: tallies[mode] for mode in SEMEVAL_MODES})
+    return {mode: tallies[mode] for mode in SEMEVAL_MODES}
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +345,21 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}"
 
 
+_CONLL_FIELDS = ("tp", "fp", "fn", "precision", "recall", "f1")
+_MUC_FIELDS = ("cor", "inc", "par", "mis", "spu", "possible", "actual", "precision", "recall", "f1")
+
+
+def _kv(prefix: str, tally, fields: Sequence[str]) -> list[str]:
+    """`prefix + field value` lines; the repr of an int is its str."""
+    return [f"{prefix}{name} {getattr(tally, name)!r}" for name in fields]
+
+
 def render_conll(result: ConllResult, fmt: str = "text") -> str:
     lines: list[str] = []
     if fmt == "kv":
         for etype, tally in result.per_type.items():
-            lines.append(f"type.{etype}.tp {tally.tp}")
-            lines.append(f"type.{etype}.fp {tally.fp}")
-            lines.append(f"type.{etype}.fn {tally.fn}")
-            lines.append(f"type.{etype}.precision {tally.precision!r}")
-            lines.append(f"type.{etype}.recall {tally.recall!r}")
-            lines.append(f"type.{etype}.f1 {tally.f1!r}")
-        o = result.overall
-        lines.extend(
-            [
-                f"overall.tp {o.tp}", f"overall.fp {o.fp}", f"overall.fn {o.fn}",
-                f"overall.precision {o.precision!r}",
-                f"overall.recall {o.recall!r}",
-                f"overall.f1 {o.f1!r}",
-            ]
-        )
+            lines.extend(_kv(f"type.{etype}.", tally, _CONLL_FIELDS))
+        lines.extend(_kv("overall.", result.overall, _CONLL_FIELDS))
     elif fmt == "text":
         width = max([7] + [len(t) for t in result.per_type])
         lines.append(f"{'type':<{width}}  {'prec':>7}  {'recall':>7}  {'f1':>7}  {'tp':>5} {'fp':>5} {'fn':>5}")
@@ -396,24 +378,9 @@ def render_conll(result: ConllResult, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _muc_kv(prefix: str, tally: MucTally) -> list[str]:
-    return [
-        f"{prefix}cor {tally.cor}",
-        f"{prefix}inc {tally.inc}",
-        f"{prefix}par {tally.par}",
-        f"{prefix}mis {tally.mis}",
-        f"{prefix}spu {tally.spu}",
-        f"{prefix}possible {tally.possible}",
-        f"{prefix}actual {tally.actual}",
-        f"{prefix}precision {tally.precision!r}",
-        f"{prefix}recall {tally.recall!r}",
-        f"{prefix}f1 {tally.f1!r}",
-    ]
-
-
 def render_muc(tally: MucTally, fmt: str = "text") -> str:
     if fmt == "kv":
-        return "\n".join(_muc_kv("", tally)) + "\n"
+        return "\n".join(_kv("", tally, _MUC_FIELDS)) + "\n"
     if fmt == "text":
         lines = [
             f"COR {tally.cor}  INC {tally.inc}  PAR {tally.par}  "
@@ -425,16 +392,16 @@ def render_muc(tally: MucTally, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def render_semeval(report: SemevalReport, fmt: str = "text") -> str:
+def render_semeval(report: dict[str, MucTally], fmt: str = "text") -> str:
     if fmt == "kv":
         lines: list[str] = []
         for mode in SEMEVAL_MODES:
-            lines.extend(_muc_kv(f"{mode}.", report.modes[mode]))
+            lines.extend(_kv(f"{mode}.", report[mode], _MUC_FIELDS))
         return "\n".join(lines) + "\n"
     if fmt == "text":
         lines = [f"{'mode':<8}  {'prec':>7}  {'recall':>7}  {'f1':>7}"]
         for mode in SEMEVAL_MODES:
-            tally = report.modes[mode]
+            tally = report[mode]
             lines.append(
                 f"{mode:<8}  {_pct(tally.precision):>7}  {_pct(tally.recall):>7}  {_pct(tally.f1):>7}"
             )

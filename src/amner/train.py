@@ -19,7 +19,7 @@ import numpy as np
 from . import crf as crf_mod
 from . import metrics as metrics_mod
 from .corpus import (
-    FormatError, Sentence, TagScheme, Token, tag_from_str, tag_to_str, text_lines, validate_tags
+    FormatError, Sentence, TagScheme, Token, check_valid, tag_from_str, tag_to_str, text_lines
 )
 from .model import (
     EmbeddingTable,
@@ -222,37 +222,27 @@ def make_batches(items: Sequence, batch_size: int, seed: int) -> list[list]:
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    seed: int
-    train: tuple[int, ...] | None = None
-    test: tuple[int, ...] | None = None
-    folds: tuple[tuple[int, ...], ...] | None = None
+def kfold_split(n: int, k: int, seed: int) -> list[tuple[list[int], list[int]]]:
+    """One (train, test) pair of index lists per fold.
 
-    def fold_train_test(self, fold: int) -> tuple[list[int], list[int]]:
-        if self.folds is None:
-            raise ValueError("not a k-fold plan")
-        test = list(self.folds[fold])
-        train = [idx for i, chunk in enumerate(self.folds) if i != fold for idx in chunk]
-        return train, test
-
-
-def kfold_split(n: int, k: int, seed: int) -> SplitPlan:
-    """k folds whose sizes differ by at most one; disjoint cover of range(n)."""
+    The test sides are consecutive chunks of one seeded permutation of
+    range(n), whose sizes differ by at most one; each train side is the
+    rest of that permutation, in order.
+    """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    order = np.random.default_rng(seed).permutation(n)
+    order = [int(x) for x in np.random.default_rng(seed).permutation(n)]
     base, extra = divmod(n, k)
-    folds = []
-    cursor = 0
+    splits = []
+    hi = 0
     for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(tuple(int(x) for x in order[cursor : cursor + size]))
-        cursor += size
-    return SplitPlan(seed=seed, folds=tuple(folds))
+        lo, hi = hi, hi + base + (1 if i < extra else 0)
+        splits.append((order[:lo] + order[hi:], order[lo:hi]))
+    return splits
 
 
-def holdout_split(n: int, train_fraction: float, seed: int) -> SplitPlan:
+def holdout_split(n: int, train_fraction: float, seed: int) -> tuple[list[int], list[int]]:
+    """(train, test) index lists: a seeded permutation of range(n), split after its train part."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be strictly between 0 and 1")
     # epsilon guards float artifacts (0.29 * 100 = 28.999...996) so the
@@ -262,10 +252,8 @@ def holdout_split(n: int, train_fraction: float, seed: int) -> SplitPlan:
         raise ValueError(
             f"fraction {train_fraction} of {n} items leaves an empty train or test side"
         )
-    order = np.random.default_rng(seed).permutation(n)
-    train = tuple(int(x) for x in order[:train_size])
-    test = tuple(int(x) for x in order[train_size:])
-    return SplitPlan(seed=seed, train=train, test=test)
+    order = [int(x) for x in np.random.default_rng(seed).permutation(n)]
+    return order[:train_size], order[train_size:]
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +285,8 @@ def build_model(
     etypes = set()
     words = set(extra_vocab)
     chars = set()
-    for s_idx, sentence in enumerate(sentences):
-        violations = validate_tags(sentence, TagScheme.IOB2)
-        if violations:
-            v = violations[0]
-            raise ValueError(f"sentence {s_idx}: invalid IOB2 corpus: token {v.index}: {v.message}")
+    check_valid(sentences, TagScheme.IOB2)
+    for sentence in sentences:
         for token in sentence.tokens:
             words.add(token.surface)
             chars.update(token.surface)
@@ -430,12 +415,23 @@ def train_model(
     on the summed batch gradient, and log an :class:`EpochLog` (with
     entity F1 on ``dev`` when given).  ``on_epoch`` may return True to
     stop early; ``config.patience`` stops after that many epochs without
-    a dev F1 improvement, and is refused without ``dev``.
+    a dev F1 improvement, and is refused without ``dev``.  ``dev`` must
+    be valid IOB2, and ``config.dropout`` must equal the model's rate.
     """
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
     if config.patience is not None and dev is None:
         raise ValueError("patience stops on dev F1 and needs a dev set")
+    if config.dropout != model.encoder.dropout_rate:
+        raise ValueError(
+            f"config dropout {config.dropout!r} differs from the model's rate "
+            f"{model.encoder.dropout_rate!r}, which training uses"
+        )
+    if dev is not None:
+        try:
+            check_valid(dev, TagScheme.IOB2)
+        except ValueError as exc:
+            raise ValueError(f"dev set: {exc}") from None
     params = model.tensors()
     state = AdamState.for_params(params)
     # the row-sparse word-table gradient is scattered into this buffer for

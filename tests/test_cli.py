@@ -149,6 +149,14 @@ class TestSmote:
         assert "error: n_percent 150 is over 100 but not a multiple of 100" in capsys.readouterr().err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("mode", [["--label", "PER"], ["--target", "5"]], ids=["label", "target"])
+    def test_zero_amount_is_data_error(self, tmp_path, capsys, mode):
+        src = self.make_rows(tmp_path)
+        dst = tmp_path / "out.tsv"
+        assert main(["smote", "--smote-n", "0", "--smote-k", "1", *mode, src, str(dst)]) == 1
+        assert "error: n_percent must be positive" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_needs_mode_flag(self, tmp_path):
         src = self.make_rows(tmp_path)
         assert main(["smote", src, "out.tsv"]) == 2
@@ -224,6 +232,16 @@ class TestTrainTagEval:
         args = ["train", corpus_path, "--model", str(model), "--config", str(cfg)]
         assert main(args + self.TRAIN_ARGS + flags) == 1
         assert message in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_invalid_dev_set_is_data_error_before_training(self, tmp_path, corpus_path, capsys):
+        dev = write(tmp_path / "dev.tsv", "x\tO\ny\tI-PER\n\n")
+        model = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model), "--dev", dev]
+        assert main(args + self.TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert "error: dev set: sentence 0, token 1: invalid under iob2: " in err
+        assert "epoch" not in err
         assert not model.exists()
 
     def test_train_is_byte_deterministic(self, tmp_path, corpus_path):

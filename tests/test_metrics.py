@@ -5,7 +5,6 @@ from amner.corpus import EntitySpan, Sentence, TagScheme, Token, extract_spans, 
 from amner.metrics import (
     AgreementTable,
     MucTally,
-    SemevalReport,
     agreement_from_labels,
     cohen_kappa,
     conll_evaluate,
@@ -138,7 +137,7 @@ class TestConll:
         assert muc_evaluate(gold, pred) == muc_evaluate(gold_p, pred_p)
         base = semeval_evaluate(gold, pred)
         shuffled = semeval_evaluate(gold_p, pred_p)
-        assert base.modes == shuffled.modes
+        assert base == shuffled
 
 
 class TestMuc:
@@ -217,19 +216,19 @@ class TestSemeval:
         gold = [sent(["B-ORG", "I-ORG", "O", "O", "O", "B-LOC", "O"])]
         pred = [sent(["B-ORG", "I-ORG", "O", "O", "O", "B-LOC", "I-LOC"])]
         report = semeval_evaluate(gold, pred)
-        assert report.precision("strict") == 0.5
-        assert report.recall("strict") == 0.5
-        assert report.precision("exact") == 0.5
-        assert report.precision("partial") == 0.75
-        assert report.recall("partial") == 0.75
-        assert report.precision("type") == 1.0
-        assert report.recall("type") == 1.0
+        assert report["strict"].precision == 0.5
+        assert report["strict"].recall == 0.5
+        assert report["exact"].precision == 0.5
+        assert report["partial"].precision == 0.75
+        assert report["partial"].recall == 0.75
+        assert report["type"].precision == 1.0
+        assert report["type"].recall == 1.0
 
     def test_identity_all_modes(self):
         gold = [sent(["B-PER", "I-PER", "O", "B-LOC"])]
         report = semeval_evaluate(gold, gold)
         for mode in ("strict", "exact", "partial", "type"):
-            assert report.f1(mode) == 1.0
+            assert report[mode].f1 == 1.0
 
     def test_pos_act_identities_per_mode(self):
         rng = np.random.default_rng(31)
@@ -237,7 +236,7 @@ class TestSemeval:
         report = semeval_evaluate(gold, pred)
         n_gold = sum(len(extract_spans(s, IOB2)) for s in gold)
         n_pred = sum(len(extract_spans(s, IOB2)) for s in pred)
-        for mode, tally in report.modes.items():
+        for mode, tally in report.items():
             assert tally.possible == tally.cor + tally.inc + tally.par + tally.mis
             assert tally.actual == tally.cor + tally.inc + tally.par + tally.spu
             assert tally.possible == n_gold
@@ -249,10 +248,10 @@ class TestSemeval:
             gold, pred = random_pair(rng, n_sentences=5)
             conll_f1 = conll_evaluate(gold, pred).overall.f1
             report = semeval_evaluate(gold, pred)
-            assert conll_f1 <= report.f1("exact") + 1e-12
-            assert report.f1("exact") <= report.f1("partial") + 1e-12
-            assert report.precision("strict") <= report.precision("exact") + 1e-12
-            assert report.recall("strict") <= report.recall("exact") + 1e-12
+            assert conll_f1 <= report["exact"].f1 + 1e-12
+            assert report["exact"].f1 <= report["partial"].f1 + 1e-12
+            assert report["strict"].precision <= report["exact"].precision + 1e-12
+            assert report["strict"].recall <= report["exact"].recall + 1e-12
 
 
 class TestKappa:
@@ -307,7 +306,101 @@ class TestRendering:
         assert "possible 6" in render_muc(tally, "kv")
 
     def test_semeval_render(self):
-        report = SemevalReport({m: MucTally(cor=1) for m in ("strict", "exact", "partial", "type")})
+        report = {m: MucTally(cor=1) for m in ("strict", "exact", "partial", "type")}
         text = render_semeval(report, "text")
         assert "strict" in text and "partial" in text
         assert "strict.f1" in render_semeval(report, "kv")
+
+
+# Every kv line of all three reports for one gold/pred pair: the field
+# order, ints as ints and floats as repr() are part of the format.
+PINNED_CONLL_KV = """\
+type.LOC.tp 0
+type.LOC.fp 2
+type.LOC.fn 1
+type.LOC.precision 0.0
+type.LOC.recall 0.0
+type.LOC.f1 0.0
+type.ORG.tp 0
+type.ORG.fp 0
+type.ORG.fn 1
+type.ORG.precision 0.0
+type.ORG.recall 0.0
+type.ORG.f1 0.0
+type.PER.tp 2
+type.PER.fp 1
+type.PER.fn 1
+type.PER.precision 0.6666666666666666
+type.PER.recall 0.6666666666666666
+type.PER.f1 0.6666666666666666
+overall.tp 2
+overall.fp 3
+overall.fn 3
+overall.precision 0.4
+overall.recall 0.4
+overall.f1 0.4000000000000001
+"""
+
+PINNED_MUC_KV = """\
+cor 2
+inc 1
+par 2
+mis 0
+spu 0
+possible 5
+actual 5
+precision 0.6
+recall 0.6
+f1 0.6
+"""
+
+PINNED_SEMEVAL_KV = """\
+strict.cor 2
+strict.inc 3
+strict.par 0
+strict.mis 0
+strict.spu 0
+strict.possible 5
+strict.actual 5
+strict.precision 0.4
+strict.recall 0.4
+strict.f1 0.4000000000000001
+exact.cor 3
+exact.inc 2
+exact.par 0
+exact.mis 0
+exact.spu 0
+exact.possible 5
+exact.actual 5
+exact.precision 0.6
+exact.recall 0.6
+exact.f1 0.6
+partial.cor 3
+partial.inc 0
+partial.par 2
+partial.mis 0
+partial.spu 0
+partial.possible 5
+partial.actual 5
+partial.precision 0.8
+partial.recall 0.8
+partial.f1 0.8000000000000002
+type.cor 4
+type.inc 1
+type.par 0
+type.mis 0
+type.spu 0
+type.possible 5
+type.actual 5
+type.precision 0.8
+type.recall 0.8
+type.f1 0.8000000000000002
+"""
+
+
+def test_kv_reports_pinned():
+    gold = [sent(["B-PER", "I-PER", "O", "B-LOC", "O"]), sent(["B-ORG", "O", "B-PER"]), sent(["B-PER"])]
+    pred = [sent(["B-PER", "O", "O", "B-LOC", "I-LOC"]), sent(["B-LOC", "O", "B-PER"]), sent(["B-PER"])]
+    assert render_conll(conll_evaluate(gold, pred), "kv") == PINNED_CONLL_KV
+    assert render_muc(muc_evaluate(gold, pred), "kv") == PINNED_MUC_KV
+    assert render_semeval(semeval_evaluate(gold, pred), "kv") == PINNED_SEMEVAL_KV

@@ -187,24 +187,23 @@ class TestBatches:
 
 class TestSplits:
     def test_kfold_ten_of_one(self):
-        plan = kfold_split(10, 10, seed=0)
-        assert all(len(fold) == 1 for fold in plan.folds)
+        splits = kfold_split(10, 10, seed=0)
+        assert all(len(test) == 1 and len(train) == 9 for train, test in splits)
 
     def test_kfold_sizes(self):
-        plan = kfold_split(10, 3, seed=0)
-        assert sorted(len(f) for f in plan.folds) == [3, 3, 4]
-        assert [len(f) for f in plan.folds] == [4, 3, 3]
+        splits = kfold_split(10, 3, seed=0)
+        assert [len(test) for _, test in splits] == [4, 3, 3]
 
     def test_kfold_disjoint_cover(self):
-        plan = kfold_split(23, 5, seed=9)
-        flat = [idx for fold in plan.folds for idx in fold]
+        flat = [idx for _, test in kfold_split(23, 5, seed=9) for idx in test]
         assert sorted(flat) == list(range(23))
 
     def test_kfold_train_test(self):
-        plan = kfold_split(10, 5, seed=1)
-        train, test = plan.fold_train_test(2)
-        assert sorted(train + test) == list(range(10))
-        assert not set(train) & set(test)
+        splits = kfold_split(10, 5, seed=1)
+        order = [idx for _, test in splits for idx in test]
+        train, test = splits[2]
+        assert train == order[:4] + order[6:]
+        assert test == order[4:6]
 
     def test_kfold_k_bounds(self):
         with pytest.raises(ValueError):
@@ -213,18 +212,18 @@ class TestSplits:
             kfold_split(3, 1, seed=0)
 
     def test_holdout_two_thirds(self):
-        plan = holdout_split(9, 2 / 3, seed=0)
-        assert len(plan.train) == 6
-        assert len(plan.test) == 3
+        train, test = holdout_split(9, 2 / 3, seed=0)
+        assert len(train) == 6
+        assert len(test) == 3
 
     def test_holdout_eighty_twenty(self):
-        plan = holdout_split(10, 0.8, seed=0)
-        assert len(plan.train) == 8
-        assert len(plan.test) == 2
+        train, test = holdout_split(10, 0.8, seed=0)
+        assert len(train) == 8
+        assert len(test) == 2
 
     def test_holdout_disjoint_cover(self):
-        plan = holdout_split(17, 0.6, seed=4)
-        assert sorted(plan.train + plan.test) == list(range(17))
+        train, test = holdout_split(17, 0.6, seed=4)
+        assert sorted(train + test) == list(range(17))
 
     def test_holdout_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -242,7 +241,7 @@ class TestModelAssembly:
         from amner.corpus import Sentence, Tag, Token
 
         bad = [Sentence((Token("a", Tag("I", "PER")),))]
-        with pytest.raises(ValueError, match="invalid IOB2"):
+        with pytest.raises(ValueError, match="sentence 0, token 0: invalid under iob2"):
             tiny_model(bad)
 
     def test_pretrained_rows_copied(self):
@@ -352,6 +351,13 @@ class TestTraining:
             dev=corpus,
         )
         assert len(logs) < 50  # dev F1 saturates quickly on a memorized corpus
+
+    @pytest.mark.parametrize("dropout", [0.1, 0.9])
+    def test_dropout_other_than_the_models_is_refused(self, dropout):
+        corpus = synthetic_corpus(3, seed=17)
+        model = tiny_model(corpus, seed=17, dropout=0.5)
+        with pytest.raises(ValueError, match="differs from the model's rate 0.5"):
+            train_model(corpus, model, TrainConfig(max_epochs=1, dropout=dropout))
 
 
 def relative_gaps(model, reference) -> dict[str, float]:
