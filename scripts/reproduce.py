@@ -143,16 +143,7 @@ def minority_sentence_oversample(train_set, seed: int) -> list[Sentence]:
     for feature-space oversampling."""
     rng = np.random.default_rng(seed)
     out = list(train_set)
-
-    def counts():
-        tally: dict[str, int] = {}
-        for sentence in out:
-            for token in sentence.tokens:
-                if token.tag.position != "O":
-                    tally[token.tag.etype] = tally.get(token.tag.etype, 0) + 1
-        return tally
-
-    tally = counts()
+    tally = corpus_stats(out, TagScheme.IOB2).type_counts
     if not tally:
         return out
     target = max(tally.values())

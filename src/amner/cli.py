@@ -45,13 +45,9 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _scheme(name: str) -> TagScheme:
-    return TagScheme.from_name(name)
-
-
 def cmd_convert(args) -> int:
-    from_scheme = _scheme(args.from_scheme)
-    to_scheme = _scheme(args.to_scheme)
+    from_scheme = TagScheme.from_name(args.from_scheme)
+    to_scheme = TagScheme.from_name(args.to_scheme)
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), from_scheme)
     converted = corpus_mod.convert_scheme(sentences, from_scheme, to_scheme)
     if to_scheme is TagScheme.STANFORD and from_scheme is not TagScheme.STANFORD:
@@ -69,7 +65,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scheme = _scheme(args.scheme)
+    scheme = TagScheme.from_name(args.scheme)
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), scheme)
     total = 0
     for s_idx, sentence in enumerate(sentences):
@@ -84,7 +80,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    scheme = _scheme(args.scheme)
+    scheme = TagScheme.from_name(args.scheme)
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), scheme)
     stats = corpus_mod.corpus_stats(sentences, scheme)
     print(corpus_mod.render_stats(stats, args.format), end="")
@@ -92,7 +88,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_translit(args) -> int:
-    scheme = _scheme(args.scheme)
+    scheme = TagScheme.from_name(args.scheme)
     table = corpus_mod.load_translit_table(_read_bytes(args.table))
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), scheme)
     out, mapped, unmapped = corpus_mod.transliterate_corpus(sentences, table)
@@ -106,7 +102,7 @@ def cmd_translit(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    scheme = _scheme(args.scheme)
+    scheme = TagScheme.from_name(args.scheme)
     first = corpus_mod.parse_corpus(_read_bytes(args.first), scheme)
     second = corpus_mod.parse_corpus(_read_bytes(args.second), scheme)
     metrics_mod.check_aligned(first, second)
@@ -210,8 +206,6 @@ def cmd_train(args) -> int:
     train_mod.train_model(sentences, model, config, dev=dev, on_epoch=on_epoch)
 
     manifest = {f: v for f, v in (line.split(" ", 1) for line in config.to_kv().splitlines())}
-    manifest["masked_training"] = "true" if args.masked_train else "false"
-    manifest["dropout_rate"] = repr(float(config.dropout))
     serialize_mod.save_model(args.model, model, manifest)
     sidecar = [f"train {args.input}", f"dev {args.dev or 'none'}",
                f"model {args.model}", f"sentences {len(sentences)}",
@@ -233,7 +227,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scheme = _scheme(args.scheme)
+    scheme = TagScheme.from_name(args.scheme)
     gold = corpus_mod.parse_corpus(_read_bytes(args.gold), scheme)
     pred = corpus_mod.parse_corpus(_read_bytes(args.pred), scheme)
     if args.metric == "conll":

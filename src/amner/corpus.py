@@ -1,13 +1,18 @@
 """Tagged-corpus handling: parsing, validation, scheme conversion, stats.
 
-Three annotation standards are supported:
+Three annotation standards are supported; :func:`tag_violation` states
+their legality rules and :func:`corpus_spans` their one span rule:
 
-* ``stanford`` -- one entity-type tag per token, no boundary markers.
-  Adjacent same-type entities are indistinguishable.
-* ``iob1`` -- ``I-X`` marks entity tokens; ``B-X`` is used only when an
-  entity immediately follows another entity of the same type.
-* ``iob2`` -- every entity opens with ``B-X``; continuation tokens are
-  ``I-X``.
+* ``stanford`` -- one entity-type tag per token, no boundary markers, so
+  a ``B`` position is illegal and adjacent same-type entities are
+  indistinguishable.
+* ``iob1`` -- ``I-X`` marks entity tokens; ``B-X`` is legal only directly
+  after ``I-X`` or ``B-X``, where an entity follows another of its type.
+* ``iob2`` -- every entity opens with ``B-X``; ``I-X`` is legal only
+  directly after ``B-X`` or ``I-X``.
+
+In a legal sequence of any of them, a span opens at a ``B`` tag or at an
+entity tag whose previous token is not an entity of the same type.
 
 File format: UTF-8, one token per line as ``surface<TAB>tag``, a blank
 line ends a sentence, lines starting with ``#`` are comments.  Stanford
@@ -221,11 +226,7 @@ def write_corpus(sentences: Sequence[Sentence], scheme: TagScheme) -> str:
                     f"sentence {s_idx}, token {t_idx}: surface starts with '#', "
                     "which the format reserves for comments"
                 )
-            try:
-                tag_text = tag_to_str(token.tag, scheme)
-            except ValueError as exc:
-                raise ValueError(f"sentence {s_idx}, token {t_idx}: {exc}") from exc
-            pieces.append(f"{token.surface}\t{tag_text}\n")
+            pieces.append(f"{token.surface}\t{tag_to_str(token.tag, scheme)}\n")
         pieces.append("\n")
     return "".join(pieces)
 
@@ -240,31 +241,30 @@ def save_corpus(path, sentences: Sequence[Sentence], scheme: TagScheme) -> None:
         handle.write(write_corpus(sentences, scheme))
 
 
-def validate_tags(sentence: Sentence, scheme: TagScheme) -> list[TagViolation]:
-    """Check sequence-level tag legality; an empty list means valid.
-
-    iob2: every I-X must directly follow B-X or I-X of the same type.
-    iob1: I may appear anywhere; B-X is legal only directly after I-X or
-    B-X of the same type.  stanford: any type tag is legal anywhere.
-    """
-    violations: list[TagViolation] = []
+def tag_violation(prev: Tag, tag: Tag, scheme: TagScheme) -> str | None:
+    """Why ``tag`` may not directly follow ``prev`` under ``scheme``, or None
+    if it may; ``prev`` is :data:`O_TAG` before the first token."""
     if scheme is TagScheme.STANFORD:
-        return violations
+        if tag.position == "B":
+            return "B positions are not representable in the stanford scheme"
+        return None
+    # the position that only continues a same-type entity, and its other predecessor
+    bound, other = ("I", "B") if scheme is TagScheme.IOB2 else ("B", "I")
+    if tag.position != bound or prev.etype == tag.etype:
+        return None
+    return f"{bound}-{tag.etype} may only follow {other}-{tag.etype} or {bound}-{tag.etype}"
+
+
+def validate_tags(sentence: Sentence, scheme: TagScheme) -> list[TagViolation]:
+    """Every token that :func:`tag_violation` refuses; an empty list means valid."""
+    violations: list[TagViolation] = []
     prev: Tag = O_TAG
     for idx, token in enumerate(sentence.tokens):
         tag = token.tag
-        if scheme is TagScheme.IOB2:
-            if tag.position == "I":
-                if prev.position == "O" or prev.etype != tag.etype:
-                    violations.append(
-                        TagViolation(idx, f"I-{tag.etype} may only follow B-{tag.etype} or I-{tag.etype}")
-                    )
-        else:  # IOB1
-            if tag.position == "B":
-                if prev.position == "O" or prev.etype != tag.etype:
-                    violations.append(
-                        TagViolation(idx, f"B-{tag.etype} may only follow I-{tag.etype} or B-{tag.etype}")
-                    )
+        if tag.position != "O":  # an O never violates
+            message = tag_violation(prev, tag, scheme)
+            if message:
+                violations.append(TagViolation(idx, message))
         prev = tag
     return violations
 
@@ -280,46 +280,26 @@ def check_valid(sentences: Sequence[Sentence], scheme: TagScheme) -> None:
             )
 
 
-def _check_valid(sentence: Sentence, scheme: TagScheme) -> None:
-    violations = validate_tags(sentence, scheme)
-    if violations:
-        v = violations[0]
-        raise ValueError(f"invalid tag sequence under {scheme.value} at token {v.index}: {v.message}")
+def corpus_spans(sentences: Sequence[Sentence], scheme: TagScheme) -> list[list[EntitySpan]]:
+    """The maximal entity spans of each sentence of a valid corpus, sorted by start."""
+    check_valid(sentences, scheme)
+    out: list[list[EntitySpan]] = []
+    for sentence in sentences:
+        spans: list[EntitySpan] = []
+        start, etype = 0, None
+        # the O past the end closes the last span
+        for idx, tag in enumerate((*sentence.tags, O_TAG)):
+            if tag.position == "B" or tag.etype != etype:
+                if etype is not None:
+                    spans.append(EntitySpan(start, idx, etype))
+                start, etype = idx, tag.etype
+        out.append(spans)
+    return out
 
 
 def extract_spans(sentence: Sentence, scheme: TagScheme) -> list[EntitySpan]:
-    """Return the maximal entity spans of a valid sentence, sorted by start.
-
-    Under stanford, maximal same-type runs form one span each; under the
-    IOB schemes, B tags open spans per the scheme's convention.
-    """
-    _check_valid(sentence, scheme)
-    spans: list[EntitySpan] = []
-    start: int | None = None
-    etype: str | None = None
-
-    def close(end: int) -> None:
-        nonlocal start, etype
-        if start is not None:
-            spans.append(EntitySpan(start, end, etype))  # type: ignore[arg-type]
-            start, etype = None, None
-
-    for idx, token in enumerate(sentence.tokens):
-        tag = token.tag
-        if tag.position == "O":
-            close(idx)
-            continue
-        if scheme is TagScheme.STANFORD:
-            opens = etype != tag.etype
-        elif scheme is TagScheme.IOB2:
-            opens = tag.position == "B"
-        else:  # IOB1: B always opens; I opens unless it continues a same-type run
-            opens = tag.position == "B" or etype != tag.etype
-        if opens:
-            close(idx)
-            start, etype = idx, tag.etype
-    close(len(sentence))
-    return spans
+    """The maximal entity spans of one valid sentence, sorted by start."""
+    return corpus_spans([sentence], scheme)[0]
 
 
 def spans_to_tags(spans: Sequence[EntitySpan], length: int, scheme: TagScheme) -> list[Tag]:
@@ -361,22 +341,19 @@ def convert_scheme(
     entities into one span (the boundary is not recoverable); converting
     into stanford likewise collapses adjacent same-type entities.
     """
-    out: list[Sentence] = []
-    for sentence in sentences:
-        spans = extract_spans(sentence, from_scheme)
-        out.append(_retag(sentence, spans_to_tags(spans, len(sentence), to_scheme)))
-    return out
+    return [
+        _retag(sentence, spans_to_tags(spans, len(sentence), to_scheme))
+        for sentence, spans in zip(sentences, corpus_spans(sentences, from_scheme))
+    ]
 
 
 def count_adjacent_same_type(sentences: Sequence[Sentence], scheme: TagScheme) -> int:
     """Entity boundaries that a conversion into stanford would erase."""
-    lost = 0
-    for sentence in sentences:
-        spans = extract_spans(sentence, scheme)
-        for left, right in zip(spans, spans[1:]):
-            if left.end == right.start and left.etype == right.etype:
-                lost += 1
-    return lost
+    return sum(
+        left.end == right.start and left.etype == right.etype
+        for spans in corpus_spans(sentences, scheme)
+        for left, right in zip(spans, spans[1:])
+    )
 
 
 def count_multi_token_runs(sentences: Sequence[Sentence]) -> int:
@@ -385,12 +362,11 @@ def count_multi_token_runs(sentences: Sequence[Sentence]) -> int:
     Any of these could in truth be several adjacent same-type entities;
     the stanford format cannot tell them apart.
     """
-    runs = 0
-    for sentence in sentences:
-        for span in extract_spans(sentence, TagScheme.STANFORD):
-            if span.end - span.start >= 2:
-                runs += 1
-    return runs
+    return sum(
+        span.end - span.start >= 2
+        for spans in corpus_spans(sentences, TagScheme.STANFORD)
+        for span in spans
+    )
 
 
 # ---------------------------------------------------------------------------

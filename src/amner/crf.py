@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import OUTSIDE, TagScheme, tag_from_str
+from .corpus import O_TAG, OUTSIDE, Tag, TagScheme, tag_from_str, tag_violation
 
 NEG_INF = -np.inf
 
@@ -272,8 +272,9 @@ def nll_loss_and_grad(
 def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Legality masks for an ordered IOB2 tag vocabulary.
 
-    A transition into I-X is allowed only from B-X or I-X, and no
-    sequence may start at I-X.  Everything else is allowed.
+    ``trans_mask[i, j]`` allows tag j after tag i and ``start_mask[j]``
+    allows tag j first, as :func:`corpus.tag_violation` rules under IOB2;
+    every tag may end a sequence.
     """
     parsed = [tag_from_str(text, TagScheme.IOB2) for text in tagset]
     b_types = {tag.etype for tag in parsed if tag.position == "B"}
@@ -281,18 +282,13 @@ def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if tag.position == "I" and tag.etype not in b_types:
             raise ValueError(f"tagset has I-{tag.etype} without B-{tag.etype}")
 
-    k = len(tagset)
-    trans_mask = np.ones((k, k), dtype=bool)
-    start_mask = np.ones(k, dtype=bool)
-    end_mask = np.ones(k, dtype=bool)
-    for j, to_tag in enumerate(parsed):
-        if to_tag.position != "I":
-            continue
-        start_mask[j] = False
-        for i, from_tag in enumerate(parsed):
-            compatible = from_tag.position in ("B", "I") and from_tag.etype == to_tag.etype
-            trans_mask[i, j] = compatible
-    return trans_mask, start_mask, end_mask
+    def allowed_after(prev: Tag) -> list[bool]:
+        return [tag_violation(prev, tag, TagScheme.IOB2) is None for tag in parsed]
+
+    k = len(parsed)
+    trans_mask = np.array([allowed_after(prev) for prev in parsed], dtype=bool).reshape(k, k)
+    start_mask = np.array(allowed_after(O_TAG), dtype=bool)
+    return trans_mask, start_mask, np.ones(k, dtype=bool)
 
 
 def default_tagset(entity_types: list[str]) -> list[str]:

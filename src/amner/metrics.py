@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import EntitySpan, Sentence, TagScheme, extract_spans
+from .corpus import EntitySpan, Sentence, TagScheme, corpus_spans
 
 
 def f1_from_pr(p: float, r: float) -> float:
@@ -87,9 +87,8 @@ def conll_evaluate(
     check_aligned(gold, pred)
     per_type: dict[str, ConllTally] = {}
     overall = ConllTally()
-    for g_sentence, p_sentence in zip(gold, pred):
-        g_spans = set(extract_spans(g_sentence, scheme))
-        p_spans = set(extract_spans(p_sentence, scheme))
+    for g_list, p_list in zip(corpus_spans(gold, scheme), corpus_spans(pred, scheme)):
+        g_spans, p_spans = set(g_list), set(p_list)
         for span in p_spans:
             tally = per_type.setdefault(span.etype, ConllTally())
             if span in g_spans:
@@ -204,10 +203,8 @@ def _score_matches(
     check_aligned(gold, pred)
     kinds: Counter[tuple[bool, bool]] = Counter()
     missed = spurious = 0
-    for g_sentence, p_sentence in zip(gold, pred):
-        pairs, g_left, p_left = match_spans(
-            extract_spans(g_sentence, scheme), extract_spans(p_sentence, scheme)
-        )
+    for g_spans, p_spans in zip(corpus_spans(gold, scheme), corpus_spans(pred, scheme)):
+        pairs, g_left, p_left = match_spans(g_spans, p_spans)
         kinds.update(
             ((g.start, g.end) == (p.start, p.end), g.etype == p.etype) for g, p in pairs
         )

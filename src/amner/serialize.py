@@ -3,7 +3,7 @@
 Layout: a UTF-8 text header, then raw tensor data.
 
     amner-model 1
-    [config N]     N `key value` lines (effective config, seed, flags)
+    [config N]     N `key value` lines (run metadata, dropout_rate, masked_training)
     [tags N]       tag vocabulary, one per line, in model order
     [chars N]      character vocabulary in row order
     [words N]      word vocabulary in row order
@@ -89,10 +89,20 @@ def file_tensors(model: ModelParams) -> dict[str, np.ndarray]:
 
 
 def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> bytes:
-    """Serialize; ``config`` records run metadata (seed included) verbatim."""
+    """Serialize; ``config`` records run metadata (seed included) verbatim.
+    ``dropout_rate`` and ``masked_training`` are written from the model and
+    taken out of the config that loading returns, so ``config`` may not
+    hold them.  The CRF masks must be all true or the IOB2 masks."""
     config = dict(config or {})
-    config.setdefault("dropout_rate", repr(float(model.encoder.dropout_rate)))
-    config.setdefault("masked_training", "false")
+    for key in ("dropout_rate", "masked_training"):
+        if key in config:
+            raise ModelFormatError(f"config key {key!r} is written from the model")
+    masks = (model.crf.trans_mask, model.crf.start_mask, model.crf.end_mask)
+    masked = not all(mask.all() for mask in masks)
+    if masked and not all(map(np.array_equal, masks, build_iob2_mask(model.tags))):
+        raise ModelFormatError("CRF masks are neither all true nor the IOB2 masks of the tags")
+    config["dropout_rate"] = repr(float(model.encoder.dropout_rate))
+    config["masked_training"] = "true" if masked else "false"
 
     tensors = file_tensors(model)
     lines = [MAGIC, f"[config {len(config)}]"]
@@ -112,12 +122,13 @@ def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> 
             lines.append(entry)
 
     lines.append(f"[tensors {len(tensors)}]")
-    blobs = [np.ascontiguousarray(array, dtype="<f8").tobytes() for array in tensors.values()]
+    # byte views, not copies: the join below is the one copy of the data
+    blobs = [np.ascontiguousarray(a, dtype="<f8").reshape(-1).view(np.uint8) for a in tensors.values()]
     offsets = itertools.accumulate(map(len, blobs), initial=0)
     for (name, array), offset in zip(tensors.items(), offsets):
         lines.append(" ".join([name, str(offset), *map(str, array.shape)]))
     header = "\n".join(lines).encode("utf-8")
-    return header + _BLOB_MARKER + b"".join(blobs)
+    return b"".join([header, _BLOB_MARKER, *blobs])
 
 
 def save_model(path, model: ModelParams, config: dict[str, str] | None = None) -> None:
@@ -195,7 +206,7 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
         raise ModelFormatError("missing blob marker after the tensor table")
     tensors = _read_tensors(tensor_lines, memoryview(data)[reader.pos :])
     try:
-        dropout = float(config.get("dropout_rate", "0.0"))
+        dropout = float(config.pop("dropout_rate", "0.0"))
     except ValueError:
         raise ModelFormatError("bad dropout_rate in config") from None
     def take(name: str) -> np.ndarray:  # a writable copy of the read-only blob view
@@ -227,7 +238,7 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
             dropout_rate=dropout,
         )
         crf = CrfParams(take("crf.transitions"), take("crf.start"), take("crf.end"))
-        if config.get("masked_training", "false") == "true":
+        if config.pop("masked_training", "false") == "true":
             crf = crf.with_masks(*build_iob2_mask(tags))
         model = ModelParams(tags, encoder, crf)
     except KeyError as exc:

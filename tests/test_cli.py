@@ -181,6 +181,20 @@ class TestEval:
         assert "strict.f1 1.0" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "{good}", "{bad}"],
+    ["convert", "--from", "iob2", "--to", "iob1", "{bad}", "{out}"],
+], ids=["eval", "convert"])
+def test_invalid_sequence_names_sentence_and_token(tmp_path, capsys, command):
+    paths = {
+        "good": write(tmp_path / "good.tsv", "a\tB-LOC\n\nb\tB-LOC\n\n"),
+        "bad": write(tmp_path / "bad.tsv", "a\tB-LOC\n\nb\tI-LOC\n\n"),
+        "out": str(tmp_path / "out.tsv"),
+    }
+    assert main([arg.format(**paths) for arg in command]) == 1
+    assert "error: sentence 1, token 0: invalid under iob2: " in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--seed", "3"]) == 0

@@ -149,6 +149,13 @@ class TestValidate:
     def test_stanford_anything_goes(self):
         assert validate_tags(sentence_from_row(STANFORD_ROW, STANFORD), STANFORD) == []
 
+    def test_stanford_b_is_violation(self):
+        # stanford files cannot hold a B position, so only code can build one
+        sentence = Sentence((Token("a", Tag("I", "LOC")), Token("b", Tag("B", "LOC"))))
+        assert [v.index for v in validate_tags(sentence, STANFORD)] == [1]
+        with pytest.raises(ValueError, match="sentence 0, token 1: invalid under stanford"):
+            extract_spans(sentence, STANFORD)
+
 
 class TestSpans:
     def test_iob2_run(self):

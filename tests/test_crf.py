@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from amner.corpus import Sentence, TagScheme, Token, tag_from_str, validate_tags
 from amner.crf import (
     CrfParams,
     build_iob2_mask,
@@ -257,6 +258,22 @@ class TestIob2Mask:
         assert trans_mask[idx["O"], idx["B-PER"]]
         assert trans_mask[idx["I-PER"], idx["B-PER"]]
         assert end_mask.all()
+
+    def test_masks_agree_with_validate_tags(self):
+        # one legality rule: a mask entry is true exactly when the sequence's
+        # last token validates
+        tags = default_tagset(["LOC", "PER"])
+        trans_mask, start_mask, _ = build_iob2_mask(tags)
+        parsed = [tag_from_str(text, TagScheme.IOB2) for text in tags]
+
+        def last_valid(*sequence):
+            sentence = Sentence(tuple(Token("w", tag) for tag in sequence))
+            return all(v.index != len(sequence) - 1 for v in validate_tags(sentence, TagScheme.IOB2))
+
+        for j, tag in enumerate(parsed):
+            assert start_mask[j] == last_valid(tag), tags[j]
+            for i, prev in enumerate(parsed):
+                assert trans_mask[i, j] == last_valid(prev, tag), (tags[i], tags[j])
 
     def test_orphan_i_rejected(self):
         with pytest.raises(ValueError, match="I-ORG"):

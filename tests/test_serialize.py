@@ -83,11 +83,13 @@ class TestRoundTrip:
         assert loaded.tags == model.tags
 
     def test_masked_training_flag_restores_masks(self):
+        # the flag is written from the model's masks, not from a caller config
         _, model = small_model(masked=True)
-        data = model_to_bytes(model, {"masked_training": "true"})
-        loaded, _ = model_from_bytes(data)
+        loaded, config = model_from_bytes(model_to_bytes(model))
         assert np.array_equal(loaded.crf.trans_mask, model.crf.trans_mask)
+        assert np.array_equal(loaded.crf.start_mask, model.crf.start_mask)
         assert not loaded.crf.trans_mask.all()
+        assert "masked_training" not in config
 
     def test_header_lookalike_words(self):
         from amner.corpus import Sentence, Tag, Token
@@ -147,6 +149,18 @@ class TestErrors:
         moved = b" ".join([name, str(int(offset) - 8).encode(), dims])
         with pytest.raises(ModelFormatError, match="starts at blob byte"):
             model_from_bytes(data.replace(line, moved, 1))
+
+    @pytest.mark.parametrize("key", ["dropout_rate", "masked_training"])
+    def test_model_keys_in_caller_config_refused(self, key):
+        _, model = small_model()
+        with pytest.raises(ModelFormatError, match=f"config key '{key}' is written from the model"):
+            model_to_bytes(model, {key: "true"})
+
+    def test_masks_other_than_iob2_refused(self):
+        _, model = small_model()
+        model.crf.trans_mask[0, 0] = False
+        with pytest.raises(ModelFormatError, match="neither all true nor the IOB2 masks"):
+            model_to_bytes(model)
 
     def test_non_numeric_section_count(self):
         _, model = small_model()
@@ -248,7 +262,7 @@ class TestGolden:
         assert digest == "f40c60ce8842f485c1ed840e10e1a756c792b7f7957bfb9eeac0cc0010c974fe"
 
 
-_SMALL_FILE = model_to_bytes(small_model()[1], {"seed": "0", "masked_training": "true"})
+_SMALL_FILE = model_to_bytes(small_model(masked=True)[1], {"seed": "0"})
 
 
 @settings(max_examples=300, deadline=None)
