@@ -67,13 +67,10 @@ def cmd_convert(args) -> int:
 def cmd_validate(args) -> int:
     scheme = TagScheme.from_name(args.scheme)
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), scheme)
-    total = 0
-    for s_idx, sentence in enumerate(sentences):
-        for violation in corpus_mod.validate_tags(sentence, scheme):
-            print(f"sentence {s_idx} token {violation.index}: {violation.message}")
-            total += 1
-    if total:
-        _say(f"{total} violation(s) in {len(sentences)} sentence(s)")
+    violations = list(corpus_mod.corpus_violations(sentences, scheme))
+    if violations:
+        print("\n".join(violations))
+        _say(f"{len(violations)} violation(s) in {len(sentences)} sentence(s)")
         return DATA_ERROR
     print(f"ok: {len(sentences)} sentence(s) valid under {scheme.value}")
     return 0
@@ -122,10 +119,13 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_smote(args) -> int:
-    rows = resample_mod.parse_feature_rows(_read_bytes(args.input))
+    # an amount SmoteConfig refuses is a data error in either mode
     config = resample_mod.SmoteConfig(
         n_percent=100 if args.n is None else args.n, k=args.k, seed=args.seed
     )
+    if args.target is not None and (args.n is not None or args.label is not None):
+        raise UsageError("--target takes neither --smote-n nor --label")
+    rows = resample_mod.parse_feature_rows(_read_bytes(args.input))
     if args.target is not None:
         target = args.target if args.target == resample_mod.MATCH_MAJORITY else int(args.target)
         out = resample_mod.balance_token_dataset(rows, target, config)
@@ -220,7 +220,7 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     model, _ = serialize_mod.load_model(args.model)
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), None)
-    tagged = train_mod.tag_sentences(model, sentences, masked=not args.no_mask)
+    tagged = train_mod.tag_sentences(model, sentences)
     _write_text(args.output, corpus_mod.write_corpus(tagged, TagScheme.IOB2))
     _say(f"tagged {len(tagged)} sentence(s)")
     return 0
@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tag", help="decode a corpus with a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--no-mask", action="store_true", help="decode without the IOB2 mask")
     p.add_argument("input", help="tokens to tag; existing tags are ignored")
     p.add_argument("output")
     add_common(p)

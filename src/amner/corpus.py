@@ -157,8 +157,6 @@ def tag_to_str(tag: Tag, scheme: TagScheme) -> str:
     if tag.position == "O":
         return OUTSIDE
     if scheme is TagScheme.STANFORD:
-        if tag.position == "B":
-            raise ValueError("B positions are not representable in the stanford scheme")
         return tag.etype  # type: ignore[return-value]
     return f"{tag.position}-{tag.etype}"
 
@@ -269,15 +267,17 @@ def validate_tags(sentence: Sentence, scheme: TagScheme) -> list[TagViolation]:
     return violations
 
 
-def check_valid(sentences: Sequence[Sentence], scheme: TagScheme) -> None:
-    """Raise ValueError naming the first sentence and token that violate ``scheme``."""
+def corpus_violations(sentences: Sequence[Sentence], scheme: TagScheme) -> Iterator[str]:
+    """Each violation, in order, as ``sentence i, token j: invalid under SCHEME: message``."""
     for s_idx, sentence in enumerate(sentences):
-        violations = validate_tags(sentence, scheme)
-        if violations:
-            v = violations[0]
-            raise ValueError(
-                f"sentence {s_idx}, token {v.index}: invalid under {scheme.value}: {v.message}"
-            )
+        for v in validate_tags(sentence, scheme):
+            yield f"sentence {s_idx}, token {v.index}: invalid under {scheme.value}: {v.message}"
+
+
+def check_valid(sentences: Sequence[Sentence], scheme: TagScheme) -> None:
+    """Raise ValueError with the first of :func:`corpus_violations`, if any."""
+    for violation in corpus_violations(sentences, scheme):
+        raise ValueError(violation)
 
 
 def corpus_spans(sentences: Sequence[Sentence], scheme: TagScheme) -> list[list[EntitySpan]]:

@@ -190,7 +190,8 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
     """Highest-scoring legal path of each row, as (paths, scores); for a
     single (L, K) matrix without lengths, (path, score).  Ties break to
     the lexicographically smallest tag sequence (via a suffix table and
-    greedy reconstruction).
+    greedy reconstruction).  Each score is the recursion's maximum, not a
+    rescoring of the path.
     """
     single = lengths is None
     emissions, lengths = _as_batch(params, emissions, lengths)
@@ -208,9 +209,8 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
     paths[:, 0] = np.argmax(totals, axis=1)  # argmax picks the smallest index on ties
     for pos in range(1, steps):
         paths[:, pos] = np.argmax(trans[paths[:, pos - 1]] + suffix[:, pos], axis=1)
-    scores = _path_scores(params, emissions, paths, lengths)
     out = [paths[n, :length].tolist() for n, length in enumerate(lengths)]
-    return (out[0], float(scores[0])) if single else (out, scores)
+    return (out[0], float(best[0])) if single else (out, best)
 
 
 def _posteriors(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):

@@ -9,9 +9,9 @@
   partial, type).
 
 MUC and SemEval share one matching pass.  Span matching is greedy
-one-to-one: exact boundary-plus-type pairs first, then exact-boundary
-pairs, then remaining overlapping pairs by decreasing overlap (ties
-toward the earlier gold start, then the earlier predicted start).
+one-to-one over the overlapping pairs, sorted once: exact boundary-plus-type
+pairs first, then exact-boundary pairs, then the rest by decreasing overlap
+(ties toward the earlier gold start, then the earlier predicted start).
 Scores are kept as ratios in [0, 1]; rendering converts to percent.
 
 Empty denominators follow the usual NER convention: precision or recall
@@ -107,47 +107,30 @@ def conll_evaluate(
 # Span matching shared by MUC and SemEval
 
 
-def _overlap(a: EntitySpan, b: EntitySpan) -> int:
-    return max(0, min(a.end, b.end) - max(a.start, b.start))
-
-
 def match_spans(
     gold: Sequence[EntitySpan], pred: Sequence[EntitySpan]
 ) -> tuple[list[tuple[EntitySpan, EntitySpan]], list[EntitySpan], list[EntitySpan]]:
-    """Greedy one-to-one matching; returns (pairs, missed gold, spurious pred)."""
+    """Greedy one-to-one matching in the order the module docstring gives;
+    returns (pairs, missed gold, spurious pred)."""
     gold = sorted(gold)
     pred = sorted(pred)
+    candidates = []
+    for gi, g in enumerate(gold):
+        for pi, p in enumerate(pred):
+            overlap = min(g.end, p.end) - max(g.start, p.start)
+            if g.start == p.start and g.end == p.end:
+                candidates.append((0, g.etype != p.etype, g.start, 0, gi, pi))
+            elif overlap > 0:
+                candidates.append((1, -overlap, g.start, p.start, gi, pi))
+    candidates.sort()
     gold_free = set(range(len(gold)))
     pred_free = set(range(len(pred)))
     pairs: list[tuple[EntitySpan, EntitySpan]] = []
-
-    def take(gi: int, pi: int) -> None:
-        gold_free.discard(gi)
-        pred_free.discard(pi)
-        pairs.append((gold[gi], pred[pi]))
-
-    by_bounds = {(span.start, span.end): pi for pi, span in enumerate(pred)}
-    for gi, g_span in enumerate(gold):  # exact boundary + type
-        pi = by_bounds.get((g_span.start, g_span.end))
-        if pi is not None and pi in pred_free and pred[pi].etype == g_span.etype:
-            take(gi, pi)
-    for gi in sorted(gold_free):  # exact boundary, any type
-        pi = by_bounds.get((gold[gi].start, gold[gi].end))
-        if pi is not None and pi in pred_free:
-            take(gi, pi)
-
-    candidates = sorted(
-        (
-            (-_overlap(gold[gi], pred[pi]), gold[gi].start, pred[pi].start, gi, pi)
-            for gi in gold_free
-            for pi in pred_free
-            if _overlap(gold[gi], pred[pi]) > 0
-        ),
-    )
-    for _, _, _, gi, pi in candidates:
+    for _, _, _, _, gi, pi in candidates:
         if gi in gold_free and pi in pred_free:
-            take(gi, pi)
-
+            gold_free.discard(gi)
+            pred_free.discard(pi)
+            pairs.append((gold[gi], pred[pi]))
     missed = [gold[gi] for gi in sorted(gold_free)]
     spurious = [pred[pi] for pi in sorted(pred_free)]
     return pairs, missed, spurious

@@ -259,24 +259,27 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     xs, hs, cs, gates, tanh_c, flip = cache
     _, steps, batch, _, hidden = gates.shape
     d_hs = np.stack([d_outs[:, :, :hidden], d_outs[:, :, hidden:][flip]])
-    f, i, g, o = (gates[:, :, :, k] for k in range(4))
     c_prev = cs[:, :-1]
-    peep_f, peep_i, peep_o = params.p.transpose(1, 0, 2)[:, :, None, None]  # each (2, 1, 1, H)
-    # for every step at once: d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
-    k_o = tanh_c * o * (1.0 - o)
-    k_c = o * (1.0 - tanh_c ** 2) + k_o * peep_o
-    k_fig = np.stack([c_prev * f * (1.0 - f), g * i * (1.0 - i), i * (1.0 - g ** 2)], axis=3)
-    k_carry = f + k_fig[:, :, :, 0] * peep_f + k_fig[:, :, :, 1] * peep_i
+    peep_f, peep_i, peep_o = params.p.transpose(1, 0, 2)[:, :, None]  # each (2, 1, H)
 
     d_a = np.empty((2, steps, batch, 4, hidden))
+    k_fig = np.empty((2, batch, 3, hidden))
     dh_carry, dc = np.zeros((2, 2, batch, hidden))
     for t in range(steps - 1, -1, -1):
+        # this step's d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
+        f, i, g, o = (gates[:, t, :, k] for k in range(4))
+        tc = tanh_c[:, t]
+        k_o = tc * o * (1.0 - o)
+        k_c = o * (1.0 - tc ** 2) + k_o * peep_o
+        np.multiply(c_prev[:, t] * f, 1.0 - f, out=k_fig[:, :, 0])
+        np.multiply(g * i, 1.0 - i, out=k_fig[:, :, 1])
+        np.multiply(i, 1.0 - g ** 2, out=k_fig[:, :, 2])
         dh = d_hs[:, t] + dh_carry
-        dc += dh * k_c[:, t]
-        np.multiply(dc[:, :, None], k_fig[:, t], out=d_a[:, t, :, :3])
-        np.multiply(dh, k_o[:, t], out=d_a[:, t, :, 3])
+        dc += dh * k_c
+        np.multiply(dc[:, :, None], k_fig, out=d_a[:, t, :, :3])
+        np.multiply(dh, k_o, out=d_a[:, t, :, 3])
         dh_carry = d_a[:, t].reshape(2, batch, 4 * hidden) @ params.w_h
-        dc *= k_carry[:, t]
+        dc *= f + k_fig[:, :, 0] * peep_f + k_fig[:, :, 1] * peep_i
 
     d_a2 = d_a.reshape(2, steps * batch, 4 * hidden)
     d_a2_t = d_a2.transpose(0, 2, 1)

@@ -353,17 +353,13 @@ def sentence_loss_and_grads(
 TAG_BATCH = 8
 
 
-def tag_sentences(
-    model: ModelParams, sentences: Sequence[Sentence], masked: bool = True
-) -> list[Sentence]:
-    """Viterbi-decode each sentence; by default under the IOB2 mask.
+def tag_sentences(model: ModelParams, sentences: Sequence[Sentence]) -> list[Sentence]:
+    """Viterbi-decode each sentence under the IOB2 mask.
 
     Sentences are decoded in batches of similar length, and each word
     type's character vector is computed once per call.
     """
-    params = model.crf
-    if masked:
-        params = params.with_masks(*crf_mod.build_iob2_mask(model.tags))
+    params = model.crf.with_masks(*crf_mod.build_iob2_mask(model.tags))
     tags = [tag_from_str(text, TagScheme.IOB2) for text in model.tags]
     type_vectors: dict[str, np.ndarray] = {}
     out: list[Sentence] = list(sentences)

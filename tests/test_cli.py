@@ -74,7 +74,7 @@ class TestValidate:
     def test_violations_reported_and_exit_one(self, tmp_path, capsys):
         src = write(tmp_path / "bad.tsv", "a\tO\nb\tI-LOC\n\n")
         assert main(["validate", src]) == 1
-        assert "sentence 0 token 1" in capsys.readouterr().out
+        assert "sentence 0, token 1: invalid under iob2:" in capsys.readouterr().out
 
 
 class TestStatsTranslit:
@@ -155,6 +155,14 @@ class TestSmote:
         dst = tmp_path / "out.tsv"
         assert main(["smote", "--smote-n", "0", "--smote-k", "1", *mode, src, str(dst)]) == 1
         assert "error: n_percent must be positive" in capsys.readouterr().err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("option", [["--smote-n", "200"], ["--label", "PER"]], ids=["smote-n", "label"])
+    def test_target_takes_no_amount_or_label(self, tmp_path, capsys, option):
+        src = self.make_rows(tmp_path)
+        dst = tmp_path / "out.tsv"
+        assert main(["smote", "--target", "match-majority", *option, src, str(dst)]) == 2
+        assert "usage error: --target takes neither --smote-n nor --label" in capsys.readouterr().err
         assert not dst.exists()
 
     def test_needs_mode_flag(self, tmp_path):

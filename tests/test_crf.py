@@ -337,6 +337,34 @@ class TestBatches:
                 assert paths[n] == path
                 assert scores[n] == score
 
+    def test_legal_unmasked_path_is_the_masked_path(self):
+        # the best of all paths, when legal, is the best legal path: with the
+        # same tie-break both decoders return it, with the same score
+        tags = default_tagset(["LOC", "PER"])
+        trans_mask, start_mask, _ = build_iob2_mask(tags)
+        k = len(tags)
+        rng = np.random.default_rng(8)
+        legal = total = 0
+        for _ in range(150):
+            free = CrfParams(rng.uniform(-2, 2, (k, k)), rng.uniform(-2, 2, k), rng.uniform(-2, 2, k))
+            masked = free.with_masks(trans_mask, start_mask, np.ones(k, dtype=bool))
+            lengths = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+            emissions = np.full((len(lengths), lengths.max(), k), np.nan)
+            for n, length in enumerate(lengths):
+                emissions[n, :length] = rng.uniform(-2, 2, (length, k))
+            free_rows = zip(*viterbi_decode(free, emissions, lengths))
+            masked_rows = zip(*viterbi_decode(masked, emissions, lengths))
+            for n, (batch_free, batch_masked) in enumerate(zip(free_rows, masked_rows)):
+                single = emissions[n, : lengths[n]]
+                for got, want in ((batch_free, batch_masked),
+                                  (viterbi_decode(free, single), viterbi_decode(masked, single))):
+                    path = got[0]
+                    total += 1
+                    if start_mask[path[0]] and all(trans_mask[a, b] for a, b in zip(path, path[1:])):
+                        legal += 1
+                        assert (got[0], got[1]) == (want[0], want[1])
+        assert 0 < legal < total
+
     def test_lengths_checked(self):
         emissions = np.zeros((2, 3, 2))
         for lengths in ([0, 3], [1, 4], [3]):

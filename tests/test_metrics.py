@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amner.corpus import EntitySpan, Sentence, TagScheme, Token, extract_spans, tag_from_str
 from amner.metrics import (
@@ -187,7 +189,34 @@ class TestMuc:
             assert tally.actual == n_pred
 
 
+@st.composite
+def disjoint_spans(draw):
+    """A shuffled list of non-overlapping spans, as one sentence yields."""
+    spans, end = [], 0
+    shapes = st.tuples(st.integers(0, 2), st.integers(1, 3), st.sampled_from(["LOC", "PER"]))
+    for gap, width, etype in draw(st.lists(shapes, max_size=6)):
+        spans.append(EntitySpan(end + gap, end + gap + width, etype))
+        end += gap + width
+    return draw(st.permutations(spans))
+
+
 class TestMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(gold=disjoint_spans(), pred=disjoint_spans())
+    def test_greedy_matching_properties(self, gold, pred):
+        pairs, missed, spurious = match_spans(gold, pred)
+        paired_gold = [g for g, _ in pairs]
+        paired_pred = [p for _, p in pairs]
+        assert len(set(paired_gold)) == len(set(paired_pred)) == len(pairs)
+        assert all(g.overlaps(p) for g, p in pairs)
+        for g in gold:
+            for p in pred:
+                if (g.start, g.end) == (p.start, p.end):
+                    assert (g, p) in pairs
+        assert not any(g.overlaps(p) for g in missed for p in spurious)
+        assert sorted(paired_gold + missed) == sorted(gold)
+        assert sorted(paired_pred + spurious) == sorted(pred)
+
     def test_exact_pairs_first(self):
         gold = [EntitySpan(0, 2, "ORG"), EntitySpan(2, 4, "ORG")]
         pred = [EntitySpan(0, 2, "ORG"), EntitySpan(2, 4, "LOC")]
