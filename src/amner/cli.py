@@ -46,50 +46,45 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_convert(args) -> int:
-    from_scheme = TagScheme.from_name(args.from_scheme)
-    to_scheme = TagScheme.from_name(args.to_scheme)
-    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), from_scheme)
-    converted = corpus_mod.convert_scheme(sentences, from_scheme, to_scheme)
-    if to_scheme is TagScheme.STANFORD and from_scheme is not TagScheme.STANFORD:
-        lost = corpus_mod.count_adjacent_same_type(sentences, from_scheme)
+    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), args.from_scheme)
+    converted = corpus_mod.convert_scheme(sentences, args.from_scheme, args.to_scheme)
+    if args.to_scheme is TagScheme.STANFORD and args.from_scheme is not TagScheme.STANFORD:
+        lost = corpus_mod.count_adjacent_same_type(sentences, args.from_scheme)
         if lost:
             _say(f"warning: {lost} adjacent same-type entity boundaries merged "
                  "(not representable in stanford)")
-    if from_scheme is TagScheme.STANFORD and to_scheme is not TagScheme.STANFORD:
+    if args.from_scheme is TagScheme.STANFORD and args.to_scheme is not TagScheme.STANFORD:
         runs = corpus_mod.count_multi_token_runs(sentences)
         if runs:
             _say(f"warning: {runs} multi-token runs emitted as single entities; "
                  "adjacent same-type names are indistinguishable in stanford input")
-    _write_text(args.output, corpus_mod.write_corpus(converted, to_scheme))
+    _write_text(args.output, corpus_mod.write_corpus(converted, args.to_scheme))
     return 0
 
 
 def cmd_validate(args) -> int:
-    scheme = TagScheme.from_name(args.scheme)
-    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), scheme)
-    violations = list(corpus_mod.corpus_violations(sentences, scheme))
+    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), args.scheme)
+    violations = list(corpus_mod.corpus_violations(sentences, args.scheme))
     if violations:
         print("\n".join(violations))
         _say(f"{len(violations)} violation(s) in {len(sentences)} sentence(s)")
         return DATA_ERROR
-    print(f"ok: {len(sentences)} sentence(s) valid under {scheme.value}")
+    print(f"ok: {len(sentences)} sentence(s) valid under {args.scheme.value}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    scheme = TagScheme.from_name(args.scheme)
-    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), scheme)
-    stats = corpus_mod.corpus_stats(sentences, scheme)
+    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), args.scheme)
+    stats = corpus_mod.corpus_stats(sentences, args.scheme)
     print(corpus_mod.render_stats(stats, args.format), end="")
     return 0
 
 
 def cmd_translit(args) -> int:
-    scheme = TagScheme.from_name(args.scheme)
     table = corpus_mod.load_translit_table(_read_bytes(args.table))
-    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), scheme)
+    sentences = corpus_mod.parse_corpus(_read_bytes(args.input), args.scheme)
     out, mapped, unmapped = corpus_mod.transliterate_corpus(sentences, table)
-    _write_text(args.output, corpus_mod.write_corpus(out, scheme))
+    _write_text(args.output, corpus_mod.write_corpus(out, args.scheme))
     if args.format == "kv":
         print(f"characters.mapped {mapped}")
         print(f"characters.unmapped {unmapped}")
@@ -99,12 +94,11 @@ def cmd_translit(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    scheme = TagScheme.from_name(args.scheme)
-    first = corpus_mod.parse_corpus(_read_bytes(args.first), scheme)
-    second = corpus_mod.parse_corpus(_read_bytes(args.second), scheme)
+    first = corpus_mod.parse_corpus(_read_bytes(args.first), args.scheme)
+    second = corpus_mod.parse_corpus(_read_bytes(args.second), args.scheme)
     metrics_mod.check_aligned(first, second)
-    labels_a = [corpus_mod.tag_to_str(t.tag, scheme) for s in first for t in s.tokens]
-    labels_b = [corpus_mod.tag_to_str(t.tag, scheme) for s in second for t in s.tokens]
+    labels_a = [corpus_mod.tag_to_str(t.tag, args.scheme) for s in first for t in s.tokens]
+    labels_b = [corpus_mod.tag_to_str(t.tag, args.scheme) for s in second for t in s.tokens]
     table = metrics_mod.agreement_from_labels(labels_a, labels_b)
     kappa = metrics_mod.cohen_kappa(table)
     band = metrics_mod.interpret_kappa(kappa)
@@ -119,16 +113,14 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_smote(args) -> int:
-    # an amount SmoteConfig refuses is a data error in either mode
+    if args.target is not None and (args.n is not None or args.label is not None):
+        raise UsageError("--target takes neither --smote-n nor --label")
     config = resample_mod.SmoteConfig(
         n_percent=100 if args.n is None else args.n, k=args.k, seed=args.seed
     )
-    if args.target is not None and (args.n is not None or args.label is not None):
-        raise UsageError("--target takes neither --smote-n nor --label")
     rows = resample_mod.parse_feature_rows(_read_bytes(args.input))
     if args.target is not None:
-        target = args.target if args.target == resample_mod.MATCH_MAJORITY else int(args.target)
-        out = resample_mod.balance_token_dataset(rows, target, config)
+        out = resample_mod.balance_token_dataset(rows, args.target, config)
     elif args.n is not None:
         label = args.label
         if label is None:
@@ -227,17 +219,16 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scheme = TagScheme.from_name(args.scheme)
-    gold = corpus_mod.parse_corpus(_read_bytes(args.gold), scheme)
-    pred = corpus_mod.parse_corpus(_read_bytes(args.pred), scheme)
+    gold = corpus_mod.parse_corpus(_read_bytes(args.gold), args.scheme)
+    pred = corpus_mod.parse_corpus(_read_bytes(args.pred), args.scheme)
     if args.metric == "conll":
-        result = metrics_mod.conll_evaluate(gold, pred, scheme)
+        result = metrics_mod.conll_evaluate(gold, pred, args.scheme)
         print(metrics_mod.render_conll(result, args.format), end="")
     elif args.metric == "muc":
-        tally = metrics_mod.muc_evaluate(gold, pred, scheme)
+        tally = metrics_mod.muc_evaluate(gold, pred, args.scheme)
         print(metrics_mod.render_muc(tally, args.format), end="")
     else:
-        report = metrics_mod.semeval_evaluate(gold, pred, scheme)
+        report = metrics_mod.semeval_evaluate(gold, pred, args.scheme)
         print(metrics_mod.render_semeval(report, args.format), end="")
     return 0
 
@@ -267,6 +258,17 @@ def cmd_gradcheck(args) -> int:
     return 0 if result.passed else DATA_ERROR
 
 
+def _scheme(name: str) -> TagScheme:
+    try:
+        return TagScheme.from_name(name)
+    except ValueError as exc:  # argparse prints this message and exits 2
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def count_or_match_majority(text: str) -> int | str:  # argparse names it in its usage error
+    return text if text == resample_mod.MATCH_MAJORITY else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amner",
@@ -280,35 +282,35 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "kv"), default="text")
 
     p = sub.add_parser("convert", help="convert a corpus between tagging schemes")
-    p.add_argument("--from", dest="from_scheme", required=True, help="stanford, iob1 or iob2")
-    p.add_argument("--to", dest="to_scheme", required=True)
+    p.add_argument("--from", dest="from_scheme", type=_scheme, required=True, help="stanford, iob1 or iob2")
+    p.add_argument("--to", dest="to_scheme", type=_scheme, required=True)
     p.add_argument("input")
     p.add_argument("output")
     add_common(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("validate", help="check tag-sequence legality")
-    p.add_argument("--scheme", default="iob2")
+    p.add_argument("--scheme", type=_scheme, default="iob2")
     p.add_argument("input")
     add_common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="token counts per entity type")
-    p.add_argument("--scheme", default="iob2")
+    p.add_argument("--scheme", type=_scheme, default="iob2")
     p.add_argument("input")
     add_common(p, fmt=True)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("translit", help="transliterate token surfaces via a char table")
     p.add_argument("--table", required=True, help="TSV file: char<TAB>latin")
-    p.add_argument("--scheme", default="iob2")
+    p.add_argument("--scheme", type=_scheme, default="iob2")
     p.add_argument("input")
     p.add_argument("output")
     add_common(p, fmt=True)
     p.set_defaults(func=cmd_translit)
 
     p = sub.add_parser("kappa", help="Cohen's kappa between two annotations of one corpus")
-    p.add_argument("--scheme", default="iob2")
+    p.add_argument("--scheme", type=_scheme, default="iob2")
     p.add_argument("first")
     p.add_argument("second")
     add_common(p, fmt=True)
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smote-n", "--n", dest="n", type=int, default=None,
                    help="amount of oversampling in percent (below 100, or a multiple of 100)")
     p.add_argument("--smote-k", "--k", dest="k", type=int, default=5, help="neighbor count")
-    p.add_argument("--target", default=None, help="per-class count or 'match-majority'")
+    p.add_argument("--target", type=count_or_match_majority, help="per-class count or 'match-majority'")
     p.add_argument("--label", default=None, help="class to oversample in --smote-n mode")
     p.add_argument("input")
     p.add_argument("output")
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="entity-level evaluation of predictions against gold")
     p.add_argument("--metric", choices=("conll", "muc", "semeval"), default="conll")
-    p.add_argument("--scheme", default="iob2")
+    p.add_argument("--scheme", type=_scheme, default="iob2")
     p.add_argument("gold")
     p.add_argument("pred")
     add_common(p, fmt=True)

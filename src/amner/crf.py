@@ -4,10 +4,12 @@ A path through an L x K emission matrix is scored as
 
     start[t_1] + sum_l emissions[l][t_l] + sum_l transitions[t_l][t_{l+1}] + end[t_L]
 
-Boolean masks mark scheme-illegal transitions and boundary tags; masked
-entries contribute -inf, so illegal paths carry exactly zero probability.
-The partition function and the marginals behind the loss gradient are
-computed in the log domain.
+The parameters are these three score tensors.  A tagging scheme's
+legality rule is a call argument: ``masks=(trans_mask, start_mask)``
+(True = allowed, as :func:`build_iob2_mask` returns them).  Each call
+turns the masked-out entries into -inf scores once, so illegal paths
+carry exactly zero probability.  The partition function and the
+marginals behind the loss gradient are computed in the log domain.
 
 The loss and Viterbi decoding take a batch: right-padded (N, T, K)
 emissions plus each row's length.  Every recursion step runs on all rows
@@ -18,7 +20,7 @@ without lengths is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +40,11 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class CrfParams:
-    """Transition/boundary scores plus legality masks (True = allowed)."""
+    """Transition and boundary scores."""
 
     transitions: np.ndarray  # (K, K): score of tag j following tag i
     start_scores: np.ndarray  # (K,)
     end_scores: np.ndarray  # (K,)
-    trans_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-    start_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-    end_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
@@ -56,15 +55,6 @@ class CrfParams:
             raise ValueError(f"transitions must be square, got {self.transitions.shape}")
         if self.end_scores.shape != (k,):
             raise ValueError("start/end score lengths disagree")
-        if self.trans_mask is None:
-            self.trans_mask = np.ones((k, k), dtype=bool)
-        if self.start_mask is None:
-            self.start_mask = np.ones(k, dtype=bool)
-        if self.end_mask is None:
-            self.end_mask = np.ones(k, dtype=bool)
-        self.trans_mask = np.asarray(self.trans_mask, dtype=bool)
-        self.start_mask = np.asarray(self.start_mask, dtype=bool)
-        self.end_mask = np.asarray(self.end_mask, dtype=bool)
 
     @property
     def num_tags(self) -> int:
@@ -76,12 +66,6 @@ class CrfParams:
             np.zeros((num_tags, num_tags)), np.zeros(num_tags), np.zeros(num_tags)
         )
 
-    def with_masks(self, trans_mask, start_mask, end_mask) -> "CrfParams":
-        return CrfParams(
-            self.transitions, self.start_scores, self.end_scores,
-            trans_mask, start_mask, end_mask,
-        )
-
     def tensors(self) -> dict[str, np.ndarray]:
         return {
             "crf.transitions": self.transitions,
@@ -89,12 +73,14 @@ class CrfParams:
             "crf.end": self.end_scores,
         }
 
-    def effective(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scores with masked-out entries replaced by -inf."""
-        trans = np.where(self.trans_mask, self.transitions, NEG_INF)
-        start = np.where(self.start_mask, self.start_scores, NEG_INF)
-        end = np.where(self.end_mask, self.end_scores, NEG_INF)
-        return trans, start, end
+
+def _scores(params: CrfParams, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(transitions, start, end) with the entries ``masks`` forbid set to -inf."""
+    if masks is None:
+        return params.transitions, params.start_scores, params.end_scores
+    trans_mask, start_mask = masks
+    trans = np.where(trans_mask, params.transitions, NEG_INF)
+    return trans, np.where(start_mask, params.start_scores, NEG_INF), params.end_scores
 
 
 def _as_batch(params: CrfParams, emissions: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -114,41 +100,36 @@ def _as_batch(params: CrfParams, emissions: np.ndarray, lengths) -> tuple[np.nda
     return emissions, lengths
 
 
-def _path_scores(params: CrfParams, emissions: np.ndarray, tags: np.ndarray, lengths) -> np.ndarray:
+def _path_scores(scores, emissions: np.ndarray, tags: np.ndarray, lengths) -> np.ndarray:
     """Score (N,) of each row's tag path over its first lengths[n]
-    positions; raises if a path crosses a masked entry."""
+    positions under ``scores`` from :func:`_scores`; raises if a path
+    crosses a masked entry."""
+    trans, start, end = scores
     rows = np.arange(len(lengths))
-    first, last = tags[:, 0], tags[rows, lengths - 1]
-    for name, mask, ends in (("start", params.start_mask, first), ("end", params.end_mask, last)):
-        bad = np.flatnonzero(~mask[ends])
+    total = np.zeros(len(lengths))
+    for pos in range(emissions.shape[1]):
+        live, cur = pos < lengths, tags[:, pos]
+        score = start[cur] if pos == 0 else trans[tags[:, pos - 1], cur]
+        bad = np.flatnonzero(live & (score == NEG_INF))
         if bad.size:
-            raise ValueError(f"row {bad[0]}: {name} at tag {ends[bad[0]]} is masked out")
-    total = params.start_scores[first] + emissions[rows, 0, first]
-    for pos in range(1, emissions.shape[1]):
-        live = pos < lengths
-        prev, cur = tags[:, pos - 1], tags[:, pos]
-        bad = np.flatnonzero(live & ~params.trans_mask[prev, cur])
-        if bad.size:
-            n = bad[0]
-            raise ValueError(f"row {n}: transition {prev[n]} -> {cur[n]} at position {pos} is masked out")
-        step = params.transitions[prev, cur] + emissions[rows, pos, cur]
-        total = np.where(live, total + step, total)
-    return total + params.end_scores[last]
+            raise ValueError(f"row {bad[0]}: tag {cur[bad[0]]} at position {pos} is masked out")
+        total = np.where(live, total + (score + emissions[rows, pos, cur]), total)
+    return total + end[tags[rows, lengths - 1]]
 
 
-def score_sequence(params: CrfParams, emissions: np.ndarray, tags) -> float:
+def score_sequence(params: CrfParams, emissions: np.ndarray, tags, masks=None) -> float:
     """Score of one tag path; raises if the path crosses a masked entry."""
     emissions, lengths = _as_batch(params, emissions, None)
     tags = np.array([list(tags)], dtype=np.int64)
     if tags.shape[1] != emissions.shape[1]:
         raise ValueError(f"path length {tags.shape[1]} != sequence length {emissions.shape[1]}")
-    return float(_path_scores(params, emissions, tags, lengths)[0])
+    return float(_path_scores(_scores(params, masks), emissions, tags, lengths)[0])
 
 
-def _forward(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
+def _forward(scores, emissions: np.ndarray, lengths: np.ndarray):
     """(alpha (N, T, K), log_z (N,)): alpha[n, l, k] is the log-sum of the
     scores of all legal prefixes of row n that end at position l with tag k."""
-    trans, start, end = params.effective()
+    trans, start, end = scores
     alpha = np.empty_like(emissions)
     alpha[:, 0] = start + emissions[:, 0]
     for pos in range(1, emissions.shape[1]):
@@ -161,20 +142,20 @@ def _forward(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
     return alpha, log_z
 
 
-def forward_log_partition(params: CrfParams, emissions: np.ndarray) -> float:
+def forward_log_partition(params: CrfParams, emissions: np.ndarray, masks=None) -> float:
     """log sum over all mask-legal paths of exp(path score)."""
     emissions, lengths = _as_batch(params, emissions, None)
-    return float(_forward(params, emissions, lengths)[1][0])
+    return float(_forward(_scores(params, masks), emissions, lengths)[1][0])
 
 
-def _backward(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray, reduce):
+def _backward(scores, emissions: np.ndarray, lengths: np.ndarray, reduce):
     """The backward recursion under ``reduce``: np.max gives Viterbi's
     suffix table, _logsumexp the marginals' beta.  Returns (inner, table),
     both (N, T, K).  inner[n, t, i] reduces the scores of the legal
     continuations of row n after tag i at position t, end score included;
     it is ``end`` from the row's last position on.  table = emissions + inner.
     """
-    trans, _, end = params.effective()
+    trans, _, end = scores
     last = (lengths - 1)[:, None]
     inner, table = np.empty_like(emissions), np.empty_like(emissions)
     inner[:, -1] = end
@@ -186,7 +167,7 @@ def _backward(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray, red
     return inner, table
 
 
-def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
+def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None, masks=None):
     """Highest-scoring legal path of each row, as (paths, scores); for a
     single (L, K) matrix without lengths, (path, score).  Ties break to
     the lexicographically smallest tag sequence (via a suffix table and
@@ -195,9 +176,10 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
     """
     single = lengths is None
     emissions, lengths = _as_batch(params, emissions, lengths)
-    trans, start, _ = params.effective()
+    scores = _scores(params, masks)
+    trans, start, _ = scores
     size, steps, _ = emissions.shape
-    _, suffix = _backward(params, emissions, lengths, np.max)
+    _, suffix = _backward(scores, emissions, lengths, np.max)
 
     totals = start + suffix[:, 0]
     best = np.max(totals, axis=1)
@@ -213,18 +195,17 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None):
     return (out[0], float(best[0])) if single else (out, best)
 
 
-def _posteriors(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
+def _posteriors(scores, emissions: np.ndarray, lengths: np.ndarray):
     """Forward-backward pass; returns (log_z (N,), unary (N, T, K),
     pairwise (N, T-1, K, K)), both zero past each row's end."""
-    alpha, log_z = _forward(params, emissions, lengths)
-    beta, table = _backward(params, emissions, lengths, _logsumexp)
-    trans, _, _ = params.effective()
+    alpha, log_z = _forward(scores, emissions, lengths)
+    beta, table = _backward(scores, emissions, lengths, _logsumexp)
 
     norm = log_z[:, None, None]
     # padded positions may overflow or meet -inf - -inf; they are zeroed below
     with np.errstate(invalid="ignore", over="ignore"):
         unary = np.exp(alpha + beta - norm)
-        pairwise = alpha[:, :-1, :, None] + trans + table[:, 1:, None, :]
+        pairwise = alpha[:, :-1, :, None] + scores[0] + table[:, 1:, None, :]
         pairwise = np.exp(pairwise - norm[..., None])
     valid = np.arange(emissions.shape[1]) < lengths[:, None]
     unary[~valid] = 0.0
@@ -235,7 +216,7 @@ def _posteriors(params: CrfParams, emissions: np.ndarray, lengths: np.ndarray):
 
 
 def nll_loss_and_grad(
-    params: CrfParams, emissions: np.ndarray, gold, lengths=None
+    params: CrfParams, emissions: np.ndarray, gold, lengths=None, masks=None
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Summed negative log-likelihood of the gold paths plus all gradients.
 
@@ -250,8 +231,9 @@ def nll_loss_and_grad(
     gold = np.asarray(gold, dtype=np.int64).reshape(len(lengths), -1)
     if gold.shape != emissions.shape[:2]:
         raise ValueError(f"gold paths {gold.shape} do not match the emissions' {emissions.shape[:2]}")
-    gold_score = _path_scores(params, emissions, gold, lengths)  # also validates legality
-    log_z, unary, pairwise = _posteriors(params, emissions, lengths)
+    scores = _scores(params, masks)
+    gold_score = _path_scores(scores, emissions, gold, lengths)  # also validates legality
+    log_z, unary, pairwise = _posteriors(scores, emissions, lengths)
     loss = float(np.sum(log_z - gold_score))
 
     rows = np.arange(len(lengths))
@@ -269,12 +251,13 @@ def nll_loss_and_grad(
     return loss, d_emissions[0] if single else d_emissions, grads
 
 
-def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Legality masks for an ordered IOB2 tag vocabulary.
+def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Legality masks (trans_mask, start_mask) for an ordered IOB2 tag vocabulary.
 
     ``trans_mask[i, j]`` allows tag j after tag i and ``start_mask[j]``
     allows tag j first, as :func:`corpus.tag_violation` rules under IOB2;
-    every tag may end a sequence.
+    every tag may end a sequence.  Raises if a tag is not IOB2 or an
+    I tag's type has no B tag.
     """
     parsed = [tag_from_str(text, TagScheme.IOB2) for text in tagset]
     b_types = {tag.etype for tag in parsed if tag.position == "B"}
@@ -288,7 +271,7 @@ def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     k = len(parsed)
     trans_mask = np.array([allowed_after(prev) for prev in parsed], dtype=bool).reshape(k, k)
     start_mask = np.array(allowed_after(O_TAG), dtype=bool)
-    return trans_mask, start_mask, np.ones(k, dtype=bool)
+    return trans_mask, start_mask
 
 
 def default_tagset(entity_types: list[str]) -> list[str]:

@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import FormatError, text_lines
-from .crf import CrfParams
+from .crf import CrfParams, build_iob2_mask
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -390,6 +390,8 @@ def init_encoder(
     """Seeded random encoder; weight matrices are uniform with the
     +-sqrt(6 / (fan_in + fan_out)) bound, biases and peepholes zero.
     """
+    if min(word_dim, char_dim, char_hidden, word_hidden) < 1:
+        raise ValueError("word_dim, char_dim, char_hidden and word_hidden must each be at least 1")
     rng = np.random.default_rng(seed)
     char_table = EmbeddingTable.random(char_tokens, char_dim, rng)
     char_bilstm = BiLstmParams.random(char_dim, char_hidden, rng)
@@ -538,15 +540,17 @@ def encode_backward(
 class ModelParams:
     """Everything a trained tagger carries, CRF and tag order included."""
 
-    tags: list[str]
+    tags: list[str]  # an IOB2 tag set: decoding always applies its IOB2 masks
     encoder: EncoderParams
     crf: CrfParams
+    masked_training: bool = False  # whether the training loss applies them too
 
     def __post_init__(self):
         if len(self.tags) != self.encoder.num_tags or len(self.tags) != self.crf.num_tags:
             raise ValueError("tag count disagrees between tag list, encoder and CRF")
         if len(set(self.tags)) != len(self.tags):
             raise ValueError("duplicate tags")
+        build_iob2_mask(self.tags)  # raises unless the tags are an IOB2 tag set
 
     @property
     def tag_index(self) -> dict[str, int]:

@@ -15,6 +15,10 @@ Section headers carry entry counts, so vocabulary entries are read by
 count and may contain any character except a line break.  Writing is
 deterministic: identical models and config produce identical bytes.
 
+``masked_training`` is ``ModelParams.masked_training``, written and read
+as is.  No mask is stored: the IOB2 masks follow from the tag list, which
+loading refuses unless it is an IOB2 tag set.
+
 Two kinds of tensor are stored in a layout other than the one the
 model, training and ``gradcheck`` use; these file layouts exist only
 here:
@@ -37,7 +41,7 @@ import math
 
 import numpy as np
 
-from .crf import CrfParams, build_iob2_mask
+from .crf import CrfParams
 from .model import BiLstmParams, EmbeddingTable, EncoderParams, ModelParams
 
 MAGIC = "amner-model 1"
@@ -92,17 +96,13 @@ def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> 
     """Serialize; ``config`` records run metadata (seed included) verbatim.
     ``dropout_rate`` and ``masked_training`` are written from the model and
     taken out of the config that loading returns, so ``config`` may not
-    hold them.  The CRF masks must be all true or the IOB2 masks."""
+    hold them."""
     config = dict(config or {})
     for key in ("dropout_rate", "masked_training"):
         if key in config:
             raise ModelFormatError(f"config key {key!r} is written from the model")
-    masks = (model.crf.trans_mask, model.crf.start_mask, model.crf.end_mask)
-    masked = not all(mask.all() for mask in masks)
-    if masked and not all(map(np.array_equal, masks, build_iob2_mask(model.tags))):
-        raise ModelFormatError("CRF masks are neither all true nor the IOB2 masks of the tags")
     config["dropout_rate"] = repr(float(model.encoder.dropout_rate))
-    config["masked_training"] = "true" if masked else "false"
+    config["masked_training"] = "true" if model.masked_training else "false"
 
     tensors = file_tensors(model)
     lines = [MAGIC, f"[config {len(config)}]"]
@@ -226,7 +226,8 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
             stacked[field] = blocks.reshape(2, -1, *blocks.shape[1 if field == "p" else 2 :])
         return BiLstmParams(**stacked)
 
-    # the constructors check each shape against the vocabularies, tags and other tensors
+    # the constructors check each shape against the vocabularies, tags and other
+    # tensors, and that the tags form an IOB2 tag set
     try:
         encoder = EncoderParams(
             char_table=table("char_table", chars),
@@ -238,9 +239,7 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
             dropout_rate=dropout,
         )
         crf = CrfParams(take("crf.transitions"), take("crf.start"), take("crf.end"))
-        if config.pop("masked_training", "false") == "true":
-            crf = crf.with_masks(*build_iob2_mask(tags))
-        model = ModelParams(tags, encoder, crf)
+        model = ModelParams(tags, encoder, crf, config.pop("masked_training", "false") == "true")
     except KeyError as exc:
         raise ModelFormatError(f"missing tensor {exc.args[0]}") from None
     except ValueError as exc:

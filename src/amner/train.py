@@ -277,8 +277,8 @@ def build_model(
     Vocabularies are the sorted surface forms and characters of the
     corpus (plus ``extra_vocab``).  Rows found in ``pretrained`` replace
     their random counterparts; everything else keeps the seeded init.
-    The IOB2 constraint mask is baked into the CRF only when
-    ``masked_training`` is set; decoding applies it regardless.
+    ``masked_training`` makes the training loss apply the IOB2 masks of
+    the tags; decoding applies them regardless.
     """
     if not sentences:
         raise ValueError("cannot build a model from an empty corpus")
@@ -311,9 +311,12 @@ def build_model(
         encoder.word_table.matrix[found] = pretrained.matrix[src[found]]
 
     crf_params = init_crf(len(tags), np.random.default_rng(seed + 1))
-    if masked_training:
-        crf_params = crf_params.with_masks(*crf_mod.build_iob2_mask(tags))
-    return ModelParams(tags, encoder, crf_params)
+    return ModelParams(tags, encoder, crf_params, masked_training)
+
+
+def _loss_masks(model: ModelParams):
+    """The training loss's CRF masks: the IOB2 masks if the model trains masked."""
+    return crf_mod.build_iob2_mask(model.tags) if model.masked_training else None
 
 
 def gold_ids(model: ModelParams, sentences: Sequence[Sentence], steps: int) -> np.ndarray:
@@ -343,7 +346,9 @@ def sentence_loss_and_grads(
     batch = encode_batch(model.encoder, sentences)
     emissions, cache = encode_forward(model.encoder, batch, train=train, rng=rng)
     gold = gold_ids(model, sentences, emissions.shape[1])
-    loss, d_emissions, grads = crf_mod.nll_loss_and_grad(model.crf, emissions, gold, batch.lengths)
+    loss, d_emissions, grads = crf_mod.nll_loss_and_grad(
+        model.crf, emissions, gold, batch.lengths, masks=_loss_masks(model)
+    )
     grads.update(encode_backward(model.encoder, cache, d_emissions))
     return loss, grads
 
@@ -354,12 +359,12 @@ TAG_BATCH = 8
 
 
 def tag_sentences(model: ModelParams, sentences: Sequence[Sentence]) -> list[Sentence]:
-    """Viterbi-decode each sentence under the IOB2 mask.
+    """Viterbi-decode each sentence under the IOB2 masks of the model's tags.
 
     Sentences are decoded in batches of similar length, and each word
     type's character vector is computed once per call.
     """
-    params = model.crf.with_masks(*crf_mod.build_iob2_mask(model.tags))
+    masks = crf_mod.build_iob2_mask(model.tags)
     tags = [tag_from_str(text, TagScheme.IOB2) for text in model.tags]
     type_vectors: dict[str, np.ndarray] = {}
     out: list[Sentence] = list(sentences)
@@ -368,7 +373,7 @@ def tag_sentences(model: ModelParams, sentences: Sequence[Sentence]) -> list[Sen
         chunk = order[start : start + TAG_BATCH]
         batch = encode_batch(model.encoder, [sentences[i] for i in chunk])
         emissions, _ = encode_forward(model.encoder, batch, type_vectors=type_vectors)
-        paths, _ = crf_mod.viterbi_decode(params, emissions, batch.lengths)
+        paths, _ = crf_mod.viterbi_decode(model.crf, emissions, batch.lengths, masks=masks)
         for i, path in zip(chunk, paths):
             tokens = zip(sentences[i].tokens, path)
             out[i] = Sentence(tuple(Token(tok.surface, tags[idx]) for tok, idx in tokens))
@@ -520,14 +525,18 @@ def gradient_check(
 
     Dropout is disabled (the NLL would otherwise be stochastic).  Meant
     for tiny models; the cost is two forward passes per parameter entry.
+    ``step`` and ``tolerance`` must be finite and positive.
     """
+    if not (0.0 < step < math.inf and 0.0 < tolerance < math.inf):
+        raise ValueError("step and tolerance must be finite and positive")
     _, analytic = sentence_loss_and_grads(model, [sentence], train=False)
     batch = encode_batch(model.encoder, [sentence])
     gold = gold_ids(model, [sentence], len(sentence))[0]
+    masks = _loss_masks(model)
 
     def loss() -> float:  # the NLL without the encoder's backward pass
         emissions = encode_forward(model.encoder, batch)[0][0]
-        return crf_mod.nll_loss_and_grad(model.crf, emissions, gold)[0]
+        return crf_mod.nll_loss_and_grad(model.crf, emissions, gold, masks=masks)[0]
 
     params = model.tensors()
     report: dict[str, float] = {}

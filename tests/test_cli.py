@@ -149,7 +149,7 @@ class TestSmote:
         assert "error: n_percent 150 is over 100 but not a multiple of 100" in capsys.readouterr().err
         assert not dst.exists()
 
-    @pytest.mark.parametrize("mode", [["--label", "PER"], ["--target", "5"]], ids=["label", "target"])
+    @pytest.mark.parametrize("mode", [["--label", "PER"]], ids=["label"])
     def test_zero_amount_is_data_error(self, tmp_path, capsys, mode):
         src = self.make_rows(tmp_path)
         dst = tmp_path / "out.tsv"
@@ -157,7 +157,18 @@ class TestSmote:
         assert "error: n_percent must be positive" in capsys.readouterr().err
         assert not dst.exists()
 
-    @pytest.mark.parametrize("option", [["--smote-n", "200"], ["--label", "PER"]], ids=["smote-n", "label"])
+    def test_target_not_a_count_is_usage_error(self, tmp_path, capsys):
+        src = self.make_rows(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["smote", "--target", "abc", src, str(tmp_path / "out.tsv")])
+        assert exc.value.code == 2
+        assert "argument --target: invalid count_or_match_majority value: 'abc'" in capsys.readouterr().err
+
+    # an amount SmoteConfig refuses (0, 150) is a usage error here too: the mode is checked first
+    @pytest.mark.parametrize(
+        "option", [["--smote-n", "200"], ["--label", "PER"], ["--smote-n", "0"], ["--smote-n", "150"]],
+        ids=["smote-n", "label", "smote-n-0", "smote-n-150"],
+    )
     def test_target_takes_no_amount_or_label(self, tmp_path, capsys, option):
         src = self.make_rows(tmp_path)
         dst = tmp_path / "out.tsv"
@@ -208,6 +219,49 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--step", "0"], ["--step", "nan"], ["--step=-1e-5"], ["--tolerance=-1"],
+        ["--tolerance", "inf"],
+    ], ids=["step-0", "step-nan", "step-negative", "tolerance-negative", "tolerance-inf"])
+    def test_bad_step_or_tolerance_is_data_error(self, capsys, flags):
+        assert main(["gradcheck", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "error: step and tolerance must be finite and positive" in err
+        assert "Traceback" not in err
+
+
+SCHEME_FORMS = {
+    "convert-from": ["convert", "--from", "{bad}", "--to", "iob1", "{corpus}", "{out}"],
+    "convert-to": ["convert", "--from", "iob2", "--to", "{bad}", "{corpus}", "{out}"],
+    "validate": ["validate", "--scheme", "{bad}", "{corpus}"],
+    "stats": ["stats", "--scheme", "{bad}", "{corpus}"],
+    "translit": ["translit", "--table", "{table}", "--scheme", "{bad}", "{corpus}", "{out}"],
+    "kappa": ["kappa", "--scheme", "{bad}", "{corpus}", "{corpus}"],
+    "eval": ["eval", "--scheme", "{bad}", "{corpus}", "{corpus}"],
+}
+
+
+@pytest.mark.parametrize("form", sorted(SCHEME_FORMS))
+def test_unknown_scheme_is_usage_error(tmp_path, capsys, form):
+    paths = {
+        "bad": "iob3",
+        "corpus": write(tmp_path / "in.tsv", IOB2_TEXT),
+        "table": write(tmp_path / "table.tsv", "w\tv\n"),
+        "out": str(tmp_path / "out.tsv"),
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in SCHEME_FORMS[form]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown tagging scheme 'iob3'; expected one of ['stanford', 'iob1', 'iob2']" in err
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_scheme_names_are_case_insensitive(tmp_path, capsys):
+    src = write(tmp_path / "in.tsv", IOB2_TEXT)
+    assert main(["validate", "--scheme", "IOB2", src]) == 0
+    assert "valid under iob2" in capsys.readouterr().out
+
 
 class TestTrainTagEval:
     @pytest.fixture()
@@ -246,6 +300,8 @@ class TestTrainTagEval:
         ("seed 1\nbatch 4\n", [], "error: line 2: unknown option 'batch'"),
         (b"seed \xff\n", [], "error: invalid UTF-8: "),
         ("patience 1\n", [], "error: patience stops on dev F1 and needs a dev set"),
+        *(("", [flag, "0"], "error: word_dim, char_dim, char_hidden and word_hidden must each be at least 1")
+          for flag in ("--word-dim", "--char-dim", "--word-hidden", "--char-hidden")),
     ])
     def test_bad_settings_are_data_errors(self, tmp_path, corpus_path, capsys, config, flags, message):
         cfg = tmp_path / "train.cfg"
@@ -255,6 +311,19 @@ class TestTrainTagEval:
         assert main(args + self.TRAIN_ARGS + flags) == 1
         assert message in capsys.readouterr().err
         assert not model.exists()
+
+    def test_masked_train_writes_the_flag_and_tags_iob2(self, tmp_path, corpus_path, capsys):
+        from amner.serialize import load_model
+
+        model_path = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model_path), "--masked-train"]
+        assert main(args + self.TRAIN_ARGS) == 0
+        assert b"\nmasked_training true\n" in model_path.read_bytes()
+        model, config = load_model(model_path)
+        assert model.masked_training and "masked_training" not in config
+        tagged = tmp_path / "tagged.tsv"
+        assert main(["tag", "--model", str(model_path), corpus_path, str(tagged)]) == 0
+        assert main(["validate", str(tagged)]) == 0
 
     def test_invalid_dev_set_is_data_error_before_training(self, tmp_path, corpus_path, capsys):
         dev = write(tmp_path / "dev.tsv", "x\tO\ny\tI-PER\n\n")

@@ -16,29 +16,29 @@ from amner.crf import (
 )
 
 
-def enumerate_legal_paths(params, length):
-    """Brute-force oracle: every path that the masks allow."""
+def enumerate_legal_paths(params, length, masks=None):
+    """Brute-force oracle: every path that ``masks`` (trans_mask, start_mask) allows."""
     k = params.num_tags
     for path in itertools.product(range(k), repeat=length):
-        if not params.start_mask[path[0]] or not params.end_mask[path[-1]]:
-            continue
-        if any(not params.trans_mask[a, b] for a, b in zip(path, path[1:])):
-            continue
+        if masks is not None:
+            trans_mask, start_mask = masks
+            if not start_mask[path[0]] or any(not trans_mask[a, b] for a, b in zip(path, path[1:])):
+                continue
         yield list(path)
 
 
-def brute_force_log_partition(params, emissions):
+def brute_force_log_partition(params, emissions, masks=None):
     scores = [
-        score_sequence(params, emissions, path)
-        for path in enumerate_legal_paths(params, emissions.shape[0])
+        score_sequence(params, emissions, path, masks=masks)
+        for path in enumerate_legal_paths(params, emissions.shape[0], masks)
     ]
     return np.logaddexp.reduce(scores)
 
 
-def brute_force_viterbi(params, emissions):
+def brute_force_viterbi(params, emissions, masks=None):
     best_path, best_score = None, -np.inf
-    for path in enumerate_legal_paths(params, emissions.shape[0]):
-        score = score_sequence(params, emissions, path)
+    for path in enumerate_legal_paths(params, emissions.shape[0], masks):
+        score = score_sequence(params, emissions, path, masks=masks)
         if score > best_score or (score == best_score and path < best_path):
             best_path, best_score = path, score
     return best_path, best_score
@@ -69,10 +69,14 @@ class TestScoreSequence:
         assert score_sequence(params, np.array([[2.0, 0.0]]), [0]) == 2.75
 
     def test_masked_transition_rejected(self):
-        mask = np.array([[True, False], [True, True]])
-        params = CrfParams.zeros(2).with_masks(mask, np.ones(2, bool), np.ones(2, bool))
+        masks = np.array([[True, False], [True, True]]), np.ones(2, bool)
         with pytest.raises(ValueError, match="masked"):
-            score_sequence(params, EM_2X2, [0, 1])
+            score_sequence(CrfParams.zeros(2), EM_2X2, [0, 1], masks=masks)
+
+    def test_masked_start_rejected(self):
+        masks = np.ones((2, 2), bool), np.array([True, False])
+        with pytest.raises(ValueError, match="tag 1 at position 0 is masked out"):
+            score_sequence(CrfParams.zeros(2), EM_2X2, [1, 0], masks=masks)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -117,11 +121,22 @@ class TestLogPartition:
         assert viterbi_decode(params, emissions)[0] == viterbi_decode(params, shifted)[0]
 
     def test_over_constrained_mask_rejected(self):
-        params = CrfParams.zeros(2).with_masks(
-            np.ones((2, 2), bool), np.zeros(2, bool), np.ones(2, bool)
-        )
+        masks = np.ones((2, 2), bool), np.zeros(2, bool)
         with pytest.raises(ValueError, match="no legal path"):
-            forward_log_partition(params, EM_2X2)
+            forward_log_partition(CrfParams.zeros(2), EM_2X2, masks=masks)
+
+    def test_masked_matches_enumeration(self):
+        rng = np.random.default_rng(103)
+        masks = build_iob2_mask(IOB2_TAGS)
+        for _ in range(30):
+            params = CrfParams(*(rng.uniform(-3, 3, shape) for shape in ((5, 5), 5, 5)))
+            emissions = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), 5))
+            expected = brute_force_log_partition(params, emissions, masks)
+            assert abs(forward_log_partition(params, emissions, masks=masks) - expected) <= 1e-8
+            expected_path, expected_score = brute_force_viterbi(params, emissions, masks)
+            path, score = viterbi_decode(params, emissions, masks=masks)
+            assert path == expected_path
+            assert abs(score - expected_score) < 1e-9
 
 
 class TestViterbi:
@@ -152,13 +167,12 @@ class TestViterbi:
 
     def test_masked_decoding_avoids_forbidden_transitions(self):
         tags = default_tagset(["LOC", "ORG"])
-        trans_mask, start_mask, end_mask = build_iob2_mask(tags)
-        params = CrfParams.zeros(len(tags)).with_masks(trans_mask, start_mask, end_mask)
+        params = CrfParams.zeros(len(tags))
         rng = np.random.default_rng(3)
         o_idx = tags.index("O")
         for _ in range(50):
             emissions = rng.uniform(-3, 3, size=(5, len(tags)))
-            path, _ = viterbi_decode(params, emissions)
+            path, _ = viterbi_decode(params, emissions, masks=build_iob2_mask(tags))
             for prev, cur in zip(path, path[1:]):
                 if tags[cur].startswith("I-"):
                     assert tags[prev].endswith(tags[cur][2:])
@@ -175,11 +189,9 @@ class TestLoss:
         assert d_em.shape == EM_2X2.shape
 
     def test_unique_legal_path_has_zero_loss(self):
-        trans_mask = np.array([[False, True], [False, False]])
-        start_mask = np.array([True, False])
-        end_mask = np.array([False, True])
-        params = CrfParams.zeros(2).with_masks(trans_mask, start_mask, end_mask)
-        loss, d_em, grads = nll_loss_and_grad(params, EM_2X2, [0, 1])
+        # start {0} and the one transition 0 -> 1 leave one path of length 2
+        masks = np.array([[False, True], [False, False]]), np.array([True, False])
+        loss, d_em, grads = nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1], masks=masks)
         assert abs(loss) < 1e-12
         assert np.max(np.abs(d_em)) < 1e-12
 
@@ -193,10 +205,9 @@ class TestLoss:
             assert loss >= -1e-12
 
     def test_illegal_gold_rejected(self):
-        mask = np.array([[True, False], [True, True]])
-        params = CrfParams.zeros(2).with_masks(mask, np.ones(2, bool), np.ones(2, bool))
+        masks = np.array([[True, False], [True, True]]), np.ones(2, bool)
         with pytest.raises(ValueError):
-            nll_loss_and_grad(params, EM_2X2, [0, 1])
+            nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1], masks=masks)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -236,7 +247,7 @@ class TestIob2Mask:
     TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
 
     def test_i_reachable_only_from_same_type(self):
-        trans_mask, start_mask, _ = build_iob2_mask(self.TAGS)
+        trans_mask, start_mask = build_iob2_mask(self.TAGS)
         idx = {t: i for i, t in enumerate(self.TAGS)}
         assert not trans_mask[idx["O"], idx["I-PER"]]
         assert trans_mask[idx["B-PER"], idx["I-PER"]]
@@ -245,25 +256,24 @@ class TestIob2Mask:
         assert not trans_mask[idx["I-ORG"] if "I-ORG" in idx else idx["I-LOC"], idx["I-PER"]]
 
     def test_start_at_i_forbidden(self):
-        _, start_mask, _ = build_iob2_mask(self.TAGS)
+        _, start_mask = build_iob2_mask(self.TAGS)
         idx = {t: i for i, t in enumerate(self.TAGS)}
         assert not start_mask[idx["I-PER"]]
         assert start_mask[idx["B-PER"]]
         assert start_mask[idx["O"]]
 
     def test_everything_else_allowed(self):
-        trans_mask, _, end_mask = build_iob2_mask(self.TAGS)
+        trans_mask, _ = build_iob2_mask(self.TAGS)
         idx = {t: i for i, t in enumerate(self.TAGS)}
         assert trans_mask[idx["O"], idx["O"]]
         assert trans_mask[idx["O"], idx["B-PER"]]
         assert trans_mask[idx["I-PER"], idx["B-PER"]]
-        assert end_mask.all()
 
     def test_masks_agree_with_validate_tags(self):
         # one legality rule: a mask entry is true exactly when the sequence's
         # last token validates
         tags = default_tagset(["LOC", "PER"])
-        trans_mask, start_mask, _ = build_iob2_mask(tags)
+        trans_mask, start_mask = build_iob2_mask(tags)
         parsed = [tag_from_str(text, TagScheme.IOB2) for text in tags]
 
         def last_valid(*sequence):
@@ -289,37 +299,40 @@ IOB2_TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
 
 
 def padded_batch(rng, trial):
-    """Random parameters and 1..5 emission matrices of lengths 1..4,
+    """Random parameters, masks and 1..5 emission matrices of lengths 1..4,
     right-padded with NaN, which the batch functions must never read.
-    Odd trials use the IOB2 mask and small integer scores, so that
-    masked entries and exact ties occur."""
+    Odd trials use zero scores, the IOB2 masks and small integer
+    emissions, so that masked entries and exact ties occur; even trials
+    have no masks."""
     masked = trial % 2 == 1
     k = len(IOB2_TAGS) if masked else int(rng.integers(1, 5))
     params = CrfParams(
         rng.uniform(-3, 3, size=(k, k)), rng.uniform(-3, 3, size=k), rng.uniform(-3, 3, size=k),
     )
+    masks = None
     if masked:
-        params = CrfParams.zeros(k).with_masks(*build_iob2_mask(IOB2_TAGS))
+        params, masks = CrfParams.zeros(k), build_iob2_mask(IOB2_TAGS)
     lengths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
     emissions = np.full((len(lengths), lengths.max(), k), np.nan)
     for n, length in enumerate(lengths):
         scores = rng.integers(-1, 2, size=(length, k)) if masked else rng.uniform(-3, 3, (length, k))
         emissions[n, :length] = scores
-    return params, emissions, lengths
+    return params, masks, emissions, lengths
 
 
 class TestBatches:
     def test_loss_and_gradients_sum_over_rows(self):
         rng = np.random.default_rng(5)
         for trial in range(30):
-            params, emissions, lengths = padded_batch(rng, trial)
+            params, masks, emissions, lengths = padded_batch(rng, trial)
             gold = np.zeros(emissions.shape[:2], dtype=np.int64)
             rows = []
             for n, length in enumerate(lengths):
-                paths = list(enumerate_legal_paths(params, length))
+                paths = list(enumerate_legal_paths(params, length, masks))
                 gold[n, :length] = paths[int(rng.integers(len(paths)))]
-                rows.append(nll_loss_and_grad(params, emissions[n, :length], gold[n, :length]))
-            loss, d_em, grads = nll_loss_and_grad(params, emissions, gold, lengths)
+                row = nll_loss_and_grad(params, emissions[n, :length], gold[n, :length], masks=masks)
+                rows.append(row)
+            loss, d_em, grads = nll_loss_and_grad(params, emissions, gold, lengths, masks=masks)
             assert abs(loss - sum(row[0] for row in rows)) <= 1e-12 * max(1.0, abs(loss))
             for n, length in enumerate(lengths):
                 assert np.max(np.abs(d_em[n, :length] - rows[n][1])) <= 1e-12
@@ -330,10 +343,10 @@ class TestBatches:
     def test_viterbi_rows_match_single_decoding(self):
         rng = np.random.default_rng(6)
         for trial in range(40):
-            params, emissions, lengths = padded_batch(rng, trial)
-            paths, scores = viterbi_decode(params, emissions, lengths)
+            params, masks, emissions, lengths = padded_batch(rng, trial)
+            paths, scores = viterbi_decode(params, emissions, lengths, masks=masks)
             for n, length in enumerate(lengths):
-                path, score = viterbi_decode(params, emissions[n, :length])
+                path, score = viterbi_decode(params, emissions[n, :length], masks=masks)
                 assert paths[n] == path
                 assert scores[n] == score
 
@@ -341,23 +354,22 @@ class TestBatches:
         # the best of all paths, when legal, is the best legal path: with the
         # same tie-break both decoders return it, with the same score
         tags = default_tagset(["LOC", "PER"])
-        trans_mask, start_mask, _ = build_iob2_mask(tags)
+        masks = trans_mask, start_mask = build_iob2_mask(tags)
         k = len(tags)
         rng = np.random.default_rng(8)
         legal = total = 0
         for _ in range(150):
-            free = CrfParams(rng.uniform(-2, 2, (k, k)), rng.uniform(-2, 2, k), rng.uniform(-2, 2, k))
-            masked = free.with_masks(trans_mask, start_mask, np.ones(k, dtype=bool))
+            params = CrfParams(rng.uniform(-2, 2, (k, k)), rng.uniform(-2, 2, k), rng.uniform(-2, 2, k))
             lengths = rng.integers(1, 7, size=int(rng.integers(1, 5)))
             emissions = np.full((len(lengths), lengths.max(), k), np.nan)
             for n, length in enumerate(lengths):
                 emissions[n, :length] = rng.uniform(-2, 2, (length, k))
-            free_rows = zip(*viterbi_decode(free, emissions, lengths))
-            masked_rows = zip(*viterbi_decode(masked, emissions, lengths))
+            free_rows = zip(*viterbi_decode(params, emissions, lengths))
+            masked_rows = zip(*viterbi_decode(params, emissions, lengths, masks=masks))
             for n, (batch_free, batch_masked) in enumerate(zip(free_rows, masked_rows)):
                 single = emissions[n, : lengths[n]]
-                for got, want in ((batch_free, batch_masked),
-                                  (viterbi_decode(free, single), viterbi_decode(masked, single))):
+                singles = viterbi_decode(params, single), viterbi_decode(params, single, masks=masks)
+                for got, want in ((batch_free, batch_masked), singles):
                     path = got[0]
                     total += 1
                     if start_mask[path[0]] and all(trans_mask[a, b] for a, b in zip(path, path[1:])):

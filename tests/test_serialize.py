@@ -83,13 +83,16 @@ class TestRoundTrip:
         assert loaded.tags == model.tags
 
     def test_masked_training_flag_restores_masks(self):
-        # the flag is written from the model's masks, not from a caller config
-        _, model = small_model(masked=True)
-        loaded, config = model_from_bytes(model_to_bytes(model))
-        assert np.array_equal(loaded.crf.trans_mask, model.crf.trans_mask)
-        assert np.array_equal(loaded.crf.start_mask, model.crf.start_mask)
-        assert not loaded.crf.trans_mask.all()
-        assert "masked_training" not in config
+        # the flag is written from the model, not from a caller config, and
+        # loading restores it; the masks follow from the tags
+        for masked in (False, True):
+            _, model = small_model(masked=masked)
+            data = model_to_bytes(model)
+            assert f"\nmasked_training {str(masked).lower()}\n".encode() in data
+            loaded, config = model_from_bytes(data)
+            assert loaded.masked_training is masked
+            assert "masked_training" not in config
+            assert model_to_bytes(loaded) == data
 
     def test_header_lookalike_words(self):
         from amner.corpus import Sentence, Tag, Token
@@ -156,11 +159,14 @@ class TestErrors:
         with pytest.raises(ModelFormatError, match=f"config key '{key}' is written from the model"):
             model_to_bytes(model, {key: "true"})
 
-    def test_masks_other_than_iob2_refused(self):
-        _, model = small_model()
-        model.crf.trans_mask[0, 0] = False
-        with pytest.raises(ModelFormatError, match="neither all true nor the IOB2 masks"):
-            model_to_bytes(model)
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_tags_that_are_not_iob2_refused(self, masked):
+        # the tag list is checked whether or not the file trains masked
+        _, model = small_model(masked=masked)
+        data = model_to_bytes(model)
+        assert b"\nB-LOC\n" in data.split(b"\n[chars ")[0]
+        with pytest.raises(ModelFormatError, match="I-LOC without B-LOC"):
+            model_from_bytes(data.replace(b"\nB-LOC\n", b"\nB-LOX\n", 1))
 
     def test_non_numeric_section_count(self):
         _, model = small_model()

@@ -406,6 +406,17 @@ class TestGradientCheck:
         result = gradient_check(model, corpus[0])
         assert result.passed, result.render()
 
+    def test_masked_model_within_tolerance(self):
+        # the analytic and the numeric loss both apply the IOB2 masks; with
+        # the masks on one side only, the CRF gradients would disagree
+        corpus = synthetic_corpus(2, seed=19, min_len=2, max_len=4)
+        dims = dict(word_dim=3, char_dim=2, char_hidden=2, word_hidden=2, dropout=0.0, seed=19)
+        model = build_model(corpus, masked_training=True, **dims)
+        free = sentence_loss_and_grads(build_model(corpus, **dims), corpus[:1])[0]
+        assert sentence_loss_and_grads(model, corpus[:1])[0] < free
+        result = gradient_check(model, corpus[0])
+        assert result.passed, result.render()
+
     def test_zero_parameter_model(self):
         corpus = synthetic_corpus(2, seed=21, min_len=2, max_len=3)
         model = build_model(
