@@ -35,6 +35,7 @@ import sys
 
 import numpy as np
 
+from amner.cli import tag_scheme
 from amner.corpus import (
     Sentence,
     Tag,
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
     parser.add_argument("--embeddings", default=None, help="300-d word vectors, text format")
     parser.add_argument("--protocol", choices=("all", "kfold", "two-thirds", "smote"),
                         default="all")
-    parser.add_argument("--scheme", default="iob2")
+    parser.add_argument("--scheme", type=tag_scheme, default="iob2")
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--epochs", type=int, default=50)
     parser.add_argument("--batch", type=int, default=20)
@@ -258,11 +259,10 @@ def main(argv=None) -> int:
     parser.add_argument("--allow-stats-mismatch", action="store_true")
     args = parser.parse_args(argv)
 
-    scheme = TagScheme.from_name(args.scheme)
     with open(args.corpus, "rb") as handle:
-        sentences = parse_corpus(handle.read(), scheme)
-    if scheme is not TagScheme.IOB2:
-        sentences = convert_scheme(sentences, scheme, TagScheme.IOB2)
+        sentences = parse_corpus(handle.read(), args.scheme)
+    if args.scheme is not TagScheme.IOB2:
+        sentences = convert_scheme(sentences, args.scheme, TagScheme.IOB2)
     log(f"loaded {len(sentences)} sentences from {args.corpus}")
 
     if args.max_sentences is not None and args.max_sentences < len(sentences):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from time import perf_counter
 
 import numpy as np
 
@@ -212,9 +213,16 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     model, _ = serialize_mod.load_model(args.model)
     sentences = corpus_mod.parse_corpus(_read_bytes(args.input), None)
+    started = perf_counter()
     tagged = train_mod.tag_sentences(model, sentences)
+    wall_s = perf_counter() - started
     _write_text(args.output, corpus_mod.write_corpus(tagged, TagScheme.IOB2))
-    _say(f"tagged {len(tagged)} sentence(s)")
+    surfaces = [word for sentence in sentences for word in sentence.surfaces]
+    oov = sum(word not in model.encoder.word_table.vocab for word in surfaces)
+    tok_s = len(surfaces) / wall_s if wall_s > 0 else 0.0
+    oov_rate = oov / len(surfaces) if surfaces else 0.0
+    _say(f"tagged {len(tagged)} sentence(s), {len(surfaces)} token(s), "
+         f"{tok_s:.1f} tok/s, oov_rate {oov_rate:.4f}")
     return 0
 
 
@@ -258,7 +266,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if result.passed else DATA_ERROR
 
 
-def _scheme(name: str) -> TagScheme:
+def tag_scheme(name: str) -> TagScheme:
     try:
         return TagScheme.from_name(name)
     except ValueError as exc:  # argparse prints this message and exits 2
@@ -282,35 +290,35 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "kv"), default="text")
 
     p = sub.add_parser("convert", help="convert a corpus between tagging schemes")
-    p.add_argument("--from", dest="from_scheme", type=_scheme, required=True, help="stanford, iob1 or iob2")
-    p.add_argument("--to", dest="to_scheme", type=_scheme, required=True)
+    p.add_argument("--from", dest="from_scheme", type=tag_scheme, required=True, help="stanford, iob1 or iob2")
+    p.add_argument("--to", dest="to_scheme", type=tag_scheme, required=True)
     p.add_argument("input")
     p.add_argument("output")
     add_common(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("validate", help="check tag-sequence legality")
-    p.add_argument("--scheme", type=_scheme, default="iob2")
+    p.add_argument("--scheme", type=tag_scheme, default="iob2")
     p.add_argument("input")
     add_common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("stats", help="token counts per entity type")
-    p.add_argument("--scheme", type=_scheme, default="iob2")
+    p.add_argument("--scheme", type=tag_scheme, default="iob2")
     p.add_argument("input")
     add_common(p, fmt=True)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("translit", help="transliterate token surfaces via a char table")
     p.add_argument("--table", required=True, help="TSV file: char<TAB>latin")
-    p.add_argument("--scheme", type=_scheme, default="iob2")
+    p.add_argument("--scheme", type=tag_scheme, default="iob2")
     p.add_argument("input")
     p.add_argument("output")
     add_common(p, fmt=True)
     p.set_defaults(func=cmd_translit)
 
     p = sub.add_parser("kappa", help="Cohen's kappa between two annotations of one corpus")
-    p.add_argument("--scheme", type=_scheme, default="iob2")
+    p.add_argument("--scheme", type=tag_scheme, default="iob2")
     p.add_argument("first")
     p.add_argument("second")
     add_common(p, fmt=True)
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="entity-level evaluation of predictions against gold")
     p.add_argument("--metric", choices=("conll", "muc", "semeval"), default="conll")
-    p.add_argument("--scheme", type=_scheme, default="iob2")
+    p.add_argument("--scheme", type=tag_scheme, default="iob2")
     p.add_argument("gold")
     p.add_argument("pred")
     add_common(p, fmt=True)

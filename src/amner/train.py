@@ -397,6 +397,13 @@ class EpochLog:
     clipped_batches: int = 0
 
 
+def _rows_read(table: EmbeddingTable, sentences: Sequence[Sentence]) -> np.ndarray:
+    """Sorted rows of ``table`` that encoding ``sentences`` reads: those of
+    their words and the unknown row, which pads a batch."""
+    rows = table.ids(word for sentence in sentences for word in sentence.surfaces)
+    return np.unique(np.append(rows, len(table.vocab)))
+
+
 def _dev_f1(model: ModelParams, dev: Sequence[Sentence]) -> float:
     predicted = tag_sentences(model, dev)
     result = metrics_mod.conll_evaluate(list(dev), predicted)
@@ -418,6 +425,18 @@ def train_model(
     stop early; ``config.patience`` stops after that many epochs without
     a dev F1 improvement, and is refused without ``dev``.  ``dev`` must
     be valid IOB2, and ``config.dropout`` must equal the model's rate.
+
+    Adam updates only the word-table rows that training can reach: the
+    rows of the training words, which include the unknown row V when a
+    training word is outside the vocabulary, and row V always, as it pads
+    every batch.  The skipping is exact.  Any other row, such as that of
+    a word only in ``extra_vocab``, gets a zero gradient on every step,
+    so its moments stay zero and Adam would move it by 0 / (0 + eps) = 0.
+    The reachable rows train as one compact copy.  Before each batch the
+    rows its forward pass reads are copied back into the model's table,
+    and after each epoch all of them are, so the model holds every
+    trained row whenever ``dev`` scoring, ``on_epoch`` or the caller sees
+    it.
     """
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
@@ -433,11 +452,14 @@ def train_model(
             check_valid(dev, TagScheme.IOB2)
         except ValueError as exc:
             raise ValueError(f"dev set: {exc}") from None
-    params = model.tensors()
+    table = model.encoder.word_table
+    live = _rows_read(table, sentences)
+    compact = table.matrix[live]
+    params = {**model.tensors(), "word_table.matrix": compact}
     state = AdamState.for_params(params)
     # the row-sparse word-table gradient is scattered into this buffer for
     # Adam; only the rows a step wrote are re-zeroed after it
-    word_grad = np.zeros_like(params["word_table.matrix"])
+    word_grad = np.zeros_like(compact)
     dropout_rng = np.random.default_rng(config.seed)
     logs: list[EpochLog] = []
     best_f1 = -1.0
@@ -447,23 +469,29 @@ def train_model(
         entry = EpochLog(epoch=epoch, loss=0.0)
         norms = []
         batches = make_batches(list(sentences), config.batch_size, config.seed + epoch)
-        for batch_idx, batch in enumerate(batches):
-            try:
-                loss, grads = sentence_loss_and_grads(
-                    model, batch, train=config.dropout > 0.0, rng=dropout_rng
-                )
-                if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_idx}")
-                norms.append(clip_global_norm(grads, config.clip_norm))
-                sparse = grads["word_table.matrix"]
-                word_grad[sparse.rows] = sparse.values
-                grads["word_table.matrix"] = word_grad
-                adam_step(state, params, grads, config)
-            except ValueError as exc:
-                raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
-            word_grad[sparse.rows] = 0.0
-            entry.loss += loss
-            entry.tokens += sum(len(sentence.tokens) for sentence in batch)
+        try:
+            for batch_idx, batch in enumerate(batches):
+                reads = _rows_read(table, batch)
+                table.matrix[reads] = compact[np.searchsorted(live, reads)]
+                try:
+                    loss, grads = sentence_loss_and_grads(
+                        model, batch, train=config.dropout > 0.0, rng=dropout_rng
+                    )
+                    if not np.isfinite(loss):
+                        raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_idx}")
+                    norms.append(clip_global_norm(grads, config.clip_norm))
+                    sparse = grads["word_table.matrix"]
+                    slots = np.searchsorted(live, sparse.rows)
+                    word_grad[slots] = sparse.values
+                    grads["word_table.matrix"] = word_grad
+                    adam_step(state, params, grads, config)
+                except ValueError as exc:
+                    raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
+                word_grad[slots] = 0.0
+                entry.loss += loss
+                entry.tokens += sum(len(sentence.tokens) for sentence in batch)
+        finally:
+            table.matrix[live] = compact
         entry.wall_s = perf_counter() - started
         entry.tok_s = entry.tokens / entry.wall_s if entry.wall_s > 0 else 0.0
         entry.grad_norm_mean = sum(norms) / len(norms)

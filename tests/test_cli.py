@@ -397,6 +397,23 @@ class TestTrainTagEval:
         lines = dst.read_text(encoding="utf-8").strip().split("\n")
         assert len([l for l in lines if l]) == 4
 
+    def test_tag_reports_its_run(self, tmp_path, corpus_path, capsys):
+        from amner.serialize import load_model
+
+        model_path = tmp_path / "m.model"
+        assert main(["train", corpus_path, "--model", str(model_path)] + self.TRAIN_ARGS) == 0
+        known = sorted(load_model(model_path)[0].encoder.word_table.vocab)[:3]
+        src = write(tmp_path / "plain.txt", f"{known[0]}\nunseen\n\n{known[1]}\n{known[2]}\n\n")
+        capsys.readouterr()
+        assert main(["tag", "--model", str(model_path), src, str(tmp_path / "t.tsv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = [line for line in captured.err.splitlines() if line.startswith("tagged ")]
+        head, rate = line.split(" tok/s, ")
+        assert head.rsplit(" ", 1)[0] == "tagged 2 sentence(s), 4 token(s),"
+        assert float(head.rsplit(" ", 1)[1]) > 0.0
+        assert rate == "oov_rate 0.2500"
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 from helpers import synthetic_corpus
 
 from amner.corpus import TagScheme, write_corpus
@@ -42,3 +43,12 @@ def test_all_protocols_run(tmp_path, capsys):
         "smote/sentence-oversample: F1", "smote/token-classifier (type runs): F1",
     ):
         assert any(line.startswith(prefix) for line in out.splitlines()), prefix
+
+
+def test_unknown_scheme_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(write_corpus(synthetic_corpus(2, seed=6), TagScheme.IOB2), encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        load_script().main(["--corpus", str(corpus), "--scheme", "iob3"])
+    assert exit_info.value.code == 2
+    assert "argument --scheme: unknown tagging scheme 'iob3'" in capsys.readouterr().err

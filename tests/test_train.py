@@ -38,11 +38,35 @@ def textbook_adam(param, m, v, grad, step, config):
     )
 
 
-def tiny_model(corpus, seed=0, dropout=0.0):
+def tiny_model(corpus, seed=0, dropout=0.0, extra_vocab=()):
     return build_model(
         corpus, word_dim=8, char_dim=3, char_hidden=3, word_hidden=4,
-        dropout=dropout, seed=seed,
+        dropout=dropout, seed=seed, extra_vocab=extra_vocab,
     )
+
+
+def dense_adam_train(sentences, model, config):
+    """train_model's batch loop with Adam and the word-table gradient over
+    the whole table: the reference for its compact word-table Adam.
+    Returns (loss, grad_norm_mean, grad_norm_max) per epoch."""
+    params = model.tensors()
+    state = AdamState.for_params(params)
+    word_grad = np.zeros_like(params["word_table.matrix"])
+    rng = np.random.default_rng(config.seed)
+    logs = []
+    for epoch in range(config.max_epochs):
+        loss_sum, norms = 0.0, []
+        for batch in make_batches(list(sentences), config.batch_size, config.seed + epoch):
+            loss, grads = sentence_loss_and_grads(model, batch, train=config.dropout > 0.0, rng=rng)
+            norms.append(clip_global_norm(grads, config.clip_norm))
+            sparse = grads["word_table.matrix"]
+            word_grad[sparse.rows] = sparse.values
+            grads["word_table.matrix"] = word_grad
+            adam_step(state, params, grads, config)
+            word_grad[sparse.rows] = 0.0
+            loss_sum += loss
+        logs.append((loss_sum, sum(norms) / len(norms), max(norms)))
+    return logs
 
 
 class TestConfig:
@@ -330,7 +354,6 @@ class TestTraining:
 
     def test_non_finite_word_row_gradient_names_tensor(self, monkeypatch):
         corpus = synthetic_corpus(3, seed=27)
-        model = tiny_model(corpus, seed=27)
         true_fn = train_mod.sentence_loss_and_grads
 
         def poisoned(model, sentence, train=False, rng=None):
@@ -339,8 +362,11 @@ class TestTraining:
             return loss, grads
 
         monkeypatch.setattr(train_mod, "sentence_loss_and_grads", poisoned)
-        with pytest.raises(TrainingError, match="epoch 0, batch 0: .*word_table.matrix"):
-            train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0))
+        # with extra words, Adam runs on fewer rows than the table has
+        for extra_vocab in ((), ("only-extra0", "only-extra1")):
+            model = tiny_model(corpus, seed=27, extra_vocab=extra_vocab)
+            with pytest.raises(TrainingError, match="epoch 0, batch 0: .*word_table.matrix"):
+                train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0))
 
     def test_early_stop_patience(self):
         corpus = synthetic_corpus(4, seed=17)
@@ -358,6 +384,47 @@ class TestTraining:
         model = tiny_model(corpus, seed=17, dropout=0.5)
         with pytest.raises(ValueError, match="differs from the model's rate 0.5"):
             train_model(corpus, model, TrainConfig(max_epochs=1, dropout=dropout))
+
+
+class TestCompactWordTableAdam:
+    """train_model runs Adam over the word-table rows training can reach;
+    every other row would get a bitwise-zero update from dense Adam."""
+
+    CORPUS = synthetic_corpus(12, seed=31)
+    # fillers w26..w39 occur here and not in CORPUS
+    HELD_OUT = synthetic_corpus(6, seed=32, filler_words=40)
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    @pytest.mark.parametrize("train_on", ["corpus", "held-out"])
+    def test_matches_dense_adam(self, clip_norm, train_on):
+        extra = [t.surface for s in self.HELD_OUT for t in s.tokens]
+        sentences = self.CORPUS if train_on == "corpus" else self.HELD_OUT
+        # a model built without the held-out words meets them as unknown words
+        vocab_extra = extra if train_on == "corpus" else ()
+        config = TrainConfig(max_epochs=2, batch_size=5, dropout=0.5, seed=31, clip_norm=clip_norm)
+        dense, compact = (
+            tiny_model(self.CORPUS, seed=31, dropout=0.5, extra_vocab=vocab_extra)
+            for _ in range(2)
+        )
+        initial = compact.encoder.word_table.matrix.copy()
+
+        expected = dense_adam_train(sentences, dense, config)
+        logs = train_model(sentences, compact, config)
+        assert [(e.loss, e.grad_norm_mean, e.grad_norm_max) for e in logs] == expected
+        if clip_norm is not None:
+            assert all(e.clipped_batches > 0 for e in logs)
+        for name, array in dense.tensors().items():
+            assert compact.tensors()[name].tobytes() == array.tobytes(), name
+
+        table = compact.encoder.word_table
+        unknown = len(table.vocab)
+        if train_on == "corpus":
+            only_extra = table.ids(sorted(set(extra) - set(w for s in self.CORPUS for w in s.surfaces)))
+            assert only_extra.size and unknown not in only_extra
+            assert table.matrix[only_extra].tobytes() == initial[only_extra].tobytes()
+            assert table.matrix[unknown].tobytes() == initial[unknown].tobytes()
+        else:
+            assert not np.array_equal(table.matrix[unknown], initial[unknown])
 
 
 def relative_gaps(model, reference) -> dict[str, float]:
