@@ -52,6 +52,7 @@ from amner.resample import MATCH_MAJORITY, FeatureRow, SmoteConfig, balance_toke
 from amner.train import (
     AdamState,
     TrainConfig,
+    TrainingError,
     adam_step,
     build_model,
     holdout_split,
@@ -238,27 +239,8 @@ def protocol_smote(sentences, args, pretrained) -> None:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--corpus", required=True, help="IOB2 corpus TSV")
-    parser.add_argument("--embeddings", default=None, help="300-d word vectors, text format")
-    parser.add_argument("--protocol", choices=("all", "kfold", "two-thirds", "smote"),
-                        default="all")
-    parser.add_argument("--scheme", type=tag_scheme, default="iob2")
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--batch", type=int, default=20)
-    parser.add_argument("--lr", type=float, default=0.001)
-    parser.add_argument("--dropout", type=float, default=0.5)
-    parser.add_argument("--word-dim", type=int, default=300)
-    parser.add_argument("--smote-k", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-sentences", type=int, default=None,
-                        help="subsample the corpus for smoke runs (stats check is skipped)")
-    parser.add_argument("--allow-stats-mismatch", action="store_true")
-    args = parser.parse_args(argv)
-
+def run(args) -> int:
+    """Load the corpus and vectors, then run the chosen protocols."""
     with open(args.corpus, "rb") as handle:
         sentences = parse_corpus(handle.read(), args.scheme)
     if args.scheme is not TagScheme.IOB2:
@@ -287,6 +269,33 @@ def main(argv=None) -> int:
     if args.protocol in ("all", "smote"):
         protocol_smote(sentences, args, pretrained)
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--corpus", required=True, help="IOB2 corpus TSV")
+    parser.add_argument("--embeddings", default=None, help="300-d word vectors, text format")
+    parser.add_argument("--protocol", choices=("all", "kfold", "two-thirds", "smote"),
+                        default="all")
+    parser.add_argument("--scheme", type=tag_scheme, default="iob2")
+    parser.add_argument("--folds", type=int, default=10)
+    parser.add_argument("--epochs", type=int, default=50)
+    parser.add_argument("--batch", type=int, default=20)
+    parser.add_argument("--lr", type=float, default=0.001)
+    parser.add_argument("--dropout", type=float, default=0.5)
+    parser.add_argument("--word-dim", type=int, default=300)
+    parser.add_argument("--smote-k", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-sentences", type=int, default=None,
+                        help="subsample the corpus for smoke runs (stats check is skipped)")
+    parser.add_argument("--allow-stats-mismatch", action="store_true")
+    args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except (ValueError, OSError, TrainingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -439,7 +439,6 @@ def encode_batch(params: EncoderParams, sentences: Sequence) -> Batch:
 def encode_forward(
     params: EncoderParams,
     batch: Batch,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     type_vectors: dict[str, np.ndarray] | None = None,
 ):
@@ -448,15 +447,14 @@ def encode_forward(
     ``type_vectors`` maps word types to character vectors computed
     before, and is empty when not given.  The character pass covers only
     the batch's types missing from it and adds them to it, so the cache
-    is fit for a backward pass only when the map held none of them.  In
-    train mode an inverted-dropout mask is applied to each token's
-    concatenated input vector and to each BiLSTM output vector.  The
-    masks are drawn sentence by sentence, inputs first, then outputs, the
-    order in which sentences encoded one at a time draw them.
+    is fit for a backward pass only when the map held none of them.  When
+    ``rng`` is given and the dropout rate is above 0, an inverted-dropout
+    mask is applied to each token's concatenated input vector and to each
+    BiLSTM output vector.  The masks are drawn from ``rng`` sentence by
+    sentence, inputs first, then outputs, the order in which sentences
+    encoded one at a time draw them.
     """
-    use_dropout = train and params.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("train-mode encoding with dropout needs a random generator")
+    use_dropout = rng is not None and params.dropout_rate > 0.0
     type_vectors = {} if type_vectors is None else type_vectors
     new = [word for word in batch.types if word not in type_vectors]
     char_cache = None

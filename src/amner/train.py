@@ -335,16 +335,17 @@ def gold_ids(model: ModelParams, sentences: Sequence[Sentence], steps: int) -> n
 def sentence_loss_and_grads(
     model: ModelParams,
     sentences: Sequence[Sentence],
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray | SparseRows]]:
     """Summed CRF negative log-likelihood of ``sentences`` plus all gradients.
+
+    Dropout runs when ``rng`` is given and the model's rate is above 0.
 
     The gradients are keyed CRF tensors first, then encoder tensors in
     ``encode_backward``'s order; the word-table gradient is row-sparse.
     """
     batch = encode_batch(model.encoder, sentences)
-    emissions, cache = encode_forward(model.encoder, batch, train=train, rng=rng)
+    emissions, cache = encode_forward(model.encoder, batch, rng=rng)
     gold = gold_ids(model, sentences, emissions.shape[1])
     loss, d_emissions, grads = crf_mod.nll_loss_and_grad(
         model.crf, emissions, gold, batch.lengths, masks=_loss_masks(model)
@@ -397,13 +398,6 @@ class EpochLog:
     clipped_batches: int = 0
 
 
-def _rows_read(table: EmbeddingTable, sentences: Sequence[Sentence]) -> np.ndarray:
-    """Sorted rows of ``table`` that encoding ``sentences`` reads: those of
-    their words and the unknown row, which pads a batch."""
-    rows = table.ids(word for sentence in sentences for word in sentence.surfaces)
-    return np.unique(np.append(rows, len(table.vocab)))
-
-
 def _dev_f1(model: ModelParams, dev: Sequence[Sentence]) -> float:
     predicted = tag_sentences(model, dev)
     result = metrics_mod.conll_evaluate(list(dev), predicted)
@@ -426,17 +420,15 @@ def train_model(
     a dev F1 improvement, and is refused without ``dev``.  ``dev`` must
     be valid IOB2, and ``config.dropout`` must equal the model's rate.
 
-    Adam updates only the word-table rows that training can reach: the
-    rows of the training words, which include the unknown row V when a
-    training word is outside the vocabulary, and row V always, as it pads
-    every batch.  The skipping is exact.  Any other row, such as that of
-    a word only in ``extra_vocab``, gets a zero gradient on every step,
-    so its moments stay zero and Adam would move it by 0 / (0 + eps) = 0.
-    The reachable rows train as one compact copy.  Before each batch the
-    rows its forward pass reads are copied back into the model's table,
-    and after each epoch all of them are, so the model holds every
-    trained row whenever ``dev`` scoring, ``on_epoch`` or the caller sees
-    it.
+    Training reads and updates a view of the model whose word table holds
+    the training words' rows plus row V, which pads every batch and
+    stands for training words outside the vocabulary; every other tensor
+    is the model's own.  The view's rows are written back after each epoch, so
+    the model holds every trained row whenever ``dev`` scoring,
+    ``on_epoch`` or the caller sees it.  Leaving the other rows out is
+    exact: a row no training word reads, such as that of a word only in
+    ``extra_vocab``, gets a zero gradient on every step, so its moments
+    would stay zero and Adam would move it by 0 / (0 + eps) = 0.
     """
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
@@ -453,13 +445,18 @@ def train_model(
         except ValueError as exc:
             raise ValueError(f"dev set: {exc}") from None
     table = model.encoder.word_table
-    live = _rows_read(table, sentences)
-    compact = table.matrix[live]
-    params = {**model.tensors(), "word_table.matrix": compact}
+    seen = {word for sentence in sentences for word in sentence.surfaces}
+    words = sorted(seen & table.vocab.keys(), key=table.vocab.get)
+    live = np.append(table.ids(words), len(table.vocab))
+    view_table = EmbeddingTable({word: slot for slot, word in enumerate(words)}, table.matrix[live])
+    view = dataclasses.replace(
+        model, encoder=dataclasses.replace(model.encoder, word_table=view_table)
+    )
+    params = view.tensors()
     state = AdamState.for_params(params)
     # the row-sparse word-table gradient is scattered into this buffer for
     # Adam; only the rows a step wrote are re-zeroed after it
-    word_grad = np.zeros_like(compact)
+    word_grad = np.zeros_like(view_table.matrix)
     dropout_rng = np.random.default_rng(config.seed)
     logs: list[EpochLog] = []
     best_f1 = -1.0
@@ -471,27 +468,22 @@ def train_model(
         batches = make_batches(list(sentences), config.batch_size, config.seed + epoch)
         try:
             for batch_idx, batch in enumerate(batches):
-                reads = _rows_read(table, batch)
-                table.matrix[reads] = compact[np.searchsorted(live, reads)]
                 try:
-                    loss, grads = sentence_loss_and_grads(
-                        model, batch, train=config.dropout > 0.0, rng=dropout_rng
-                    )
+                    loss, grads = sentence_loss_and_grads(view, batch, rng=dropout_rng)
                     if not np.isfinite(loss):
                         raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_idx}")
                     norms.append(clip_global_norm(grads, config.clip_norm))
                     sparse = grads["word_table.matrix"]
-                    slots = np.searchsorted(live, sparse.rows)
-                    word_grad[slots] = sparse.values
+                    word_grad[sparse.rows] = sparse.values
                     grads["word_table.matrix"] = word_grad
                     adam_step(state, params, grads, config)
                 except ValueError as exc:
                     raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
-                word_grad[slots] = 0.0
+                word_grad[sparse.rows] = 0.0
                 entry.loss += loss
                 entry.tokens += sum(len(sentence.tokens) for sentence in batch)
         finally:
-            table.matrix[live] = compact
+            table.matrix[live] = view_table.matrix
         entry.wall_s = perf_counter() - started
         entry.tok_s = entry.tokens / entry.wall_s if entry.wall_s > 0 else 0.0
         entry.grad_norm_mean = sum(norms) / len(norms)
@@ -557,7 +549,7 @@ def gradient_check(
     """
     if not (0.0 < step < math.inf and 0.0 < tolerance < math.inf):
         raise ValueError("step and tolerance must be finite and positive")
-    _, analytic = sentence_loss_and_grads(model, [sentence], train=False)
+    _, analytic = sentence_loss_and_grads(model, [sentence])
     batch = encode_batch(model.encoder, [sentence])
     gold = gold_ids(model, [sentence], len(sentence))[0]
     masks = _loss_masks(model)

@@ -82,9 +82,9 @@ def char_vectors(enc, words):
     return _chars_forward(enc.char_table, enc.char_bilstm, words)[0]
 
 
-def emissions_of(enc, sentences, train=False, rng=None):
+def emissions_of(enc, sentences, rng=None):
     """Emissions (N, T, K) of a batch, as the trainer and tagger compute them."""
-    return encode_forward(enc, encode_batch(enc, sentences), train=train, rng=rng)[0]
+    return encode_forward(enc, encode_batch(enc, sentences), rng=rng)[0]
 
 
 def row_of(table, token):
@@ -290,7 +290,7 @@ class TestEncodeSentence:
 
     def test_zero_dropout_train_equals_infer(self):
         enc = tiny_encoder(dropout=0.0)
-        train = emissions_of(enc, [self.WORDS], train=True, rng=np.random.default_rng(0))
+        train = emissions_of(enc, [self.WORDS], rng=np.random.default_rng(0))
         infer = emissions_of(enc, [self.WORDS])
         assert np.array_equal(train, infer)
 
@@ -302,14 +302,9 @@ class TestEncodeSentence:
 
     def test_train_mode_deterministic_by_seed(self):
         enc = tiny_encoder(dropout=0.5)
-        a = emissions_of(enc, [self.WORDS], train=True, rng=np.random.default_rng(123))
-        b = emissions_of(enc, [self.WORDS], train=True, rng=np.random.default_rng(123))
+        a = emissions_of(enc, [self.WORDS], rng=np.random.default_rng(123))
+        b = emissions_of(enc, [self.WORDS], rng=np.random.default_rng(123))
         assert np.array_equal(a, b)
-
-    def test_train_mode_needs_rng_when_dropping(self):
-        enc = tiny_encoder(dropout=0.5)
-        with pytest.raises(ValueError):
-            emissions_of(enc, [self.WORDS], train=True)
 
     def test_infer_is_pure(self):
         enc = tiny_encoder()
@@ -368,7 +363,7 @@ class TestEncoderGradients:
 
 
 class TestSparseWordGradient:
-    def per_token(self, enc, words, train=False):
+    def per_token(self, enc, words):
         """Sparse gradient for ``words`` and each token's own word-row gradient.
 
         Backprop through a cache whose word rows are replaced by one
@@ -376,7 +371,7 @@ class TestSparseWordGradient:
         """
         rng = np.random.default_rng(3)
         batch = encode_batch(enc, [words])
-        emissions, cache = encode_forward(enc, batch, train=train, rng=rng)
+        emissions, cache = encode_forward(enc, batch, rng=rng)
         d_emissions = rng.normal(size=emissions.shape)
         grads = encode_backward(enc, cache, d_emissions)
         split = dataclasses.replace(batch, word_rows=np.arange(len(words))[None])
@@ -386,7 +381,7 @@ class TestSparseWordGradient:
 
     def test_repeated_word_sums_in_token_order(self):
         enc = tiny_encoder(seed=1, dropout=0.5)
-        rows, grads, terms = self.per_token(enc, ["alpha", "beta", "alpha"], train=True)
+        rows, grads, terms = self.per_token(enc, ["alpha", "beta", "alpha"])
         sparse = grads["word_table.matrix"]
         assert sparse.rows.dtype == np.int64
         assert list(sparse.rows) == [rows[0], rows[1]]
@@ -408,7 +403,7 @@ class TestSparseWordGradient:
     def test_dense_equals_reference(self):
         enc = tiny_encoder(seed=4, dropout=0.5)
         words = ["gamma", "alpha", "zzz", "gamma", "beta", "alpha"]
-        rows, grads, terms = self.per_token(enc, words, train=True)
+        rows, grads, terms = self.per_token(enc, words)
         reference = np.zeros_like(enc.word_table.matrix)
         for t, row in enumerate(rows):
             reference[row] += terms[t]
@@ -507,10 +502,10 @@ class TestBatchEncoding:
     def test_rows_match_sentences_encoded_one_at_a_time(self):
         enc = random_char_encoder(7)
         enc.dropout_rate = 0.5
-        batched = emissions_of(enc, self.SENTENCES, train=True, rng=np.random.default_rng(1))
+        batched = emissions_of(enc, self.SENTENCES, rng=np.random.default_rng(1))
         rng = np.random.default_rng(1)  # one stream, drawn sentence after sentence
         for n, words in enumerate(self.SENTENCES):
-            alone = emissions_of(enc, [words], train=True, rng=rng)[0]
+            alone = emissions_of(enc, [words], rng=rng)[0]
             assert np.max(np.abs(batched[n, : len(words)] - alone)) <= 1e-12
 
     def test_gradients_equal_sum_over_sentences(self):

@@ -52,3 +52,24 @@ def test_unknown_scheme_is_a_usage_error(tmp_path, capsys):
         load_script().main(["--corpus", str(corpus), "--scheme", "iob3"])
     assert exit_info.value.code == 2
     assert "argument --scheme: unknown tagging scheme 'iob3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no-tag-column", "error: line 2: "),
+    ("missing-corpus", "error: [Errno 2] No such file or directory"),
+    ("one-fold", "error: need 2 <= k <= n, got k=1"),
+])
+def test_bad_input_is_a_data_error(tmp_path, capsys, case, message):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(write_corpus(synthetic_corpus(4, seed=6), TagScheme.IOB2), encoding="utf-8")
+    argv = ["--corpus", str(corpus), "--allow-stats-mismatch", "--epochs", "1", "--word-dim", "4"]
+    if case == "no-tag-column":
+        corpus.write_text("a\tB-LOC\nb\n\n", encoding="utf-8")
+    elif case == "missing-corpus":
+        corpus.unlink()
+    else:
+        argv += ["--protocol", "kfold", "--folds", "1"]
+    assert load_script().main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+    assert "Traceback" not in err

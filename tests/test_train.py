@@ -45,19 +45,25 @@ def tiny_model(corpus, seed=0, dropout=0.0, extra_vocab=()):
     )
 
 
-def dense_adam_train(sentences, model, config):
+def dense_adam_train(sentences, model, config, limit=None):
     """train_model's batch loop with Adam and the word-table gradient over
-    the whole table: the reference for its compact word-table Adam.
-    Returns (loss, grad_norm_mean, grad_norm_max) per epoch."""
+    the model's whole table: the reference for its training on a view of
+    the reachable rows.  Stops before batch ``limit``, counted over all
+    epochs from 0, when given.  Returns (loss, grad_norm_mean,
+    grad_norm_max) per completed epoch."""
     params = model.tensors()
     state = AdamState.for_params(params)
     word_grad = np.zeros_like(params["word_table.matrix"])
     rng = np.random.default_rng(config.seed)
     logs = []
+    done = 0
     for epoch in range(config.max_epochs):
         loss_sum, norms = 0.0, []
         for batch in make_batches(list(sentences), config.batch_size, config.seed + epoch):
-            loss, grads = sentence_loss_and_grads(model, batch, train=config.dropout > 0.0, rng=rng)
+            if done == limit:
+                return logs
+            done += 1
+            loss, grads = sentence_loss_and_grads(model, batch, rng=rng)
             norms.append(clip_global_norm(grads, config.clip_norm))
             sparse = grads["word_table.matrix"]
             word_grad[sparse.rows] = sparse.values
@@ -356,8 +362,8 @@ class TestTraining:
         corpus = synthetic_corpus(3, seed=27)
         true_fn = train_mod.sentence_loss_and_grads
 
-        def poisoned(model, sentence, train=False, rng=None):
-            loss, grads = true_fn(model, sentence, train=train, rng=rng)
+        def poisoned(model, sentence, rng=None):
+            loss, grads = true_fn(model, sentence, rng=rng)
             grads["word_table.matrix"].values[0, 0] = np.nan
             return loss, grads
 
@@ -387,8 +393,9 @@ class TestTraining:
 
 
 class TestCompactWordTableAdam:
-    """train_model runs Adam over the word-table rows training can reach;
-    every other row would get a bitwise-zero update from dense Adam."""
+    """train_model runs Adam on a view whose word table holds only the
+    rows training can reach; every other row would get a bitwise-zero
+    update from dense Adam."""
 
     CORPUS = synthetic_corpus(12, seed=31)
     # fillers w26..w39 occur here and not in CORPUS
@@ -425,6 +432,29 @@ class TestCompactWordTableAdam:
             assert table.matrix[unknown].tobytes() == initial[unknown].tobytes()
         else:
             assert not np.array_equal(table.matrix[unknown], initial[unknown])
+
+    def test_failed_batch_leaves_every_earlier_step(self, monkeypatch):
+        # 12 sentences in batches of 5 make 3 batches an epoch: epoch 1,
+        # batch 1 is the fifth batch, so the four before it have trained
+        extra = [t.surface for s in self.HELD_OUT for t in s.tokens]
+        config = TrainConfig(max_epochs=2, batch_size=5, dropout=0.5, seed=31)
+        dense, trained = (
+            tiny_model(self.CORPUS, seed=31, dropout=0.5, extra_vocab=extra) for _ in range(2)
+        )
+        dense_adam_train(self.CORPUS, dense, config, limit=4)
+        true_fn = train_mod.sentence_loss_and_grads
+        calls = []
+
+        def failing_fifth(model, sentences, rng=None):
+            loss, grads = true_fn(model, sentences, rng=rng)
+            calls.append(loss)
+            return (np.nan if len(calls) == 5 else loss), grads
+
+        monkeypatch.setattr(train_mod, "sentence_loss_and_grads", failing_fifth)
+        with pytest.raises(TrainingError, match="non-finite loss in epoch 1, batch 1"):
+            train_model(self.CORPUS, trained, config)
+        for name, array in dense.tensors().items():
+            assert trained.tensors()[name].tobytes() == array.tobytes(), name
 
 
 def relative_gaps(model, reference) -> dict[str, float]:
@@ -504,8 +534,8 @@ class TestGradientCheck:
         )
         true_fn = train_mod.sentence_loss_and_grads
 
-        def corrupted(model, sentence, train=False, rng=None):
-            loss, grads = true_fn(model, sentence, train=train, rng=rng)
+        def corrupted(model, sentence, rng=None):
+            loss, grads = true_fn(model, sentence, rng=rng)
             grads["proj.weight"] = grads["proj.weight"] + 0.5
             return loss, grads
 
