@@ -31,7 +31,7 @@ class FeatureRow:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"feature row must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("feature row contains non-finite values")
         if not self.label:
             raise ValueError("feature row needs a label")
@@ -72,6 +72,10 @@ class SyntheticSet:
     provenance: list[Provenance] = field(default_factory=list)
 
 
+# elements per temporary of the blocked kNN and of the interpolation
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def _as_matrix(samples: Sequence[FeatureRow]) -> np.ndarray:
     widths = {row.width for row in samples}
     if len(widths) > 1:
@@ -79,36 +83,72 @@ def _as_matrix(samples: Sequence[FeatureRow]) -> np.ndarray:
     return np.stack([row.values for row in samples])
 
 
-def knn_minority(matrix: np.ndarray, i: int, k: int) -> list[int]:
-    """Indices of the k nearest rows of ``matrix`` (T, D) to row i (self excluded).
+def knn_minority(matrix: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest rows of ``matrix`` (T, D) to each row, self excluded, as (T, k).
 
-    Distance is Euclidean; ties break toward the lower index.
+    Distance is Euclidean; ties break toward the lower index.  A blocked
+    GEMM bounds every squared distance: ``|a|^2 + |b|^2 - 2 a.b`` lies within
+    ``4 (D + 4) u (|a|^2 + |b|^2)`` (u the unit roundoff), plus as many
+    smallest subnormals for underflowed products, of the sum over
+    ``(a - b)^2`` that ranks the rows.  Only the rows whose lower bound can
+    reach the k-th smallest upper bound are ranked, by that sum and a stable
+    sort, so the result is the full per-row search's.  A NaN or overflowed
+    bound keeps its row a candidate.
     """
-    if k >= len(matrix):
-        raise ValueError(f"k={k} must be smaller than the sample count {len(matrix)}")
-    diffs = matrix - matrix[i]
-    sq_dist = np.einsum("ij,ij->i", diffs, diffs)
-    order = np.argsort(sq_dist, kind="stable")
-    return [int(idx) for idx in order if idx != i][:k]
+    count, width = matrix.shape
+    if k >= count:
+        raise ValueError(f"k={k} must be smaller than the sample count {count}")
+    sq_norm = np.einsum("ij,ij->i", matrix, matrix)
+    rounding = 4 * (width + 4) * np.finfo(np.float64).eps / 2
+    underflow = 4 * (width + 4) * np.finfo(np.float64).smallest_subnormal
+    out = np.empty((count, k), dtype=np.intp)
+    block = max(1, _BLOCK_ELEMENTS // count)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        diagonal = (np.arange(stop - start), np.arange(start, stop))
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper = -2.0 * (matrix[start:stop] @ matrix.T)
+            slack = sq_norm[start:stop, None] + sq_norm
+            upper += slack
+            slack *= rounding
+            slack += underflow
+            lower = upper - slack
+            upper += slack
+        upper[upper == -np.inf] = np.inf  # only an overflowed a.b gives -inf
+        upper[diagonal] = np.inf
+        cut = np.partition(upper, k - 1, axis=1)[:, k - 1, None]
+        candidates = ~(lower > cut)
+        candidates[diagonal] = False
+        for i, row in zip(range(start, stop), candidates):
+            near = np.flatnonzero(row)
+            diffs = matrix[near] - matrix[i]
+            out[i] = near[np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")[:k]]
+    return out
 
 
-def populate_synthetic(sample: FeatureRow, neighbor: FeatureRow, gap: float) -> FeatureRow:
-    """Interpolate sample + gap * (neighbor - sample); label is preserved."""
-    if sample.width != neighbor.width:
-        raise ValueError(f"width mismatch: {sample.width} vs {neighbor.width}")
-    if sample.label != neighbor.label:
-        raise ValueError(f"label mismatch: {sample.label!r} vs {neighbor.label!r}")
-    if not 0.0 <= gap < 1.0:
-        raise ValueError(f"gap {gap} outside [0, 1)")
-    values = sample.values + gap * (neighbor.values - sample.values)
-    return FeatureRow(values, sample.label)
+def populate_synthetic(
+    matrix: np.ndarray, source: np.ndarray, neighbor: np.ndarray, gap: np.ndarray
+) -> np.ndarray:
+    """Rows ``matrix[source] + gap * (matrix[neighbor] - matrix[source])``, one per gap."""
+    if not len(source) == len(neighbor) == len(gap):
+        raise ValueError(f"lengths differ: {len(source)}, {len(neighbor)}, {len(gap)}")
+    outside = ~((gap >= 0.0) & (gap < 1.0))
+    if outside.any():
+        raise ValueError(f"gap {gap[outside][0]} outside [0, 1)")
+    out = np.empty((len(gap), matrix.shape[1]))
+    step = max(1, _BLOCK_ELEMENTS // max(1, matrix.shape[1]))
+    for start in range(0, len(gap), step):
+        part = slice(start, start + step)
+        base = matrix[source[part]]
+        out[part] = base + gap[part, None] * (matrix[neighbor[part]] - base)
+    return out
 
 
 def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
     """Generate floor(N/100) * T synthetic rows from T minority rows.
 
     If the requested amount N is below 100%, a uniform random subset of
-    floor(N/100 * T) rows is oversampled once each instead.  Neighbor
+    floor(N * T / 100) rows is oversampled once each instead.  Neighbor
     indices in the provenance refer to positions in ``minority``.
     """
     if not minority:
@@ -120,12 +160,13 @@ def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
 
     rng = np.random.default_rng(config.seed)
     n_percent = config.n_percent
-    selected = list(range(len(minority)))
+    selected = np.arange(len(minority))
     if n_percent < 100:
-        keep = int((n_percent / 100) * len(minority))
+        keep = n_percent * len(minority) // 100
         if keep < 1:
             raise ValueError(f"n_percent={n_percent} selects no rows from T={len(minority)}")
-        selected = [int(idx) for idx in rng.permutation(len(minority))[:keep]]
+        selected = rng.permutation(len(minority))[:keep]
+        matrix = matrix[selected]
         n_percent = 100
 
     if config.k >= len(selected):
@@ -134,18 +175,20 @@ def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
         )
 
     per_sample = n_percent // 100
-    subset = [minority[idx] for idx in selected]
-    subset_matrix = matrix[selected]
-    out = SyntheticSet()
-    for local_i, orig_i in enumerate(selected):
-        neighbors = knn_minority(subset_matrix, local_i, config.k)
-        for _ in range(per_sample):
-            nn_local = neighbors[int(rng.integers(config.k))]
-            gap = float(rng.random())
-            row = populate_synthetic(subset[local_i], subset[nn_local], gap)
-            out.rows.append(row)
-            out.provenance.append(Provenance(orig_i, selected[nn_local], gap))
-    return out
+    neighbors = knn_minority(matrix, config.k)
+    source = np.repeat(np.arange(len(selected)), per_sample)
+    pick, gap = np.empty_like(source), np.empty(len(source))
+    for n in range(len(source)):  # per row a neighbour, then a gap: one fixed random stream
+        pick[n] = rng.integers(config.k)
+        gap[n] = rng.random()
+    neighbor = neighbors[source, pick]
+    values = populate_synthetic(matrix, source, neighbor, gap)
+    label = minority[0].label
+    source, neighbor = selected[source].tolist(), selected[neighbor].tolist()
+    return SyntheticSet(
+        rows=[FeatureRow(row, label) for row in values],
+        provenance=[Provenance(s, n, g) for s, n, g in zip(source, neighbor, gap.tolist())],
+    )
 
 
 def class_counts(rows: Sequence[FeatureRow]) -> dict[str, int]:

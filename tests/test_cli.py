@@ -1,8 +1,10 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import smote_anchor
 from helpers import malformed, synthetic_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,13 @@ class TestSmote:
         out = capsys.readouterr().out
         assert "count.O 6" in out
         assert "count.PER 6" in out
+
+    def test_balance_output_has_committed_sha256(self, tmp_path):
+        src = write(tmp_path / "rows.tsv", smote_anchor.rows_text())
+        dst = tmp_path / "out.tsv"
+        assert main(["smote", "--target", "match-majority", "--seed", "7", src, str(dst)]) == 0
+        expected = smote_anchor.SHA_PATH.read_text(encoding="utf-8").strip()
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == expected
 
     def test_plain_amount_mode(self, tmp_path, capsys):
         src = self.make_rows(tmp_path)

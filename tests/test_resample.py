@@ -1,13 +1,19 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from helpers import NUMBER_FIELDS, float_or_none, same_float
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amner import resample
 from amner.resample import (
     MATCH_MAJORITY,
     FeatureRow,
+    Provenance,
     SmoteConfig,
+    SyntheticSet,
     balance_token_dataset,
     class_counts,
     knn_minority,
@@ -23,7 +29,7 @@ def rows_from(points, label="PER"):
 
 
 def knn(samples, i, k):
-    return knn_minority(np.stack([row.values for row in samples]), i, k)
+    return knn_minority(np.stack([row.values for row in samples]), k)[i].tolist()
 
 
 def restacking_knn(samples, i, k):
@@ -32,6 +38,36 @@ def restacking_knn(samples, i, k):
     diffs = matrix - matrix[i]
     order = np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")
     return [int(idx) for idx in order if idx != i][:k]
+
+
+def per_row_smote(minority, config):
+    """smote as it was before it worked on one matrix: one neighbour search
+    and one interpolated row per source row (with the subset size floor(N T / 100))."""
+    rng = np.random.default_rng(config.seed)
+    n_percent = config.n_percent
+    selected = list(range(len(minority)))
+    if n_percent < 100:
+        keep = n_percent * len(minority) // 100
+        selected = [int(idx) for idx in rng.permutation(len(minority))[:keep]]
+        n_percent = 100
+    subset = [minority[idx] for idx in selected]
+    out = SyntheticSet()
+    for local_i, orig_i in enumerate(selected):
+        neighbors = restacking_knn(subset, local_i, config.k)
+        for _ in range(n_percent // 100):
+            nn_local = neighbors[int(rng.integers(config.k))]
+            gap = float(rng.random())
+            sample, neighbor = subset[local_i].values, subset[nn_local].values
+            out.rows.append(FeatureRow(sample + gap * (neighbor - sample), subset[local_i].label))
+            out.provenance.append(Provenance(orig_i, selected[nn_local], gap))
+    return out
+
+
+def digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(row.label.encode() + b"\0" + row.values.tobytes())
+    return h.hexdigest()
 
 
 class TestKnn:
@@ -66,33 +102,96 @@ class TestKnn:
             samples = rows_from(points)
             matrix = np.stack([row.values for row in samples])
             for k in range(1, min(len(samples), 6)):
+                neighbours = knn_minority(matrix, k)
                 for i in range(len(samples)):
-                    assert knn_minority(matrix, i, k) == restacking_knn(samples, i, k)
+                    assert neighbours[i].tolist() == restacking_knn(samples, i, k)
+
+    def test_overflowed_dot_product_equals_restacking_search(self):
+        # |a|^2 is just below MAX / 2 for rows 0, 1 and 3; with OpenBLAS the
+        # product of rows 0 and 3 rounds above it, so -2 a.b is -inf while
+        # |a|^2 + |b|^2 is finite, and that bound must not set the cut
+        samples = rows_from([
+            (-7.834903161577715e+153, 4.287198403732128e+153, -3.181018553679311e+153),
+            (-7.83490316157765e+153, 4.2871984037320924e+153, -3.1810185536792846e+153),
+            (-5.618954654352739e+149, -2.4247706137281647e+149, -1.4810726805358105e+150),
+            (-7.834903161577677e+153, 4.287198403732202e+153, -3.1810185536793028e+153),
+        ])
+        for i in range(len(samples)):
+            assert knn(samples, i, 1) == restacking_knn(samples, i, 1)
+
+    def test_wide_class_in_many_blocks_equals_restacking_search(self):
+        # the perfbench row shape: width 300, values on a 0.001 grid around a centre
+        rng = np.random.default_rng(8)
+        centre = rng.integers(-700, 700, size=300) / 1000
+        samples = rows_from(np.round(centre + rng.integers(-300, 301, size=(150, 300)) / 1000, 3))
+        matrix = np.stack([row.values for row in samples])
+        with mock.patch.object(resample, "_BLOCK_ELEMENTS", 40 * len(samples)):
+            neighbours = knn_minority(matrix, 5)
+        assert neighbours.shape == (150, 5)
+        for i in range(len(samples)):
+            assert neighbours[i].tolist() == restacking_knn(samples, i, 5)
+
+
+def _knn_matrices():
+    """Matrices whose neighbour search is easy to get wrong: exact ties from
+    duplicate grid rows, cancellation under a large common offset, and
+    magnitudes whose squared distances overflow or underflow."""
+    grid = st.tuples(st.integers(2, 24), st.integers(1, 5), st.integers(0, 2**32 - 1)).map(
+        lambda a: np.random.default_rng(a[2]).integers(-2, 3, size=a[:2]).astype(float)
+    )
+    scaled = st.tuples(
+        st.integers(2, 24), st.integers(1, 5), st.integers(0, 2**32 - 1),
+        st.sampled_from([(1.0, 0.0), (1.0, 1e6), (1e200, 0.0), (1e153, 0.0), (1e-160, 0.0)]),
+    ).map(lambda a: a[3][0] * np.random.default_rng(a[2]).normal(size=a[:2]) + a[3][1])
+    return st.one_of(grid, scaled)
+
+
+class TestKnnProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=_knn_matrices(), duplicates=st.lists(st.integers(0, 23), max_size=4),
+           block=st.integers(1, 600))
+    def test_every_row_equals_restacking_search(self, matrix, duplicates, block):
+        for idx in duplicates:
+            matrix[idx % len(matrix)] = matrix[0]
+        samples = rows_from(matrix)
+        with mock.patch.object(resample, "_BLOCK_ELEMENTS", block):
+            for k in range(1, len(samples)):
+                neighbours = knn_minority(matrix, k)
+                for i in range(len(samples)):
+                    assert neighbours[i].tolist() == restacking_knn(samples, i, k)
 
 
 class TestPopulate:
     def test_gap_zero_returns_sample(self):
-        sample, neighbor = rows_from([(1.5, -2.0), (3.0, 4.0)])
-        out = populate_synthetic(sample, neighbor, 0.0)
-        assert np.array_equal(out.values, sample.values)
+        matrix = np.array([(1.5, -2.0), (3.0, 4.0)])
+        out = populate_synthetic(matrix, np.array([0]), np.array([1]), np.array([0.0]))
+        assert np.array_equal(out[0], matrix[0])
 
     def test_gap_near_one_approaches_neighbor(self):
-        sample, neighbor = rows_from([(0, 0), (2, 4)])
-        out = populate_synthetic(sample, neighbor, 1.0 - 1e-12)
-        assert np.allclose(out.values, neighbor.values, atol=1e-10)
+        matrix = np.array([(0.0, 0.0), (2.0, 4.0)])
+        out = populate_synthetic(matrix, np.array([0]), np.array([1]), np.array([1.0 - 1e-12]))
+        assert np.allclose(out[0], matrix[1], atol=1e-10)
 
     def test_midpoint(self):
-        sample, neighbor = rows_from([(1, 1), (3, 5)])
-        out = populate_synthetic(sample, neighbor, 0.5)
-        assert np.array_equal(out.values, np.array([2.0, 3.0]))
+        matrix = np.array([(1.0, 1.0), (3.0, 5.0)])
+        out = populate_synthetic(matrix, np.array([0]), np.array([1]), np.array([0.5]))
+        assert np.array_equal(out[0], np.array([2.0, 3.0]))
 
-    def test_label_preserved(self):
-        sample, neighbor = rows_from([(0,), (1,)], label="LOC")
-        assert populate_synthetic(sample, neighbor, 0.25).label == "LOC"
+    @pytest.mark.parametrize("gap", [1.0, -0.25, float("nan")])
+    def test_gap_outside_unit_interval_rejected(self, gap):
+        matrix = np.array([(0.0,), (1.0,)])
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            populate_synthetic(matrix, np.array([0, 1]), np.array([1, 0]), np.array([0.5, gap]))
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            populate_synthetic(FeatureRow(np.zeros(2), "X"), FeatureRow(np.zeros(3), "X"), 0.5)
+    def test_equals_per_row_interpolation_across_chunks(self):
+        rng = np.random.default_rng(6)
+        matrix = rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-3, 4, size=(9, 1))
+        source, neighbor = rng.integers(9, size=50), rng.integers(9, size=50)
+        gap = rng.random(50)
+        with mock.patch.object(resample, "_BLOCK_ELEMENTS", 20):
+            out = populate_synthetic(matrix, source, neighbor, gap)
+        for row, s, n, g in zip(out, source, neighbor, gap.tolist()):
+            assert row.tobytes() == (matrix[s] + g * (matrix[n] - matrix[s])).tobytes()
 
 
 class TestSmote:
@@ -126,8 +225,8 @@ class TestSmote:
         minority = rows_from([(0, 0), (2, 0), (0, 2), (4, 4)])
         out = smote(minority, SmoteConfig(200, k=2, seed=3))
         for row, prov in zip(out.rows, out.provenance):
-            rebuilt = populate_synthetic(minority[prov.source], minority[prov.neighbor], prov.gap)
-            assert np.array_equal(row.values, rebuilt.values)
+            sample, neighbor = minority[prov.source].values, minority[prov.neighbor].values
+            assert np.array_equal(row.values, sample + prov.gap * (neighbor - sample))
 
     def test_deterministic_given_seed(self):
         minority = rows_from(np.random.default_rng(1).normal(size=(6, 3)))
@@ -136,6 +235,26 @@ class TestSmote:
         assert a.provenance == b.provenance
         for ra, rb in zip(a.rows, b.rows):
             assert np.array_equal(ra.values, rb.values)
+
+    @pytest.mark.parametrize("n_percent, count", [(29, 100), (57, 100), (35, 180)])
+    def test_amount_below_100_keeps_floor_of_n_t_over_100_rows(self, n_percent, count):
+        # floor(0.29 * 100) in floating point is 28, one row short of floor(29)
+        minority = rows_from(np.random.default_rng(count).normal(size=(count, 2)))
+        out = smote(minority, SmoteConfig(n_percent, k=1, seed=0))
+        assert len(out.rows) == n_percent * count // 100
+        assert len({p.source for p in out.provenance}) == n_percent * count // 100
+
+    @pytest.mark.parametrize("n_percent", [1, 29, 50, 99, 100, 200, 700])
+    @pytest.mark.parametrize("seed", [0, 3, 12])
+    def test_equals_per_row_loop(self, n_percent, seed):
+        rng = np.random.default_rng(seed)
+        minority = rows_from(np.round(rng.normal(size=(int(rng.integers(200, 260)), 6)), 2))
+        config = SmoteConfig(n_percent, k=int(rng.integers(1, 6)), seed=seed)
+        if n_percent * len(minority) // 100 <= config.k:
+            config = SmoteConfig(n_percent, k=1, seed=seed)
+        got, want = smote(minority, config), per_row_smote(minority, config)
+        assert digest(got.rows) == digest(want.rows)
+        assert got.provenance == want.provenance
 
     def test_empty_minority_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -197,6 +316,31 @@ class TestBalance:
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             assert ra.label == rb.label and np.array_equal(ra.values, rb.values)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("target", [MATCH_MAJORITY, 45, 130])
+    def test_equals_per_row_smote(self, seed, target):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for label, count in (("O", 60), ("ORG", 23), ("LOC", 9), ("PER", 6)):
+            rows += rows_from(rng.normal(loc=rng.integers(-3, 4), size=(count, 5)), label=label)
+        config = SmoteConfig(100, k=int(rng.integers(1, 6)), seed=seed)
+
+        def recorded(function, provenance):
+            def wrapped(minority, config):
+                result = function(minority, config)
+                provenance.append(result.provenance)
+                return result
+            return wrapped
+
+        got_provenance, want_provenance = [], []
+        with mock.patch.object(resample, "smote", recorded(smote, got_provenance)):
+            got = balance_token_dataset(rows, target, config)
+        with mock.patch.object(resample, "smote", recorded(per_row_smote, want_provenance)):
+            want = balance_token_dataset(rows, target, config)
+        assert digest(got) == digest(want)
+        assert got_provenance == want_provenance and got_provenance
 
 
 class TestFeatureRowFormat:
