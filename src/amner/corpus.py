@@ -229,11 +229,6 @@ def write_corpus(sentences: Sequence[Sentence], scheme: TagScheme) -> str:
     return "".join(pieces)
 
 
-def load_corpus(path, scheme: TagScheme) -> list[Sentence]:
-    with open(path, "rb") as handle:
-        return parse_corpus(handle.read(), scheme)
-
-
 def save_corpus(path, sentences: Sequence[Sentence], scheme: TagScheme) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(write_corpus(sentences, scheme))

@@ -30,11 +30,15 @@ per-direction, per-gate names and the separate unknown row of the model
 file are details of :mod:`amner.serialize`.
 
 The encoder works on batches of N sentences right-padded to T tokens.
-One padded-batch routine, whose time loop steps both directions at once,
-runs both BiLSTMs: the character BiLSTM once over the batch's unique
-word types, the word BiLSTM once over all N sentences.  Emissions are
-(N, T, K), as the CRF takes them; their padded positions hold values
-that nothing reads.
+One BiLSTM routine runs both BiLSTMs: the character BiLSTM once over
+the batch's unique word types, the word BiLSTM once over all N
+sentences.  It takes and returns padded arrays but works on the real
+positions only, packed step by step: the rows are ordered longest
+first, so the rows still running at a step are a prefix, and one time
+loop steps that prefix in both directions at once.  No projection,
+recurrent product, gate or gradient is computed for padding, and padded
+outputs are exact zeros.  Emissions are (N, T, K), as the CRF takes
+them; their padded positions hold values that nothing reads.
 """
 
 from __future__ import annotations
@@ -201,98 +205,130 @@ class BiLstmParams:
         return {f"{prefix}.{name}": getattr(self, name) for name in ("w_x", "w_h", "p", "b")}
 
 
+def _pack(lengths: np.ndarray):
+    """The packed, step-major layout of sequences with ``lengths``.
+
+    Rows are taken longest first, ties in row order, so the rows still
+    running at step t are a prefix of counts[t] of them, and step t owns
+    the packed positions starts[t] .. starts[t] + counts[t].  ``fwd`` and
+    ``rev`` index each position's (padded step, row) as the forward and
+    the reverse direction read it.  prev[p] is the state that position p
+    starts from, in state arrays whose first counts[0] rows are zero.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    counts = (lengths[order] > np.arange(lengths.max())[:, None]).sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    step = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(counts.sum()) - starts[step]
+    rows = order[slot]
+    # step 0 reads the zero states, step t > 0 the states step t - 1 wrote
+    reads = np.concatenate([[0], counts[0] + starts[:-1]])
+    fwd, rev = (step, rows), (lengths[rows] - 1 - step, rows)
+    return counts.tolist(), starts.tolist(), fwd, rev, reads[step] + slot
+
+
 def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
     """Both directions over right-padded sequences ``xs`` (T, N, D), where
     sequence n has lengths[n] steps; the reverse direction reads each
     sequence from its own last position.  Returns (outs (T, N, 2H), cache),
-    outs[t, n] holding both directions' states after position t.
+    outs[t, n] holding both directions' states after position t, and
+    exact zeros past the sequence's end.
 
-    The directions run together along a leading axis of 2: one batched
-    GEMM computes every step's input projection, and one time loop steps
-    both.  Steps past a sequence's end run on padding and are never
-    read.  The cache holds xs (2, T, N, D) as each direction reads it, hs
-    and cs (2, T + 1, N, H) starting from zero states, gates (2, T, N, 4,
-    H) holding f, i, g, o, and tanh_c (2, T, N, H).
+    Internally the kernel works on the R = lengths.sum() real positions
+    only, in the packed layout of :func:`_pack`: one batched GEMM
+    computes every position's input projection for both directions, and
+    one time loop steps both directions over the prefix of rows still
+    running.  The cache holds xs (2, R, D) as each direction reads it,
+    hs and cs (2, counts[0] + R, H) whose first counts[0] rows are the
+    zero initial states and row counts[0] + p the state after position
+    p, gates (2, R, 4, H) holding f, i, g, o, tanh_c (2, R, H) and the
+    layout.
     """
     if not lengths.all():
         raise ValueError("cannot run a BiLSTM over an empty sequence")
-    steps, batch, _ = xs.shape
-    hidden = params.hidden
-    t = np.arange(steps)[:, None]
-    # flip[t, n]: the position read at reverse step t; padding stays in place
-    flip = (np.where(t < lengths, lengths - 1 - t, t), np.arange(batch))
-    xs = np.stack([xs, xs[flip]])
-    gates = xs.reshape(2, steps * batch, -1) @ params.w_x.transpose(0, 2, 1)
+    pack = counts, starts, fwd, rev, prev = _pack(lengths)
+    hidden, first, padded = params.hidden, counts[0], xs.shape[:2]
+    xs = np.stack([xs[fwd], xs[rev]])
+    gates = xs @ params.w_x.transpose(0, 2, 1)
     gates += params.b[:, None]
-    gates = gates.reshape(2, steps, batch, 4, hidden)
+    gates = gates.reshape(2, -1, 4, hidden)
     # an overflowed product would saturate the gates instead of propagating
     # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN
     if not np.isfinite(gates).all():
         raise ValueError("non-finite LSTM input projection")
-    hs, cs = np.zeros((2, 2, steps + 1, batch, hidden))
-    tanh_c = np.empty((2, steps, batch, hidden))
+    hs, cs = np.zeros((2, 2, first + gates.shape[1], hidden))
+    tanh_c = np.empty(gates.shape[:2] + (hidden,))
     w_h_t = params.w_h.transpose(0, 2, 1)
-    peep = params.p[:, None]  # (2, 1, 3, H): broadcast over the batch
-    for t in range(steps):
-        a = gates[:, t]
-        a += (hs[:, t] @ w_h_t).reshape(2, batch, 4, hidden)
-        a[:, :, :2] += peep[:, :, :2] * cs[:, t, :, None]
+    peep = params.p[:, None]  # (2, 1, 3, H): broadcast over the rows
+    for n, lo in zip(counts, starts):
+        here, read = slice(lo, lo + n), slice(prev[lo], prev[lo] + n)
+        write = slice(first + lo, first + lo + n)
+        a = gates[:, here]
+        a += (hs[:, read] @ w_h_t).reshape(2, n, 4, hidden)
+        a[:, :, :2] += peep[:, :, :2] * cs[:, read, None]
         a[:, :, :2] = _sigmoid(a[:, :, :2])
         a[:, :, 2] = np.tanh(a[:, :, 2])
-        c = cs[:, t + 1]
-        np.multiply(a[:, :, 0], cs[:, t], out=c)
+        c = cs[:, write]
+        np.multiply(a[:, :, 0], cs[:, read], out=c)
         c += a[:, :, 1] * a[:, :, 2]
         a[:, :, 3] = _sigmoid(a[:, :, 3] + peep[:, :, 2] * c)
-        np.tanh(c, out=tanh_c[:, t])
-        np.multiply(a[:, :, 3], tanh_c[:, t], out=hs[:, t + 1])
-    outs = np.concatenate([hs[0, 1:], hs[1, 1:][flip]], axis=2)
-    return outs, (xs, hs, cs, gates, tanh_c, flip)
+        np.tanh(c, out=tanh_c[:, here])
+        np.multiply(a[:, :, 3], tanh_c[:, here], out=hs[:, write])
+    outs = np.zeros(padded + (2 * hidden,))
+    outs[..., :hidden][fwd] = hs[0, first:]
+    outs[..., hidden:][rev] = hs[1, first:]
+    return outs, (xs, hs, cs, gates, tanh_c, pack)
 
 
 def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     """(gradients as BiLstmParams, d_xs (T, N, D)) from d(outs) (T, N, 2H).
 
     One reverse time loop over both directions only collects the gate
-    pre-activation gradients d_a; the weight and input gradients are then
-    batched GEMMs.
+    pre-activation gradients d_a of the R real positions, each row
+    joining with zero carries at its last step; the weight and input
+    gradients are then batched GEMMs over them.  Padded positions of
+    ``d_outs`` are never read, and those of d_xs are zero.
     """
-    xs, hs, cs, gates, tanh_c, flip = cache
-    _, steps, batch, _, hidden = gates.shape
-    d_hs = np.stack([d_outs[:, :, :hidden], d_outs[:, :, hidden:][flip]])
-    c_prev = cs[:, :-1]
+    xs, hs, cs, gates, tanh_c, (counts, starts, fwd, rev, prev) = cache
+    _, total, _, hidden = gates.shape
+    d_hs = np.stack([d_outs[..., :hidden][fwd], d_outs[..., hidden:][rev]])
+    c_prev = cs[:, prev]
     peep_f, peep_i, peep_o = params.p.transpose(1, 0, 2)[:, :, None]  # each (2, 1, H)
 
-    d_a = np.empty((2, steps, batch, 4, hidden))
-    k_fig = np.empty((2, batch, 3, hidden))
-    dh_carry, dc = np.zeros((2, 2, batch, hidden))
-    for t in range(steps - 1, -1, -1):
+    d_a = np.empty((2, total, 4, hidden))
+    k_fig = np.empty((2, counts[0], 3, hidden))
+    dh_carry, dc = np.zeros((2, 2, counts[0], hidden))
+    for n, lo in zip(reversed(counts), reversed(starts)):
         # this step's d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
-        f, i, g, o = (gates[:, t, :, k] for k in range(4))
-        tc = tanh_c[:, t]
+        here = slice(lo, lo + n)
+        f, i, g, o = (gates[:, here, k] for k in range(4))
+        tc = tanh_c[:, here]
         k_o = tc * o * (1.0 - o)
         k_c = o * (1.0 - tc ** 2) + k_o * peep_o
-        np.multiply(c_prev[:, t] * f, 1.0 - f, out=k_fig[:, :, 0])
-        np.multiply(g * i, 1.0 - i, out=k_fig[:, :, 1])
-        np.multiply(i, 1.0 - g ** 2, out=k_fig[:, :, 2])
-        dh = d_hs[:, t] + dh_carry
-        dc += dh * k_c
-        np.multiply(dc[:, :, None], k_fig, out=d_a[:, t, :, :3])
-        np.multiply(dh, k_o, out=d_a[:, t, :, 3])
-        dh_carry = d_a[:, t].reshape(2, batch, 4 * hidden) @ params.w_h
-        dc *= f + k_fig[:, :, 0] * peep_f + k_fig[:, :, 1] * peep_i
+        k = k_fig[:, :n]
+        np.multiply(c_prev[:, here] * f, 1.0 - f, out=k[:, :, 0])
+        np.multiply(g * i, 1.0 - i, out=k[:, :, 1])
+        np.multiply(i, 1.0 - g ** 2, out=k[:, :, 2])
+        dh = d_hs[:, here] + dh_carry[:, :n]
+        d_c = dc[:, :n]  # a row not running at step t + 1 has carried nothing yet
+        d_c += dh * k_c
+        np.multiply(d_c[:, :, None], k, out=d_a[:, here, :3])
+        np.multiply(dh, k_o, out=d_a[:, here, 3])
+        dh_carry[:, :n] = d_a[:, here].reshape(2, n, 4 * hidden) @ params.w_h
+        d_c *= f + k[:, :, 0] * peep_f + k[:, :, 1] * peep_i
 
-    d_a2 = d_a.reshape(2, steps * batch, 4 * hidden)
+    d_a2 = d_a.reshape(2, total, 4 * hidden)
     d_a2_t = d_a2.transpose(0, 2, 1)
-    peep_in = (c_prev, c_prev, cs[:, 1:])
-    d_p = [(d_a[:, :, :, k] * s).sum(axis=(1, 2)) for k, s in zip((0, 1, 3), peep_in)]
+    peep_in = (c_prev, c_prev, cs[:, counts[0]:])
+    d_p = [(d_a[:, :, k] * s).sum(axis=1) for k, s in zip((0, 1, 3), peep_in)]
     grads = BiLstmParams(
-        d_a2_t @ xs.reshape(2, steps * batch, -1),
-        d_a2_t @ hs[:, :-1].reshape(2, steps * batch, hidden),
-        np.stack(d_p, axis=1),
-        d_a2.sum(axis=1),
+        d_a2_t @ xs, d_a2_t @ hs[:, prev], np.stack(d_p, axis=1), d_a2.sum(axis=1)
     )
-    d_xs = (d_a2 @ params.w_x).reshape(2, steps, batch, -1)
-    return grads, d_xs[0] + d_xs[1][flip]
+    d_packed = d_a2 @ params.w_x
+    d_xs = np.zeros(d_outs.shape[:2] + d_packed.shape[2:])
+    d_xs[fwd] = d_packed[0]
+    d_xs[rev] += d_packed[1]
+    return grads, d_xs
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +338,8 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
 def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[str]):
     """Character BiLSTM summaries (N, 2H) of all ``words`` in one padded
     pass: the forward state after the last character and the reverse
-    state after the first.  Unknown characters and padding read row V.
+    state after the first.  Unknown characters read row V, and so does
+    the padding, which the kernel skips.
     """
     lengths = np.array([len(word) for word in words])
     valid = np.arange(lengths.max()) < lengths[:, None]

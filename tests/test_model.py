@@ -12,6 +12,7 @@ from amner.model import (
     BiLstmParams,
     EmbeddingTable,
     SparseRows,
+    _bilstm_backward,
     _bilstm_forward,
     _chars_backward,
     _chars_forward,
@@ -177,7 +178,7 @@ class TestLstmStep:
     def test_all_zero(self):
         outs, (_, _, cs, _, _, _) = run_bilstm(zero_bilstm(2, 3), np.zeros((1, 2)))
         assert np.array_equal(outs, np.zeros((1, 6)))
-        assert np.array_equal(cs, np.zeros((2, 2, 1, 3)))
+        assert np.array_equal(cs, np.zeros((2, 2, 3)))  # the zero state, then step 0's
 
     def test_scalar_hand_example(self):
         # zero weights, large candidate bias: gates sit at 0.5, the
@@ -186,7 +187,7 @@ class TestLstmStep:
         params.b[:, 2] = 8.0  # gate order f, i, c, o; both directions
         outs, (_, _, cs, _, _, _) = run_bilstm(params, np.zeros((1, 1)))
         expected_c = 0.5 * math.tanh(8.0)
-        assert np.all(np.abs(cs[:, 1, 0, 0] - expected_c) < 1e-12)
+        assert np.all(np.abs(cs[:, 1, 0] - expected_c) < 1e-12)
         assert np.all(np.abs(outs[0] - 0.5 * math.tanh(expected_c)) < 1e-12)
 
     def test_wrong_input_width(self):
@@ -197,7 +198,7 @@ class TestLstmStep:
         rng = np.random.default_rng(0)
         params = BiLstmParams.random(3, 4, rng)
         outs, (_, _, _, gates, _, _) = run_bilstm(params, rng.uniform(-5, 5, size=(20, 3)))
-        f, i, _, o = (gates[:, :, 0, k] for k in range(4))
+        f, i, _, o = (gates[:, :, k] for k in range(4))
         for gate in (f, i, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
         assert np.all(np.abs(outs) < 1.0)
@@ -209,7 +210,7 @@ class TestLstmStep:
         params.b[:, :3] = [40.0, -40.0, 0.4]
         params.w_x[:, 1] = 80.0  # input gate
         _, (_, _, cs, _, _, _) = run_bilstm(params, [[1.0], [0.0], [0.0], [0.0]])
-        carried = cs[0, 1:, 0, 0]  # forward direction
+        carried = cs[0, 1:, 0]  # forward direction, after the zero state
         assert abs(carried[0] - math.tanh(0.4)) < 1e-6
         assert np.all(np.abs(carried - carried[0]) < 1e-6)
 
@@ -252,6 +253,65 @@ class TestBilstm:
             _bilstm_forward(params, np.zeros((0, 1, 2)), np.array([0]))
         with pytest.raises(ValueError, match="empty"):  # an empty row among others
             _bilstm_forward(params, np.zeros((2, 2, 2)), np.array([2, 0]))
+
+
+class TestPackedKernel:
+    """A padded batch, run through the packed kernel, equals one run per sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        extra_steps=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lengths=[1], extra_steps=0, seed=0)
+    @example(lengths=[5, 5, 5, 5], extra_steps=0, seed=1)
+    @example(lengths=[1, 9, 3, 9, 1, 2], extra_steps=1, seed=2)
+    def test_matches_per_sequence_runs(self, lengths, extra_steps, seed):
+        rng = np.random.default_rng(seed)
+        params = BiLstmParams.random(3, 2, rng)
+        params.p[:] = rng.normal(size=params.p.shape)
+        params.b[:] = rng.normal(size=params.b.shape)
+        lengths = np.array(lengths)
+        steps, batch = lengths.max() + extra_steps, len(lengths)
+        valid = np.arange(steps)[:, None] < lengths  # (T, N)
+        xs = rng.normal(size=(steps, batch, 3))  # padding holds values too
+        d_outs = rng.normal(size=(steps, batch, 4))
+        outs, cache = _bilstm_forward(params, xs, lengths)
+        grads, d_xs = _bilstm_backward(params, cache, d_outs)
+
+        assert np.all(outs[~valid] == 0.0) and np.all(d_xs[~valid] == 0.0)
+        want = {name: np.zeros_like(arr) for name, arr in grads.tensors("").items()}
+        for n, length in enumerate(lengths):
+            one = (slice(length), slice(n, n + 1))
+            one_outs, one_cache = _bilstm_forward(params, xs[one], lengths[n : n + 1])
+            one_grads, one_d_xs = _bilstm_backward(params, one_cache, d_outs[one])
+            assert np.max(np.abs(outs[one] - one_outs)) <= 1e-12
+            reference = reference_outputs(params, xs[:length, n])
+            assert np.max(np.abs(outs[:length, n] - reference)) <= 1e-12
+            assert np.max(np.abs(d_xs[one] - one_d_xs)) <= 1e-12
+            for name, arr in one_grads.tensors("").items():
+                want[name] += arr
+        for name, arr in grads.tensors("").items():
+            assert np.max(np.abs(arr - want[name])) <= 1e-12, name
+
+        # a central difference along one random direction checks the gradients themselves
+        tensors = list(params.tensors("").values())
+        moves = [rng.normal(size=arr.shape) for arr in (xs, *tensors)]
+
+        def loss(eps):
+            moved = BiLstmParams(*(arr + eps * v for arr, v in zip(tensors, moves[1:])))
+            return np.sum(_bilstm_forward(moved, xs + eps * moves[0], lengths)[0] * d_outs)
+
+        slope = sum(np.sum(g * v) for g, v in zip((d_xs, *grads.tensors("").values()), moves))
+        assert abs((loss(1e-6) - loss(-1e-6)) / 2e-6 - slope) <= 1e-6 * max(1.0, abs(slope))
+
+        # whatever padded positions of d_outs hold changes no gradient
+        d_outs[~valid] = rng.normal(scale=1e6, size=d_outs[~valid].shape)
+        again, again_d_xs = _bilstm_backward(params, cache, d_outs)
+        assert np.array_equal(again_d_xs, d_xs)
+        for name, arr in again.tensors("").items():
+            assert np.array_equal(arr, grads.tensors("")[name]), name
 
 
 class TestCharEncoding:
