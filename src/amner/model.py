@@ -296,8 +296,7 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     peep_f, peep_i, peep_o = params.p.transpose(1, 0, 2)[:, :, None]  # each (2, 1, H)
 
     d_a = np.empty((2, total, 4, hidden))
-    k_fig = np.empty((2, counts[0], 3, hidden))
-    dh_carry, dc = np.zeros((2, 2, counts[0], hidden))
+    dh_carry, dc_carry = np.zeros((2, 2, counts[0], hidden))
     for n, lo in zip(reversed(counts), reversed(starts)):
         # this step's d(a_o)/dh, dc/dh, d(a_f, a_i, a_g)/dc, dc_prev/dc
         here = slice(lo, lo + n)
@@ -305,17 +304,17 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
         tc = tanh_c[:, here]
         k_o = tc * o * (1.0 - o)
         k_c = o * (1.0 - tc ** 2) + k_o * peep_o
-        k = k_fig[:, :n]
-        np.multiply(c_prev[:, here] * f, 1.0 - f, out=k[:, :, 0])
-        np.multiply(g * i, 1.0 - i, out=k[:, :, 1])
-        np.multiply(i, 1.0 - g ** 2, out=k[:, :, 2])
+        k_fig = np.empty((2, n, 3, hidden))
+        np.multiply(c_prev[:, here] * f, 1.0 - f, out=k_fig[:, :, 0])
+        np.multiply(g * i, 1.0 - i, out=k_fig[:, :, 1])
+        np.multiply(i, 1.0 - g ** 2, out=k_fig[:, :, 2])
         dh = d_hs[:, here] + dh_carry[:, :n]
-        d_c = dc[:, :n]  # a row not running at step t + 1 has carried nothing yet
-        d_c += dh * k_c
-        np.multiply(d_c[:, :, None], k, out=d_a[:, here, :3])
+        dc = dc_carry[:, :n]  # a row not running at step t + 1 has carried nothing yet
+        dc += dh * k_c
+        np.multiply(dc[:, :, None], k_fig, out=d_a[:, here, :3])
         np.multiply(dh, k_o, out=d_a[:, here, 3])
         dh_carry[:, :n] = d_a[:, here].reshape(2, n, 4 * hidden) @ params.w_h
-        d_c *= f + k[:, :, 0] * peep_f + k[:, :, 1] * peep_i
+        dc *= f + k_fig[:, :, 0] * peep_f + k_fig[:, :, 1] * peep_i
 
     d_a2 = d_a.reshape(2, total, 4 * hidden)
     d_a2_t = d_a2.transpose(0, 2, 1)
