@@ -35,10 +35,11 @@ the batch's unique word types, the word BiLSTM once over all N
 sentences.  It takes and returns padded arrays but works on the real
 positions only, packed step by step: the rows are ordered longest
 first, so the rows still running at a step are a prefix, and one time
-loop steps that prefix in both directions at once.  No projection,
-recurrent product, gate or gradient is computed for padding, and padded
-outputs are exact zeros.  Emissions are (N, T, K), as the CRF takes
-them; their padded positions hold values that nothing reads.
+loop steps that prefix in both directions at once.  No input
+projection, recurrent product, gate or LSTM gradient is computed for
+padding, and padded BiLSTM outputs are exact zeros.  Emissions are
+(N, T, K), as the CRF takes them; their padded positions hold values
+that nothing reads.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ class BiLstmParams:
 
 
 def _pack(lengths: np.ndarray):
-    """The packed, step-major layout of sequences with ``lengths``.
+    """(counts, starts, fwd, rev, prev): the packed, step-major layout of
+    sequences with ``lengths``.
 
     Rows are taken longest first, ties in row order, so the rows still
     running at step t are a prefix of counts[t] of them, and step t owns
