@@ -271,6 +271,13 @@ def run(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:  # argparse prints the message and exits 2
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -287,7 +294,7 @@ def main(argv=None) -> int:
     parser.add_argument("--word-dim", type=int, default=300)
     parser.add_argument("--smote-k", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-sentences", type=int, default=None,
+    parser.add_argument("--max-sentences", type=positive_int, default=None,
                         help="subsample the corpus for smoke runs (stats check is skipped)")
     parser.add_argument("--allow-stats-mismatch", action="store_true")
     args = parser.parse_args(argv)

@@ -29,17 +29,17 @@ clipping, Adam and the gradient check see only these tensors; the
 per-direction, per-gate names and the separate unknown row of the model
 file are details of :mod:`amner.serialize`.
 
-The encoder works on batches of N sentences right-padded to T tokens.
-One BiLSTM routine runs both BiLSTMs: the character BiLSTM once over
-the batch's unique word types, the word BiLSTM once over all N
-sentences.  It takes and returns padded arrays but works on the real
-positions only, packed step by step: the rows are ordered longest
-first, so the rows still running at a step are a prefix, and one time
-loop steps that prefix in both directions at once.  No input
-projection, recurrent product, gate or LSTM gradient is computed for
-padding, and padded BiLSTM outputs are exact zeros.  Emissions are
-(N, T, K), as the CRF takes them; their padded positions hold values
-that nothing reads.
+The encoder holds a batch of N sentences in one layout: their R tokens
+concatenated in sentence order, (R, ·).  One BiLSTM routine runs both
+BiLSTMs on that layout: the character BiLSTM once over the characters
+of the batch's unique word types, the word BiLSTM once over the tokens
+of all N sentences.  Inside, it packs the positions step by step: the
+sequences are ordered longest first, so the ones still running at a
+step are a prefix, and one time loop steps that prefix in both
+directions at once.  No array of the encoder holds padding until the
+emissions, which are (N, T, K) right-padded to the longest sentence, as
+the CRF takes them; their padded positions are zero and nothing reads
+them.
 """
 
 from __future__ import annotations
@@ -208,48 +208,48 @@ class BiLstmParams:
 
 def _pack(lengths: np.ndarray):
     """(counts, starts, fwd, rev, prev): the packed, step-major layout of
-    sequences with ``lengths``.
+    sequences with ``lengths``, concatenated in order.
 
     Rows are taken longest first, ties in row order, so the rows still
     running at step t are a prefix of counts[t] of them, and step t owns
     the packed positions starts[t] .. starts[t] + counts[t].  ``fwd`` and
-    ``rev`` index each position's (padded step, row) as the forward and
-    the reverse direction read it.  prev[p] is the state that position p
-    starts from, in state arrays whose first counts[0] rows are zero.
+    ``rev`` give each packed position's index into the concatenated
+    sequences as the forward and the reverse direction read it.  prev[p]
+    is the state that position p starts from, in state arrays whose first
+    counts[0] rows are zero.
     """
     order = np.argsort(-lengths, kind="stable")
-    counts = (lengths[order] > np.arange(lengths.max())[:, None]).sum(axis=1)
+    counts = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # rows longer than t
     starts = np.cumsum(counts) - counts
     step = np.repeat(np.arange(len(counts)), counts)
     slot = np.arange(counts.sum()) - starts[step]
     rows = order[slot]
     # step 0 reads the zero states, step t > 0 the states step t - 1 wrote
     reads = np.concatenate([[0], counts[0] + starts[:-1]])
-    fwd, rev = (step, rows), (lengths[rows] - 1 - step, rows)
+    ends = np.cumsum(lengths)[rows]
+    fwd, rev = ends - lengths[rows] + step, ends - 1 - step
     return counts.tolist(), starts.tolist(), fwd, rev, reads[step] + slot
 
 
 def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
-    """Both directions over right-padded sequences ``xs`` (T, N, D), where
-    sequence n has lengths[n] steps; the reverse direction reads each
-    sequence from its own last position.  Returns (outs (T, N, 2H), cache),
-    outs[t, n] holding both directions' states after position t, and
-    exact zeros past the sequence's end.
+    """Both directions over concatenated sequences ``xs`` (R, D), where
+    sequence n is the next lengths[n] rows; the reverse direction reads
+    each sequence from its own last row.  Returns (outs (R, 2H), cache),
+    outs[r] holding both directions' states after row r.
 
-    Internally the kernel works on the R = lengths.sum() real positions
-    only, in the packed layout of :func:`_pack`: one batched GEMM
-    computes every position's input projection for both directions, and
-    one time loop steps both directions over the prefix of rows still
-    running.  The cache holds xs (2, R, D) as each direction reads it,
-    hs and cs (2, counts[0] + R, H) whose first counts[0] rows are the
-    zero initial states and row counts[0] + p the state after position
-    p, gates (2, R, 4, H) holding f, i, g, o, tanh_c (2, R, H) and the
-    layout.
+    Internally the kernel works in the packed layout of :func:`_pack`:
+    one batched GEMM computes every position's input projection for both
+    directions, and one time loop steps both directions over the prefix
+    of rows still running.  The cache holds xs (2, R, D) as each
+    direction reads it, hs and cs (2, counts[0] + R, H) whose first
+    counts[0] rows are the zero initial states and row counts[0] + p the
+    state after position p, gates (2, R, 4, H) holding f, i, g, o,
+    tanh_c (2, R, H) and the layout.
     """
     if not lengths.all():
         raise ValueError("cannot run a BiLSTM over an empty sequence")
     pack = counts, starts, fwd, rev, prev = _pack(lengths)
-    hidden, first, padded = params.hidden, counts[0], xs.shape[:2]
+    hidden, first = params.hidden, counts[0]
     xs = np.stack([xs[fwd], xs[rev]])
     gates = xs @ params.w_x.transpose(0, 2, 1)
     gates += params.b[:, None]
@@ -276,24 +276,23 @@ def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
         a[:, :, 3] = _sigmoid(a[:, :, 3] + peep[:, :, 2] * c)
         np.tanh(c, out=tanh_c[:, here])
         np.multiply(a[:, :, 3], tanh_c[:, here], out=hs[:, write])
-    outs = np.zeros(padded + (2 * hidden,))
-    outs[..., :hidden][fwd] = hs[0, first:]
-    outs[..., hidden:][rev] = hs[1, first:]
+    outs = np.empty((len(fwd), 2 * hidden))
+    outs[fwd, :hidden] = hs[0, first:]
+    outs[rev, hidden:] = hs[1, first:]
     return outs, (xs, hs, cs, gates, tanh_c, pack)
 
 
 def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
-    """(gradients as BiLstmParams, d_xs (T, N, D)) from d(outs) (T, N, 2H).
+    """(gradients as BiLstmParams, d_xs (R, D)) from d(outs) (R, 2H).
 
     One reverse time loop over both directions only collects the gate
-    pre-activation gradients d_a of the R real positions, each row
-    joining with zero carries at its last step; the weight and input
-    gradients are then batched GEMMs over them.  Padded positions of
-    ``d_outs`` are never read, and those of d_xs are zero.
+    pre-activation gradients d_a of the R positions, each row joining
+    with zero carries at its last step; the weight and input gradients
+    are then batched GEMMs over them.
     """
     xs, hs, cs, gates, tanh_c, (counts, starts, fwd, rev, prev) = cache
     _, total, _, hidden = gates.shape
-    d_hs = np.stack([d_outs[..., :hidden][fwd], d_outs[..., hidden:][rev]])
+    d_hs = np.stack([d_outs[fwd, :hidden], d_outs[rev, hidden:]])
     c_prev = cs[:, prev]
     peep_f, peep_i, peep_o = params.p.transpose(1, 0, 2)[:, :, None]  # each (2, 1, H)
 
@@ -326,7 +325,7 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
         d_a2_t @ xs, d_a2_t @ hs[:, prev], np.stack(d_p, axis=1), d_a2.sum(axis=1)
     )
     d_packed = d_a2 @ params.w_x
-    d_xs = np.zeros(d_outs.shape[:2] + d_packed.shape[2:])
+    d_xs = np.empty(d_packed.shape[1:])
     d_xs[fwd] = d_packed[0]
     d_xs[rev] += d_packed[1]
     return grads, d_xs
@@ -337,34 +336,30 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
 
 
 def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[str]):
-    """Character BiLSTM summaries (N, 2H) of all ``words`` in one padded
-    pass: the forward state after the last character and the reverse
-    state after the first.  Unknown characters read row V, and so does
-    the padding, which the kernel skips.
+    """Character BiLSTM summaries (N, 2H) of all ``words`` in one pass over
+    their concatenated characters: the forward state after each word's
+    last character and the reverse state after its first.  Unknown
+    characters read row V.
     """
     lengths = np.array([len(word) for word in words])
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.full(valid.shape, len(table.vocab))
-    ids[valid] = table.ids("".join(words))
-    ids = ids.T  # (T, N): one column per word
+    ids = table.ids("".join(words))
     outs, cache = _bilstm_forward(params, table.matrix[ids], lengths)
-    hidden = params.hidden
-    last = (lengths - 1, np.arange(len(words)))
-    vecs = np.concatenate([outs[last][:, :hidden], outs[0, :, hidden:]], axis=1)
-    return vecs, (ids, lengths, cache)
+    hidden, ends = params.hidden, np.cumsum(lengths)
+    last, first = ends - 1, ends - lengths
+    vecs = np.concatenate([outs[last, :hidden], outs[first, hidden:]], axis=1)
+    return vecs, (ids, last, first, cache)
 
 
 def _chars_backward(table: EmbeddingTable, params: BiLstmParams, cache, d_vecs: np.ndarray):
     """(table gradient, BiLstmParams gradients)."""
-    ids, lengths, bilstm_cache = cache
+    ids, last, first, bilstm_cache = cache
     hidden = params.hidden
-    d_outs = np.zeros(ids.shape + (2 * hidden,))
-    d_outs[lengths - 1, np.arange(len(lengths)), :hidden] = d_vecs[:, :hidden]
-    d_outs[0, :, hidden:] = d_vecs[:, hidden:]
+    d_outs = np.zeros((len(ids), 2 * hidden))
+    d_outs[last, :hidden] = d_vecs[:, :hidden]
+    d_outs[first, hidden:] = d_vecs[:, hidden:]
     grads, d_xs = _bilstm_backward(params, bilstm_cache, d_outs)
     d_rows = np.zeros_like(table.matrix)
-    valid = np.arange(len(ids))[:, None] < lengths
-    np.add.at(d_rows, ids[valid], d_xs[valid])
+    np.add.at(d_rows, ids, d_xs)
     return d_rows, grads
 
 
@@ -450,12 +445,13 @@ def init_crf(num_tags: int, rng: np.random.Generator) -> CrfParams:
 
 @dataclass
 class Batch:
-    """N sentences right-padded to T tokens, as the encoder reads them."""
+    """N sentences as the encoder reads them: their R tokens concatenated
+    in sentence order."""
 
     lengths: np.ndarray  # (N,)
-    word_rows: np.ndarray  # (N, T) word-table rows; padding reads row V
+    word_rows: np.ndarray  # (R,) word-table rows
     types: list[str]  # the batch's unique word types, in order of first use
-    type_ids: np.ndarray  # (N, T) index into ``types``; padding reads 0
+    type_ids: np.ndarray  # (R,) index into ``types``
 
 
 def encode_batch(params: EncoderParams, sentences: Sequence) -> Batch:
@@ -466,12 +462,8 @@ def encode_batch(params: EncoderParams, sentences: Sequence) -> Batch:
         raise ValueError("cannot encode an empty batch or an empty sentence")
     flat = [w for ws in words for w in ws]
     types: dict[str, int] = {}
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    word_rows = np.full(valid.shape, len(params.word_table.vocab))
-    type_ids = np.zeros(valid.shape, dtype=np.int64)
-    word_rows[valid] = params.word_table.ids(flat)
-    type_ids[valid] = [types.setdefault(w, len(types)) for w in flat]
-    return Batch(lengths, word_rows, list(types), type_ids)
+    type_ids = np.array([types.setdefault(w, len(types)) for w in flat], dtype=np.int64)
+    return Batch(lengths, params.word_table.ids(flat), list(types), type_ids)
 
 
 def encode_forward(
@@ -500,29 +492,29 @@ def encode_forward(
         vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, new)
         type_vectors.update(zip(new, vecs))
     char_vecs = np.array([type_vectors[word] for word in batch.types])
-    # (T, N, D): the LSTM kernel steps over the first axis
     xs = np.concatenate(
-        [params.word_table.matrix[batch.word_rows.T], char_vecs[batch.type_ids.T]], axis=2
+        [params.word_table.matrix[batch.word_rows], char_vecs[batch.type_ids]], axis=1
     )
-    steps, size, width = xs.shape
     out_width = 2 * params.word_bilstm.hidden
     in_masks = out_masks = None
     if use_dropout:
         # inverted dropout: survivors are scaled, so inference needs no rescale
         rate = params.dropout_rate
-        in_masks, out_masks = np.zeros(xs.shape), np.zeros((steps, size, out_width))
-        for n, length in enumerate(batch.lengths):
-            in_masks[:length, n] = (rng.random((length, width)) >= rate) / (1.0 - rate)
-            out_masks[:length, n] = (rng.random((length, out_width)) >= rate) / (1.0 - rate)
+        in_masks, out_masks = np.empty(xs.shape), np.empty((len(xs), out_width))
+        for lo, length in zip(np.cumsum(batch.lengths) - batch.lengths, batch.lengths):
+            here = slice(lo, lo + length)
+            in_masks[here] = (rng.random((length, xs.shape[1])) >= rate) / (1.0 - rate)
+            out_masks[here] = (rng.random((length, out_width)) >= rate) / (1.0 - rate)
         xs *= in_masks
 
     outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs, batch.lengths)
     if use_dropout:
         outs *= out_masks
-    outs = outs.reshape(steps * size, out_width)
-    emissions = (outs @ params.proj_w + params.proj_b).reshape(steps, size, -1)
-    cache = (batch, char_cache, in_masks, bilstm_cache, outs, out_masks)
-    return emissions.transpose(1, 0, 2), cache
+    valid = np.arange(batch.lengths.max()) < batch.lengths[:, None]  # (N, T)
+    emissions = np.zeros(valid.shape + (params.num_tags,))
+    emissions[valid] = outs @ params.proj_w + params.proj_b
+    cache = (batch, valid, char_cache, in_masks, bilstm_cache, outs, out_masks)
+    return emissions, cache
 
 
 def encode_backward(
@@ -537,25 +529,22 @@ def encode_backward(
     token order.  Every other gradient is dense.  Padded positions of
     ``d_emissions`` are ignored.
     """
-    batch, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
-    valid = np.arange(batch.word_rows.shape[1]) < batch.lengths[:, None]  # (N, T)
-    d_em = np.where(valid.T[..., None], d_emissions.transpose(1, 0, 2), 0.0)
-    d_em = d_em.reshape(outs.shape[0], -1)
-    d_outs = (d_em @ params.proj_w.T).reshape(valid.shape[::-1] + (-1,))
+    batch, valid, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
+    d_em = d_emissions[valid]  # (R, K)
+    d_outs = d_em @ params.proj_w.T
     if out_masks is not None:
         d_outs *= out_masks
     word_grads, d_xs = _bilstm_backward(params.word_bilstm, bilstm_cache, d_outs)
     if in_masks is not None:
         d_xs *= in_masks
 
-    d_tokens = d_xs.transpose(1, 0, 2)[valid]  # sentence by sentence, in token order
     word_dim = params.word_table.dim
     # add.at sums each row's terms in token order, starting from zero
-    rows, slots = np.unique(batch.word_rows[valid], return_inverse=True)
+    rows, slots = np.unique(batch.word_rows, return_inverse=True)
     d_word_rows = np.zeros((len(rows), word_dim))
-    np.add.at(d_word_rows, slots, d_tokens[:, :word_dim])
-    d_types = np.zeros((len(batch.types), d_tokens.shape[1] - word_dim))
-    np.add.at(d_types, batch.type_ids[valid], d_tokens[:, word_dim:])
+    np.add.at(d_word_rows, slots, d_xs[:, :word_dim])
+    d_types = np.zeros((len(batch.types), d_xs.shape[1] - word_dim))
+    np.add.at(d_types, batch.type_ids, d_xs[:, word_dim:])
     d_chars, char_grads = _chars_backward(
         params.char_table, params.char_bilstm, char_cache, d_types
     )

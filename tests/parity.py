@@ -8,7 +8,7 @@ changes only the order of float operations must reproduce them within a
 stated tolerance (see tests/test_train.py); a file rewritten by later
 code is no longer a reference for that code.  The emissions were then
 computed one sentence at a time; this script now encodes the sentences
-as one padded batch.
+as one batch and takes each sentence's rows of its padded emissions.
 
 Each model is built from one synthetic corpus and trained (dims
 30/5/6/12, dropout 0.5) on a second corpus whose vocabulary is larger,

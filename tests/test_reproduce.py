@@ -54,6 +54,19 @@ def test_unknown_scheme_is_a_usage_error(tmp_path, capsys):
     assert "argument --scheme: unknown tagging scheme 'iob3'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_sentences_below_one_is_a_usage_error(tmp_path, capsys, value):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(write_corpus(synthetic_corpus(5, seed=6), TagScheme.IOB2), encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        load_script().main([
+            "--corpus", str(corpus), "--max-sentences", value, "--protocol", "two-thirds",
+            "--epochs", "1", "--word-dim", "4",
+        ])
+    assert exit_info.value.code == 2
+    assert f"argument --max-sentences: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case, message", [
     ("no-tag-column", "error: line 2: "),
     ("missing-corpus", "error: [Errno 2] No such file or directory"),
