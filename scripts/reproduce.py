@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     parser.add_argument("--lr", type=float, default=0.001)
     parser.add_argument("--dropout", type=float, default=0.5)
     parser.add_argument("--word-dim", type=int, default=300)
-    parser.add_argument("--smote-k", type=int, default=5)
+    parser.add_argument("--smote-k", type=positive_int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-sentences", type=positive_int, default=None,
                         help="subsample the corpus for smoke runs (stats check is skipped)")

@@ -11,11 +11,11 @@ turns the masked-out entries into -inf scores once, so illegal paths
 carry exactly zero probability.  The partition function and the
 marginals behind the loss gradient are computed in the log domain.
 
-The loss and Viterbi decoding take a batch: right-padded (N, T, K)
-emissions plus each row's length.  Every recursion step runs on all rows
-at once with the same per-row operations as on a single sequence, and
-positions past a row's end are never read.  A single (L, K) matrix
-without lengths is a batch of one.
+The loss and Viterbi decoding take the (R, K) emissions of N sequences
+concatenated in order, plus each sequence's length; a single (L, K)
+matrix without lengths is one sequence.  Only the recursions see
+padding: they zero-pad to (N, T, K) and step all N sequences at once,
+with the same per-sequence operations as on one, never reading past an end.
 """
 
 from __future__ import annotations
@@ -83,21 +83,18 @@ def _scores(params: CrfParams, masks) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return trans, np.where(start_mask, params.start_scores, NEG_INF), params.end_scores
 
 
-def _as_batch(params: CrfParams, emissions: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """(emissions (N, T, K), lengths (N,)); an (L, K) matrix without lengths is a batch of one."""
+def _as_batch(params: CrfParams, emissions: np.ndarray, lengths):
+    """(emissions zero-padded to (N, T, K), lengths (N,), valid (N, T)) of (R, K) emissions."""
     emissions = np.asarray(emissions, dtype=np.float64)
-    if lengths is None:
-        if emissions.ndim != 2 or emissions.shape[0] < 1:
-            raise ValueError(f"emissions must be (L, K) with L >= 1, got {emissions.shape}")
-        emissions, lengths = emissions[None], emissions.shape[:1]
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if emissions.ndim != 3 or emissions.shape[2] != params.num_tags:
-        raise ValueError(f"emissions must be (N, T, {params.num_tags}), got {emissions.shape}")
-    if lengths.shape != emissions.shape[:1] or not lengths.size:
-        raise ValueError("need one length per emission row, and at least one row")
-    if lengths.min() < 1 or lengths.max() > emissions.shape[1]:
-        raise ValueError(f"lengths must lie in [1, {emissions.shape[1]}]")
-    return emissions, lengths
+    if emissions.ndim != 2 or not len(emissions) or emissions.shape[1] != params.num_tags:
+        raise ValueError(f"emissions must be (R, {params.num_tags}) with R >= 1, got {emissions.shape}")
+    lengths = np.asarray(emissions.shape[:1] if lengths is None else lengths, dtype=np.int64)
+    if lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != len(emissions):
+        raise ValueError(f"lengths must be at least 1 and sum to the {len(emissions)} emission rows")
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros(valid.shape + emissions.shape[1:])
+    padded[valid] = emissions
+    return padded, lengths, valid
 
 
 def _path_scores(scores, emissions: np.ndarray, tags: np.ndarray, lengths) -> np.ndarray:
@@ -119,7 +116,7 @@ def _path_scores(scores, emissions: np.ndarray, tags: np.ndarray, lengths) -> np
 
 def score_sequence(params: CrfParams, emissions: np.ndarray, tags, masks=None) -> float:
     """Score of one tag path; raises if the path crosses a masked entry."""
-    emissions, lengths = _as_batch(params, emissions, None)
+    emissions, lengths, _ = _as_batch(params, emissions, None)
     tags = np.array([list(tags)], dtype=np.int64)
     if tags.shape[1] != emissions.shape[1]:
         raise ValueError(f"path length {tags.shape[1]} != sequence length {emissions.shape[1]}")
@@ -144,7 +141,7 @@ def _forward(scores, emissions: np.ndarray, lengths: np.ndarray):
 
 def forward_log_partition(params: CrfParams, emissions: np.ndarray, masks=None) -> float:
     """log sum over all mask-legal paths of exp(path score)."""
-    emissions, lengths = _as_batch(params, emissions, None)
+    emissions, lengths, _ = _as_batch(params, emissions, None)
     return float(_forward(_scores(params, masks), emissions, lengths)[1][0])
 
 
@@ -168,14 +165,14 @@ def _backward(scores, emissions: np.ndarray, lengths: np.ndarray, reduce):
 
 
 def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None, masks=None):
-    """Highest-scoring legal path of each row, as (paths, scores); for a
-    single (L, K) matrix without lengths, (path, score).  Ties break to
+    """Highest-scoring legal path of each sequence, as (paths, scores); for
+    a single (L, K) matrix without lengths, (path, score).  Ties break to
     the lexicographically smallest tag sequence (via a suffix table and
     greedy reconstruction).  Each score is the recursion's maximum, not a
     rescoring of the path.
     """
     single = lengths is None
-    emissions, lengths = _as_batch(params, emissions, lengths)
+    emissions, lengths, _ = _as_batch(params, emissions, lengths)
     scores = _scores(params, masks)
     trans, start, _ = scores
     size, steps, _ = emissions.shape
@@ -195,9 +192,9 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None, masks
     return (out[0], float(best[0])) if single else (out, best)
 
 
-def _posteriors(scores, emissions: np.ndarray, lengths: np.ndarray):
+def _posteriors(scores, emissions: np.ndarray, lengths: np.ndarray, valid: np.ndarray):
     """Forward-backward pass; returns (log_z (N,), unary (N, T, K),
-    pairwise (N, T-1, K, K)), both zero past each row's end."""
+    pairwise (N, T-1, K, K)), both zero outside ``valid`` (N, T)."""
     alpha, log_z = _forward(scores, emissions, lengths)
     beta, table = _backward(scores, emissions, lengths, _logsumexp)
 
@@ -207,7 +204,6 @@ def _posteriors(scores, emissions: np.ndarray, lengths: np.ndarray):
         unary = np.exp(alpha + beta - norm)
         pairwise = alpha[:, :-1, :, None] + scores[0] + table[:, 1:, None, :]
         pairwise = np.exp(pairwise - norm[..., None])
-    valid = np.arange(emissions.shape[1]) < lengths[:, None]
     unary[~valid] = 0.0
     pairwise[~valid[:, 1:]] = 0.0
     np.nan_to_num(unary, copy=False, nan=0.0)
@@ -220,35 +216,35 @@ def nll_loss_and_grad(
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Summed negative log-likelihood of the gold paths plus all gradients.
 
-    ``gold`` is (N, T) beside (N, T, K) emissions and ``lengths``, or one
-    (L,) path beside a single (L, K) matrix.  Returns (loss,
-    d_emissions shaped like ``emissions`` and zero past each row's end,
-    crf gradient dict keyed like tensors()).  Gradients are marginal
-    expectations minus gold indicators, summed over the rows.
+    ``gold`` is the (R,) tag ids beside the (R, K) ``emissions`` of the
+    sequences ``lengths`` (one sequence without lengths).  Returns (loss,
+    d_emissions (R, K), crf gradient dict keyed like tensors()).
+    Gradients are marginal expectations minus gold indicators, summed
+    over the sequences.
     """
-    single = lengths is None
-    emissions, lengths = _as_batch(params, emissions, lengths)
-    gold = np.asarray(gold, dtype=np.int64).reshape(len(lengths), -1)
-    if gold.shape != emissions.shape[:2]:
-        raise ValueError(f"gold paths {gold.shape} do not match the emissions' {emissions.shape[:2]}")
+    emissions, lengths, valid = _as_batch(params, emissions, lengths)
+    flat_gold = np.asarray(gold, dtype=np.int64)
+    if flat_gold.shape != (lengths.sum(),):
+        raise ValueError(f"gold paths {flat_gold.shape} do not match {lengths.sum()} emission rows")
+    gold = np.zeros(valid.shape, dtype=np.int64)
+    gold[valid] = flat_gold
     scores = _scores(params, masks)
     gold_score = _path_scores(scores, emissions, gold, lengths)  # also validates legality
-    log_z, unary, pairwise = _posteriors(scores, emissions, lengths)
+    log_z, unary, pairwise = _posteriors(scores, emissions, lengths, valid)
     loss = float(np.sum(log_z - gold_score))
 
     rows = np.arange(len(lengths))
-    valid = np.arange(emissions.shape[1]) < lengths[:, None]
-    d_emissions = unary
+    d_emissions = unary[valid]
     d_start = unary[:, 0].sum(axis=0)
     d_end = unary[rows, lengths - 1].sum(axis=0)
     d_trans = pairwise.sum(axis=(0, 1))
-    d_emissions[valid, gold[valid]] -= 1.0
+    d_emissions[np.arange(len(flat_gold)), flat_gold] -= 1.0
     np.subtract.at(d_start, gold[:, 0], 1.0)
     np.subtract.at(d_end, gold[rows, lengths - 1], 1.0)
     pairs = valid[:, 1:]
     np.subtract.at(d_trans, (gold[:, :-1][pairs], gold[:, 1:][pairs]), 1.0)
     grads = CrfParams(d_trans, d_start, d_end).tensors()
-    return loss, d_emissions[0] if single else d_emissions, grads
+    return loss, d_emissions, grads
 
 
 def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -36,10 +36,9 @@ of the batch's unique word types, the word BiLSTM once over the tokens
 of all N sentences.  Inside, it packs the positions step by step: the
 sequences are ordered longest first, so the ones still running at a
 step are a prefix, and one time loop steps that prefix in both
-directions at once.  No array of the encoder holds padding until the
-emissions, which are (N, T, K) right-padded to the longest sentence, as
-the CRF takes them; their padded positions are zero and nothing reads
-them.
+directions at once.  No array of the encoder holds padding, the
+emissions (R, K) and their gradient included: the CRF pads them itself
+where its recursions need it.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import FormatError, text_lines
+from .corpus import FormatError, TagScheme, tag_to_str, text_lines
 from .crf import CrfParams, build_iob2_mask
 
 
@@ -452,10 +451,24 @@ class Batch:
     word_rows: np.ndarray  # (R,) word-table rows
     types: list[str]  # the batch's unique word types, in order of first use
     type_ids: np.ndarray  # (R,) index into ``types``
+    tags: np.ndarray | None = None  # (R,) gold tag ids, when encoded with a tag index
+
+    def take(self, ids: Sequence[int]) -> "Batch":
+        """The sentences ``ids``, in that order, as :func:`encode_batch` of
+        them would encode them: their types keep the order of first use."""
+        starts = np.cumsum(self.lengths) - self.lengths
+        tokens = np.concatenate([np.arange(starts[i], starts[i] + self.lengths[i]) for i in ids])
+        renumber: dict[int, int] = {}  # type id here -> type id in the new batch
+        old = self.type_ids[tokens].tolist()
+        type_ids = np.array([renumber.setdefault(t, len(renumber)) for t in old], dtype=np.int64)
+        types = [self.types[t] for t in renumber]
+        tags = None if self.tags is None else self.tags[tokens]
+        return Batch(self.lengths[ids], self.word_rows[tokens], types, type_ids, tags)
 
 
-def encode_batch(params: EncoderParams, sentences: Sequence) -> Batch:
-    """Encode ``sentences``, Sentence objects or lists of surfaces."""
+def encode_batch(params: EncoderParams, sentences: Sequence, tag_index: dict | None = None) -> Batch:
+    """Encode ``sentences``, Sentence objects or lists of surfaces.  Given
+    ``tag_index`` (tag string to id), also their Sentence objects' gold tags."""
     words = [list(getattr(sentence, "surfaces", sentence)) for sentence in sentences]
     lengths = np.array([len(ws) for ws in words], dtype=np.int64)
     if not lengths.size or not lengths.all():
@@ -463,7 +476,15 @@ def encode_batch(params: EncoderParams, sentences: Sequence) -> Batch:
     flat = [w for ws in words for w in ws]
     types: dict[str, int] = {}
     type_ids = np.array([types.setdefault(w, len(types)) for w in flat], dtype=np.int64)
-    return Batch(lengths, params.word_table.ids(flat), list(types), type_ids)
+    tags = None
+    if tag_index is not None:
+        tokens = [token for sentence in sentences for token in sentence.tokens]
+        texts = [tag_to_str(token.tag, TagScheme.IOB2) for token in tokens]
+        unknown = [text for text in texts if text not in tag_index]
+        if unknown:
+            raise ValueError(f"tag {unknown[0]!r} not in the model's tag vocabulary")
+        tags = np.array([tag_index[text] for text in texts], dtype=np.int64)
+    return Batch(lengths, params.word_table.ids(flat), list(types), type_ids, tags)
 
 
 def encode_forward(
@@ -472,7 +493,7 @@ def encode_forward(
     rng: np.random.Generator | None = None,
     type_vectors: dict[str, np.ndarray] | None = None,
 ):
-    """Emission scores (N, T, K) plus the cache the backward pass needs.
+    """Emission scores (R, K), one row per token, plus the cache the backward pass needs.
 
     ``type_vectors`` maps word types to character vectors computed
     before, and is empty when not given.  The character pass covers only
@@ -510,28 +531,23 @@ def encode_forward(
     outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs, batch.lengths)
     if use_dropout:
         outs *= out_masks
-    valid = np.arange(batch.lengths.max()) < batch.lengths[:, None]  # (N, T)
-    emissions = np.zeros(valid.shape + (params.num_tags,))
-    emissions[valid] = outs @ params.proj_w + params.proj_b
-    cache = (batch, valid, char_cache, in_masks, bilstm_cache, outs, out_masks)
-    return emissions, cache
+    cache = (batch, char_cache, in_masks, bilstm_cache, outs, out_masks)
+    return outs @ params.proj_w + params.proj_b, cache
 
 
 def encode_backward(
     params: EncoderParams, cache, d_emissions: np.ndarray
 ) -> dict[str, np.ndarray | SparseRows]:
-    """Gradients of every encoder tensor given d(loss)/d(emissions) (N, T, K).
+    """Gradients of every encoder tensor given d(loss)/d(emissions) (R, K).
 
     Keys follow ``params.tensors()``.  ``word_table.matrix`` is
     :class:`SparseRows` over the rows of the batch's words, row V for
     out-of-vocabulary ones, so its cost does not grow with the
     vocabulary; each row is summed from zero, sentence by sentence in
-    token order.  Every other gradient is dense.  Padded positions of
-    ``d_emissions`` are ignored.
+    token order.  Every other gradient is dense.
     """
-    batch, valid, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
-    d_em = d_emissions[valid]  # (R, K)
-    d_outs = d_em @ params.proj_w.T
+    batch, char_cache, in_masks, bilstm_cache, outs, out_masks = cache
+    d_outs = d_emissions @ params.proj_w.T
     if out_masks is not None:
         d_outs *= out_masks
     word_grads, d_xs = _bilstm_backward(params.word_bilstm, bilstm_cache, d_outs)
@@ -552,8 +568,8 @@ def encode_backward(
     grads = {"char_table.matrix": d_chars, **char_grads.tensors("char")}
     grads["word_table.matrix"] = SparseRows(rows, d_word_rows, params.word_table.matrix.shape)
     grads.update(word_grads.tensors("word"))
-    grads["proj.weight"] = outs.T @ d_em
-    grads["proj.bias"] = d_em.sum(axis=0)
+    grads["proj.weight"] = outs.T @ d_emissions
+    grads["proj.bias"] = d_emissions.sum(axis=0)
     return grads
 
 

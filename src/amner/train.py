@@ -19,9 +19,10 @@ import numpy as np
 from . import crf as crf_mod
 from . import metrics as metrics_mod
 from .corpus import (
-    FormatError, Sentence, TagScheme, Token, check_valid, tag_from_str, tag_to_str, text_lines
+    FormatError, Sentence, TagScheme, Token, check_valid, tag_from_str, text_lines
 )
 from .model import (
+    Batch,
     EmbeddingTable,
     ModelParams,
     SparseRows,
@@ -319,43 +320,27 @@ def _loss_masks(model: ModelParams):
     return crf_mod.build_iob2_mask(model.tags) if model.masked_training else None
 
 
-def gold_ids(model: ModelParams, sentences: Sequence[Sentence], steps: int) -> np.ndarray:
-    """Gold tag ids (N, steps) of ``sentences``, zero past each end."""
-    index = model.tag_index
-    gold = np.zeros((len(sentences), steps), dtype=np.int64)
-    for n, sentence in enumerate(sentences):
-        for t, token in enumerate(sentence.tokens):
-            text = tag_to_str(token.tag, TagScheme.IOB2)
-            if text not in index:
-                raise ValueError(f"tag {text!r} not in the model's tag vocabulary")
-            gold[n, t] = index[text]
-    return gold
-
-
 def sentence_loss_and_grads(
-    model: ModelParams,
-    sentences: Sequence[Sentence],
-    rng: np.random.Generator | None = None,
+    model: ModelParams, batch: Batch, rng: np.random.Generator | None = None
 ) -> tuple[float, dict[str, np.ndarray | SparseRows]]:
-    """Summed CRF negative log-likelihood of ``sentences`` plus all gradients.
+    """Summed CRF negative log-likelihood of a ``batch`` encoded with its
+    gold tags, plus all gradients.
 
     Dropout runs when ``rng`` is given and the model's rate is above 0.
 
     The gradients are keyed CRF tensors first, then encoder tensors in
     ``encode_backward``'s order; the word-table gradient is row-sparse.
     """
-    batch = encode_batch(model.encoder, sentences)
     emissions, cache = encode_forward(model.encoder, batch, rng=rng)
-    gold = gold_ids(model, sentences, emissions.shape[1])
     loss, d_emissions, grads = crf_mod.nll_loss_and_grad(
-        model.crf, emissions, gold, batch.lengths, masks=_loss_masks(model)
+        model.crf, emissions, batch.tags, batch.lengths, masks=_loss_masks(model)
     )
     grads.update(encode_backward(model.encoder, cache, d_emissions))
     return loss, grads
 
 
 # sentences per tagging batch, taken in order of length: batches of 8 tag
-# as fast as larger ones and keep the padded activations to a few MB
+# as fast as larger ones and keep the CRF's padded tables to a few MB
 TAG_BATCH = 8
 
 
@@ -420,8 +405,9 @@ def train_model(
     a dev F1 improvement, and is refused without ``dev``.  ``dev`` must
     be valid IOB2, and ``config.dropout`` must equal the model's rate.
 
-    Training reads and updates a view of the model whose word table holds
-    the training words' rows plus row V, which pads every batch and
+    The corpus is encoded once, gold tags included, and each batch is
+    gathered from it.  Training reads and updates a view of the model
+    whose word table holds the training words' rows plus row V, which
     stands for training words outside the vocabulary; every other tensor
     is the model's own.  The view's rows are written back after each epoch, so
     the model holds every trained row whenever ``dev`` scoring,
@@ -452,6 +438,7 @@ def train_model(
     view = dataclasses.replace(
         model, encoder=dataclasses.replace(model.encoder, word_table=view_table)
     )
+    corpus = encode_batch(view.encoder, sentences, model.tag_index)
     params = view.tensors()
     state = AdamState.for_params(params)
     # the row-sparse word-table gradient is scattered into this buffer for
@@ -465,9 +452,10 @@ def train_model(
         started = perf_counter()
         entry = EpochLog(epoch=epoch, loss=0.0)
         norms = []
-        batches = make_batches(list(sentences), config.batch_size, config.seed + epoch)
+        batches = make_batches(range(len(sentences)), config.batch_size, config.seed + epoch)
         try:
-            for batch_idx, batch in enumerate(batches):
+            for batch_idx, ids in enumerate(batches):
+                batch = corpus.take(ids)
                 try:
                     loss, grads = sentence_loss_and_grads(view, batch, rng=dropout_rng)
                     if not np.isfinite(loss):
@@ -481,7 +469,7 @@ def train_model(
                     raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
                 word_grad[sparse.rows] = 0.0
                 entry.loss += loss
-                entry.tokens += sum(len(sentence.tokens) for sentence in batch)
+                entry.tokens += int(batch.lengths.sum())
         finally:
             table.matrix[live] = view_table.matrix
         entry.wall_s = perf_counter() - started
@@ -549,14 +537,13 @@ def gradient_check(
     """
     if not (0.0 < step < math.inf and 0.0 < tolerance < math.inf):
         raise ValueError("step and tolerance must be finite and positive")
-    _, analytic = sentence_loss_and_grads(model, [sentence])
-    batch = encode_batch(model.encoder, [sentence])
-    gold = gold_ids(model, [sentence], len(sentence))[0]
+    batch = encode_batch(model.encoder, [sentence], model.tag_index)
+    _, analytic = sentence_loss_and_grads(model, batch)
     masks = _loss_masks(model)
 
     def loss() -> float:  # the NLL without the encoder's backward pass
-        emissions = encode_forward(model.encoder, batch)[0][0]
-        return crf_mod.nll_loss_and_grad(model.crf, emissions, gold, masks=masks)[0]
+        emissions = encode_forward(model.encoder, batch)[0]
+        return crf_mod.nll_loss_and_grad(model.crf, emissions, batch.tags, masks=masks)[0]
 
     params = model.tensors()
     report: dict[str, float] = {}

@@ -8,7 +8,7 @@ changes only the order of float operations must reproduce them within a
 stated tolerance (see tests/test_train.py); a file rewritten by later
 code is no longer a reference for that code.  The emissions were then
 computed one sentence at a time; this script now encodes the sentences
-as one batch and takes each sentence's rows of its padded emissions.
+as one batch, whose (R, K) emissions hold each sentence's rows in order.
 
 Each model is built from one synthetic corpus and trained (dims
 30/5/6/12, dropout 0.5) on a second corpus whose vocabulary is larger,
@@ -82,8 +82,7 @@ def tagger_model():
 def emissions(model) -> np.ndarray:
     """Emission rows of the first tag_corpus() sentences, stacked in order."""
     batch = encode_batch(model.encoder, tag_corpus()[:EMISSION_SENTENCES])
-    padded, _ = encode_forward(model.encoder, batch)
-    return np.concatenate([rows[:length] for rows, length in zip(padded, batch.lengths)])
+    return encode_forward(model.encoder, batch)[0]
 
 
 def tag_sha256(model) -> str:

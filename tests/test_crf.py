@@ -298,12 +298,11 @@ class TestIob2Mask:
 IOB2_TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
 
 
-def padded_batch(rng, trial):
-    """Random parameters, masks and 1..5 emission matrices of lengths 1..4,
-    right-padded with NaN, which the batch functions must never read.
-    Odd trials use zero scores, the IOB2 masks and small integer
-    emissions, so that masked entries and exact ties occur; even trials
-    have no masks."""
+def concatenated_batch(rng, trial):
+    """Random parameters, masks, and 1..5 emission matrices of lengths 1..4
+    concatenated into (R, K) rows, plus the lengths.  Odd trials use zero
+    scores, the IOB2 masks and small integer emissions, so that masked
+    entries and exact ties occur; even trials have no masks."""
     masked = trial % 2 == 1
     k = len(IOB2_TAGS) if masked else int(rng.integers(1, 5))
     params = CrfParams(
@@ -313,40 +312,46 @@ def padded_batch(rng, trial):
     if masked:
         params, masks = CrfParams.zeros(k), build_iob2_mask(IOB2_TAGS)
     lengths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
-    emissions = np.full((len(lengths), lengths.max(), k), np.nan)
-    for n, length in enumerate(lengths):
-        scores = rng.integers(-1, 2, size=(length, k)) if masked else rng.uniform(-3, 3, (length, k))
-        emissions[n, :length] = scores
+    emissions = np.concatenate([
+        rng.integers(-1, 2, size=(length, k)) if masked else rng.uniform(-3, 3, (length, k))
+        for length in lengths
+    ]).astype(np.float64)
     return params, masks, emissions, lengths
+
+
+def sequence_slices(lengths):
+    """The slice of the concatenated rows that each sequence owns."""
+    ends = np.cumsum(lengths)
+    return [slice(end - length, end) for end, length in zip(ends, lengths)]
 
 
 class TestBatches:
     def test_loss_and_gradients_sum_over_rows(self):
         rng = np.random.default_rng(5)
         for trial in range(30):
-            params, masks, emissions, lengths = padded_batch(rng, trial)
-            gold = np.zeros(emissions.shape[:2], dtype=np.int64)
+            params, masks, emissions, lengths = concatenated_batch(rng, trial)
+            gold = np.zeros(len(emissions), dtype=np.int64)
             rows = []
-            for n, length in enumerate(lengths):
+            for here, length in zip(sequence_slices(lengths), lengths):
                 paths = list(enumerate_legal_paths(params, length, masks))
-                gold[n, :length] = paths[int(rng.integers(len(paths)))]
-                row = nll_loss_and_grad(params, emissions[n, :length], gold[n, :length], masks=masks)
+                gold[here] = paths[int(rng.integers(len(paths)))]
+                row = nll_loss_and_grad(params, emissions[here], gold[here], masks=masks)
                 rows.append(row)
             loss, d_em, grads = nll_loss_and_grad(params, emissions, gold, lengths, masks=masks)
             assert abs(loss - sum(row[0] for row in rows)) <= 1e-12 * max(1.0, abs(loss))
-            for n, length in enumerate(lengths):
-                assert np.max(np.abs(d_em[n, :length] - rows[n][1])) <= 1e-12
-                assert not d_em[n, length:].any()
+            assert d_em.shape == emissions.shape
+            for here, row in zip(sequence_slices(lengths), rows):
+                assert np.max(np.abs(d_em[here] - row[1])) <= 1e-12
             for name, grad in grads.items():
                 assert np.max(np.abs(grad - sum(row[2][name] for row in rows))) <= 1e-12, name
 
     def test_viterbi_rows_match_single_decoding(self):
         rng = np.random.default_rng(6)
         for trial in range(40):
-            params, masks, emissions, lengths = padded_batch(rng, trial)
+            params, masks, emissions, lengths = concatenated_batch(rng, trial)
             paths, scores = viterbi_decode(params, emissions, lengths, masks=masks)
-            for n, length in enumerate(lengths):
-                path, score = viterbi_decode(params, emissions[n, :length], masks=masks)
+            for n, here in enumerate(sequence_slices(lengths)):
+                path, score = viterbi_decode(params, emissions[here], masks=masks)
                 assert paths[n] == path
                 assert scores[n] == score
 
@@ -361,13 +366,12 @@ class TestBatches:
         for _ in range(150):
             params = CrfParams(rng.uniform(-2, 2, (k, k)), rng.uniform(-2, 2, k), rng.uniform(-2, 2, k))
             lengths = rng.integers(1, 7, size=int(rng.integers(1, 5)))
-            emissions = np.full((len(lengths), lengths.max(), k), np.nan)
-            for n, length in enumerate(lengths):
-                emissions[n, :length] = rng.uniform(-2, 2, (length, k))
+            emissions = np.concatenate([rng.uniform(-2, 2, (length, k)) for length in lengths])
             free_rows = zip(*viterbi_decode(params, emissions, lengths))
             masked_rows = zip(*viterbi_decode(params, emissions, lengths, masks=masks))
-            for n, (batch_free, batch_masked) in enumerate(zip(free_rows, masked_rows)):
-                single = emissions[n, : lengths[n]]
+            rows = zip(free_rows, masked_rows, sequence_slices(lengths))
+            for batch_free, batch_masked, here in rows:
+                single = emissions[here]
                 singles = viterbi_decode(params, single), viterbi_decode(params, single, masks=masks)
                 for got, want in ((batch_free, batch_masked), singles):
                     path = got[0]
@@ -378,11 +382,14 @@ class TestBatches:
         assert 0 < legal < total
 
     def test_lengths_checked(self):
-        emissions = np.zeros((2, 3, 2))
-        for lengths in ([0, 3], [1, 4], [3]):
-            with pytest.raises(ValueError):
+        emissions = np.zeros((6, 2))
+        # a zero or negative length, sums other than the 6 rows, no length, a 2-D array
+        for lengths in ([0, 6], [7, -1], [1, 4], [3, 4], [5], [], [[3, 3]]):
+            with pytest.raises(ValueError, match="lengths must be at least 1 and sum to the 6"):
                 viterbi_decode(CrfParams.zeros(2), emissions, np.array(lengths))
+            with pytest.raises(ValueError, match="lengths must be at least 1 and sum to the 6"):
+                nll_loss_and_grad(CrfParams.zeros(2), emissions, np.zeros(6, int), lengths)
         with pytest.raises(ValueError, match="gold paths"):
             nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1, 1])
-        with pytest.raises(ValueError, match="gold paths"):
-            nll_loss_and_grad(CrfParams.zeros(2), emissions, np.zeros((2, 2), int), [3, 3])
+        with pytest.raises(ValueError, match="gold paths"):  # gold as (N, T) is not (R,)
+            nll_loss_and_grad(CrfParams.zeros(2), emissions, np.zeros((2, 3), int), [3, 3])

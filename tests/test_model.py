@@ -7,8 +7,9 @@ from helpers import NUMBER_FIELDS, float_or_none, same_float
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amner.corpus import FormatError
+from amner.corpus import FormatError, Sentence, TagScheme, Token, tag_from_str
 from amner.model import (
+    Batch,
     BiLstmParams,
     EmbeddingTable,
     SparseRows,
@@ -83,7 +84,7 @@ def char_vectors(enc, words):
 
 
 def emissions_of(enc, sentences, rng=None):
-    """Emissions (N, T, K) of a batch, as the trainer and tagger compute them."""
+    """Emissions (R, K) of a batch, as the trainer and tagger compute them."""
     return encode_forward(enc, encode_batch(enc, sentences), rng=rng)[0]
 
 
@@ -333,8 +334,8 @@ class TestEncodeSentence:
 
     def test_shape(self):
         enc = tiny_encoder()
-        assert emissions_of(enc, [self.WORDS]).shape == (1, 3, 3)
-        assert emissions_of(enc, [self.WORDS, ["beta"]]).shape == (2, 3, 3)
+        assert emissions_of(enc, [self.WORDS]).shape == (3, 3)
+        assert emissions_of(enc, [self.WORDS, ["beta"]]).shape == (4, 3)
 
     def test_zero_dropout_train_equals_infer(self):
         enc = tiny_encoder(dropout=0.0)
@@ -346,7 +347,7 @@ class TestEncodeSentence:
         enc = tiny_encoder()
         enc.proj_w[:] = 0.0
         enc.proj_b[:] = 0.0
-        assert np.array_equal(emissions_of(enc, [self.WORDS]), np.zeros((1, 3, 3)))
+        assert np.array_equal(emissions_of(enc, [self.WORDS]), np.zeros((3, 3)))
 
     def test_train_mode_deterministic_by_seed(self):
         enc = tiny_encoder(dropout=0.5)
@@ -380,13 +381,12 @@ class TestEncodeSentence:
 
 class TestEncoderGradients:
     def test_matches_finite_differences(self):
-        # scalar functional: emissions weighted by a fixed random array, zero
-        # past each sentence's end, over a batch of two sentences
+        # scalar functional: emissions weighted by a fixed random array,
+        # over a batch of two sentences
         rng = np.random.default_rng(42)
         enc = tiny_encoder(seed=5)
         sentences = [["alpha", "zzz", "beta"], ["gamma", "beta"]]
-        weights = rng.normal(size=(2, 3, enc.num_tags))
-        weights[1, 2] = 0.0
+        weights = rng.normal(size=(5, enc.num_tags))
 
         _, cache = encode_forward(enc, encode_batch(enc, sentences))
         grads = encode_backward(enc, cache, weights)
@@ -552,41 +552,30 @@ class TestBatchEncoding:
         enc.dropout_rate = 0.5
         batched = emissions_of(enc, self.SENTENCES, rng=np.random.default_rng(1))
         rng = np.random.default_rng(1)  # one stream, drawn sentence after sentence
-        for n, words in enumerate(self.SENTENCES):
-            alone = emissions_of(enc, [words], rng=rng)[0]
-            assert np.max(np.abs(batched[n, : len(words)] - alone)) <= 1e-12
+        start = 0
+        for words in self.SENTENCES:
+            alone = emissions_of(enc, [words], rng=rng)
+            assert np.max(np.abs(batched[start : start + len(words)] - alone)) <= 1e-12
+            start += len(words)
+        assert start == len(batched)
 
     def test_gradients_equal_sum_over_sentences(self):
         enc = random_char_encoder(8)
         rng = np.random.default_rng(2)
-        d_emissions = rng.normal(size=(len(self.SENTENCES), 4, enc.num_tags))
+        d_emissions = rng.normal(size=(sum(map(len, self.SENTENCES)), enc.num_tags))
         _, cache = encode_forward(enc, encode_batch(enc, self.SENTENCES))
-        got = encode_backward(enc, cache, d_emissions)  # padding of d_emissions is ignored
+        got = encode_backward(enc, cache, d_emissions)
         want = {name: np.zeros_like(arr) for name, arr in enc.tensors().items()}
-        for n, words in enumerate(self.SENTENCES):
+        start = 0
+        for words in self.SENTENCES:
             _, one_cache = encode_forward(enc, encode_batch(enc, [words]))
-            one = encode_backward(enc, one_cache, d_emissions[n : n + 1, : len(words)])
+            one = encode_backward(enc, one_cache, d_emissions[start : start + len(words)])
+            start += len(words)
             for name, grad in one.items():
                 want[name] += grad.to_dense() if isinstance(grad, SparseRows) else grad
         for name, grad in got.items():
             dense = grad.to_dense() if isinstance(grad, SparseRows) else grad
             assert np.max(np.abs(dense - want[name])) <= 1e-12, name
-
-    def test_padded_d_emissions_change_no_gradient(self):
-        enc = random_char_encoder(10)
-        enc.dropout_rate = 0.5
-        rng = np.random.default_rng(3)
-        batch = encode_batch(enc, self.SENTENCES)
-        emissions, cache = encode_forward(enc, batch, rng=rng)
-        d_emissions = rng.normal(size=emissions.shape)
-        got = encode_backward(enc, cache, d_emissions)
-        padded = np.arange(emissions.shape[1]) >= batch.lengths[:, None]
-        d_emissions[padded] = rng.normal(scale=1e6, size=d_emissions[padded].shape)
-        again = encode_backward(enc, cache, d_emissions)
-        for name, grad in got.items():
-            if isinstance(grad, SparseRows):
-                grad, again[name] = grad.to_dense(), again[name].to_dense()
-            assert np.array_equal(again[name], grad), name
 
     def test_type_vectors_are_reused_and_extended(self):
         enc = random_char_encoder(9)
@@ -601,3 +590,34 @@ class TestBatchEncoding:
         batch = encode_batch(enc, [["beta"]])
         assert not np.allclose(encode_forward(enc, batch, type_vectors=type_vectors)[0],
                                emissions_of(enc, [["beta"]]))
+
+
+TAKE_TAGS = ["O", "B-PER", "I-PER", "B-LOC"]
+# few words, so that they repeat; "zzz" and "ab" are out of the word vocabulary
+_TAGGED_SENTENCES = st.lists(
+    st.lists(st.tuples(st.sampled_from(["alpha", "beta", "gamma", "zzz", "ab"]),
+                       st.sampled_from(TAKE_TAGS)), min_size=1, max_size=4),
+    min_size=1, max_size=7,
+)
+
+
+class TestBatchTake:
+    @settings(max_examples=100, deadline=None)
+    @given(raw=_TAGGED_SENTENCES, data=st.data())
+    def test_equals_encoding_the_taken_sentences(self, raw, data):
+        enc = tiny_encoder()
+        index = {tag: idx for idx, tag in enumerate(TAKE_TAGS)}
+        sentences = [
+            Sentence(tuple(Token(word, tag_from_str(tag, TagScheme.IOB2)) for word, tag in pairs))
+            for pairs in raw
+        ]
+        ids = data.draw(st.lists(st.integers(0, len(sentences) - 1), min_size=1, unique=True))
+        got = encode_batch(enc, sentences, index).take(ids)
+        want = encode_batch(enc, [sentences[i] for i in ids], index)
+        for field in dataclasses.fields(Batch):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+        assert encode_batch(enc, sentences).take(ids).tags is None

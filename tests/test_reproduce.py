@@ -67,6 +67,22 @@ def test_max_sentences_below_one_is_a_usage_error(tmp_path, capsys, value):
     assert f"argument --max-sentences: must be at least 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_smote_k_below_one_is_a_usage_error(tmp_path, capsys, value):
+    # refused while parsing, not after the sentence-oversample run has trained
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(write_corpus(synthetic_corpus(6, seed=6), TagScheme.IOB2), encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        load_script().main([
+            "--corpus", str(corpus), "--smote-k", value, "--protocol", "smote",
+            "--epochs", "1", "--word-dim", "4", "--allow-stats-mismatch",
+        ])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --smote-k: must be at least 1, got {value}" in captured.err
+    assert "F1" not in captured.out
+
+
 @pytest.mark.parametrize("case, message", [
     ("no-tag-column", "error: line 2: "),
     ("missing-corpus", "error: [Errno 2] No such file or directory"),

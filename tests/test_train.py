@@ -6,6 +6,8 @@ import pytest
 from helpers import synthetic_corpus
 
 import amner.train as train_mod
+from amner.corpus import O_TAG, Sentence, TagScheme, Token, tag_from_str
+from amner.model import encode_batch
 from amner.serialize import model_from_bytes
 from amner.train import (
     AdamState,
@@ -45,12 +47,19 @@ def tiny_model(corpus, seed=0, dropout=0.0, extra_vocab=()):
     )
 
 
+def tagged_batch(model, sentences):
+    """``sentences`` encoded for the loss: gold tags included."""
+    return encode_batch(model.encoder, sentences, model.tag_index)
+
+
 def dense_adam_train(sentences, model, config, limit=None):
     """train_model's batch loop with Adam and the word-table gradient over
     the model's whole table: the reference for its training on a view of
-    the reachable rows.  Stops before batch ``limit``, counted over all
-    epochs from 0, when given.  Returns (loss, grad_norm_mean,
-    grad_norm_max) per completed epoch."""
+    the reachable rows.  Each batch is encoded on its own, which also
+    checks train_model's gathering of batches from the encoded corpus.
+    Stops before batch ``limit``, counted over all epochs from 0, when
+    given.  Returns (loss, grad_norm_mean, grad_norm_max) per completed
+    epoch."""
     params = model.tensors()
     state = AdamState.for_params(params)
     word_grad = np.zeros_like(params["word_table.matrix"])
@@ -63,7 +72,7 @@ def dense_adam_train(sentences, model, config, limit=None):
             if done == limit:
                 return logs
             done += 1
-            loss, grads = sentence_loss_and_grads(model, batch, rng=rng)
+            loss, grads = sentence_loss_and_grads(model, tagged_batch(model, batch), rng=rng)
             norms.append(clip_global_norm(grads, config.clip_norm))
             sparse = grads["word_table.matrix"]
             word_grad[sparse.rows] = sparse.values
@@ -292,7 +301,7 @@ class TestModelAssembly:
     def test_loss_positive_at_init(self):
         corpus = synthetic_corpus(4, seed=3)
         model = tiny_model(corpus)
-        assert sentence_loss_and_grads(model, corpus[:1])[0] > 0
+        assert sentence_loss_and_grads(model, tagged_batch(model, corpus[:1]))[0] > 0
 
 
 class TestTraining:
@@ -383,6 +392,17 @@ class TestTraining:
             dev=corpus,
         )
         assert len(logs) < 50  # dev F1 saturates quickly on a memorized corpus
+
+    def test_unknown_tag_stops_training_before_any_update(self):
+        corpus = synthetic_corpus(12, seed=33)
+        model = tiny_model(corpus, seed=33)
+        before = {name: arr.copy() for name, arr in model.tensors().items()}
+        misc = Sentence((Token("w0", tag_from_str("B-MISC", TagScheme.IOB2)), Token("w1", O_TAG)))
+        # the corpus is checked whole, before the batch that holds this sentence
+        with pytest.raises(ValueError, match="tag 'B-MISC' not in the model's tag vocabulary"):
+            train_model(corpus + [misc], model, TrainConfig(max_epochs=1, batch_size=2, dropout=0.0))
+        for name, arr in model.tensors().items():
+            assert arr.tobytes() == before[name].tobytes(), name
 
     @pytest.mark.parametrize("dropout", [0.1, 0.9])
     def test_dropout_other_than_the_models_is_refused(self, dropout):
@@ -509,8 +529,9 @@ class TestGradientCheck:
         corpus = synthetic_corpus(2, seed=19, min_len=2, max_len=4)
         dims = dict(word_dim=3, char_dim=2, char_hidden=2, word_hidden=2, dropout=0.0, seed=19)
         model = build_model(corpus, masked_training=True, **dims)
-        free = sentence_loss_and_grads(build_model(corpus, **dims), corpus[:1])[0]
-        assert sentence_loss_and_grads(model, corpus[:1])[0] < free
+        free_model = build_model(corpus, **dims)
+        free = sentence_loss_and_grads(free_model, tagged_batch(free_model, corpus[:1]))[0]
+        assert sentence_loss_and_grads(model, tagged_batch(model, corpus[:1]))[0] < free
         result = gradient_check(model, corpus[0])
         assert result.passed, result.render()
 
