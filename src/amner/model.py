@@ -237,25 +237,27 @@ def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
     outs[r] holding both directions' states after row r.
 
     Internally the kernel works in the packed layout of :func:`_pack`:
-    one batched GEMM computes every position's input projection for both
-    directions, and one time loop steps both directions over the prefix
-    of rows still running.  The cache holds xs (2, R, D) as each
-    direction reads it, hs and cs (2, counts[0] + R, H) whose first
-    counts[0] rows are the zero initial states and row counts[0] + p the
-    state after position p, gates (2, R, 4, H) holding f, i, g, o,
-    tanh_c (2, R, H) and the layout.
+    one GEMM per direction computes every position's input projection,
+    and one time loop steps both directions over the prefix of rows
+    still running.  The cache holds the caller's xs, not a copy, so xs
+    must not change before the backward pass; hs and cs (2, counts[0] +
+    R, H) whose first counts[0] rows are the zero initial states and row
+    counts[0] + p the state after position p; gates (2, R, 4, H) holding
+    f, i, g, o; tanh_c (2, R, H); and the layout.
     """
     if not lengths.all():
         raise ValueError("cannot run a BiLSTM over an empty sequence")
     pack = counts, starts, fwd, rev, prev = _pack(lengths)
     hidden, first = params.hidden, counts[0]
-    xs = np.stack([xs[fwd], xs[rev]])
-    gates = xs @ params.w_x.transpose(0, 2, 1)
+    gates = np.empty((2, len(fwd), 4 * hidden))
+    for d, idx in enumerate((fwd, rev)):
+        np.matmul(xs[idx], params.w_x[d].T, out=gates[d])
     gates += params.b[:, None]
     gates = gates.reshape(2, -1, 4, hidden)
     # an overflowed product would saturate the gates instead of propagating
-    # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN
-    if not np.isfinite(gates).all():
+    # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN;
+    # min and max propagate NaN, and an infinity is one of them
+    if not (np.isfinite(gates.min()) and np.isfinite(gates.max())):
         raise ValueError("non-finite LSTM input projection")
     hs, cs = np.zeros((2, 2, first + gates.shape[1], hidden))
     tanh_c = np.empty(gates.shape[:2] + (hidden,))
@@ -287,7 +289,8 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     One reverse time loop over both directions only collects the gate
     pre-activation gradients d_a of the R positions, each row joining
     with zero carries at its last step; the weight and input gradients
-    are then batched GEMMs over them.
+    are then GEMMs over them, the input weights' one direction at a time
+    over that direction's gather of the cached xs.
     """
     xs, hs, cs, gates, tanh_c, (counts, starts, fwd, rev, prev) = cache
     _, total, _, hidden = gates.shape
@@ -320,9 +323,10 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     d_a2_t = d_a2.transpose(0, 2, 1)
     peep_in = (c_prev, c_prev, cs[:, counts[0]:])
     d_p = [(d_a[:, :, k] * s).sum(axis=1) for k, s in zip((0, 1, 3), peep_in)]
-    grads = BiLstmParams(
-        d_a2_t @ xs, d_a2_t @ hs[:, prev], np.stack(d_p, axis=1), d_a2.sum(axis=1)
-    )
+    d_w_x = np.empty_like(params.w_x)
+    for d, idx in enumerate((fwd, rev)):
+        np.matmul(d_a2_t[d], xs[idx], out=d_w_x[d])
+    grads = BiLstmParams(d_w_x, d_a2_t @ hs[:, prev], np.stack(d_p, axis=1), d_a2.sum(axis=1))
     d_packed = d_a2 @ params.w_x
     d_xs = np.empty(d_packed.shape[1:])
     d_xs[fwd] = d_packed[0]

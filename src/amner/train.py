@@ -339,24 +339,35 @@ def sentence_loss_and_grads(
     return loss, grads
 
 
-# sentences per tagging batch, taken in order of length: batches of 8 tag
-# as fast as larger ones and keep the CRF's padded tables to a few MB
-TAG_BATCH = 8
+# tokens per tagging batch.  Larger batches step the BiLSTM's time loop
+# fewer times per token; past 512 tokens they tag no faster, but their
+# arrays, the CRF's padded tables among them, keep growing
+TAG_TOKENS = 512
 
 
 def tag_sentences(model: ModelParams, sentences: Sequence[Sentence]) -> list[Sentence]:
     """Viterbi-decode each sentence under the IOB2 masks of the model's tags.
 
-    Sentences are decoded in batches of similar length, and each word
-    type's character vector is computed once per call.
+    Sentences are taken in order of length and decoded in batches of
+    consecutive ones holding at most ``TAG_TOKENS`` tokens, a longer
+    sentence alone; each word type's character vector is computed once
+    per call.
     """
     masks = crf_mod.build_iob2_mask(model.tags)
     tags = [tag_from_str(text, TagScheme.IOB2) for text in model.tags]
     type_vectors: dict[str, np.ndarray] = {}
     out: list[Sentence] = list(sentences)
     order = sorted(range(len(sentences)), key=lambda i: len(sentences[i].tokens))
-    for start in range(0, len(order), TAG_BATCH):
-        chunk = order[start : start + TAG_BATCH]
+    chunks: list[list[int]] = []
+    size = 0
+    for i in order:
+        length = len(sentences[i].tokens)
+        if not chunks or size + length > TAG_TOKENS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(i)
+        size += length
+    for chunk in chunks:
         batch = encode_batch(model.encoder, [sentences[i] for i in chunk])
         emissions, _ = encode_forward(model.encoder, batch, type_vectors=type_vectors)
         paths, _ = crf_mod.viterbi_decode(model.crf, emissions, batch.lengths, masks=masks)
@@ -402,8 +413,9 @@ def train_model(
     on the summed batch gradient, and log an :class:`EpochLog` (with
     entity F1 on ``dev`` when given).  ``on_epoch`` may return True to
     stop early; ``config.patience`` stops after that many epochs without
-    a dev F1 improvement, and is refused without ``dev``.  ``dev`` must
-    be valid IOB2, and ``config.dropout`` must equal the model's rate.
+    a dev F1 improvement, and is refused without ``dev``.  ``sentences``
+    and ``dev`` must be valid IOB2, which is checked before any update,
+    and ``config.dropout`` must equal the model's rate.
 
     The corpus is encoded once, gold tags included, and each batch is
     gathered from it.  Training reads and updates a view of the model
@@ -425,11 +437,11 @@ def train_model(
             f"config dropout {config.dropout!r} differs from the model's rate "
             f"{model.encoder.dropout_rate!r}, which training uses"
         )
-    if dev is not None:
+    for name, part in (("training set", sentences), ("dev set", dev or ())):
         try:
-            check_valid(dev, TagScheme.IOB2)
+            check_valid(part, TagScheme.IOB2)
         except ValueError as exc:
-            raise ValueError(f"dev set: {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
     table = model.encoder.word_table
     seen = {word for sentence in sentences for word in sentence.surfaces}
     words = sorted(seen & table.vocab.keys(), key=table.vocab.get)

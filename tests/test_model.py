@@ -255,6 +255,23 @@ class TestBilstm:
             _bilstm_forward(params, np.zeros((2, 2, 2)), np.array([2, 0]))
 
 
+class TestNonFiniteProjection:
+    """The kernel refuses an input projection with a NaN or an infinity."""
+
+    @pytest.mark.parametrize("case", ["nan-row", "inf-row", "overflow"])
+    def test_rejected(self, case):
+        rng = np.random.default_rng(5)
+        params = BiLstmParams.random(3, 2, rng)
+        xs = rng.normal(size=(7, 3))
+        if case == "overflow":  # one row's products are finite, their sum is not
+            params.w_x[:] = 1e300
+            xs[4] = np.abs(xs[4]) + 1e8
+        else:
+            xs[4, 1] = np.nan if case == "nan-row" else np.inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite LSTM input"):
+            _bilstm_forward(params, xs, np.array([4, 3]))
+
+
 class TestPackedKernel:
     """Concatenated sequences, run through the packed kernel, equal one run per sequence."""
 

@@ -4,6 +4,8 @@ import numpy as np
 import parity
 import pytest
 from helpers import synthetic_corpus
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import amner.train as train_mod
 from amner.corpus import O_TAG, Sentence, TagScheme, Token, tag_from_str
@@ -404,12 +406,69 @@ class TestTraining:
         for name, arr in model.tensors().items():
             assert arr.tobytes() == before[name].tobytes(), name
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_invalid_iob2_training_set_stops_before_any_update(self, masked):
+        corpus = synthetic_corpus(12, seed=35)
+        model = build_model(
+            corpus, word_dim=8, char_dim=3, char_hidden=3, word_hidden=4,
+            dropout=0.0, seed=35, masked_training=masked,
+        )
+        before = {name: arr.copy() for name, arr in model.tensors().items()}
+        stray = Sentence((Token("w0", O_TAG), Token("w1", tag_from_str("I-PER", TagScheme.IOB2))))
+        with pytest.raises(ValueError, match="training set: sentence 12, token 1: invalid under iob2"):
+            train_model(corpus + [stray], model, TrainConfig(max_epochs=1, batch_size=2, dropout=0.0))
+        for name, arr in model.tensors().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
     @pytest.mark.parametrize("dropout", [0.1, 0.9])
     def test_dropout_other_than_the_models_is_refused(self, dropout):
         corpus = synthetic_corpus(3, seed=17)
         model = tiny_model(corpus, seed=17, dropout=0.5)
         with pytest.raises(ValueError, match="differs from the model's rate 0.5"):
             train_model(corpus, model, TrainConfig(max_epochs=1, dropout=dropout))
+
+
+class TestTokenBudgetTagging:
+    """tag_sentences packs length-sorted sentences greedily into batches of
+    at most TAG_TOKENS tokens, a longer sentence alone, and batching
+    changes no path.  The budget is patched down to BUDGET tokens so that
+    small draws cross batch boundaries."""
+
+    BUDGET = 6
+    CORPUS = synthetic_corpus(8, seed=41)
+    MODEL = tiny_model(CORPUS, seed=41)
+    # two out-of-vocabulary words, one of them of unseen characters
+    WORDS = sorted({w for s in CORPUS for w in s.surfaces}) + ["w99", "\u1230\u120b"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=9), max_size=8))
+    @example(raw=[["w0", "w1"], ["per0", "w2"]])  # under the budget
+    @example(raw=[["w0", "w1", "w2"], ["loc1", "loc2", "w3"]])  # exactly at it
+    @example(raw=[["w0"] * 4, ["org3"] * 4, ["w5"] * 4])  # over it, lengths tied
+    @example(raw=[["w1"] * 9, ["w99"], ["per1"] * 9, ["w2"] * 5])  # longer than it
+    def test_paths_equal_tagging_each_sentence_alone(self, raw):
+        sentences = [Sentence(tuple(Token(word, O_TAG) for word in words)) for words in raw]
+        batches = []
+
+        def recording(params, batch_sentences, tag_index=None):
+            batches.append([len(s.tokens) for s in batch_sentences])
+            return encode_batch(params, batch_sentences, tag_index)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(train_mod, "TAG_TOKENS", self.BUDGET)
+            patch.setattr(train_mod, "encode_batch", recording)
+            got = tag_sentences(self.MODEL, sentences)
+        alone = [tag_sentences(self.MODEL, [sentence])[0] for sentence in sentences]
+        assert got == alone
+
+        assert [n for lengths in batches for n in lengths] == sorted(len(w) for w in raw)
+        for lengths in batches:
+            assert sum(lengths) <= self.BUDGET or len(lengths) == 1
+        for lengths, after in zip(batches, batches[1:]):
+            assert sum(lengths) + after[0] > self.BUDGET
+
+    def test_no_sentences(self):
+        assert tag_sentences(self.MODEL, []) == []
 
 
 class TestCompactWordTableAdam:
