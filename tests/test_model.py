@@ -254,12 +254,8 @@ class TestBilstm:
         with pytest.raises(ValueError, match="empty"):  # an empty row among others
             _bilstm_forward(params, np.zeros((2, 2, 2)), np.array([2, 0]))
 
-
-class TestNonFiniteProjection:
-    """The kernel refuses an input projection with a NaN or an infinity."""
-
     @pytest.mark.parametrize("case", ["nan-row", "inf-row", "overflow"])
-    def test_rejected(self, case):
+    def test_non_finite_input_projection_rejected(self, case):
         rng = np.random.default_rng(5)
         params = BiLstmParams.random(3, 2, rng)
         xs = rng.normal(size=(7, 3))
