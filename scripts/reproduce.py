@@ -271,11 +271,17 @@ def run(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:  # argparse prints the message and exits 2
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(minimum: int):
+    """An argparse type for integers of at least ``minimum``; argparse
+    prints its message and exits 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
 def main(argv=None) -> int:
@@ -286,15 +292,15 @@ def main(argv=None) -> int:
     parser.add_argument("--protocol", choices=("all", "kfold", "two-thirds", "smote"),
                         default="all")
     parser.add_argument("--scheme", type=tag_scheme, default="iob2")
-    parser.add_argument("--folds", type=int, default=10)
+    parser.add_argument("--folds", type=int_at_least(2), default=10)
     parser.add_argument("--epochs", type=int, default=50)
     parser.add_argument("--batch", type=int, default=20)
     parser.add_argument("--lr", type=float, default=0.001)
     parser.add_argument("--dropout", type=float, default=0.5)
     parser.add_argument("--word-dim", type=int, default=300)
-    parser.add_argument("--smote-k", type=positive_int, default=5)
+    parser.add_argument("--smote-k", type=int_at_least(1), default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-sentences", type=positive_int, default=None,
+    parser.add_argument("--max-sentences", type=int_at_least(1), default=None,
                         help="subsample the corpus for smoke runs (stats check is skipped)")
     parser.add_argument("--allow-stats-mismatch", action="store_true")
     args = parser.parse_args(argv)

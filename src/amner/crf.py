@@ -13,9 +13,11 @@ marginals behind the loss gradient are computed in the log domain.
 
 The loss and Viterbi decoding take the (R, K) emissions of N sequences
 concatenated in order, plus each sequence's length; a single (L, K)
-matrix without lengths is one sequence.  Only the recursions see
-padding: they zero-pad to (N, T, K) and step all N sequences at once,
-with the same per-sequence operations as on one, never reading past an end.
+matrix without lengths is one sequence.  No array of the CRF or of the
+model holds padding: the recursions step all N sequences at once in the
+packed layout of :func:`_pack`, which the BiLSTM kernel of
+:mod:`amner.model` shares, with the same per-sequence operations as on
+one, and scatter their tables back to the concatenated rows.
 """
 
 from __future__ import annotations
@@ -83,55 +85,93 @@ def _scores(params: CrfParams, masks) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return trans, np.where(start_mask, params.start_scores, NEG_INF), params.end_scores
 
 
-def _as_batch(params: CrfParams, emissions: np.ndarray, lengths):
-    """(emissions zero-padded to (N, T, K), lengths (N,), valid (N, T)) of (R, K) emissions."""
+def _pack(lengths: np.ndarray):
+    """(counts, starts, fwd, rev, prev, order): the packed, step-major
+    layout of sequences with ``lengths``, concatenated in order.
+
+    Rows are taken longest first, ties in row order; ``order`` lists them
+    so.  The rows still running at step t are then the first counts[t]
+    of them, and step t owns the packed positions starts[t] .. starts[t]
+    + counts[t], the row order[s] at starts[t] + s.  ``fwd`` and ``rev``
+    give each packed position's index into the concatenated sequences as
+    the forward and the reverse direction read it.  prev[p] is the state
+    that position p starts from, in state arrays whose first counts[0]
+    rows are zero.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    counts = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # rows longer than t
+    starts = np.cumsum(counts) - counts
+    step = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(counts.sum()) - starts[step]
+    rows = order[slot]
+    # step 0 reads the zero states, step t > 0 the states step t - 1 wrote
+    reads = np.concatenate([[0], counts[0] + starts[:-1]])
+    ends = np.cumsum(lengths)[rows]
+    fwd, rev = ends - lengths[rows] + step, ends - 1 - step
+    return counts.tolist(), starts.tolist(), fwd, rev, reads[step] + slot, order
+
+
+def _unpack(packed: np.ndarray, fwd: np.ndarray) -> np.ndarray:
+    """A packed array's rows in the concatenated layout."""
+    out = np.empty_like(packed)
+    out[fwd] = packed
+    return out
+
+
+def _layout(params: CrfParams, emissions: np.ndarray, lengths):
+    """(packed (R, K), lengths (N,), pack) of checked (R, K) emissions:
+    ``pack`` is :func:`_pack` of the lengths, ``packed`` the emissions in
+    its layout."""
     emissions = np.asarray(emissions, dtype=np.float64)
     if emissions.ndim != 2 or not len(emissions) or emissions.shape[1] != params.num_tags:
         raise ValueError(f"emissions must be (R, {params.num_tags}) with R >= 1, got {emissions.shape}")
     lengths = np.asarray(emissions.shape[:1] if lengths is None else lengths, dtype=np.int64)
     if lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != len(emissions):
         raise ValueError(f"lengths must be at least 1 and sum to the {len(emissions)} emission rows")
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    padded = np.zeros(valid.shape + emissions.shape[1:])
-    padded[valid] = emissions
-    return padded, lengths, valid
+    pack = _pack(lengths)
+    return emissions[pack[2]], lengths, pack
 
 
-def _path_scores(scores, emissions: np.ndarray, tags: np.ndarray, lengths) -> np.ndarray:
-    """Score (N,) of each row's tag path over its first lengths[n]
-    positions under ``scores`` from :func:`_scores`; raises if a path
-    crosses a masked entry."""
+def _path_scores(scores, packed: np.ndarray, tags: np.ndarray, lengths, pack) -> np.ndarray:
+    """Score (N,) of each sequence's path in the concatenated ``tags``
+    (R,) under ``scores`` from :func:`_scores`; raises if a path crosses
+    a masked entry."""
     trans, start, end = scores
-    rows = np.arange(len(lengths))
-    total = np.zeros(len(lengths))
-    for pos in range(emissions.shape[1]):
-        live, cur = pos < lengths, tags[:, pos]
-        score = start[cur] if pos == 0 else trans[tags[:, pos - 1], cur]
-        bad = np.flatnonzero(live & (score == NEG_INF))
+    counts, starts, fwd, _, _, order = pack
+    steps = tags[fwd]
+    total = np.zeros(counts[0])
+    for pos, (n, lo, prev) in enumerate(zip(counts, starts, [0] + starts)):
+        cur = steps[lo:lo + n]
+        score = start[cur] if pos == 0 else trans[steps[prev:prev + n], cur]
+        bad = np.flatnonzero(score == NEG_INF)
         if bad.size:
-            raise ValueError(f"row {bad[0]}: tag {cur[bad[0]]} at position {pos} is masked out")
-        total = np.where(live, total + (score + emissions[rows, pos, cur]), total)
-    return total + end[tags[rows, lengths - 1]]
+            slot = bad[np.argmin(order[bad])]
+            raise ValueError(f"row {order[slot]}: tag {cur[slot]} at position {pos} is masked out")
+        total[:n] += score + packed[np.arange(lo, lo + n), cur]
+    return total[np.argsort(order)] + end[tags[np.cumsum(lengths) - 1]]
 
 
 def score_sequence(params: CrfParams, emissions: np.ndarray, tags, masks=None) -> float:
     """Score of one tag path; raises if the path crosses a masked entry."""
-    emissions, lengths, _ = _as_batch(params, emissions, None)
-    tags = np.array([list(tags)], dtype=np.int64)
-    if tags.shape[1] != emissions.shape[1]:
-        raise ValueError(f"path length {tags.shape[1]} != sequence length {emissions.shape[1]}")
-    return float(_path_scores(_scores(params, masks), emissions, tags, lengths)[0])
+    packed, lengths, pack = _layout(params, emissions, None)
+    tags = np.array(list(tags), dtype=np.int64)
+    if len(tags) != len(packed):
+        raise ValueError(f"path length {len(tags)} != sequence length {len(packed)}")
+    return float(_path_scores(_scores(params, masks), packed, tags, lengths, pack)[0])
 
 
-def _forward(scores, emissions: np.ndarray, lengths: np.ndarray):
-    """(alpha (N, T, K), log_z (N,)): alpha[n, l, k] is the log-sum of the
-    scores of all legal prefixes of row n that end at position l with tag k."""
+def _forward(scores, packed: np.ndarray, lengths: np.ndarray, pack):
+    """(alpha (R, K), log_z (N,)): alpha[r, k] is the log-sum of the scores
+    of all legal prefixes of r's sequence that end at row r with tag k,
+    in the concatenated layout."""
     trans, start, end = scores
-    alpha = np.empty_like(emissions)
-    alpha[:, 0] = start + emissions[:, 0]
-    for pos in range(1, emissions.shape[1]):
-        alpha[:, pos] = emissions[:, pos] + _logsumexp(alpha[:, pos - 1, :, None] + trans, axis=1)
-    log_z = _logsumexp(alpha[np.arange(len(lengths)), lengths - 1] + end, axis=1)
+    counts, starts, fwd = pack[:3]
+    alpha = packed.copy()
+    alpha[:counts[0]] += start
+    for n, lo, prev in zip(counts[1:], starts[1:], starts):
+        alpha[lo:lo + n] += _logsumexp(alpha[prev:prev + n, :, None] + trans, axis=1)
+    alpha = _unpack(alpha, fwd)
+    log_z = _logsumexp(alpha[np.cumsum(lengths) - 1] + end, axis=1)
     if np.isnan(log_z).any():
         raise ValueError("non-finite scores in the partition computation")
     if (log_z == NEG_INF).any():
@@ -141,26 +181,26 @@ def _forward(scores, emissions: np.ndarray, lengths: np.ndarray):
 
 def forward_log_partition(params: CrfParams, emissions: np.ndarray, masks=None) -> float:
     """log sum over all mask-legal paths of exp(path score)."""
-    emissions, lengths, _ = _as_batch(params, emissions, None)
-    return float(_forward(_scores(params, masks), emissions, lengths)[1][0])
+    packed, lengths, pack = _layout(params, emissions, None)
+    return float(_forward(_scores(params, masks), packed, lengths, pack)[1][0])
 
 
-def _backward(scores, emissions: np.ndarray, lengths: np.ndarray, reduce):
+def _backward(scores, packed: np.ndarray, pack, reduce):
     """The backward recursion under ``reduce``: np.max gives Viterbi's
     suffix table, _logsumexp the marginals' beta.  Returns (inner, table),
-    both (N, T, K).  inner[n, t, i] reduces the scores of the legal
-    continuations of row n after tag i at position t, end score included;
-    it is ``end`` from the row's last position on.  table = emissions + inner.
+    both (R, K) in the packed layout.  inner[p, i] reduces the scores of
+    the legal continuations of p's sequence after tag i at position p,
+    end score included; it is ``end`` at the sequence's last position.
+    table = packed + inner.
     """
     trans, _, end = scores
-    last = (lengths - 1)[:, None]
-    inner, table = np.empty_like(emissions), np.empty_like(emissions)
-    inner[:, -1] = end
-    table[:, -1] = emissions[:, -1] + end
-    for pos in range(emissions.shape[1] - 2, -1, -1):
-        rest = reduce(trans + table[:, pos + 1, None, :], axis=2)
-        inner[:, pos] = np.where(pos >= last, end, rest)
-        table[:, pos] = emissions[:, pos] + inner[:, pos]
+    counts, starts = pack[:2]
+    inner, table = np.broadcast_to(end, packed.shape).copy(), packed.copy()
+    n_next = lo_next = 0  # step t's first n_next rows run on at step t + 1, from lo_next
+    for n, lo in zip(reversed(counts), reversed(starts)):
+        inner[lo:lo + n_next] = reduce(trans + table[lo_next:lo_next + n_next, None, :], axis=2)
+        table[lo:lo + n] += inner[lo:lo + n]
+        n_next, lo_next = n, lo
     return inner, table
 
 
@@ -172,43 +212,24 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None, masks
     rescoring of the path.
     """
     single = lengths is None
-    emissions, lengths, _ = _as_batch(params, emissions, lengths)
+    packed, lengths, pack = _layout(params, emissions, lengths)
+    counts, starts, fwd, _, _, order = pack
     scores = _scores(params, masks)
     trans, start, _ = scores
-    size, steps, _ = emissions.shape
-    _, suffix = _backward(scores, emissions, lengths, np.max)
+    _, suffix = _backward(scores, packed, pack, np.max)
 
-    totals = start + suffix[:, 0]
-    best = np.max(totals, axis=1)
+    totals = start + suffix[:counts[0]]
+    best = np.max(totals, axis=1)[np.argsort(order)]
     if np.isnan(best).any():
         raise ValueError("non-finite scores in Viterbi decoding")
     if (best == NEG_INF).any():
         raise ValueError("no legal path: the constraint mask excludes every sequence")
-    paths = np.zeros((size, steps), dtype=np.int64)
-    paths[:, 0] = np.argmax(totals, axis=1)  # argmax picks the smallest index on ties
-    for pos in range(1, steps):
-        paths[:, pos] = np.argmax(trans[paths[:, pos - 1]] + suffix[:, pos], axis=1)
-    out = [paths[n, :length].tolist() for n, length in enumerate(lengths)]
+    paths = np.empty(len(fwd), dtype=np.int64)
+    paths[:counts[0]] = np.argmax(totals, axis=1)  # argmax picks the smallest index on ties
+    for n, lo, prev in zip(counts[1:], starts[1:], starts):
+        paths[lo:lo + n] = np.argmax(trans[paths[prev:prev + n]] + suffix[lo:lo + n], axis=1)
+    out = [path.tolist() for path in np.split(_unpack(paths, fwd), np.cumsum(lengths)[:-1])]
     return (out[0], float(best[0])) if single else (out, best)
-
-
-def _posteriors(scores, emissions: np.ndarray, lengths: np.ndarray, valid: np.ndarray):
-    """Forward-backward pass; returns (log_z (N,), unary (N, T, K),
-    pairwise (N, T-1, K, K)), both zero outside ``valid`` (N, T)."""
-    alpha, log_z = _forward(scores, emissions, lengths)
-    beta, table = _backward(scores, emissions, lengths, _logsumexp)
-
-    norm = log_z[:, None, None]
-    # padded positions may overflow or meet -inf - -inf; they are zeroed below
-    with np.errstate(invalid="ignore", over="ignore"):
-        unary = np.exp(alpha + beta - norm)
-        pairwise = alpha[:, :-1, :, None] + scores[0] + table[:, 1:, None, :]
-        pairwise = np.exp(pairwise - norm[..., None])
-    unary[~valid] = 0.0
-    pairwise[~valid[:, 1:]] = 0.0
-    np.nan_to_num(unary, copy=False, nan=0.0)
-    np.nan_to_num(pairwise, copy=False, nan=0.0)
-    return log_z, unary, pairwise
 
 
 def nll_loss_and_grad(
@@ -222,29 +243,31 @@ def nll_loss_and_grad(
     Gradients are marginal expectations minus gold indicators, summed
     over the sequences.
     """
-    emissions, lengths, valid = _as_batch(params, emissions, lengths)
-    flat_gold = np.asarray(gold, dtype=np.int64)
-    if flat_gold.shape != (lengths.sum(),):
-        raise ValueError(f"gold paths {flat_gold.shape} do not match {lengths.sum()} emission rows")
-    gold = np.zeros(valid.shape, dtype=np.int64)
-    gold[valid] = flat_gold
+    packed, lengths, pack = _layout(params, emissions, lengths)
+    gold = np.asarray(gold, dtype=np.int64)
+    if gold.shape != packed.shape[:1]:
+        raise ValueError(f"gold paths {gold.shape} do not match {len(packed)} emission rows")
     scores = _scores(params, masks)
-    gold_score = _path_scores(scores, emissions, gold, lengths)  # also validates legality
-    log_z, unary, pairwise = _posteriors(scores, emissions, lengths, valid)
+    gold_score = _path_scores(scores, packed, gold, lengths, pack)  # also validates legality
+    alpha, log_z = _forward(scores, packed, lengths, pack)
+    beta, table = (_unpack(a, pack[2]) for a in _backward(scores, packed, pack, _logsumexp))
     loss = float(np.sum(log_z - gold_score))
 
-    rows = np.arange(len(lengths))
-    d_emissions = unary[valid]
-    d_start = unary[:, 0].sum(axis=0)
-    d_end = unary[rows, lengths - 1].sum(axis=0)
-    d_trans = pairwise.sum(axis=(0, 1))
-    d_emissions[np.arange(len(flat_gold)), flat_gold] -= 1.0
-    np.subtract.at(d_start, gold[:, 0], 1.0)
-    np.subtract.at(d_end, gold[rows, lengths - 1], 1.0)
-    pairs = valid[:, 1:]
-    np.subtract.at(d_trans, (gold[:, :-1][pairs], gold[:, 1:][pairs]), 1.0)
-    grads = CrfParams(d_trans, d_start, d_end).tensors()
-    return loss, d_emissions, grads
+    # the marginals: of each row's tag, and of each tag pair of a row and the one before it
+    ends = np.cumsum(lengths)
+    heads, lasts = ends - lengths, ends - 1
+    pairs = np.delete(np.arange(len(gold)), heads)
+    norm = np.repeat(log_z, lengths)[:, None]
+    d_emissions = np.exp(alpha + beta - norm)
+    pairwise = np.exp(alpha[pairs - 1, :, None] + scores[0] + table[pairs, None, :] - norm[pairs, :, None])
+    d_start = d_emissions[heads].sum(axis=0)
+    d_end = d_emissions[lasts].sum(axis=0)
+    d_trans = pairwise.sum(axis=0)
+    d_emissions[np.arange(len(gold)), gold] -= 1.0
+    np.subtract.at(d_start, gold[heads], 1.0)
+    np.subtract.at(d_end, gold[lasts], 1.0)
+    np.subtract.at(d_trans, (gold[pairs - 1], gold[pairs]), 1.0)
+    return loss, d_emissions, CrfParams(d_trans, d_start, d_end).tensors()
 
 
 def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -36,9 +36,9 @@ of the batch's unique word types, the word BiLSTM once over the tokens
 of all N sentences.  Inside, it packs the positions step by step: the
 sequences are ordered longest first, so the ones still running at a
 step are a prefix, and one time loop steps that prefix in both
-directions at once.  No array of the encoder holds padding, the
-emissions (R, K) and their gradient included: the CRF pads them itself
-where its recursions need it.
+directions at once.  No array of the encoder or of the CRF holds
+padding, the emissions (R, K) and their gradient included: the CRF's
+recursions step the same packed layout.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import FormatError, TagScheme, tag_to_str, text_lines
-from .crf import CrfParams, build_iob2_mask
+from .crf import CrfParams, _pack, build_iob2_mask
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -205,38 +205,13 @@ class BiLstmParams:
         return {f"{prefix}.{name}": getattr(self, name) for name in ("w_x", "w_h", "p", "b")}
 
 
-def _pack(lengths: np.ndarray):
-    """(counts, starts, fwd, rev, prev): the packed, step-major layout of
-    sequences with ``lengths``, concatenated in order.
-
-    Rows are taken longest first, ties in row order, so the rows still
-    running at step t are a prefix of counts[t] of them, and step t owns
-    the packed positions starts[t] .. starts[t] + counts[t].  ``fwd`` and
-    ``rev`` give each packed position's index into the concatenated
-    sequences as the forward and the reverse direction read it.  prev[p]
-    is the state that position p starts from, in state arrays whose first
-    counts[0] rows are zero.
-    """
-    order = np.argsort(-lengths, kind="stable")
-    counts = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # rows longer than t
-    starts = np.cumsum(counts) - counts
-    step = np.repeat(np.arange(len(counts)), counts)
-    slot = np.arange(counts.sum()) - starts[step]
-    rows = order[slot]
-    # step 0 reads the zero states, step t > 0 the states step t - 1 wrote
-    reads = np.concatenate([[0], counts[0] + starts[:-1]])
-    ends = np.cumsum(lengths)[rows]
-    fwd, rev = ends - lengths[rows] + step, ends - 1 - step
-    return counts.tolist(), starts.tolist(), fwd, rev, reads[step] + slot
-
-
 def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
     """Both directions over concatenated sequences ``xs`` (R, D), where
     sequence n is the next lengths[n] rows; the reverse direction reads
     each sequence from its own last row.  Returns (outs (R, 2H), cache),
     outs[r] holding both directions' states after row r.
 
-    Internally the kernel works in the packed layout of :func:`_pack`:
+    Internally the kernel works in the packed layout of :func:`crf._pack`:
     one GEMM per direction computes every position's input projection,
     and one time loop steps both directions over the prefix of rows
     still running.  The cache holds the caller's xs, not a copy, so xs
@@ -247,7 +222,7 @@ def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
     """
     if not lengths.all():
         raise ValueError("cannot run a BiLSTM over an empty sequence")
-    pack = counts, starts, fwd, rev, prev = _pack(lengths)
+    pack = counts, starts, fwd, rev, prev, _ = _pack(lengths)
     hidden, first = params.hidden, counts[0]
     gates = np.empty((2, len(fwd), 4 * hidden))
     for d, idx in enumerate((fwd, rev)):
@@ -292,7 +267,7 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     are then GEMMs over them, the input weights' one direction at a time
     over that direction's gather of the cached xs.
     """
-    xs, hs, cs, gates, tanh_c, (counts, starts, fwd, rev, prev) = cache
+    xs, hs, cs, gates, tanh_c, (counts, starts, fwd, rev, prev, _) = cache
     _, total, _, hidden = gates.shape
     d_hs = np.stack([d_outs[fwd, :hidden], d_outs[rev, hidden:]])
     c_prev = cs[:, prev]

@@ -341,7 +341,8 @@ def sentence_loss_and_grads(
 
 # tokens per tagging batch.  Larger batches step the BiLSTM's time loop
 # fewer times per token; past 512 tokens they tag no faster, but their
-# arrays, the CRF's padded tables among them, keep growing
+# arrays keep growing: with the tokens alone, as no array of the model or
+# of the CRF holds padding
 TAG_TOKENS = 512
 
 

@@ -298,11 +298,13 @@ class TestIob2Mask:
 IOB2_TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
 
 
-def concatenated_batch(rng, trial):
+def concatenated_batch(rng, trial, skewed=False):
     """Random parameters, masks, and 1..5 emission matrices of lengths 1..4
     concatenated into (R, K) rows, plus the lengths.  Odd trials use zero
     scores, the IOB2 masks and small integer emissions, so that masked
-    entries and exact ties occur; even trials have no masks."""
+    entries and exact ties occur; even trials have no masks.  A skewed
+    batch instead holds 3..6 rows of length 1, two of length 3 and one
+    of 8..12, shuffled."""
     masked = trial % 2 == 1
     k = len(IOB2_TAGS) if masked else int(rng.integers(1, 5))
     params = CrfParams(
@@ -311,7 +313,10 @@ def concatenated_batch(rng, trial):
     masks = None
     if masked:
         params, masks = CrfParams.zeros(k), build_iob2_mask(IOB2_TAGS)
-    lengths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
+    if skewed:
+        lengths = rng.permutation([1] * int(rng.integers(3, 7)) + [3, 3, int(rng.integers(8, 13))])
+    else:
+        lengths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
     emissions = np.concatenate([
         rng.integers(-1, 2, size=(length, k)) if masked else rng.uniform(-3, 3, (length, k))
         for length in lengths
@@ -328,15 +333,21 @@ def sequence_slices(lengths):
 class TestBatches:
     def test_loss_and_gradients_sum_over_rows(self):
         rng = np.random.default_rng(5)
-        for trial in range(30):
-            params, masks, emissions, lengths = concatenated_batch(rng, trial)
+        for trial in range(34):
+            skewed = trial >= 30
+            params, masks, emissions, lengths = concatenated_batch(rng, trial, skewed)
             gold = np.zeros(len(emissions), dtype=np.int64)
-            rows = []
-            for here, length in zip(sequence_slices(lengths), lengths):
-                paths = list(enumerate_legal_paths(params, length, masks))
-                gold[here] = paths[int(rng.integers(len(paths)))]
-                row = nll_loss_and_grad(params, emissions[here], gold[here], masks=masks)
-                rows.append(row)
+            if skewed:  # legal paths without enumerating the long row's: Viterbi's on other scores
+                other = rng.uniform(-3, 3, emissions.shape)
+                gold[:] = np.concatenate(viterbi_decode(params, other, lengths, masks=masks)[0])
+            else:
+                for here, length in zip(sequence_slices(lengths), lengths):
+                    paths = list(enumerate_legal_paths(params, length, masks))
+                    gold[here] = paths[int(rng.integers(len(paths)))]
+            rows = [
+                nll_loss_and_grad(params, emissions[here], gold[here], masks=masks)
+                for here in sequence_slices(lengths)
+            ]
             loss, d_em, grads = nll_loss_and_grad(params, emissions, gold, lengths, masks=masks)
             assert abs(loss - sum(row[0] for row in rows)) <= 1e-12 * max(1.0, abs(loss))
             assert d_em.shape == emissions.shape
@@ -347,8 +358,8 @@ class TestBatches:
 
     def test_viterbi_rows_match_single_decoding(self):
         rng = np.random.default_rng(6)
-        for trial in range(40):
-            params, masks, emissions, lengths = concatenated_batch(rng, trial)
+        for trial in range(44):
+            params, masks, emissions, lengths = concatenated_batch(rng, trial, skewed=trial >= 40)
             paths, scores = viterbi_decode(params, emissions, lengths, masks=masks)
             for n, here in enumerate(sequence_slices(lengths)):
                 path, score = viterbi_decode(params, emissions[here], masks=masks)

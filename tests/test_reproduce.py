@@ -83,10 +83,19 @@ def test_smote_k_below_one_is_a_usage_error(tmp_path, capsys, value):
     assert "F1" not in captured.out
 
 
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_folds_below_two_is_a_usage_error(tmp_path, capsys, value):
+    # refused while parsing, before the corpus is read
+    with pytest.raises(SystemExit) as exit_info:
+        load_script().main(["--corpus", str(tmp_path / "missing.tsv"), "--folds", value])
+    assert exit_info.value.code == 2
+    assert f"argument --folds: must be at least 2, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case, message", [
     ("no-tag-column", "error: line 2: "),
     ("missing-corpus", "error: [Errno 2] No such file or directory"),
-    ("one-fold", "error: need 2 <= k <= n, got k=1"),
+    ("many-folds", "error: need 2 <= k <= n, got k=5"),
 ])
 def test_bad_input_is_a_data_error(tmp_path, capsys, case, message):
     corpus = tmp_path / "corpus.tsv"
@@ -97,7 +106,7 @@ def test_bad_input_is_a_data_error(tmp_path, capsys, case, message):
     elif case == "missing-corpus":
         corpus.unlink()
     else:
-        argv += ["--protocol", "kfold", "--folds", "1"]
+        argv += ["--protocol", "kfold", "--folds", "5"]
     assert load_script().main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(message), err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import parity
@@ -469,6 +470,31 @@ class TestTokenBudgetTagging:
 
     def test_no_sentences(self):
         assert tag_sentences(self.MODEL, []) == []
+
+    def test_skewed_batch_peaks_near_an_even_one(self):
+        # 256 one-token sentences and one of 256 tokens fill one batch as 32
+        # of 16 tokens do; padding the short ones to the long one's length
+        # would hold about 2.4 times the memory
+        corpus = synthetic_corpus(50)
+        model = build_model(corpus)
+        words = sorted({w for s in corpus for w in s.surfaces})
+
+        def sentences(count, length):
+            return [
+                Sentence(tuple(Token(words[(i + j) % len(words)], O_TAG) for j in range(length)))
+                for i in range(count)
+            ]
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                tag_sentences(model, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        even = peak(sentences(32, 16))
+        assert peak(sentences(256, 1) + sentences(1, 256)) <= 1.5 * even
 
 
 class TestCompactWordTableAdam:
