@@ -1,9 +1,11 @@
 """scripts/reproduce.py end to end on a tiny synthetic corpus and vector file."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import protocol_anchor
 import pytest
 from helpers import synthetic_corpus
 
@@ -111,3 +113,12 @@ def test_bad_input_is_a_data_error(tmp_path, capsys, case, message):
     err = capsys.readouterr().err
     assert err.startswith(message), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("run", sorted(protocol_anchor.RUNS))
+def test_stdout_has_committed_sha256(tmp_path, monkeypatch, capsys, run):
+    protocol_anchor.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)  # stdout names the corpus by its relative path
+    assert load_script().main(protocol_anchor.RUNS[run]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == protocol_anchor.expected_sha256()[run], out
