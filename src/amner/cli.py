@@ -2,7 +2,9 @@
 
 Reports go to stdout, diagnostics (including the resolved seed and
 progress lines) to stderr.  Exit codes: 0 success, 1 validation or data
-error, 2 usage error.  Machine-readable output is available behind
+error, 2 usage error.  Training flags are checked while parsing, so an
+out-of-range one is a usage error; the same value read from a config file
+is a data error.  Machine-readable output is available behind
 ``--format kv`` where a report is produced.
 """
 
@@ -273,6 +275,35 @@ def tag_scheme(name: str) -> TagScheme:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def checked(kind: type, check):
+    """An argparse type: ``kind(text)``, then ``check(value)``.  Argparse
+    prints either failure as a usage error and exits 2."""
+    def parse(text: str):
+        value = kind(text)  # argparse reports "invalid <kind> value: ..."
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def int_at_least(minimum: int):
+    def check(value: int) -> None:
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+    return checked(int, check)
+
+
+def train_setting(name: str):
+    """An argparse type for TrainConfig field ``name``: its type, as
+    ``parse_train_config`` reads it, then TrainConfig's own bounds."""
+    return checked(train_mod.field_type(name),
+                   lambda value: dataclasses.replace(TrainConfig(), **{name: value}))
+
+
 def count_or_match_majority(text: str) -> int | str:  # argparse names it in its usage error
     return text if text == resample_mod.MATCH_MAJORITY else int(text)
 
@@ -341,17 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", default=None, help="held-out corpus scored per epoch")
     p.add_argument("--config", default=None, help="key-value config file")
     p.add_argument("--embeddings", default=None, help="pretrained word vectors (text format)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--clip", type=float, default=None, help="global-norm gradient clip")
+    p.add_argument("--epochs", type=train_setting("max_epochs"), default=None)
+    p.add_argument("--batch", type=train_setting("batch_size"), default=None)
+    p.add_argument("--lr", type=train_setting("learning_rate"), default=None)
+    p.add_argument("--dropout", type=train_setting("dropout"), default=None)
+    p.add_argument("--clip", type=train_setting("clip_norm"), default=None,
+                   help="global-norm gradient clip")
     p.add_argument("--masked-train", action="store_true",
                    help="apply the IOB2 constraint mask during training, not just decoding")
-    p.add_argument("--word-dim", type=int, default=300)
-    p.add_argument("--char-dim", type=int, default=25)
-    p.add_argument("--word-hidden", type=int, default=100)
-    p.add_argument("--char-hidden", type=int, default=25)
+    p.add_argument("--word-dim", type=int_at_least(1), default=300)
+    p.add_argument("--char-dim", type=int_at_least(1), default=25)
+    p.add_argument("--word-hidden", type=int_at_least(1), default=100)
+    p.add_argument("--char-hidden", type=int_at_least(1), default=25)
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (overrides the config file)")
     p.add_argument("--format", choices=("text", "kv"), default="text",
@@ -387,8 +419,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.func is not cmd_train:  # train prints the seed its config resolves to
         _say(f"seed: {args.seed}")
+    return run_command(args.func, args)
+
+
+def run_command(command, args) -> int:
+    """``command(args)``, or 2 on a UsageError and 1 on a data error, printed to stderr."""
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         _say(f"usage error: {exc}")
         return USAGE_ERROR

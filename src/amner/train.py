@@ -84,13 +84,20 @@ class TrainConfig:
         return "\n".join(lines) + "\n"
 
 
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+
+
+def field_type(name: str) -> type:
+    """The type of a set value of TrainConfig field ``name``: its annotation less ``| None``."""
+    return {"int": int, "float": float}[_FIELD_TYPES[name].removesuffix(" | None")]
+
+
 def parse_train_config(text: str | bytes, base: TrainConfig | None = None) -> TrainConfig:
     """Parse the flat `name value` config document into a TrainConfig.
 
     Each value is read as its field's annotated type; ``none`` clears an optional field.
     """
     values = dataclasses.asdict(base or TrainConfig())
-    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     for lineno, line in text_lines(text):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -99,12 +106,11 @@ def parse_train_config(text: str | bytes, base: TrainConfig | None = None) -> Tr
         if len(parts) != 2:
             raise FormatError("expected `name value`", lineno)
         name, raw = parts
-        if name not in types:
+        if name not in _FIELD_TYPES:
             raise FormatError(f"unknown option {name!r}", lineno)
-        kind = types[name].removesuffix(" | None")  # the type of a set value
         try:
-            unset = kind != types[name] and raw.lower() == "none"
-            values[name] = None if unset else {"int": int, "float": float}[kind](raw)
+            unset = _FIELD_TYPES[name].endswith(" | None") and raw.lower() == "none"
+            values[name] = None if unset else field_type(name)(raw)
         except ValueError:
             raise FormatError(f"bad value {raw!r} for {name}", lineno) from None
     return TrainConfig(**values)

@@ -302,15 +302,17 @@ class TestTrainTagEval:
         assert main(args + ["--lr", "1e300"]) == 1
         assert "error: epoch 0, batch 1" in capsys.readouterr().err
 
+    # a bad value read from the config file is a data error
     @pytest.mark.parametrize("config, flags, message", [
-        ("", ["--lr", "nan"], "error: learning_rate must be finite and positive"),
-        ("", ["--clip", "-1"], "error: clip_norm must be"),
+        ("learning_rate nan\n", [], "error: learning_rate must be finite and positive"),
+        ("clip_norm -1\n", [], "error: clip_norm must be"),
         ("epsilon 0\n", [], "error: epsilon must be"),
         ("seed 1\nbatch 4\n", [], "error: line 2: unknown option 'batch'"),
         (b"seed \xff\n", [], "error: invalid UTF-8: "),
         ("patience 1\n", [], "error: patience stops on dev F1 and needs a dev set"),
-        *(("", [flag, "0"], "error: word_dim, char_dim, char_hidden and word_hidden must each be at least 1")
-          for flag in ("--word-dim", "--char-dim", "--word-hidden", "--char-hidden")),
+        ("batch_size 0\n", [], "error: batch_size must be at least 1"),
+        ("max_epochs -1\n", [], "error: max_epochs must be non-negative"),
+        ("dropout 1.5\n", [], "error: dropout must be in [0, 1)"),
     ])
     def test_bad_settings_are_data_errors(self, tmp_path, corpus_path, capsys, config, flags, message):
         cfg = tmp_path / "train.cfg"
@@ -319,6 +321,27 @@ class TestTrainTagEval:
         args = ["train", corpus_path, "--model", str(model), "--config", str(cfg)]
         assert main(args + self.TRAIN_ARGS + flags) == 1
         assert message in capsys.readouterr().err
+        assert not model.exists()
+
+    # the same bounds on a flag are checked while parsing, as a usage error
+    BAD_FLAGS = [
+        ("--lr", "nan", "learning_rate must be finite and positive"),
+        ("--clip", "-1", "clip_norm must be none or finite and positive"),
+        ("--batch", "0", "batch_size must be at least 1"),
+        ("--epochs", "-1", "max_epochs must be non-negative"),
+        ("--dropout", "1.5", "dropout must be in [0, 1)"),
+        *((flag, "0", "must be at least 1, got 0")
+          for flag in ("--word-dim", "--char-dim", "--word-hidden", "--char-hidden")),
+    ]
+
+    @pytest.mark.parametrize("flag, value, message", BAD_FLAGS,
+                             ids=[f"{flag}={value}" for flag, value, _ in BAD_FLAGS])
+    def test_bad_flags_are_usage_errors(self, tmp_path, corpus_path, capsys, flag, value, message):
+        model = tmp_path / "m.model"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", corpus_path, "--model", str(model), *self.TRAIN_ARGS, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not model.exists()
 
     def test_masked_train_writes_the_flag_and_tags_iob2(self, tmp_path, corpus_path, capsys):
@@ -493,12 +516,6 @@ class TestEffectiveConfig:
         from amner.train import TrainConfig
 
         assert self.config_for() == TrainConfig()
-
-    def test_invalid_flag_value_is_data_error(self, tmp_path, capsys):
-        src = write(tmp_path / "in.tsv", IOB2_TEXT)
-        code = main(["train", src, "--model", str(tmp_path / "m"), "--dropout", "1.5"])
-        assert code == 1
-        assert "error: dropout must be in [0, 1)" in capsys.readouterr().err
 
 
 # Every file argument of every subcommand, fed malformed bytes.  Each form

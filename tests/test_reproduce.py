@@ -122,3 +122,30 @@ def test_stdout_has_committed_sha256(tmp_path, monkeypatch, capsys, run):
     assert load_script().main(protocol_anchor.RUNS[run]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == protocol_anchor.expected_sha256()[run], out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch", "0", "batch_size must be at least 1"),
+    ("--epochs", "-1", "max_epochs must be non-negative"),
+    ("--lr", "0", "learning_rate must be finite and positive"),
+    ("--dropout", "1.5", "dropout must be in [0, 1)"),
+    ("--word-dim", "0", "must be at least 1, got 0"),
+])
+def test_bad_training_flag_is_a_usage_error(tmp_path, capsys, flag, value, message):
+    # refused while parsing, before the corpus is read
+    with pytest.raises(SystemExit) as exit_info:
+        load_script().main(["--corpus", str(tmp_path / "missing.tsv"), flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_stats_mismatch_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(write_corpus(synthetic_corpus(4, seed=6), TagScheme.IOB2), encoding="utf-8")
+    assert load_script().main(["--corpus", str(corpus), "--epochs", "1", "--word-dim", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "stats check: MISMATCH" in captured.out
+    assert "F1" not in captured.out  # stopped before any protocol ran
+    assert captured.err.startswith("error: "), captured.err
+    assert "--allow-stats-mismatch" in captured.err
+    assert "Traceback" not in captured.err
