@@ -2,7 +2,7 @@
 
 Reports go to stdout, diagnostics (including the resolved seed and
 progress lines) to stderr.  Exit codes: 0 success, 1 validation or data
-error, 2 usage error.  Training flags are checked while parsing, so an
+error, 2 usage error.  Numeric flags are checked while parsing, so an
 out-of-range one is a usage error; the same value read from a config file
 is a data error.  Machine-readable output is available behind
 ``--format kv`` where a report is produced.
@@ -297,6 +297,11 @@ def int_at_least(minimum: int):
     return checked(int, check)
 
 
+def finite_positive(value: float) -> None:
+    if not 0.0 < value < float("inf"):
+        raise ValueError(f"must be finite and positive, got {value}")
+
+
 def train_setting(name: str):
     """An argparse type for TrainConfig field ``name``: its type, as
     ``parse_train_config`` reads it, then TrainConfig's own bounds."""
@@ -305,7 +310,7 @@ def train_setting(name: str):
 
 
 def count_or_match_majority(text: str) -> int | str:  # argparse names it in its usage error
-    return text if text == resample_mod.MATCH_MAJORITY else int(text)
+    return text if text == resample_mod.MATCH_MAJORITY else int_at_least(1)(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("smote", help="oversample minority classes in a feature-row file")
-    p.add_argument("--smote-n", "--n", dest="n", type=int, default=None,
+    p.add_argument("--smote-n", "--n", dest="n", default=None,
+                   type=checked(int, lambda n: resample_mod.SmoteConfig(n_percent=n)),
                    help="amount of oversampling in percent (below 100, or a multiple of 100)")
-    p.add_argument("--smote-k", "--k", dest="k", type=int, default=5, help="neighbor count")
+    p.add_argument("--smote-k", "--k", dest="k", type=int_at_least(1), default=5,
+                   help="neighbor count")
     p.add_argument("--target", type=count_or_match_majority, help="per-class count or 'match-majority'")
     p.add_argument("--label", default=None, help="class to oversample in --smote-n mode")
     p.add_argument("input")
@@ -406,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--step", type=checked(float, finite_positive), default=1e-5)
+    p.add_argument("--tolerance", type=checked(float, finite_positive), default=1e-4)
     add_common(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -144,10 +144,9 @@ def minority_sentence_oversample(train_set, seed: int) -> list[Sentence]:
 def token_rows(sentences, table: EmbeddingTable) -> list[FeatureRow]:
     tokens = [token for sentence in sentences for token in sentence.tokens]
     vectors = table.matrix[table.ids(token.surface for token in tokens)]
-    return [
-        FeatureRow(vector, token.tag.etype if token.tag.position != "O" else "O")
-        for token, vector in zip(tokens, vectors)
-    ]
+    return FeatureRow.from_matrix(
+        vectors, [token.tag.etype if token.tag.position != "O" else "O" for token in tokens]
+    )
 
 
 def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:

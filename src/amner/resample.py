@@ -31,15 +31,42 @@ class FeatureRow:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"feature row must be 1-D, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("feature row contains non-finite values")
-        if not self.label:
-            raise ValueError("feature row needs a label")
+        _check_rows(np.isfinite(values).all(), (self.label,))
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, labels: Sequence[str]) -> list[FeatureRow]:
+        """One row per row of the 2-D ``matrix``, each ``values`` a view of it.
+
+        The matrix is checked once, with the messages a row raises, so
+        building the rows costs no per-row validation.
+        """
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"feature row matrix must be 2-D, got shape {matrix.shape}")
+        if len(labels) != len(matrix):
+            raise ValueError(f"{len(labels)} labels for {len(matrix)} feature rows")
+        finite = not matrix.size or np.isfinite(matrix.min()) and np.isfinite(matrix.max())
+        _check_rows(finite, labels)
+        new = object.__new__
+        rows = []
+        for values, label in zip(matrix, labels):
+            row = new(cls)  # no __post_init__: the matrix is checked above
+            vars(row).update(values=values, label=label)
+            rows.append(row)
+        return rows
 
     @property
     def width(self) -> int:
         return self.values.shape[0]
+
+
+def _check_rows(finite: bool, labels: Sequence[str]) -> None:
+    """The checks every feature row passes: finite values and a non-empty label."""
+    if not finite:
+        raise ValueError("feature row contains non-finite values")
+    if not all(labels):
+        raise ValueError("feature row needs a label")
 
 
 @dataclass(frozen=True)
@@ -129,18 +156,31 @@ def knn_minority(matrix: np.ndarray, k: int) -> np.ndarray:
 def populate_synthetic(
     matrix: np.ndarray, source: np.ndarray, neighbor: np.ndarray, gap: np.ndarray
 ) -> np.ndarray:
-    """Rows ``matrix[source] + gap * (matrix[neighbor] - matrix[source])``, one per gap."""
+    """Rows ``matrix[source] + gap * (matrix[neighbor] - matrix[source])``, one per gap.
+
+    Every index must lie in [0, T) for the T rows of ``matrix``.
+    """
     if not len(source) == len(neighbor) == len(gap):
         raise ValueError(f"lengths differ: {len(source)}, {len(neighbor)}, {len(gap)}")
     outside = ~((gap >= 0.0) & (gap < 1.0))
     if outside.any():
         raise ValueError(f"gap {gap[outside][0]} outside [0, 1)")
+    for index in (source, neighbor):
+        if len(index) and not (0 <= index.min() and index.max() < len(matrix)):
+            raise ValueError(f"row index outside [0, {len(matrix)})")
+    matrix = np.asarray(matrix, dtype=np.float64)
     out = np.empty((len(gap), matrix.shape[1]))
     step = max(1, _BLOCK_ELEMENTS // max(1, matrix.shape[1]))
     for start in range(0, len(gap), step):
         part = slice(start, start + step)
-        base = matrix[source[part]]
-        out[part] = base + gap[part, None] * (matrix[neighbor[part]] - base)
+        base = out[part]
+        # the float operations of base + gap * (neighbour - base), without temporaries;
+        # mode="clip" skips the buffered copy mode="raise" makes, the indices being checked
+        np.take(matrix, source[part], axis=0, out=base, mode="clip")
+        scratch = matrix[neighbor[part]]
+        scratch -= base
+        scratch *= gap[part, None]
+        base += scratch
     return out
 
 
@@ -183,10 +223,9 @@ def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
         gap[n] = rng.random()
     neighbor = neighbors[source, pick]
     values = populate_synthetic(matrix, source, neighbor, gap)
-    label = minority[0].label
     source, neighbor = selected[source].tolist(), selected[neighbor].tolist()
     return SyntheticSet(
-        rows=[FeatureRow(row, label) for row in values],
+        rows=FeatureRow.from_matrix(values, [minority[0].label] * len(values)),
         provenance=[Provenance(s, n, g) for s, n, g in zip(source, neighbor, gap.tolist())],
     )
 
@@ -235,7 +274,7 @@ def balance_token_dataset(
         members = [row for row in rows if row.label == label]
         if count > goal:
             chosen = rng.choice(count, size=goal, replace=False)
-            out.extend(members[int(idx)] for idx in np.sort(chosen))
+            out.extend(members[idx] for idx in np.sort(chosen).tolist())
             continue
         out.extend(members)
         deficit = goal - count
@@ -245,10 +284,10 @@ def balance_token_dataset(
         class_seed = int(seeds[class_idx].generate_state(1)[0])
         synthetic = smote(members, replace(config, n_percent=n_percent, seed=class_seed))
         keep = rng.choice(len(synthetic.rows), size=deficit, replace=False)
-        out.extend(synthetic.rows[int(idx)] for idx in np.sort(keep))
+        out.extend(synthetic.rows[idx] for idx in np.sort(keep).tolist())
 
     order = rng.permutation(len(out))
-    return [out[int(idx)] for idx in order]
+    return [out[idx] for idx in order.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +312,7 @@ def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
             raise ValueError(
                 f"row {idx}: label {row.label!r} starts with '#' or holds a tab or line break"
             )
-        lines.append(row.label + "\t" + " ".join(repr(float(v)) for v in row.values))
+        lines.append(row.label + "\t" + " ".join(map(repr, row.values.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -118,6 +118,10 @@ class TestKappa:
         assert "error: corpora disagree: 2 vs 1 sentences" in capsys.readouterr().err
 
 
+# two PER rows whose difference, 2e308, overflows: every interpolation between them is non-finite
+OVERFLOW_ROWS = "2\nO\t0 0\nO\t1 1\nO\t2 2\nPER\t1e308 -1e308\nPER\t-1e308 1e308\n"
+
+
 class TestSmote:
     def make_rows(self, tmp_path):
         lines = ["2"]
@@ -150,20 +154,45 @@ class TestSmote:
         assert code == 0
         assert "count.PER 6" in capsys.readouterr().out  # 2 originals + 4 synthetic
 
-    def test_amount_not_a_multiple_of_100_is_data_error(self, tmp_path, capsys):
+    def refused_while_parsing(self, tmp_path, capsys, flags):
+        """stderr of `amner smote FLAGS`, which must exit 2 from the parser and write nothing."""
         src = self.make_rows(tmp_path)
         dst = tmp_path / "out.tsv"
-        code = main(["smote", "--smote-n", "150", "--smote-k", "1", "--label", "PER", src, str(dst)])
-        assert code == 1
-        assert "error: n_percent 150 is over 100 but not a multiple of 100" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["smote", *flags, src, str(dst)])
+        assert exc.value.code == 2
         assert not dst.exists()
+        return capsys.readouterr().err
+
+    def test_amount_not_a_multiple_of_100_is_usage_error(self, tmp_path, capsys):
+        err = self.refused_while_parsing(
+            tmp_path, capsys, ["--smote-n", "150", "--smote-k", "1", "--label", "PER"]
+        )
+        assert "argument --smote-n/--n: n_percent 150 is over 100 but not a multiple of 100" in err
 
     @pytest.mark.parametrize("mode", [["--label", "PER"]], ids=["label"])
-    def test_zero_amount_is_data_error(self, tmp_path, capsys, mode):
-        src = self.make_rows(tmp_path)
+    def test_zero_amount_is_usage_error(self, tmp_path, capsys, mode):
+        err = self.refused_while_parsing(
+            tmp_path, capsys, ["--smote-n", "0", "--smote-k", "1", *mode]
+        )
+        assert "argument --smote-n/--n: n_percent must be positive" in err
+
+    @pytest.mark.parametrize("mode", [["--target", "match-majority"], ["--smote-n", "100"]],
+                             ids=["target", "smote-n"])
+    def test_k_below_one_is_usage_error(self, tmp_path, capsys, mode):
+        err = self.refused_while_parsing(tmp_path, capsys, ["--smote-k", "0", *mode])
+        assert "argument --smote-k/--k: must be at least 1, got 0" in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_target_below_one_is_usage_error(self, tmp_path, capsys, count):
+        err = self.refused_while_parsing(tmp_path, capsys, ["--target", count])
+        assert f"argument --target: must be at least 1, got {count}" in err
+
+    def test_overflowing_interpolation_is_data_error(self, tmp_path, capsys):
+        src = write(tmp_path / "rows.tsv", OVERFLOW_ROWS)
         dst = tmp_path / "out.tsv"
-        assert main(["smote", "--smote-n", "0", "--smote-k", "1", *mode, src, str(dst)]) == 1
-        assert "error: n_percent must be positive" in capsys.readouterr().err
+        assert main(["smote", "--target", "match-majority", "--smote-k", "1", src, str(dst)]) == 1
+        assert "error: feature row contains non-finite values" in capsys.readouterr().err
         assert not dst.exists()
 
     def test_target_not_a_count_is_usage_error(self, tmp_path, capsys):
@@ -173,16 +202,23 @@ class TestSmote:
         assert exc.value.code == 2
         assert "argument --target: invalid count_or_match_majority value: 'abc'" in capsys.readouterr().err
 
-    # an amount SmoteConfig refuses (0, 150) is a usage error here too: the mode is checked first
-    @pytest.mark.parametrize(
-        "option", [["--smote-n", "200"], ["--label", "PER"], ["--smote-n", "0"], ["--smote-n", "150"]],
-        ids=["smote-n", "label", "smote-n-0", "smote-n-150"],
-    )
-    def test_target_takes_no_amount_or_label(self, tmp_path, capsys, option):
+    # an amount SmoteConfig refuses (0, 150) is a usage error here too, refused while parsing
+    @pytest.mark.parametrize("option, message", [
+        (["--smote-n", "200"], "usage error: --target takes neither --smote-n nor --label"),
+        (["--label", "PER"], "usage error: --target takes neither --smote-n nor --label"),
+        (["--smote-n", "0"], "argument --smote-n/--n: n_percent must be positive"),
+        (["--smote-n", "150"],
+         "argument --smote-n/--n: n_percent 150 is over 100 but not a multiple of 100"),
+    ], ids=["smote-n", "label", "smote-n-0", "smote-n-150"])
+    def test_target_takes_no_amount_or_label(self, tmp_path, capsys, option, message):
         src = self.make_rows(tmp_path)
         dst = tmp_path / "out.tsv"
-        assert main(["smote", "--target", "match-majority", *option, src, str(dst)]) == 2
-        assert "usage error: --target takes neither --smote-n nor --label" in capsys.readouterr().err
+        try:
+            code = main(["smote", "--target", "match-majority", *option, src, str(dst)])
+        except SystemExit as exc:  # the parser's exit
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not dst.exists()
 
     def test_needs_mode_flag(self, tmp_path):
@@ -228,15 +264,18 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flags", [
-        ["--step", "0"], ["--step", "nan"], ["--step=-1e-5"], ["--tolerance=-1"],
-        ["--tolerance", "inf"],
+    @pytest.mark.parametrize("flags, message", [
+        (["--step", "0"], "--step: must be finite and positive, got 0.0"),
+        (["--step", "nan"], "--step: must be finite and positive, got nan"),
+        (["--step=-1e-5"], "--step: must be finite and positive, got -1e-05"),
+        (["--tolerance=-1"], "--tolerance: must be finite and positive, got -1.0"),
+        (["--tolerance", "inf"], "--tolerance: must be finite and positive, got inf"),
     ], ids=["step-0", "step-nan", "step-negative", "tolerance-negative", "tolerance-inf"])
-    def test_bad_step_or_tolerance_is_data_error(self, capsys, flags):
-        assert main(["gradcheck", *flags]) == 1
-        err = capsys.readouterr().err
-        assert "error: step and tolerance must be finite and positive" in err
-        assert "Traceback" not in err
+    def test_bad_step_or_tolerance_is_usage_error(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *flags])
+        assert exc.value.code == 2
+        assert f"argument {message}" in capsys.readouterr().err
 
 
 SCHEME_FORMS = {

@@ -10,6 +10,9 @@ import pytest
 from helpers import synthetic_corpus
 
 from amner.corpus import TagScheme, write_corpus
+from amner.model import EmbeddingTable
+from amner.protocol import token_rows
+from amner.resample import FeatureRow
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py"
 
@@ -149,3 +152,22 @@ def test_stats_mismatch_is_a_data_error(tmp_path, capsys):
     assert captured.err.startswith("error: "), captured.err
     assert "--allow-stats-mismatch" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_token_rows_equal_rows_built_one_at_a_time():
+    corpus = synthetic_corpus(12, seed=4)
+    # vectors for half of the corpus words, so the rest read the unknown row
+    words = sorted({t.surface for s in corpus for t in s.tokens})[::2]
+    table = EmbeddingTable.random(words, 5, np.random.default_rng(4))
+    tokens = [token for sentence in corpus for token in sentence.tokens]
+    want = [
+        FeatureRow(table.matrix[table.ids([token.surface])[0]],
+                   token.tag.etype if token.tag.position != "O" else "O")
+        for token in tokens
+    ]
+    got = token_rows(corpus, table)
+    assert [row.label for row in got] == [row.label for row in want]
+    assert {"O", "PER", "LOC", "ORG"} == {row.label for row in got}
+    assert b"".join(row.values.tobytes() for row in got) == b"".join(
+        row.values.tobytes() for row in want
+    )

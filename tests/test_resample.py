@@ -70,6 +70,32 @@ def digest(rows):
     return h.hexdigest()
 
 
+class TestFromMatrix:
+    def test_equals_rows_built_one_at_a_time(self):
+        rng = np.random.default_rng(8)
+        matrix = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-300, 300, size=(7, 1))
+        labels = ["O", "PER", "O", "LOC", "ORG", "PER", "O"]
+        rows = FeatureRow.from_matrix(matrix, labels)
+        assert [row.label for row in rows] == labels
+        assert digest(rows) == digest([FeatureRow(v, label) for v, label in zip(matrix, labels)])
+        assert all(row.values.base is matrix for row in rows)
+
+    def test_no_rows(self):
+        assert FeatureRow.from_matrix(np.empty((0, 3)), []) == []
+
+    @pytest.mark.parametrize("matrix, labels, message", [
+        ([[1.0, np.nan], [0.0, 0.0]], ["A", "B"], "feature row contains non-finite values"),
+        ([[1.0, 2.0], [np.inf, 0.0]], ["A", "B"], "feature row contains non-finite values"),
+        ([[1.0, 2.0], [-np.inf, 0.0]], ["A", "B"], "feature row contains non-finite values"),
+        ([[1.0, 2.0], [3.0, 4.0]], ["A", ""], "feature row needs a label"),
+        ([[1.0, 2.0], [3.0, 4.0]], ["A"], "1 labels for 2 feature rows"),
+        ([1.0, 2.0], ["A", "B"], r"must be 2-D, got shape \(2,\)"),
+    ], ids=["nan", "inf", "-inf", "empty-label", "label-count", "1-D"])
+    def test_refuses_what_a_row_refuses(self, matrix, labels, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureRow.from_matrix(np.array(matrix), labels)
+
+
 class TestKnn:
     def test_nearest_by_euclidean_distance(self):
         samples = rows_from([(0, 0), (1, 0), (5, 5)])
@@ -183,6 +209,13 @@ class TestPopulate:
         with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
             populate_synthetic(matrix, np.array([0, 1]), np.array([1, 0]), np.array([0.5, gap]))
 
+    @pytest.mark.parametrize("source, neighbor", [([0, 2], [1, 0]), ([0, 1], [1, -1])],
+                             ids=["source-past-end", "neighbor-negative"])
+    def test_row_index_outside_matrix_rejected(self, source, neighbor):
+        matrix = np.array([(0.0,), (1.0,)])
+        with pytest.raises(ValueError, match=r"row index outside \[0, 2\)"):
+            populate_synthetic(matrix, np.array(source), np.array(neighbor), np.array([0.5, 0.5]))
+
     def test_equals_per_row_interpolation_across_chunks(self):
         rng = np.random.default_rng(6)
         matrix = rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-3, 4, size=(9, 1))
@@ -192,6 +225,22 @@ class TestPopulate:
             out = populate_synthetic(matrix, source, neighbor, gap)
         for row, s, n, g in zip(out, source, neighbor, gap.tolist()):
             assert row.tobytes() == (matrix[s] + g * (matrix[n] - matrix[s])).tobytes()
+
+
+class TestPopulateProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(1, 6), width=st.integers(1, 5), synthetic=st.integers(0, 40),
+           block=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_equals_formula_in_every_block(self, count, width, synthetic, block, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(count, width)) * 10.0 ** rng.integers(-300, 300, size=(count, 1))
+        source, neighbor = rng.integers(count, size=synthetic), rng.integers(count, size=synthetic)
+        gap = rng.random(synthetic)
+        with mock.patch.object(resample, "_BLOCK_ELEMENTS", block), np.errstate(all="ignore"):
+            out = populate_synthetic(matrix, source, neighbor, gap)
+            want = matrix[source] + gap[:, None] * (matrix[neighbor] - matrix[source])
+        assert out.shape == (synthetic, width)
+        assert out.tobytes() == want.tobytes()
 
 
 class TestSmote:
@@ -255,6 +304,12 @@ class TestSmote:
         got, want = smote(minority, config), per_row_smote(minority, config)
         assert digest(got.rows) == digest(want.rows)
         assert got.provenance == want.provenance
+
+    def test_overflowing_interpolation_rejected(self):
+        minority = rows_from([(1e308, -1e308), (-1e308, 1e308)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="feature row contains non-finite values"):
+                smote(minority, SmoteConfig(300, k=1, seed=0))
 
     def test_empty_minority_rejected(self):
         with pytest.raises(ValueError, match="empty"):
