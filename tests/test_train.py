@@ -650,6 +650,18 @@ class TestGradientCheck:
         assert not result.passed
         assert result.per_tensor["proj.weight"] > 1e-4
 
+    @pytest.mark.parametrize("step, tolerance", [
+        (0.0, 1e-4), (float("nan"), 1e-4), (-1e-5, 1e-4), (1e-5, -1.0), (1e-5, float("inf")),
+    ], ids=["step-0", "step-nan", "step-negative", "tolerance-negative", "tolerance-inf"])
+    def test_bad_step_or_tolerance_rejected(self, step, tolerance):
+        corpus = synthetic_corpus(2, seed=19, min_len=2, max_len=4)
+        model = build_model(
+            corpus, word_dim=3, char_dim=2, char_hidden=2, word_hidden=2,
+            dropout=0.0, seed=19,
+        )
+        with pytest.raises(ValueError, match="step and tolerance must be finite and positive"):
+            gradient_check(model, corpus[0], step=step, tolerance=tolerance)
+
     def test_render_mentions_verdict(self):
         result = GradCheckResult({"a": 1e-6, "b": 2e-6}, step=1e-5, tolerance=1e-4)
         assert "PASS" in result.render()
