@@ -25,9 +25,8 @@ the forward LSTM and index 1 the reverse one, and the gates stacked in
 the order f, i, c, o: ``w_x`` (2, 4H, D), ``w_h`` (2, 4H, H), ``b``
 (2, 4H) and the peepholes ``p`` (2, 3, H).  An embedding table is one
 (V + 1, D) matrix whose last row, V, is the unknown token's.  Training,
-clipping, Adam and the gradient check see only these tensors; the
-per-direction, per-gate names and the separate unknown row of the model
-file are details of :mod:`amner.serialize`.
+clipping, Adam, the gradient check and the model file (see
+:mod:`amner.serialize`) all see these tensors and no other layout.
 
 The encoder holds a batch of N sentences in one layout: their R tokens
 concatenated in sentence order, (R, ·).  One BiLSTM routine runs both
@@ -368,7 +367,7 @@ class EncoderParams:
                 f"word BiLSTM expects width {self.word_bilstm.input_dim}, "
                 f"token vectors have {token_width}"
             )
-        if self.proj_w.shape[0] != 2 * self.word_bilstm.hidden:
+        if self.proj_w.ndim != 2 or self.proj_w.shape[0] != 2 * self.word_bilstm.hidden:
             raise ValueError("projection input width mismatch")
         if self.proj_b.shape != (self.proj_w.shape[1],):
             raise ValueError("projection bias width mismatch")

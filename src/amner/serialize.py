@@ -2,7 +2,7 @@
 
 Layout: a UTF-8 text header, then raw tensor data.
 
-    amner-model 1
+    amner-model 2
     [config N]     N `key value` lines (run metadata, dropout_rate, masked_training)
     [tags N]       tag vocabulary, one per line, in model order
     [chars N]      character vocabulary in row order
@@ -19,19 +19,13 @@ deterministic: identical models and config produce identical bytes.
 as is.  No mask is stored: the IOB2 masks follow from the tag list, which
 loading refuses unless it is an IOB2 tag set.
 
-Two kinds of tensor are stored in a layout other than the one the
-model, training and ``gradcheck`` use; these file layouts exist only
-here:
-
-* each BiLSTM ``X`` as 30 per-gate tensors: ``X_fwd.w_fx`` ..
-  ``X_fwd.b_o`` (see ``_GATE_NAMES``), the row blocks of direction 0 of
-  its four stacked tensors, followed by the same blocks of direction 1
-  as ``X_bwd.w_fx`` .. ``X_bwd.b_o``;
-* each embedding table, (V + 1, D) in memory with the unknown token's
-  row last, as ``X.matrix`` (V, D) followed by ``X.unk`` (D,).
-
-Writing splits the in-memory tensors into these pieces and reading joins
-them again.
+The tensor table lists ``ModelParams.tensors()``, the tensors training,
+Adam and ``gradcheck`` use, under their names and in their order, each
+with its in-memory shape: an embedding table is one (V + 1, D) matrix
+whose last row is the unknown token's, a BiLSTM its four stacked tensors
+(see :mod:`amner.model`).  Loading copies each into the model as is.
+Format 1 stored each BiLSTM as per-gate blocks and each table's unknown
+row apart; it is refused.
 """
 
 from __future__ import annotations
@@ -44,52 +38,13 @@ import numpy as np
 from .crf import CrfParams
 from .model import BiLstmParams, EmbeddingTable, EncoderParams, ModelParams
 
-MAGIC = "amner-model 1"
+MAGIC = "amner-model 2"
+_FORMAT_1 = "amner-model 1"
 _BLOB_MARKER = b"\n[blob]\n"
-
-# the file names of an LSTM's gate blocks, per stacked tensor, in gate order
-_GATE_NAMES = {
-    "w_x": ("w_fx", "w_ix", "w_cx", "w_ox"),
-    "w_h": ("w_fh", "w_ih", "w_ch", "w_oh"),
-    "p": ("p_f", "p_i", "p_o"),
-    "b": ("b_f", "b_i", "b_c", "b_o"),
-}
-# the file prefixes of a BiLSTM's directions, in the order of its direction axis
-_DIRECTIONS = ("fwd", "bwd")
 
 
 class ModelFormatError(ValueError):
     pass
-
-
-def _gate_blocks(prefix: str, tensors: dict[str, np.ndarray]):
-    """(file name, block) of every gate block of BiLSTM ``prefix``: the
-    forward direction's, then the reverse direction's, each in the order
-    of ``_GATE_NAMES``."""
-    for direction, file_prefix in enumerate(_DIRECTIONS):
-        for field, gates in _GATE_NAMES.items():
-            stacked = tensors[f"{prefix}.{field}"][direction]
-            # p holds one row per gate; the other stacks hold H-row blocks
-            blocks = stacked if field == "p" else np.split(stacked, len(gates))
-            for gate, block in zip(gates, blocks):
-                yield f"{prefix}_{file_prefix}.{gate}", block
-
-
-def file_tensors(model: ModelParams) -> dict[str, np.ndarray]:
-    """``model.tensors()`` under the file's names, in file order: each
-    BiLSTM's four stacked tensors are replaced by its gate blocks and
-    each embedding table by its vocabulary rows and unknown row."""
-    tensors = model.tensors()
-    out: dict[str, np.ndarray] = {}
-    for name, array in tensors.items():
-        prefix, _, field = name.rpartition(".")
-        if field == "matrix":
-            out[name], out[f"{prefix}.unk"] = array[:-1], array[-1]
-        elif field == "w_x":  # a BiLSTM's first tensor stands for all four
-            out.update(_gate_blocks(prefix, tensors))
-        elif field not in _GATE_NAMES:
-            out[name] = array
-    return out
 
 
 def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> bytes:
@@ -104,7 +59,7 @@ def model_to_bytes(model: ModelParams, config: dict[str, str] | None = None) -> 
     config["dropout_rate"] = repr(float(model.encoder.dropout_rate))
     config["masked_training"] = "true" if model.masked_training else "false"
 
-    tensors = file_tensors(model)
+    tensors = model.tensors()
     lines = [MAGIC, f"[config {len(config)}]"]
     for key, value in config.items():
         if any(c in key for c in " \n") or "\n" in str(value):
@@ -169,7 +124,8 @@ def _read_tensors(tensor_lines: list[str], blob: memoryview) -> dict[str, np.nda
     entries = []
     for line in tensor_lines:
         parts = line.split()
-        if len(parts) < 2 or not all(p.isdecimal() for p in parts[1:]):
+        # every model tensor has at least one dimension
+        if len(parts) < 3 or not all(p.isdecimal() for p in parts[1:]):
             raise ModelFormatError(f"bad tensor line {line!r}")
         entries.append((int(parts[1]), parts[0], tuple(int(d) for d in parts[2:])))
     tensors: dict[str, np.ndarray] = {}
@@ -193,7 +149,10 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     if _BLOB_MARKER not in data:
         raise ModelFormatError("missing blob marker; not a model file")
     reader = _Reader(data)
-    if reader.next_line() != MAGIC:
+    magic = reader.next_line()
+    if magic == _FORMAT_1:
+        raise ModelFormatError("model file format 1 is no longer read; retrain the model")
+    if magic != MAGIC:
         raise ModelFormatError("unknown magic line; not a model file")
     config = dict(line.partition(" ")[::2] for line in reader.section("config"))
     tags = reader.section("tags")
@@ -209,22 +168,15 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
         dropout = float(config.pop("dropout_rate", "0.0"))
     except ValueError:
         raise ModelFormatError("bad dropout_rate in config") from None
+
     def take(name: str) -> np.ndarray:  # a writable copy of the read-only blob view
         return tensors.pop(name).astype(np.float64)
 
-    def table(prefix: str, tokens: list[str]) -> EmbeddingTable:  # joining copies the rows
-        rows = tensors.pop(f"{prefix}.matrix"), tensors.pop(f"{prefix}.unk")[None]
-        vocab = {token: i for i, token in enumerate(tokens)}
-        return EmbeddingTable(vocab, np.concatenate(rows, dtype=np.float64))
+    def table(prefix: str, tokens: list[str]) -> EmbeddingTable:
+        return EmbeddingTable({token: i for i, token in enumerate(tokens)}, take(f"{prefix}.matrix"))
 
-    def bilstm(prefix: str) -> BiLstmParams:  # stacking copies the gate blocks
-        stacked = {}
-        for field, gates in _GATE_NAMES.items():
-            names = [f"{prefix}_{direction}.{gate}" for direction in _DIRECTIONS for gate in gates]
-            blocks = np.stack([tensors.pop(name) for name in names], dtype=np.float64)
-            # p holds one row per gate; the other stacks join H-row blocks
-            stacked[field] = blocks.reshape(2, -1, *blocks.shape[1 if field == "p" else 2 :])
-        return BiLstmParams(**stacked)
+    def bilstm(prefix: str) -> BiLstmParams:
+        return BiLstmParams(**{field: take(f"{prefix}.{field}") for field in ("w_x", "w_h", "p", "b")})
 
     # the constructors check each shape against the vocabularies, tags and other
     # tensors, and that the tags form an IOB2 tag set

@@ -9,6 +9,10 @@ stated tolerance (see tests/test_train.py); a file rewritten by later
 code is no longer a reference for that code.  The emissions were then
 computed one sentence at a time; this script now encodes the sentences
 as one batch, whose (R, K) emissions hold each sentence's rows in order.
+The model files were since converted, not retrained, to model file
+format 2: each was read with the format-1 loader and written again, and
+its tensors, vocabularies, tags and config are bit-equal to the ones
+81c89f2 wrote.
 
 Each model is built from one synthetic corpus and trained (dims
 30/5/6/12, dropout 0.5) on a second corpus whose vocabulary is larger,

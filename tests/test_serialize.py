@@ -8,11 +8,10 @@ from helpers import synthetic_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amner import serialize
 from amner.model import encode_batch
+from amner.cli import main
 from amner.serialize import (
     ModelFormatError,
-    file_tensors,
     load_model,
     model_from_bytes,
     model_to_bytes,
@@ -115,6 +114,14 @@ class TestRoundTrip:
         for name, arr in model_from_bytes(data)[0].tensors().items():
             assert arr.flags.writeable and not np.shares_memory(arr, file_bytes), name
 
+    def test_tensor_table_is_model_tensors(self):
+        # the file holds the model's own tensors: its names, shapes and order
+        _, model = small_model()
+        header = model_to_bytes(model).split(b"\n[blob]\n")[0].decode()
+        lines = header.split("\n[tensors ")[1].split("\n")[1:]
+        table = [(name, tuple(int(d) for d in dims)) for name, _, *dims in map(str.split, lines)]
+        assert table == [(name, array.shape) for name, array in model.tensors().items()]
+
     def test_config_preserved_verbatim(self):
         _, model = small_model()
         config = {"seed": "42", "note": "two words here"}
@@ -130,9 +137,23 @@ class TestErrors:
 
     def test_bad_magic(self):
         _, model = small_model()
-        data = model_to_bytes(model).replace(b"amner-model 1", b"other-model 9", 1)
+        data = model_to_bytes(model).replace(b"amner-model 2", b"other-model 9", 1)
         with pytest.raises(ModelFormatError, match="magic"):
             model_from_bytes(data)
+
+    def test_format_1_refused(self, tmp_path, capsys):
+        # the per-gate layout of format 1 is no longer read, by the API or by `amner tag`
+        _, model = small_model()
+        data = model_to_bytes(model).replace(b"amner-model 2", b"amner-model 1", 1)
+        with pytest.raises(ModelFormatError, match="model file format 1 is no longer read"):
+            model_from_bytes(data)
+        path = tmp_path / "old.model"
+        path.write_bytes(data)
+        corpus = tmp_path / "in.tsv"
+        corpus.write_text("a\tO\n\n", encoding="utf-8")
+        assert main(["tag", "--model", str(path), str(corpus), str(tmp_path / "out.tsv")]) == 1
+        assert "error: model file format 1 is no longer read" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
 
     def test_truncated_blob(self):
         _, model = small_model()
@@ -177,9 +198,9 @@ class TestErrors:
 
 
 def with_tensors(model, edit):
-    """Model file bytes whose tensor table is ``edit(file_tensors(model))``."""
-    tensors = edit(file_tensors(model))
-    with mock.patch.object(serialize, "file_tensors", lambda _: tensors):
+    """Model file bytes whose tensor table is ``edit(model.tensors())``."""
+    tensors = edit(model.tensors())
+    with mock.patch.object(model, "tensors", lambda: tensors):
         return model_to_bytes(model)
 
 
@@ -216,7 +237,7 @@ class TestTensorTable:
         [
             ("proj.weight", lambda a: a.T),
             ("crf.start", lambda a: np.append(a, 0.0)),
-            ("word_fwd.w_ix", lambda a: a[:, :-1]),
+            ("word.w_x", lambda a: a[:, :-1]),
         ],
     )
     def test_changed_shape(self, name, reshape):
@@ -225,39 +246,26 @@ class TestTensorTable:
         with pytest.raises(ModelFormatError, match="inconsistent model"):
             model_from_bytes(data)
 
-    def test_char_width_checked_against_char_lstm(self):
-        # a narrower character table with matching unk row but unchanged char LSTMs
+    @pytest.mark.parametrize("name, reshape, message", [
+        ("char.p", lambda a: a.sum(), "bad tensor line 'char.p "),
+        ("proj.weight", lambda a: a.sum(), "bad tensor line 'proj.weight "),
+        ("proj.weight", lambda a: a[:, 0], "projection input width mismatch"),
+    ], ids=["char.p-0d", "proj.weight-0d", "proj.weight-1d"])
+    def test_wrong_rank(self, name, reshape, message):
+        # a format error, not an IndexError from a shape check
         _, model = small_model()
-        narrow = {"char_table.matrix": lambda a: a[:, :-1], "char_table.unk": lambda a: a[:-1]}
+        data = with_tensors(model, lambda t: {k: reshape(v) if k == name else v for k, v in t.items()})
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_bytes(data)
+
+    def test_char_width_checked_against_char_lstm(self):
+        # a narrower character table but unchanged char LSTMs
+        _, model = small_model()
         data = with_tensors(
-            model, lambda t: {k: narrow[k](v) if k in narrow else v for k, v in t.items()}
+            model, lambda t: {k: v[:, :-1] if k == "char_table.matrix" else v for k, v in t.items()}
         )
         with pytest.raises(ModelFormatError, match="char BiLSTM expects width"):
             model_from_bytes(data)
-
-
-class TestGateBlocks:
-    def test_gate_blocks_load_into_stacked_rows(self):
-        _, model = small_model()
-        bilstm = model.encoder.word_bilstm
-        hidden, width = bilstm.hidden, bilstm.input_dim
-        w_ix = np.arange(hidden * width, dtype=np.float64).reshape(hidden, width) + 0.5
-        p_o = -np.arange(1.0, hidden + 1.0)
-        b_c = np.arange(1.0, hidden + 1.0) / 4
-        edits = {"word_fwd.w_ix": w_ix, "word_fwd.p_o": p_o, "word_bwd.b_c": b_c}
-        data = with_tensors(model, lambda t: {**t, **edits})
-        loaded = model_from_bytes(data)[0].encoder.word_bilstm
-        # direction 0 is the forward LSTM, direction 1 the reverse
-        assert np.array_equal(loaded.w_x[0, hidden : 2 * hidden], w_ix)
-        assert np.array_equal(loaded.p[0, 2], p_o)
-        assert np.array_equal(loaded.b[1, 2 * hidden : 3 * hidden], b_c)
-        # every other block loads where it was written
-        assert np.array_equal(loaded.w_x[0, :hidden], bilstm.w_x[0, :hidden])
-        assert np.array_equal(loaded.w_x[0, 2 * hidden :], bilstm.w_x[0, 2 * hidden :])
-        assert np.array_equal(loaded.w_x[1], bilstm.w_x[1])
-        assert np.array_equal(loaded.p[0, :2], bilstm.p[0, :2])
-        assert np.array_equal(loaded.b[1, : 2 * hidden], bilstm.b[1, : 2 * hidden])
-        assert np.array_equal(loaded.b[0], bilstm.b[0])
 
 
 class TestGolden:
