@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, fmt=False):
-        p.add_argument("--seed", type=int, default=0, help="random seed (printed on every run)")
+        p.add_argument("--seed", type=int_at_least(0), default=0,
+                       help="random seed (printed on every run)")
         if fmt:
             p.add_argument("--format", choices=("text", "kv"), default="text")
 
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char-dim", type=int_at_least(1), default=25)
     p.add_argument("--word-hidden", type=int_at_least(1), default=100)
     p.add_argument("--char-hidden", type=int_at_least(1), default=25)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=train_setting("seed"), default=None,
                    help="random seed (overrides the config file)")
     p.add_argument("--format", choices=("text", "kv"), default="text",
                    help="per-epoch stderr lines: the summary line, or every field as kv")

@@ -42,8 +42,8 @@ from .metrics import conll_evaluate
 from .model import EmbeddingTable, load_embeddings
 from .resample import MATCH_MAJORITY, FeatureRow, SmoteConfig, balance_token_dataset
 from .train import (
-    AdamState, TrainConfig, adam_step, build_model, holdout_split, kfold_split, tag_sentences,
-    train_model,
+    AdamState, TrainConfig, adam_step, build_model, holdout_split, kfold_split, make_batches,
+    tag_sentences, train_model,
 )
 
 REFERENCE_STATS = {"PER": 3809, "LOC": 7199, "ORG": 7596}
@@ -81,8 +81,7 @@ def train_and_score(train_set, test_set, args, pretrained) -> float:
                          dropout=args.dropout, seed=args.seed)
     model = build_model(
         train_set,
-        word_dim=args.word_dim, char_dim=25, char_hidden=25, word_hidden=100,
-        dropout=config.dropout, seed=config.seed, pretrained=pretrained,
+        word_dim=args.word_dim, dropout=config.dropout, seed=config.seed, pretrained=pretrained,
         extra_vocab=[t.surface for s in test_set for t in s.tokens],
     )
     train_model(train_set, model, config)
@@ -160,11 +159,8 @@ def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
     config = TrainConfig(learning_rate=args.lr)  # adam_step reads only the rate, betas and epsilon
     x = np.stack([row.values for row in train_rows])
     y = np.array([label_idx[row.label] for row in train_rows])
-    batch = 512
     for epoch in range(min(args.epochs, 20)):
-        order = np.random.default_rng(args.seed + epoch).permutation(len(y))
-        for start in range(0, len(y), batch):
-            chunk = order[start : start + batch]
+        for chunk in make_batches(range(len(y)), 512, args.seed + epoch):
             logits = x[chunk] @ params["w"] + params["b"]
             logits -= logits.max(axis=1, keepdims=True)
             probs = np.exp(logits)
@@ -255,7 +251,7 @@ def main(argv=None) -> int:
     parser.add_argument("--dropout", type=train_setting("dropout"), default=0.5)
     parser.add_argument("--word-dim", type=int_at_least(1), default=300)
     parser.add_argument("--smote-k", type=int_at_least(1), default=5)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int_at_least(0), default=0)
     parser.add_argument("--max-sentences", type=int_at_least(1), default=None,
                         help="subsample the corpus for smoke runs (stats check is skipped)")
     parser.add_argument("--allow-stats-mismatch", action="store_true")

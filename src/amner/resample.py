@@ -82,6 +82,8 @@ class SmoteConfig:
             raise ValueError(f"n_percent {self.n_percent} is over 100 but not a multiple of 100")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -141,15 +143,15 @@ def knn_minority(matrix: np.ndarray, k: int) -> np.ndarray:
             slack += underflow
             lower = upper - slack
             upper += slack
-        upper[upper == -np.inf] = np.inf  # only an overflowed a.b gives -inf
-        upper[diagonal] = np.inf
-        cut = np.partition(upper, k - 1, axis=1)[:, k - 1, None]
-        candidates = ~(lower > cut)
-        candidates[diagonal] = False
-        for i, row in zip(range(start, stop), candidates):
-            near = np.flatnonzero(row)
-            diffs = matrix[near] - matrix[i]
-            out[i] = near[np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")[:k]]
+            upper[upper == -np.inf] = np.inf  # only an overflowed a.b gives -inf
+            upper[diagonal] = np.inf
+            cut = np.partition(upper, k - 1, axis=1)[:, k - 1, None]
+            candidates = ~(lower > cut)
+            candidates[diagonal] = False
+            for i, row in zip(range(start, stop), candidates):
+                near = np.flatnonzero(row)
+                diffs = matrix[near] - matrix[i]
+                out[i] = near[np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")[:k]]
     return out
 
 
@@ -171,16 +173,18 @@ def populate_synthetic(
     matrix = np.asarray(matrix, dtype=np.float64)
     out = np.empty((len(gap), matrix.shape[1]))
     step = max(1, _BLOCK_ELEMENTS // max(1, matrix.shape[1]))
-    for start in range(0, len(gap), step):
-        part = slice(start, start + step)
-        base = out[part]
-        # the float operations of base + gap * (neighbour - base), without temporaries;
-        # mode="clip" skips the buffered copy mode="raise" makes, the indices being checked
-        np.take(matrix, source[part], axis=0, out=base, mode="clip")
-        scratch = matrix[neighbor[part]]
-        scratch -= base
-        scratch *= gap[part, None]
-        base += scratch
+    # an overflowed row comes out non-finite, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(gap), step):
+            part = slice(start, start + step)
+            base = out[part]
+            # the float operations of base + gap * (neighbour - base), without temporaries;
+            # mode="clip" skips the buffered copy mode="raise" makes, the indices being checked
+            np.take(matrix, source[part], axis=0, out=base, mode="clip")
+            scratch = matrix[neighbor[part]]
+            scratch -= base
+            scratch *= gap[part, None]
+            base += scratch
     return out
 
 

@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if not 0.0 < self.epsilon < math.inf:

@@ -195,6 +195,15 @@ class TestSmote:
         assert "error: feature row contains non-finite values" in capsys.readouterr().err
         assert not dst.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_prints_no_warning(self, tmp_path, capsys):
+        # numpy's overflow warnings would raise here; stderr holds the seed and the error only
+        src = write(tmp_path / "rows.tsv", OVERFLOW_ROWS)
+        dst = tmp_path / "out.tsv"
+        assert main(["smote", "--target", "match-majority", "--smote-k", "1", src, str(dst)]) == 1
+        assert capsys.readouterr().err == "seed: 0\nerror: feature row contains non-finite values\n"
+        assert not dst.exists()
+
     def test_target_not_a_count_is_usage_error(self, tmp_path, capsys):
         src = self.make_rows(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -270,7 +279,8 @@ class TestGradcheck:
         (["--step=-1e-5"], "--step: must be finite and positive, got -1e-05"),
         (["--tolerance=-1"], "--tolerance: must be finite and positive, got -1.0"),
         (["--tolerance", "inf"], "--tolerance: must be finite and positive, got inf"),
-    ], ids=["step-0", "step-nan", "step-negative", "tolerance-negative", "tolerance-inf"])
+        (["--seed", "-1"], "--seed: must be at least 0, got -1"),
+    ], ids=["step-0", "step-nan", "step-negative", "tolerance-negative", "tolerance-inf", "seed-negative"])
     def test_bad_step_or_tolerance_is_usage_error(self, capsys, flags, message):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", *flags])
@@ -352,6 +362,7 @@ class TestTrainTagEval:
         ("batch_size 0\n", [], "error: batch_size must be at least 1"),
         ("max_epochs -1\n", [], "error: max_epochs must be non-negative"),
         ("dropout 1.5\n", [], "error: dropout must be in [0, 1)"),
+        ("seed -1\n", [], "error: seed must be non-negative"),
     ])
     def test_bad_settings_are_data_errors(self, tmp_path, corpus_path, capsys, config, flags, message):
         cfg = tmp_path / "train.cfg"
@@ -371,6 +382,7 @@ class TestTrainTagEval:
         ("--dropout", "1.5", "dropout must be in [0, 1)"),
         *((flag, "0", "must be at least 1, got 0")
           for flag in ("--word-dim", "--char-dim", "--word-hidden", "--char-hidden")),
+        ("--seed", "-1", "seed must be non-negative"),
     ]
 
     @pytest.mark.parametrize("flag, value, message", BAD_FLAGS,

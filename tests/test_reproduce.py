@@ -133,6 +133,7 @@ def test_stdout_has_committed_sha256(tmp_path, monkeypatch, capsys, run):
     ("--lr", "0", "learning_rate must be finite and positive"),
     ("--dropout", "1.5", "dropout must be in [0, 1)"),
     ("--word-dim", "0", "must be at least 1, got 0"),
+    ("--seed", "-1", "must be at least 0, got -1"),
 ])
 def test_bad_training_flag_is_a_usage_error(tmp_path, capsys, flag, value, message):
     # refused while parsing, before the corpus is read

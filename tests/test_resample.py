@@ -335,6 +335,10 @@ class TestSmote:
         for valid in (1, 50, 99, 100, 200, 300, 1000):
             assert SmoteConfig(valid, k=1).n_percent == valid
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SmoteConfig(100, k=1, seed=-1)
+
 
 class TestBalance:
     def test_match_majority_expands_minority(self):

@@ -118,6 +118,8 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
 
     # each of these trains to NaN tensors, or turns the step into gradient ascent
     @pytest.mark.parametrize("name, value", [
