@@ -39,7 +39,6 @@ from .crf import CrfParams
 from .model import BiLstmParams, EmbeddingTable, EncoderParams, ModelParams
 
 MAGIC = "amner-model 2"
-_FORMAT_1 = "amner-model 1"
 _BLOB_MARKER = b"\n[blob]\n"
 
 
@@ -150,7 +149,7 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
         raise ModelFormatError("missing blob marker; not a model file")
     reader = _Reader(data)
     magic = reader.next_line()
-    if magic == _FORMAT_1:
+    if magic == "amner-model 1":
         raise ModelFormatError("model file format 1 is no longer read; retrain the model")
     if magic != MAGIC:
         raise ModelFormatError("unknown magic line; not a model file")
