@@ -11,7 +11,8 @@ including provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -321,20 +322,60 @@ def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
 
 
 def parse_feature_rows(text: str | bytes) -> list[FeatureRow]:
-    lines = text_lines(text)
-    header = next(lines)[1].strip()
+    """Read the feature-row format that write_feature_rows writes.
+
+    The first line is the attribute count; every other line is blank, a
+    ``#`` comment or ``label<TAB>values``, with exactly that many values
+    split on whitespace and read as ``float()`` reads them.  UTF-8 text or
+    bytes, LF or CRLF line ends.
+
+    One bulk parse reads the values into one checked matrix, and the rows'
+    values are views of it.  A file that parse refuses is read line by line:
+    a malformed one raises FormatError naming its first bad line, and one
+    that spells a value as only ``float()`` reads it (``1_0``) gives the
+    same rows, each with its own array.
+    """
     try:
-        width = int(header)
-    except ValueError:
-        raise FormatError(f"expected the attribute count, got {header!r}", 1) from None
+        return _parse_matrix(text)
+    except ValueError:  # the line reader decides, naming the first bad line
+        return _parse_lines(text)
+
+
+def _parse_matrix(text: str | bytes) -> list[FeatureRow]:
+    """Every data line's values in one loadtxt call; ValueError where it refuses.
+
+    loadtxt splits on the whitespace str.split() splits on and reads the
+    ASCII spellings float() reads, to the same float.  It refuses the
+    spellings only float() reads (``1_0``, non-ASCII digits) and skips
+    blank lines, so those files go to the line reader.
+    """
+    lines = text_lines(text)
+    width = _header_width(lines)
+    labels: list[str] = []
+
+    def values_texts():
+        for _, label, values_text in _data_lines(lines):
+            if not values_text or values_text.isspace():
+                raise ValueError("no values")
+            labels.append(label)
+            yield values_text
+
+    texts = values_texts()
+    first = next(texts, None)  # loadtxt warns on no data
+    if first is None:
+        return []
+    matrix = np.loadtxt(chain([first], texts), dtype=np.float64, comments=None, ndmin=2)
+    if matrix.shape != (len(labels), width):
+        raise ValueError(f"read shape {matrix.shape}, expected {(len(labels), width)}")
+    return FeatureRow.from_matrix(matrix, labels)
+
+
+def _parse_lines(text: str | bytes) -> list[FeatureRow]:
+    """The reference reader: one line at a time, the first bad line raising."""
+    lines = text_lines(text)
+    width = _header_width(lines)
     rows: list[FeatureRow] = []
-    for lineno, line in lines:
-        if not line.strip() or line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != 2:
-            raise FormatError("expected `label<TAB>values`", lineno)
-        label, values_text = columns
+    for lineno, label, values_text in _data_lines(lines):
         parts = values_text.split()
         if len(parts) != width:
             raise FormatError(f"expected {width} values, got {len(parts)}", lineno)
@@ -347,3 +388,22 @@ def parse_feature_rows(text: str | bytes) -> list[FeatureRow]:
         except ValueError as exc:
             raise FormatError(str(exc), lineno) from None
     return rows
+
+
+def _header_width(lines: Iterator[tuple[int, str]]) -> int:
+    header = next(lines)[1].strip()
+    try:
+        return int(header)
+    except ValueError:
+        raise FormatError(f"expected the attribute count, got {header!r}", 1) from None
+
+
+def _data_lines(lines: Iterator[tuple[int, str]]) -> Iterator[tuple[int, str, str]]:
+    """``(line number, label, values text)`` per line that is not blank or a comment."""
+    for lineno, line in lines:
+        if not line.strip() or line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) != 2:
+            raise FormatError("expected `label<TAB>values`", lineno)
+        yield lineno, *columns

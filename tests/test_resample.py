@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amner import resample
+from amner.corpus import FormatError
 from amner.resample import (
     MATCH_MAJORITY,
     FeatureRow,
@@ -483,3 +485,110 @@ class TestFeatureRowProperties:
         assert [row.label for row in back] == [row.label for row in rows]
         for got, want in zip(back, rows):
             assert got.values.tobytes() == want.values.tobytes()
+
+
+# one value: valid spellings, spellings only float() reads, non-finite and non-numeric ones
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0.0", "+.5", "5.", "1e-400", "0.1000000000000000055511151231257827"]),
+    st.sampled_from(["1_0", "\u0661", "\uff11"]),
+    st.sampled_from(["nan", "1e999", "-inf"]),
+    st.sampled_from(["nope", "1,5", "0x10", "#1", "\"1\""]),
+)
+# between values: ASCII, Unicode and control-character whitespace, and a bare carriage return
+_GAPS = st.sampled_from([" ", "  ", "\x1c", "\u00a0", " \u3000", "\x0b", "\r"])
+
+
+@st.composite
+def _data_line(draw, width: int) -> str:
+    kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "no-tab", "two-tabs"]))
+    if kind == "comment":
+        return "# " + draw(st.text(alphabet="ab \t", max_size=4))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    count = draw(st.sampled_from([width] * 8 + [max(0, width - 1), width + 1]))
+    values = draw(st.lists(_VALUES, min_size=count, max_size=count))
+    text = values[0] if values else ""
+    for value in values[1:]:
+        text += draw(_GAPS) + value
+    text = draw(st.sampled_from(["", " ", "\u00a0"])) + text + draw(st.sampled_from(["", " "]))
+    label = draw(st.sampled_from(["O", "PER", "B-LOC", "", " ", "ሰው"]))
+    if kind == "no-tab":
+        return label + " " + text
+    if kind == "two-tabs":
+        return label + "\t" + text + "\t"
+    return label + "\t" + text
+
+
+@st.composite
+def _feature_file(draw) -> str | bytes:
+    width = draw(st.integers(0, 4))
+    header = draw(st.sampled_from([str(width), f" {width} ", "w"] if width else ["0"]))
+    lines = [header] + draw(st.lists(_data_line(width), max_size=8))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text.encode() if draw(st.booleans()) else text
+
+
+def _read(rows):
+    return [(row.label, row.values.tobytes()) for row in rows]
+
+
+class TestBulkReader:
+    """parse_feature_rows reads a file in one bulk parse and leaves every file
+    that parse refuses to the line reader, which stays the reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_feature_file())
+    def test_equals_line_reader(self, text):
+        try:
+            bulk = resample._parse_matrix(text)
+        except ValueError:
+            bulk = None
+        try:
+            want = resample._parse_lines(text)
+        except FormatError as exc:
+            assert bulk is None  # the bulk parse never reads a file the line reader refuses
+            with pytest.raises(FormatError) as err:
+                parse_feature_rows(text)
+            assert str(err.value) == str(exc) and err.value.line == exc.line
+            return
+        if bulk is not None:
+            assert _read(bulk) == _read(want)
+        assert _read(parse_feature_rows(text)) == _read(want)
+
+    def test_clean_file_is_one_matrix(self):
+        rows = parse_feature_rows("2\nO\t1 2\r\n# c\n\nPER\t3\u00a0\x1c4\n")
+        assert _read(rows) == _read([FeatureRow(np.array([1.0, 2.0]), "O"),
+                                     FeatureRow(np.array([3.0, 4.0]), "PER")])
+        assert rows[0].values.base is rows[1].values.base is not None
+
+    @pytest.mark.parametrize("text", ["3\n", "3\n# only a comment\n\n", "0\n"])
+    def test_no_rows_reads_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_feature_rows(text) == []
+
+    def test_width_zero_rows_read_by_line_reader(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = parse_feature_rows("0\nO\t\nPER\t \n")
+        assert [(row.label, row.width) for row in rows] == [("O", 0), ("PER", 0)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\nO\t1 2\nO\tnope 1\nO\t1\n", "line 3: non-numeric value"),
+            ("2\nO\t1 2\nO\t1\nO\tnope 1\n", "line 3: expected 2 values, got 1"),
+            ("2\nO\t1_0 2\nO\tnan 1\n\t1 2\n", "line 3: feature row contains non-finite"),
+            ("1\nO\t1\r2\n", "line 2: expected 1 values, got 2"),
+            ("1\nO\t1\nO\t\n", "line 3: expected 1 values, got 0"),
+            ("2\nO\t1 2 #3\n", "line 2: expected 2 values, got 3"),
+        ],
+    )
+    def test_first_bad_line_named(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            parse_feature_rows(text)
+
+    def test_float_only_spellings_read(self):
+        rows = parse_feature_rows("2\nO\t1_0 \u0661\nO\t10 1\n")
+        assert rows[0].values.tobytes() == rows[1].values.tobytes()
