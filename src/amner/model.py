@@ -32,12 +32,15 @@ The encoder holds a batch of N sentences in one layout: their R tokens
 concatenated in sentence order, (R, ·).  One BiLSTM routine runs both
 BiLSTMs on that layout: the character BiLSTM once over the characters
 of the batch's unique word types, the word BiLSTM once over the tokens
-of all N sentences.  Inside, it packs the positions step by step: the
-sequences are ordered longest first, so the ones still running at a
-step are a prefix, and one time loop steps that prefix in both
-directions at once.  No array of the encoder or of the CRF holds
-padding, the emissions (R, K) and their gradient included: the CRF's
-recursions step the same packed layout.
+of all N sentences.  Its input projection runs once per distinct input
+row: per distinct character, and per word type except under training
+dropout, which masks each token's row and so projects each token.
+Inside, it packs the positions step by step: the sequences are ordered
+longest first, so the ones still running at a step are a prefix, and
+one time loop steps that prefix in both directions at once.  No array
+of the encoder or of the CRF holds padding, the emissions (R, K) and
+their gradient included: the CRF's recursions step the same packed
+layout.
 """
 
 from __future__ import annotations
@@ -204,29 +207,40 @@ class BiLstmParams:
         return {f"{prefix}.{name}": getattr(self, name) for name in ("w_x", "w_h", "p", "b")}
 
 
-def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
-    """Both directions over concatenated sequences ``xs`` (R, D), where
-    sequence n is the next lengths[n] rows; the reverse direction reads
-    each sequence from its own last row.  Returns (outs (R, 2H), cache),
-    outs[r] holding both directions' states after row r.
+def _bilstm_forward(
+    params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray, rows: np.ndarray | None = None
+):
+    """Both directions over concatenated sequences of R positions, where
+    sequence n is the next lengths[n] positions and position r reads row
+    rows[r] of xs, or row r when ``rows`` is None; the reverse direction
+    reads each sequence from its own last position.  Returns (outs (R,
+    2H), cache), outs[r] holding both directions' states after position r.
 
     Internally the kernel works in the packed layout of :func:`crf._pack`:
-    one GEMM per direction computes every position's input projection,
-    and one time loop steps both directions over the prefix of rows
-    still running.  The cache holds the caller's xs, not a copy, so xs
-    must not change before the backward pass; hs and cs (2, counts[0] +
-    R, H) whose first counts[0] rows are the zero initial states and row
-    counts[0] + p the state after position p; gates (2, R, 4, H) holding
-    f, i, g, o; tanh_c (2, R, H); and the layout.
+    one GEMM per direction computes the input projection, of each row of
+    xs once when xs has fewer rows than there are positions, else of each
+    position's row, and one time loop steps both directions over the
+    prefix of positions still running.  The cache holds the caller's xs,
+    not a copy, so xs must not change before the backward pass, and the
+    row each packed position reads per direction; hs and cs (2, counts[0]
+    + R, H) whose first counts[0] rows are the zero initial states and row
+    counts[0] + p the state after packed position p; gates (2, R, 4, H)
+    holding f, i, g, o; tanh_c (2, R, H); and the layout.
     """
     if not lengths.all():
         raise ValueError("cannot run a BiLSTM over an empty sequence")
     pack = counts, starts, fwd, rev, prev, _ = _pack(lengths)
     hidden, first = params.hidden, counts[0]
+    reads = (fwd, rev) if rows is None else (rows[fwd], rows[rev])
     gates = np.empty((2, len(fwd), 4 * hidden))
-    for d, idx in enumerate((fwd, rev)):
-        np.matmul(xs[idx], params.w_x[d].T, out=gates[d])
-    gates += params.b[:, None]
+    for d, idx in enumerate(reads):
+        # numpy sends a one-row product to a matrix-vector routine, which
+        # sums in another order than the rows of a GEMM
+        if 1 < len(xs) < len(idx):
+            gates[d] = (xs @ params.w_x[d].T + params.b[d])[idx]
+        else:
+            np.matmul(xs[idx], params.w_x[d].T, out=gates[d])
+            gates[d] += params.b[d]
     gates = gates.reshape(2, -1, 4, hidden)
     # an overflowed product would saturate the gates instead of propagating
     # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN;
@@ -254,7 +268,7 @@ def _bilstm_forward(params: BiLstmParams, xs: np.ndarray, lengths: np.ndarray):
     outs = np.empty((len(fwd), 2 * hidden))
     outs[fwd, :hidden] = hs[0, first:]
     outs[rev, hidden:] = hs[1, first:]
-    return outs, (xs, hs, cs, gates, tanh_c, pack)
+    return outs, ((xs, reads), hs, cs, gates, tanh_c, pack)
 
 
 def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
@@ -264,9 +278,9 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     pre-activation gradients d_a of the R positions, each row joining
     with zero carries at its last step; the weight and input gradients
     are then GEMMs over them, the input weights' one direction at a time
-    over that direction's gather of the cached xs.
+    over that direction's gather of the cached input rows.
     """
-    xs, hs, cs, gates, tanh_c, (counts, starts, fwd, rev, prev, _) = cache
+    (xs, reads), hs, cs, gates, tanh_c, (counts, starts, fwd, rev, prev, _) = cache
     _, total, _, hidden = gates.shape
     d_hs = np.stack([d_outs[fwd, :hidden], d_outs[rev, hidden:]])
     c_prev = cs[:, prev]
@@ -298,7 +312,7 @@ def _bilstm_backward(params: BiLstmParams, cache, d_outs: np.ndarray):
     peep_in = (c_prev, c_prev, cs[:, counts[0]:])
     d_p = [(d_a[:, :, k] * s).sum(axis=1) for k, s in zip((0, 1, 3), peep_in)]
     d_w_x = np.empty_like(params.w_x)
-    for d, idx in enumerate((fwd, rev)):
+    for d, idx in enumerate(reads):
         np.matmul(d_a2_t[d], xs[idx], out=d_w_x[d])
     grads = BiLstmParams(d_w_x, d_a2_t @ hs[:, prev], np.stack(d_p, axis=1), d_a2.sum(axis=1))
     d_packed = d_a2 @ params.w_x
@@ -320,7 +334,8 @@ def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[
     """
     lengths = np.array([len(word) for word in words])
     ids = table.ids("".join(words))
-    outs, cache = _bilstm_forward(params, table.matrix[ids], lengths)
+    chars, rows = np.unique(ids, return_inverse=True)
+    outs, cache = _bilstm_forward(params, table.matrix[chars], lengths, rows)
     hidden, ends = params.hidden, np.cumsum(lengths)
     last, first = ends - 1, ends - lengths
     vecs = np.concatenate([outs[last, :hidden], outs[first, hidden:]], axis=1)
@@ -491,14 +506,15 @@ def encode_forward(
         vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, new)
         type_vectors.update(zip(new, vecs))
     char_vecs = np.array([type_vectors[word] for word in batch.types])
-    xs = np.concatenate(
-        [params.word_table.matrix[batch.word_rows], char_vecs[batch.type_ids]], axis=1
-    )
-    out_width = 2 * params.word_bilstm.hidden
+    word_rows = np.empty(len(batch.types), dtype=np.int64)
+    word_rows[batch.type_ids] = batch.word_rows
+    xs = np.concatenate([params.word_table.matrix[word_rows], char_vecs], axis=1)
+    rows, out_width = batch.type_ids, 2 * params.word_bilstm.hidden
     in_masks = out_masks = None
     if use_dropout:
-        # inverted dropout: survivors are scaled, so inference needs no rescale
-        rate = params.dropout_rate
+        # inverted dropout: survivors are scaled, so inference needs no
+        # rescale; each token's input row gets its own mask
+        xs, rows, rate = xs[rows], None, params.dropout_rate
         in_masks, out_masks = np.empty(xs.shape), np.empty((len(xs), out_width))
         for lo, length in zip(np.cumsum(batch.lengths) - batch.lengths, batch.lengths):
             here = slice(lo, lo + length)
@@ -506,7 +522,7 @@ def encode_forward(
             out_masks[here] = (rng.random((length, out_width)) >= rate) / (1.0 - rate)
         xs *= in_masks
 
-    outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs, batch.lengths)
+    outs, bilstm_cache = _bilstm_forward(params.word_bilstm, xs, batch.lengths, rows)
     if use_dropout:
         outs *= out_masks
     cache = (batch, char_cache, in_masks, bilstm_cache, outs, out_masks)

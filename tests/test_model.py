@@ -316,6 +316,85 @@ class TestPackedKernel:
         assert abs((loss(1e-6) - loss(-1e-6)) / 2e-6 - slope) <= 1e-6 * max(1.0, abs(slope))
 
 
+class TestDistinctRows:
+    """The kernel fed a table and one row index per position equals the
+    kernel fed each position's row, bit for bit, whether it projects the
+    table's rows or the gathered ones."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        rows=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        unused=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(lengths=[1], rows=[0], unused=0, seed=0)
+    @example(lengths=[4], rows=[0], unused=0, seed=1)  # a one-row table
+    @example(lengths=[3, 1, 2], rows=[2, 0, 2, 1, 1, 2], unused=1, seed=2)
+    @example(lengths=[2, 2], rows=[1, 0, 3, 2], unused=0, seed=3)  # as many rows as positions
+    def test_equals_gathered_rows(self, lengths, rows, unused, seed):
+        rng = np.random.default_rng(seed)
+        params = BiLstmParams.random(3, 2, rng)
+        params.p[:] = rng.normal(size=params.p.shape)
+        params.b[:] = rng.normal(size=params.b.shape)
+        lengths = np.array(lengths)
+        rows = np.resize(np.array(rows), lengths.sum())  # repeats rows to one per position
+        table = rng.normal(size=(rows.max() + 1 + unused, 3))
+        d_outs = rng.normal(size=(lengths.sum(), 4))
+        outs, cache = _bilstm_forward(params, table, lengths, rows)
+        grads, d_xs = _bilstm_backward(params, cache, d_outs)
+        want_outs, want_cache = _bilstm_forward(params, table[rows], lengths)
+        want_grads, want_d_xs = _bilstm_backward(params, want_cache, d_outs)
+        assert outs.tobytes() == want_outs.tobytes()
+        assert d_xs.tobytes() == want_d_xs.tobytes()
+        for name, arr in want_grads.tensors("").items():
+            assert grads.tensors("")[name].tobytes() == arr.tobytes(), name
+
+    _SENTENCES = st.lists(
+        st.lists(st.sampled_from(["alpha", "beta", "gamma", "zzz", "ab"]), min_size=1, max_size=5),
+        min_size=1, max_size=5,
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(sentences=_SENTENCES, seed=st.integers(0, 2**8))
+    @example(sentences=[["beta", "beta", "zzz"], ["zzz"], ["alpha", "beta"]], seed=0)
+    def test_encode_forward_equals_per_token_rows(self, sentences, seed):
+        enc = random_char_encoder(seed)
+        batch = encode_batch(enc, sentences)
+        got, _ = encode_forward(enc, batch)
+        # one input row per token, as the encoder built them before it
+        # projected each word type once
+        char_vecs = char_vectors(enc, batch.types)[batch.type_ids]
+        xs = np.concatenate([enc.word_table.matrix[batch.word_rows], char_vecs], axis=1)
+        outs, _ = _bilstm_forward(enc.word_bilstm, xs, batch.lengths)
+        assert got.tobytes() == (outs @ enc.proj_w + enc.proj_b).tobytes()
+        start = 0
+        for words in sentences:  # and a loop of single reference steps per sentence
+            rows = [np.concatenate([row_of(enc.word_table, w), per_word_char_vector(enc, w)])
+                    for w in words]
+            want = reference_outputs(enc.word_bilstm, rows) @ enc.proj_w + enc.proj_b
+            assert np.max(np.abs(got[start : start + len(words)] - want)) <= 1e-12
+            start += len(words)
+
+    def test_finiteness_check_reads_only_used_rows(self):
+        rng = np.random.default_rng(6)
+        params = BiLstmParams.random(3, 2, rng)
+        table = rng.normal(size=(3, 3))
+        table[2, 1] = np.nan
+        lengths = np.array([4, 2])
+        _bilstm_forward(params, table, lengths, np.array([0, 1, 1, 0, 1, 0]))
+        with pytest.raises(ValueError, match="non-finite LSTM input projection"):
+            _bilstm_forward(params, table, lengths, np.array([0, 1, 1, 0, 2, 0]))
+
+        enc = tiny_encoder()  # characters "abgelmt"; "beta" and "gate" use no "l" or "m"
+        enc.char_table.matrix[enc.char_table.vocab["m"]] = np.nan
+        enc.word_table.matrix[enc.word_table.vocab["gamma"]] = np.nan
+        assert np.all(np.isfinite(emissions_of(enc, [["beta", "gate"], ["gate"]])))
+        for words in (["beta", "lamb"], ["gamma"]):
+            with pytest.raises(ValueError, match="non-finite LSTM input projection"):
+                emissions_of(enc, [words])
+
+
 class TestCharEncoding:
     def test_single_char_word(self):
         enc = tiny_encoder()
