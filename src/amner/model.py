@@ -218,9 +218,9 @@ def _bilstm_forward(
 
     Internally the kernel works in the packed layout of :func:`crf._pack`:
     one GEMM per direction computes the input projection, of each row of
-    xs once when xs has fewer rows than there are positions, else of each
-    position's row, and one time loop steps both directions over the
-    prefix of positions still running.  The cache holds the caller's xs,
+    xs once when xs has more than one row but fewer than there are
+    positions, else of each position's row, and one time loop steps both
+    directions over the prefix of positions still running.  The cache holds the caller's xs,
     not a copy, so xs must not change before the backward pass, and the
     row each packed position reads per direction; hs and cs (2, counts[0]
     + R, H) whose first counts[0] rows are the zero initial states and row
