@@ -229,11 +229,6 @@ def write_corpus(sentences: Sequence[Sentence], scheme: TagScheme) -> str:
     return "".join(pieces)
 
 
-def save_corpus(path, sentences: Sequence[Sentence], scheme: TagScheme) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(write_corpus(sentences, scheme))
-
-
 def tag_violation(prev: Tag, tag: Tag, scheme: TagScheme) -> str | None:
     """Why ``tag`` may not directly follow ``prev`` under ``scheme``, or None
     if it may; ``prev`` is :data:`O_TAG` before the first token."""

@@ -29,11 +29,12 @@ clipping, Adam, the gradient check and the model file (see
 :mod:`amner.serialize`) all see these tensors and no other layout.
 
 The encoder holds a batch of N sentences in one layout: their R tokens
-concatenated in sentence order, (R, ·).  One BiLSTM routine runs both
-BiLSTMs on that layout: the character BiLSTM once over the characters
-of the batch's unique word types, the word BiLSTM once over the tokens
-of all N sentences.  Its input projection runs once per distinct input
-row: per distinct character, and per word type except under training
+concatenated in sentence order, (R, ·), each an index into the batch's
+word types, which hold one word-table row each.  One BiLSTM routine
+runs both BiLSTMs on that layout: the character BiLSTM once over the
+characters of the batch's word types, one input row per character, and
+the word BiLSTM once over the tokens of all N sentences, one input row
+per word type, so that it projects each type once, except under training
 dropout, which masks each token's row and so projects each token.
 Inside, it packs the positions step by step: the sequences are ordered
 longest first, so the ones still running at a step are a prefix, and
@@ -50,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import FormatError, TagScheme, tag_to_str, text_lines
+from .corpus import FormatError, Sentence, TagScheme, tag_to_str, text_lines
 from .crf import CrfParams, _pack, build_iob2_mask
 
 
@@ -334,8 +335,7 @@ def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[
     """
     lengths = np.array([len(word) for word in words])
     ids = table.ids("".join(words))
-    chars, rows = np.unique(ids, return_inverse=True)
-    outs, cache = _bilstm_forward(params, table.matrix[chars], lengths, rows)
+    outs, cache = _bilstm_forward(params, table.matrix[ids], lengths)
     hidden, ends = params.hidden, np.cumsum(lengths)
     last, first = ends - 1, ends - lengths
     vecs = np.concatenate([outs[last, :hidden], outs[first, hidden:]], axis=1)
@@ -438,12 +438,12 @@ def init_crf(num_tags: int, rng: np.random.Generator) -> CrfParams:
 @dataclass
 class Batch:
     """N sentences as the encoder reads them: their R tokens concatenated
-    in sentence order."""
+    in sentence order, each token an index into the batch's word types."""
 
     lengths: np.ndarray  # (N,)
-    word_rows: np.ndarray  # (R,) word-table rows
     types: list[str]  # the batch's unique word types, in order of first use
     type_ids: np.ndarray  # (R,) index into ``types``
+    type_rows: np.ndarray  # (len(types),) word-table row of each type
     tags: np.ndarray | None = None  # (R,) gold tag ids, when encoded with a tag index
 
     def take(self, ids: Sequence[int]) -> "Batch":
@@ -456,28 +456,28 @@ class Batch:
         type_ids = np.array([renumber.setdefault(t, len(renumber)) for t in old], dtype=np.int64)
         types = [self.types[t] for t in renumber]
         tags = None if self.tags is None else self.tags[tokens]
-        return Batch(self.lengths[ids], self.word_rows[tokens], types, type_ids, tags)
+        return Batch(self.lengths[ids], types, type_ids, self.type_rows[list(renumber)], tags)
 
 
-def encode_batch(params: EncoderParams, sentences: Sequence, tag_index: dict | None = None) -> Batch:
-    """Encode ``sentences``, Sentence objects or lists of surfaces.  Given
-    ``tag_index`` (tag string to id), also their Sentence objects' gold tags."""
-    words = [list(getattr(sentence, "surfaces", sentence)) for sentence in sentences]
-    lengths = np.array([len(ws) for ws in words], dtype=np.int64)
-    if not lengths.size or not lengths.all():
-        raise ValueError("cannot encode an empty batch or an empty sentence")
-    flat = [w for ws in words for w in ws]
+def encode_batch(
+    params: EncoderParams, sentences: Sequence[Sentence], tag_index: dict | None = None
+) -> Batch:
+    """Encode ``sentences``, looking each word type up once.  Given
+    ``tag_index`` (tag string to id), also their gold tags."""
+    if not sentences:
+        raise ValueError("cannot encode an empty batch")
+    tokens = [token for sentence in sentences for token in sentence.tokens]
     types: dict[str, int] = {}
-    type_ids = np.array([types.setdefault(w, len(types)) for w in flat], dtype=np.int64)
+    type_ids = np.array([types.setdefault(t.surface, len(types)) for t in tokens], dtype=np.int64)
     tags = None
     if tag_index is not None:
-        tokens = [token for sentence in sentences for token in sentence.tokens]
         texts = [tag_to_str(token.tag, TagScheme.IOB2) for token in tokens]
         unknown = [text for text in texts if text not in tag_index]
         if unknown:
             raise ValueError(f"tag {unknown[0]!r} not in the model's tag vocabulary")
         tags = np.array([tag_index[text] for text in texts], dtype=np.int64)
-    return Batch(lengths, params.word_table.ids(flat), list(types), type_ids, tags)
+    lengths = np.array([len(sentence) for sentence in sentences], dtype=np.int64)
+    return Batch(lengths, list(types), type_ids, params.word_table.ids(types), tags)
 
 
 def encode_forward(
@@ -506,9 +506,7 @@ def encode_forward(
         vecs, char_cache = _chars_forward(params.char_table, params.char_bilstm, new)
         type_vectors.update(zip(new, vecs))
     char_vecs = np.array([type_vectors[word] for word in batch.types])
-    word_rows = np.empty(len(batch.types), dtype=np.int64)
-    word_rows[batch.type_ids] = batch.word_rows
-    xs = np.concatenate([params.word_table.matrix[word_rows], char_vecs], axis=1)
+    xs = np.concatenate([params.word_table.matrix[batch.type_rows], char_vecs], axis=1)
     rows, out_width = batch.type_ids, 2 * params.word_bilstm.hidden
     in_masks = out_masks = None
     if use_dropout:
@@ -549,10 +547,11 @@ def encode_backward(
         d_xs *= in_masks
 
     word_dim = params.word_table.dim
-    # add.at sums each row's terms in token order, starting from zero
-    rows, slots = np.unique(batch.word_rows, return_inverse=True)
+    # add.at sums each row's terms in token order, starting from zero;
+    # types may share a row, as out-of-vocabulary ones share row V
+    rows, slots = np.unique(batch.type_rows, return_inverse=True)
     d_word_rows = np.zeros((len(rows), word_dim))
-    np.add.at(d_word_rows, slots, d_xs[:, :word_dim])
+    np.add.at(d_word_rows, slots[batch.type_ids], d_xs[:, :word_dim])
     d_types = np.zeros((len(batch.types), d_xs.shape[1] - word_dim))
     np.add.at(d_types, batch.type_ids, d_xs[:, word_dim:])
     d_chars, char_grads = _chars_backward(

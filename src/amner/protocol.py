@@ -56,8 +56,8 @@ def log(message: str) -> None:
     print(message, flush=True)
 
 
-def check_stats(sentences, scheme, allow_mismatch: bool) -> None:
-    stats = corpus_stats(sentences, scheme)
+def check_stats(sentences, allow_mismatch: bool) -> None:
+    stats = corpus_stats(sentences, TagScheme.IOB2)
     log("corpus statistics:")
     log(render_stats(stats, "text").rstrip())
     matches = (
@@ -222,7 +222,7 @@ def run(args) -> int:
         sentences = [sentences[int(i)] for i in np.sort(keep)]
         log(f"subsampled to {len(sentences)} sentences; skipping the stats check")
     else:
-        check_stats(sentences, TagScheme.IOB2, args.allow_stats_mismatch)
+        check_stats(sentences, args.allow_stats_mismatch)
 
     pretrained = None
     if args.embeddings:

@@ -147,7 +147,7 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     config: TrainConfig,
-) -> tuple[AdamState, dict[str, np.ndarray]]:
+) -> None:
     """One bias-corrected Adam update, applied in place to ``params``.
 
     Per element, in this order:
@@ -195,7 +195,6 @@ def adam_step(
             np.divide(mb, bc1, out=b)
             b *= lr
             pb -= np.divide(b, a, out=b)
-    return state, params
 
 
 def clip_global_norm(grads: dict[str, np.ndarray | SparseRows], max_norm: float | None) -> float:

@@ -23,9 +23,9 @@ from amner.corpus import (
     Token,
     convert_scheme,
     extract_spans,
-    save_corpus,
     spans_to_tags,
     tag_from_str,
+    write_corpus,
 )
 from amner.crf import CrfParams, forward_log_partition, viterbi_decode
 from amner.metrics import AgreementTable, cohen_kappa, f1_from_pr, interpret_kappa
@@ -260,7 +260,7 @@ def test_criterion_9_train_determinism(tmp_path, monkeypatch):
     for run in ("a", "b"):
         workdir = tmp_path / run
         workdir.mkdir()
-        save_corpus(workdir / "train.tsv", corpus, IOB2)
+        (workdir / "train.tsv").write_bytes(write_corpus(corpus, IOB2).encode("utf-8"))
         monkeypatch.chdir(workdir)
         assert main(args) == 0
         outputs.append(

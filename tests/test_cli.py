@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amner.cli import main
-from amner.corpus import TagScheme, save_corpus
+from amner.corpus import TagScheme, write_corpus
 
 IOB1_TEXT = (
     "w00\tO\nw01\tO\nw02\tI-ORG\nw03\tI-ORG\nw04\tI-ORG\nw05\tO\n"
@@ -326,7 +326,7 @@ class TestTrainTagEval:
     def corpus_path(self, tmp_path):
         corpus = synthetic_corpus(8, seed=21, min_len=3, max_len=6)
         path = tmp_path / "train.tsv"
-        save_corpus(path, corpus, TagScheme.IOB2)
+        path.write_bytes(write_corpus(corpus, TagScheme.IOB2).encode("utf-8"))
         return str(path)
 
     TRAIN_ARGS = [

@@ -7,7 +7,7 @@ from helpers import NUMBER_FIELDS, float_or_none, same_float
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amner.corpus import FormatError, Sentence, TagScheme, Token, tag_from_str
+from amner.corpus import O_TAG, FormatError, Sentence, TagScheme, Token, tag_from_str
 from amner.model import (
     Batch,
     BiLstmParams,
@@ -83,9 +83,14 @@ def char_vectors(enc, words):
     return _chars_forward(enc.char_table, enc.char_bilstm, words)[0]
 
 
+def encode_words(enc, sentences):
+    """The batch of ``sentences``, lists of words, each token tagged O."""
+    return encode_batch(enc, [Sentence(tuple(Token(w, O_TAG) for w in ws)) for ws in sentences])
+
+
 def emissions_of(enc, sentences, rng=None):
-    """Emissions (R, K) of a batch, as the trainer and tagger compute them."""
-    return encode_forward(enc, encode_batch(enc, sentences), rng=rng)[0]
+    """Emissions (R, K) of a batch of word lists, as the trainer and tagger compute them."""
+    return encode_forward(enc, encode_words(enc, sentences), rng=rng)[0]
 
 
 def row_of(table, token):
@@ -360,12 +365,13 @@ class TestDistinctRows:
     @example(sentences=[["beta", "beta", "zzz"], ["zzz"], ["alpha", "beta"]], seed=0)
     def test_encode_forward_equals_per_token_rows(self, sentences, seed):
         enc = random_char_encoder(seed)
-        batch = encode_batch(enc, sentences)
+        batch = encode_words(enc, sentences)
         got, _ = encode_forward(enc, batch)
         # one input row per token, as the encoder built them before it
         # projected each word type once
         char_vecs = char_vectors(enc, batch.types)[batch.type_ids]
-        xs = np.concatenate([enc.word_table.matrix[batch.word_rows], char_vecs], axis=1)
+        word_rows = enc.word_table.matrix[batch.type_rows[batch.type_ids]]
+        xs = np.concatenate([word_rows, char_vecs], axis=1)
         outs, _ = _bilstm_forward(enc.word_bilstm, xs, batch.lengths)
         assert got.tobytes() == (outs @ enc.proj_w + enc.proj_b).tobytes()
         start = 0
@@ -454,21 +460,23 @@ class TestEncodeSentence:
         assert np.array_equal(a, b)
 
     def test_empty_sentence_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        # the encoder reads Sentences, which cannot be empty
+        with pytest.raises(ValueError, match="at least one token"):
             emissions_of(tiny_encoder(), [[]])
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="at least one token"):
             emissions_of(tiny_encoder(), [self.WORDS, []])
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty batch"):
             emissions_of(tiny_encoder(), [])
 
     def test_oov_word_uses_unk_row(self):
         enc = tiny_encoder()
-        batch = encode_batch(enc, [["zzz", "beta"], ["gamma"]])
+        batch = encode_words(enc, [["zzz", "beta"], ["gamma", "beta", "xy"]])
         unk = len(enc.word_table.vocab)
-        assert batch.word_rows.tolist() == [unk, enc.word_table.vocab["beta"],
-                                            enc.word_table.vocab["gamma"]]
-        assert list(batch.lengths) == [2, 1]
-        assert batch.types == ["zzz", "beta", "gamma"]
+        assert batch.type_rows.tolist() == [unk, enc.word_table.vocab["beta"],
+                                            enc.word_table.vocab["gamma"], unk]
+        assert batch.type_ids.tolist() == [0, 1, 2, 1, 3]
+        assert list(batch.lengths) == [2, 3]
+        assert batch.types == ["zzz", "beta", "gamma", "xy"]
 
 
 class TestEncoderGradients:
@@ -480,7 +488,7 @@ class TestEncoderGradients:
         sentences = [["alpha", "zzz", "beta"], ["gamma", "beta"]]
         weights = rng.normal(size=(5, enc.num_tags))
 
-        _, cache = encode_forward(enc, encode_batch(enc, sentences))
+        _, cache = encode_forward(enc, encode_words(enc, sentences))
         grads = encode_backward(enc, cache, weights)
 
         step = 1e-5
@@ -506,18 +514,26 @@ class TestSparseWordGradient:
     def per_token(self, enc, words):
         """Sparse gradient for ``words`` and each token's own word-row gradient.
 
-        Backprop through a cache whose word rows are replaced by one
-        distinct row per position yields the per-token terms separately.
+        A batch that makes each token its own type reads the same word
+        rows; backprop through its cache with the rows replaced by one
+        distinct row per token yields the per-token terms separately.
         """
-        rng = np.random.default_rng(3)
-        batch = encode_batch(enc, [words])
-        emissions, cache = encode_forward(enc, batch, rng=rng)
-        d_emissions = rng.normal(size=emissions.shape)
+        def forward(batch):
+            rng = np.random.default_rng(3)
+            emissions, cache = encode_forward(enc, batch, rng=rng)
+            return emissions, cache, rng.normal(size=emissions.shape)
+
+        batch = encode_words(enc, [words])
+        emissions, cache, d_emissions = forward(batch)
         grads = encode_backward(enc, cache, d_emissions)
-        split = dataclasses.replace(batch, word_rows=np.arange(len(words)))
-        terms = encode_backward(enc, (split,) + cache[1:], d_emissions)["word_table.matrix"]
-        assert list(terms.rows) == list(range(len(words)))
-        return batch.word_rows, grads, terms.values
+        n = len(words)
+        alone = Batch(batch.lengths, list(words), np.arange(n), batch.type_rows[batch.type_ids])
+        alone_emissions, alone_cache, _ = forward(alone)
+        assert alone_emissions.tobytes() == emissions.tobytes()
+        split = dataclasses.replace(alone, type_rows=np.arange(n))
+        terms = encode_backward(enc, (split,) + alone_cache[1:], d_emissions)["word_table.matrix"]
+        assert list(terms.rows) == list(range(n))
+        return alone.type_rows, grads, terms.values
 
     def test_repeated_word_sums_in_token_order(self):
         enc = tiny_encoder(seed=1, dropout=0.5)
@@ -655,12 +671,12 @@ class TestBatchEncoding:
         enc = random_char_encoder(8)
         rng = np.random.default_rng(2)
         d_emissions = rng.normal(size=(sum(map(len, self.SENTENCES)), enc.num_tags))
-        _, cache = encode_forward(enc, encode_batch(enc, self.SENTENCES))
+        _, cache = encode_forward(enc, encode_words(enc, self.SENTENCES))
         got = encode_backward(enc, cache, d_emissions)
         want = {name: np.zeros_like(arr) for name, arr in enc.tensors().items()}
         start = 0
         for words in self.SENTENCES:
-            _, one_cache = encode_forward(enc, encode_batch(enc, [words]))
+            _, one_cache = encode_forward(enc, encode_words(enc, [words]))
             one = encode_backward(enc, one_cache, d_emissions[start : start + len(words)])
             start += len(words)
             for name, grad in one.items():
@@ -674,12 +690,12 @@ class TestBatchEncoding:
         type_vectors = {}
         first, second = self.SENTENCES[:2], self.SENTENCES[2:]
         for sentences in (first, second):
-            batch = encode_batch(enc, sentences)
+            batch = encode_words(enc, sentences)
             reused, _ = encode_forward(enc, batch, type_vectors=type_vectors)
             assert np.max(np.abs(reused - emissions_of(enc, sentences))) <= 1e-12
             assert set(batch.types) <= set(type_vectors)
         type_vectors["beta"] = np.zeros(2 * enc.char_bilstm.hidden)  # a stored vector is used as is
-        batch = encode_batch(enc, [["beta"]])
+        batch = encode_words(enc, [["beta"]])
         assert not np.allclose(encode_forward(enc, batch, type_vectors=type_vectors)[0],
                                emissions_of(enc, [["beta"]]))
 
