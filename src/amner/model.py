@@ -46,6 +46,7 @@ layout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -126,7 +127,7 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
     space cannot have a vector in this format.  Trailing carriage returns
     and one trailing space per line are ignored, as fastText's `.vec`
     files end every value with a space.  Values are read as Python's
-    ``float()`` reads them.  The unknown-token row, appended last, is
+    ``float()`` reads them and must be finite.  The unknown-token row, appended last, is
     drawn fresh from the initializer, seeded for reproducibility.
     """
     lines = text_lines(text)
@@ -165,7 +166,13 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
         raise FormatError(f"header declares {count} rows, file has {len(rows)}")
     rng = np.random.default_rng(seed)
     rows.append(_glorot(rng, max(count, 1), dim, (dim,)))
-    return EmbeddingTable(vocab, np.stack(rows))
+    matrix = np.stack(rows)
+    # min and max propagate NaN, and an infinity is one of them
+    if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+        vector_lines = (n for n, line in text_lines(text) if n > 1 and line.strip())
+        raise FormatError("non-finite value", next(itertools.islice(vector_lines, bad, None)))
+    return EmbeddingTable(vocab, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,16 @@ class TestTrainTagEval:
         assert main(args + ["--lr", "1e300"]) == 1
         assert "error: epoch 0, batch 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_non_finite_vector_is_data_error(self, tmp_path, corpus_path, capsys, value):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"2 6\nw0 0 0 0 0 0 0\nw1 0 0 {value} 0 0 0\n", encoding="utf-8")
+        model = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model), "--embeddings", str(vectors)]
+        assert main(args + self.TRAIN_ARGS) == 1
+        assert "error: line 3: non-finite value" in capsys.readouterr().err
+        assert not model.exists()
+
     # a bad value read from the config file is a data error
     @pytest.mark.parametrize("config, flags, message", [
         ("learning_rate nan\n", [], "error: learning_rate must be finite and positive"),

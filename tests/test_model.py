@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import NUMBER_FIELDS, float_or_none, same_float
+from helpers import NUMBER_FIELDS, float_or_none
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -170,13 +170,14 @@ class TestEmbeddings:
     def test_values_read_as_float_reads_them(self, field):
         text = f"2 2\na 0.5 -1\nb {field} 0.25\n"  # an empty field gives `b  0.25`
         expected = float_or_none(field)
-        if expected is None:
-            with pytest.raises(FormatError, match="non-numeric") as err:
+        if expected is None or not math.isfinite(expected):
+            message = "non-numeric" if expected is None else "non-finite"
+            with pytest.raises(FormatError, match=message) as err:
                 load_embeddings(text, expected_dim=2)
             assert err.value.line == 3
         else:
             table = load_embeddings(text, expected_dim=2)
-            assert same_float(table.matrix[1, 0], expected)
+            assert table.matrix[1, 0] == expected
 
 
 class TestLstmStep:

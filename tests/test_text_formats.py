@@ -83,6 +83,15 @@ class TestParsers:
         with pytest.raises(FormatError, match="bad value 'none' for seed"):
             parse_train_config("seed none\n")
 
+    @pytest.mark.parametrize("value, line", [("nan", 2), ("1e999", 5), ("-inf", 5), ("NaN", 5)])
+    def test_vectors_refuse_non_finite_values(self, value, line):
+        # line 4 is blank, so the third vector is on line 5
+        rows = ["w1 0.1 0.2", "w2 0.3 0.4", "", f"w3 0.5 {value}", "w4 0.6 0.7"]
+        if line == 2:
+            rows[0] = f"w1 {value} 0.2"
+        with pytest.raises(FormatError, match=f"^line {line}: non-finite value$"):
+            load_embeddings("\n".join(["4 2", *rows]) + "\n", expected_dim=2)
+
     def test_vectors_ignore_every_trailing_carriage_return(self):
         table = load_embeddings(b"1 2\r\r\na 1 2 \r\r\n", expected_dim=2)
         assert table.vocab == {"a": 0}
