@@ -16,7 +16,8 @@ count and may contain any character except a line break.  Writing is
 deterministic: identical models and config produce identical bytes.
 
 ``masked_training`` is ``ModelParams.masked_training``, written and read
-as is.  No mask is stored: the IOB2 masks follow from the tag list, which
+as is: loading requires it and ``dropout_rate``, and reads only ``true``
+or ``false`` for it.  No mask is stored: the IOB2 masks follow from the tag list, which
 loading refuses unless it is an IOB2 tag set.
 
 The tensor table lists ``ModelParams.tensors()``, the tensors training,
@@ -163,10 +164,16 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
     if reader.next_line() != "[blob]":
         raise ModelFormatError("missing blob marker after the tensor table")
     tensors = _read_tensors(tensor_lines, memoryview(data)[reader.pos :])
+    for key in ("dropout_rate", "masked_training"):
+        if key not in config:
+            raise ModelFormatError(f"config lacks {key}")
     try:
-        dropout = float(config.pop("dropout_rate", "0.0"))
+        dropout = float(config.pop("dropout_rate"))
     except ValueError:
         raise ModelFormatError("bad dropout_rate in config") from None
+    masked = {"true": True, "false": False}.get(config.pop("masked_training"))
+    if masked is None:
+        raise ModelFormatError("bad masked_training in config; expected true or false")
 
     def take(name: str) -> np.ndarray:  # a writable copy of the read-only blob view
         return tensors.pop(name).astype(np.float64)
@@ -190,7 +197,7 @@ def model_from_bytes(data: bytes) -> tuple[ModelParams, dict[str, str]]:
             dropout_rate=dropout,
         )
         crf = CrfParams(take("crf.transitions"), take("crf.start"), take("crf.end"))
-        model = ModelParams(tags, encoder, crf, config.pop("masked_training", "false") == "true")
+        model = ModelParams(tags, encoder, crf, masked)
     except KeyError as exc:
         raise ModelFormatError(f"missing tensor {exc.args[0]}") from None
     except ValueError as exc:

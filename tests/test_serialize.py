@@ -181,6 +181,22 @@ class TestErrors:
         with pytest.raises(ModelFormatError, match=f"config key '{key}' is written from the model"):
             model_to_bytes(model, {key: "true"})
 
+    @pytest.mark.parametrize("lines, message", [
+        ([b"masked_training false"], "config lacks dropout_rate"),
+        ([b"dropout_rate 0.25"], "config lacks masked_training"),
+        ([b"dropout_rate x", b"masked_training false"], "bad dropout_rate"),
+        *(([b"dropout_rate 0.25", b"masked_training " + value], "bad masked_training")
+          for value in (b"True", b"yes", b"1", b"")),
+    ])
+    def test_model_config_keys_are_strict(self, lines, message):
+        _, model = small_model()
+        data = model_to_bytes(model)
+        written = b"[config 2]\ndropout_rate 0.25\nmasked_training false\n"
+        assert written in data
+        edited = b"\n".join([b"[config %d]" % len(lines), *lines]) + b"\n"
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_bytes(data.replace(written, edited, 1))
+
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     def test_tags_that_are_not_iob2_refused(self, masked):
         # the tag list is checked whether or not the file trains masked
