@@ -51,6 +51,13 @@ class TestConvert:
         captured = capsys.readouterr()
         assert "1 adjacent same-type" in captured.err
 
+    def test_multi_token_run_warning_to_stderr(self, tmp_path, capsys):
+        src = write(tmp_path / "in.tsv", "a\tLOC\nb\tLOC\nc\tO\nd\tPER\n\n")
+        dst = tmp_path / "out.tsv"
+        assert main(["convert", "--from", "stanford", "--to", "iob2", src, str(dst)]) == 0
+        assert "warning: 1 multi-token runs emitted as single entities" in capsys.readouterr().err
+        assert dst.read_text(encoding="utf-8") == "a\tB-LOC\nb\tI-LOC\nc\tO\nd\tB-PER\n\n"
+
     def test_malformed_input_is_data_error(self, tmp_path, capsys):
         src = write(tmp_path / "in.tsv", "a\tB-PER\tX\n")
         assert main(["convert", "--from", "iob2", "--to", "iob1", src, "out.tsv"]) == 1
@@ -95,6 +102,12 @@ class TestStatsTranslit:
         assert dst.read_text(encoding="utf-8") == "haha\tB-PER\nxy\tO\n\n"
         assert "mapped 2" in capsys.readouterr().out
 
+    def test_translit_kv(self, tmp_path, capsys):
+        table = write(tmp_path / "t.tsv", "ሀ\tha\n")
+        src = write(tmp_path / "c.tsv", "ሀሀ\tB-PER\nxy\tO\n\n")
+        assert main(["translit", "--format", "kv", "--table", table, src, str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out == "characters.mapped 2\ncharacters.unmapped 2\n"
+
 
 class TestKappa:
     def test_identical_files(self, tmp_path, capsys):
@@ -105,6 +118,12 @@ class TestKappa:
         out = capsys.readouterr().out
         assert "kappa 1.0000" in out
         assert "Perfect agreement" in out
+
+    def test_kv(self, tmp_path, capsys):
+        first = write(tmp_path / "a.tsv", "a\tB-PER\nb\tO\n\n")
+        second = write(tmp_path / "b.tsv", "a\tB-PER\nb\tO\n\n")
+        assert main(["kappa", "--format", "kv", first, second]) == 0
+        assert capsys.readouterr().out == "kappa 1.0\ninterpretation Perfect agreement\nitems 2\n"
 
     def test_mismatched_tokens_rejected(self, tmp_path):
         first = write(tmp_path / "a.tsv", "a\tO\n\n")
@@ -153,6 +172,19 @@ class TestSmote:
         code = main(["smote", "--smote-n", "200", "--smote-k", "1", "--label", "PER", src, str(dst)])
         assert code == 0
         assert "count.PER 6" in capsys.readouterr().out  # 2 originals + 4 synthetic
+
+    @pytest.mark.parametrize("label, status, message", [
+        ([], 0, "note: oversampling the rarest class 'PER'"),
+        (["--label", "LOC"], 1, "error: no rows labeled 'LOC'"),
+    ], ids=["rarest", "absent"])
+    def test_amount_mode_label(self, tmp_path, capsys, label, status, message):
+        src = self.make_rows(tmp_path)
+        dst = tmp_path / "out.tsv"
+        assert main(["smote", "--smote-n", "100", "--smote-k", "1", *label, src, str(dst)]) == status
+        out, err = capsys.readouterr()
+        assert message in err
+        assert ("count.PER 4" in out) == (status == 0)  # 2 originals + 2 synthetic
+        assert dst.exists() == (status == 0)
 
     def refused_while_parsing(self, tmp_path, capsys, flags):
         """stderr of `amner smote FLAGS`, which must exit 2 from the parser and write nothing."""

@@ -165,6 +165,11 @@ class TestViterbi:
         assert path == [0, 0, 0]
         assert score == 0.0
 
+    def test_over_constrained_mask_rejected(self):
+        masks = np.ones((2, 2), bool), np.zeros(2, bool)
+        with pytest.raises(ValueError, match="no legal path"):
+            viterbi_decode(CrfParams.zeros(2), EM_2X2, masks=masks)
+
     def test_masked_decoding_avoids_forbidden_transitions(self):
         tags = default_tagset(["LOC", "ORG"])
         params = CrfParams.zeros(len(tags))

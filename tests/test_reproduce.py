@@ -9,7 +9,7 @@ import protocol_anchor
 import pytest
 from helpers import synthetic_corpus
 
-from amner.corpus import TagScheme, write_corpus
+from amner.corpus import TagScheme, convert_scheme, write_corpus
 from amner.model import EmbeddingTable
 from amner.protocol import token_rows
 from amner.resample import FeatureRow
@@ -48,6 +48,22 @@ def test_all_protocols_run(tmp_path, capsys):
         "smote/sentence-oversample: F1", "smote/token-classifier (type runs): F1",
     ):
         assert any(line.startswith(prefix) for line in out.splitlines()), prefix
+
+
+def test_iob1_corpus_is_converted(tmp_path, monkeypatch, capsys):
+    corpus = synthetic_corpus(12, seed=6)
+    args = ["--corpus", "corpus.tsv", "--protocol", "two-thirds", "--epochs", "1",
+            "--word-dim", "4", "--allow-stats-mismatch"]
+    outputs = []
+    for scheme in (TagScheme.IOB2, TagScheme.IOB1):
+        (tmp_path / scheme.value).mkdir()
+        monkeypatch.chdir(tmp_path / scheme.value)
+        converted = convert_scheme(corpus, TagScheme.IOB2, scheme)
+        Path("corpus.tsv").write_text(write_corpus(converted, scheme), encoding="utf-8")
+        assert load_script().main(args + ["--scheme", scheme.value]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "two-thirds split: F1" in outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_unknown_scheme_is_a_usage_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from amner.model import encode_batch
 from amner.cli import main
 from amner.serialize import (
+    _BLOB_MARKER,
     ModelFormatError,
     load_model,
     model_from_bytes,
@@ -205,6 +206,19 @@ class TestErrors:
         assert b"\nB-LOC\n" in data.split(b"\n[chars ")[0]
         with pytest.raises(ModelFormatError, match="I-LOC without B-LOC"):
             model_from_bytes(data.replace(b"\nB-LOC\n", b"\nB-LOX\n", 1))
+
+    def test_file_cut_inside_its_header(self):
+        from amner.corpus import Sentence, Tag, Token
+
+        # a word "[blob]" puts the blob marker inside the header, so the cut
+        # file passes the marker check and runs out of header lines
+        corpus = synthetic_corpus(3) + [Sentence((Token("[blob]", Tag("O")),))]
+        model = build_model(corpus, word_dim=4, char_dim=2, char_hidden=2, word_hidden=2)
+        data = model_to_bytes(model)
+        cut = data[: data.index(_BLOB_MARKER) + len(_BLOB_MARKER) + 1]
+        assert cut.count(_BLOB_MARKER) == 1 and len(cut) < data.index(b"\n[tensors ")
+        with pytest.raises(ModelFormatError, match="truncated header"):
+            model_from_bytes(cut)
 
     def test_non_numeric_section_count(self):
         _, model = small_model()
