@@ -127,8 +127,9 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
     space cannot have a vector in this format.  Trailing carriage returns
     and one trailing space per line are ignored, as fastText's `.vec`
     files end every value with a space.  Values are read as Python's
-    ``float()`` reads them and must be finite.  The unknown-token row, appended last, is
-    drawn fresh from the initializer, seeded for reproducibility.
+    ``float()`` reads them and must be finite.  The unknown-token row,
+    appended last, is drawn fresh from the initializer, seeded for
+    reproducibility.
     """
     lines = text_lines(text)
     header = next(lines)[1].split()

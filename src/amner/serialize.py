@@ -17,8 +17,8 @@ deterministic: identical models and config produce identical bytes.
 
 ``masked_training`` is ``ModelParams.masked_training``, written and read
 as is: loading requires it and ``dropout_rate``, and reads only ``true``
-or ``false`` for it.  No mask is stored: the IOB2 masks follow from the tag list, which
-loading refuses unless it is an IOB2 tag set.
+or ``false`` for it.  No mask is stored: the IOB2 masks follow from the
+tag list, which loading refuses unless it is an IOB2 tag set.
 
 The tensor table lists ``ModelParams.tensors()``, the tensors training,
 Adam and ``gradcheck`` use, under their names and in their order, each
