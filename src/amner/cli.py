@@ -127,6 +127,8 @@ def cmd_smote(args) -> int:
     elif args.n is not None:
         label = args.label
         if label is None:
+            if not rows:
+                raise ValueError("dataset is empty")
             label = min(resample_mod.class_counts(rows).items(), key=lambda kv: (kv[1], kv[0]))[0]
             _say(f"note: oversampling the rarest class {label!r}")
         minority = [row for row in rows if row.label == label]

@@ -42,8 +42,8 @@ from .metrics import conll_evaluate
 from .model import EmbeddingTable, load_embeddings
 from .resample import MATCH_MAJORITY, FeatureRow, SmoteConfig, balance_token_dataset
 from .train import (
-    AdamState, TrainConfig, adam_step, build_model, holdout_split, kfold_split, make_batches,
-    tag_sentences, train_model,
+    AdamState, TrainConfig, adam_step, build_model, clip_global_norm, holdout_split, kfold_split,
+    make_batches, tag_sentences, train_model,
 )
 
 REFERENCE_STATS = {"PER": 3809, "LOC": 7199, "ORG": 7596}
@@ -124,13 +124,9 @@ def minority_sentence_oversample(train_set, seed: int) -> list[Sentence]:
     rng = np.random.default_rng(seed)
     out = list(train_set)
     tally = corpus_stats(out, TagScheme.IOB2).type_counts
-    if not tally:
-        return out
-    target = max(tally.values())
-    for etype in sorted(tally):
+    target = max(tally.values(), default=0)
+    for etype in sorted(tally):  # each type in the tally has a sentence holding it
         holders = [s for s in train_set if any(t.tag.etype == etype for t in s.tokens)]
-        if not holders:
-            continue
         while tally[etype] < target:
             pick = holders[int(rng.integers(len(holders)))]
             out.append(pick)
@@ -156,7 +152,6 @@ def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
     rng = np.random.default_rng(args.seed)
     params = {"w": rng.normal(scale=0.01, size=(dim, len(labels))), "b": np.zeros(len(labels))}
     state = AdamState.for_params(params)
-    config = TrainConfig(learning_rate=args.lr)  # adam_step reads only the rate, betas and epsilon
     x = np.stack([row.values for row in train_rows])
     y = np.array([label_idx[row.label] for row in train_rows])
     for epoch in range(min(args.epochs, 20)):
@@ -167,7 +162,8 @@ def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(len(chunk)), y[chunk]] -= 1.0
             grads = {"w": x[chunk].T @ probs / len(chunk), "b": probs.mean(axis=0)}
-            adam_step(state, params, grads, config)
+            clip_global_norm(grads, None)  # the finiteness check adam_step leaves to it
+            adam_step(state, params, grads, args.lr)
 
     def classify(sentence: Sentence) -> Sentence:
         rows = table.ids(token.surface for token in sentence.tokens)

@@ -324,10 +324,10 @@ def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
 def parse_feature_rows(text: str | bytes) -> list[FeatureRow]:
     """Read the feature-row format that write_feature_rows writes.
 
-    The first line is the attribute count; every other line is blank, a
-    ``#`` comment or ``label<TAB>values``, with exactly that many values
-    split on whitespace and read as ``float()`` reads them.  UTF-8 text or
-    bytes, LF or CRLF line ends.
+    The first line is the attribute count, at least 1; every other line
+    is blank, a ``#`` comment or ``label<TAB>values``, with exactly that
+    many values split on whitespace and read as ``float()`` reads them.
+    UTF-8 text or bytes, LF or CRLF line ends.
 
     One bulk parse reads the values into one checked matrix, and the rows'
     values are views of it.  A file that parse refuses is read line by line:
@@ -393,9 +393,12 @@ def _parse_lines(text: str | bytes) -> list[FeatureRow]:
 def _header_width(lines: Iterator[tuple[int, str]]) -> int:
     header = next(lines)[1].strip()
     try:
-        return int(header)
+        width = int(header)
     except ValueError:
         raise FormatError(f"expected the attribute count, got {header!r}", 1) from None
+    if width < 1:
+        raise FormatError(f"attribute count must be at least 1, got {width}", 1)
+    return width
 
 
 def _data_lines(lines: Iterator[tuple[int, str]]) -> Iterator[tuple[int, str, str]]:

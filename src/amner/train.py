@@ -45,9 +45,6 @@ class TrainConfig:
     max_epochs: int = 50
     dropout: float = 0.5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float | None = None  # global-norm gradient clip, off by default
     patience: int | None = None  # early stopping on dev F1, off by default
 
@@ -63,27 +60,14 @@ class TrainConfig:
             raise ValueError("max_epochs must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
         if self.clip_norm is not None and not 0.0 < self.clip_norm < math.inf:
             raise ValueError("clip_norm must be none or finite and positive")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be none or at least 1")
 
     def to_kv(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float):
-                rendered = repr(value)
-            elif value is None:
-                rendered = "none"
-            else:
-                rendered = str(value)
-            lines.append(f"{f.name} {rendered}")
-        return "\n".join(lines) + "\n"
+        # a float's str is its repr, which reads back to the same float
+        return "".join(f"{k} {'none' if v is None else v}\n" for k, v in dataclasses.asdict(self).items())
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
@@ -137,6 +121,9 @@ class AdamState:
         )
 
 
+# Adam's decay rates and denominator floor: Kingma & Ba's (2014) defaults
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 # elements per Adam block: the block's slices of the parameter, gradient,
 # both moments and the two scratch vectors stay within a core's L2 cache
 _ADAM_BLOCK = 16384
@@ -146,26 +133,24 @@ def adam_step(
     state: AdamState,
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    config: TrainConfig,
+    learning_rate: float,
 ) -> None:
     """One bias-corrected Adam update, applied in place to ``params``.
 
-    Per element, in this order:
+    Per element, in this order, with ``b1, b2, eps = BETA1, BETA2, EPSILON``:
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + ((1 - b2) * g) * g
-        p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+        p -= (learning_rate * (m / bc1)) / (sqrt(v / bc2) + eps)
 
     Each tensor is updated in place over blocks of ``_ADAM_BLOCK``
     elements through two scratch vectors of that size, so the step
     allocates nothing sized by the tensors.  Parameters must be
-    C-contiguous.  A tensor's shape and finiteness checks run before
-    any of it is updated.
+    C-contiguous.  A tensor's shape check runs before any of it is
+    updated; :func:`clip_global_norm`, run first, checks finiteness.
     """
     state.step += 1
-    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1, bc2 = 1.0 - BETA1 ** state.step, 1.0 - BETA2 ** state.step
     scratch_a, scratch_b = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for name, param in params.items():
         grad = grads[name]
@@ -173,9 +158,6 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {grad.shape} != parameter shape {param.shape} for {name}"
             )
-        # min and max propagate NaN, and an infinity is one of them
-        if grad.size and not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
-            raise ValueError(f"non-finite gradient in tensor {name}")
         if not param.flags.c_contiguous:
             raise ValueError(f"parameter {name} is not C-contiguous")
         p, g = param.reshape(-1), grad.reshape(-1)
@@ -184,16 +166,16 @@ def adam_step(
             block = slice(start, start + _ADAM_BLOCK)
             pb, gb, mb, vb = p[block], g[block], m[block], v[block]
             a, b = scratch_a[: pb.size], scratch_b[: pb.size]
-            mb *= b1
-            mb += np.multiply(gb, 1.0 - b1, out=a)
-            vb *= b2
-            np.multiply(gb, 1.0 - b2, out=a)
+            mb *= BETA1
+            mb += np.multiply(gb, 1.0 - BETA1, out=a)
+            vb *= BETA2
+            np.multiply(gb, 1.0 - BETA2, out=a)
             vb += np.multiply(a, gb, out=a)
             np.divide(vb, bc2, out=a)
             np.sqrt(a, out=a)
-            a += eps
+            a += EPSILON
             np.divide(mb, bc1, out=b)
-            b *= lr
+            b *= learning_rate
             pb -= np.divide(b, a, out=b)
 
 
@@ -205,12 +187,20 @@ def clip_global_norm(grads: dict[str, np.ndarray | SparseRows], max_norm: float 
     Each tensor's sum of squares is one ``einsum`` dot product: it builds
     no temporary and, unlike a BLAS dot, does not depend on the thread
     count.
+    It is the step's finiteness check too: only a tensor with a non-finite
+    sum of squares is read again, and a NaN or infinity in it raises
+    ValueError before any tensor is scaled; overflowing squares pass.
     """
-    arrays = [g.values if isinstance(g, SparseRows) else g for g in grads.values()]
-    total = np.sqrt(sum(float(np.einsum("i,i->", a.ravel(), a.ravel())) for a in arrays))
+    arrays = {name: g.values if isinstance(g, SparseRows) else g for name, g in grads.items()}
+    squares = [float(np.einsum("i,i->", a.ravel(), a.ravel())) for a in arrays.values()]
+    for (name, a), square in zip(arrays.items(), squares):
+        # min and max propagate NaN, and an infinity is one of them
+        if not math.isfinite(square) and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValueError(f"non-finite gradient in tensor {name}")
+    total = np.sqrt(sum(squares))
     if max_norm is not None and total > max_norm and total > 0:
         scale = max_norm / total
-        for array in arrays:
+        for array in arrays.values():
             array *= scale
     return float(total)
 
@@ -253,7 +243,7 @@ def holdout_split(n: int, train_fraction: float, seed: int) -> tuple[list[int], 
     """(train, test) index lists: a seeded permutation of range(n), split after its train part."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be strictly between 0 and 1")
-    # epsilon guards float artifacts (0.29 * 100 = 28.999...996) so the
+    # the 1e-9 guards float artifacts (0.29 * 100 = 28.999...996) so the
     # size is the mathematical floor for rational fractions
     train_size = int(np.floor(train_fraction * n + 1e-9))
     if train_size < 1 or train_size >= n:
@@ -484,7 +474,7 @@ def train_model(
                     sparse = grads["word_table.matrix"]
                     word_grad[sparse.rows] = sparse.values
                     grads["word_table.matrix"] = word_grad
-                    adam_step(state, params, grads, config)
+                    adam_step(state, params, grads, config.learning_rate)
                 except ValueError as exc:
                     raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
                 word_grad[sparse.rows] = 0.0

@@ -186,6 +186,26 @@ class TestSmote:
         assert ("count.PER 4" in out) == (status == 0)  # 2 originals + 2 synthetic
         assert dst.exists() == (status == 0)
 
+    @pytest.mark.parametrize("mode", [
+        ["--target", "match-majority"], ["--smote-n", "100"],
+    ], ids=["target", "smote-n"])
+    def test_file_without_rows_is_data_error(self, tmp_path, capsys, mode):
+        src = write(tmp_path / "rows.tsv", "2\n")
+        dst = tmp_path / "out.tsv"
+        assert main(["smote", *mode, src, str(dst)]) == 1
+        assert "error: dataset is empty" in capsys.readouterr().err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("count, rows", [("0", "PER\t\nO\t\n"), ("-2", "O\t1 2\n")],
+                             ids=["0", "-2"])
+    def test_attribute_count_below_one_is_data_error(self, tmp_path, capsys, count, rows):
+        src = write(tmp_path / "rows.tsv", f"{count}\n{rows}")
+        dst = tmp_path / "out.tsv"
+        assert main(["smote", "--target", "match-majority", src, str(dst)]) == 1
+        message = f"error: line 1: attribute count must be at least 1, got {count}"
+        assert message in capsys.readouterr().err
+        assert not dst.exists()
+
     def refused_while_parsing(self, tmp_path, capsys, flags):
         """stderr of `amner smote FLAGS`, which must exit 2 from the parser and write nothing."""
         src = self.make_rows(tmp_path)
@@ -397,7 +417,7 @@ class TestTrainTagEval:
     @pytest.mark.parametrize("config, flags, message", [
         ("learning_rate nan\n", [], "error: learning_rate must be finite and positive"),
         ("clip_norm -1\n", [], "error: clip_norm must be"),
-        ("epsilon 0\n", [], "error: epsilon must be"),
+        ("beta1 0.9\n", [], "error: line 1: unknown option 'beta1'"),
         ("seed 1\nbatch 4\n", [], "error: line 2: unknown option 'batch'"),
         (b"seed \xff\n", [], "error: invalid UTF-8: "),
         ("patience 1\n", [], "error: patience stops on dev F1 and needs a dev set"),

@@ -23,7 +23,7 @@ from amner.model import (
     init_encoder,
     load_embeddings,
 )
-from amner.train import AdamState, TrainConfig, adam_step
+from amner.train import AdamState, adam_step
 
 
 def zero_bilstm(input_dim, hidden):
@@ -590,7 +590,7 @@ class TestStackedStorage:
         tensors = params.tensors("x")
         grads = {k: rng.normal(size=v.shape) for k, v in tensors.items()}
         before = params.w_x.copy(), params.w_h.copy(), params.p.copy(), params.b.copy()
-        adam_step(AdamState.for_params(tensors), tensors, grads, TrainConfig(learning_rate=0.1))
+        adam_step(AdamState.for_params(tensors), tensors, grads, 0.1)
         for old, new in zip(before, (params.w_x, params.w_h, params.p, params.b)):
             assert not np.any(old == new)
         xs = rng.normal(size=(4, 3))

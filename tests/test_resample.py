@@ -562,17 +562,20 @@ class TestBulkReader:
                                      FeatureRow(np.array([3.0, 4.0]), "PER")])
         assert rows[0].values.base is rows[1].values.base is not None
 
-    @pytest.mark.parametrize("text", ["3\n", "3\n# only a comment\n\n", "0\n"])
+    @pytest.mark.parametrize("text", ["3\n", "3\n# only a comment\n\n"])
     def test_no_rows_reads_without_warning(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parse_feature_rows(text) == []
 
-    def test_width_zero_rows_read_by_line_reader(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = parse_feature_rows("0\nO\t\nPER\t \n")
-        assert [(row.label, row.width) for row in rows] == [("O", 0), ("PER", 0)]
+    @pytest.mark.parametrize("text, count", [
+        ("0\nO\t\nPER\t \n", 0), ("-2\nO\t1 2\n", -2),
+    ], ids=["0", "-2"])
+    def test_attribute_count_below_one_refused(self, text, count):
+        message = f"line 1: attribute count must be at least 1, got {count}"
+        for read in (resample._parse_matrix, resample._parse_lines, parse_feature_rows):
+            with pytest.raises(FormatError, match=message):
+                read(text)
 
     @pytest.mark.parametrize(
         "text, message",
