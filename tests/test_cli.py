@@ -166,6 +166,13 @@ class TestSmote:
         expected = smote_anchor.SHA_PATH.read_text(encoding="utf-8").strip()
         assert hashlib.sha256(dst.read_bytes()).hexdigest() == expected
 
+    @pytest.mark.parametrize("name", sorted(smote_anchor.AMOUNT_RUNS))
+    def test_amount_output_has_committed_sha256(self, tmp_path, name):
+        src = write(tmp_path / "rows.tsv", smote_anchor.rows_text())
+        dst = tmp_path / name
+        assert main(["smote", *smote_anchor.AMOUNT_RUNS[name], "--seed", "7", src, str(dst)]) == 0
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == smote_anchor.amount_sha256()[name]
+
     def test_plain_amount_mode(self, tmp_path, capsys):
         src = self.make_rows(tmp_path)
         dst = tmp_path / "out.tsv"
