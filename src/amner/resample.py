@@ -6,6 +6,20 @@ randomness comes from a single seeded generator consumed in a fixed
 order (sub-sample selection if the amount is below 100%, then per source
 row: neighbor index, then gap), so equal seeds give identical output
 including provenance.
+
+The per-row draws are read in one array pass from the raw 64-bit words of
+numpy's PCG64 stream, under the rules by which ``Generator`` reads them:
+
+- ``integers(k)``, for 2 <= k <= 2**32, reads one 32-bit draw u and returns
+  ``(u * k) >> 32`` (Lemire 2019, arXiv:1805.10941).  It draws again while
+  ``(u * k) mod 2**32 < (2**32 - k) mod k``, which happens with probability
+  below k / 2**32.  ``integers(1)`` draws nothing and returns 0.
+- A 32-bit draw returns the low half of a fresh 64-bit word and keeps the
+  high half for the next 32-bit draw; ``state["has_uint32"]`` and
+  ``state["uinteger"]`` hold the kept half, which a permutation can leave.
+- ``random()`` reads a fresh 64-bit word w, leaving any kept half, and
+  returns ``(w >> 11) * 2**-53``.  With no kept half, two rows read three
+  words.
 """
 
 from __future__ import annotations
@@ -133,6 +147,7 @@ def knn_minority(matrix: np.ndarray, k: int) -> np.ndarray:
     underflow = 4 * (width + 4) * np.finfo(np.float64).smallest_subnormal
     out = np.empty((count, k), dtype=np.intp)
     block = max(1, _BLOCK_ELEMENTS // count)
+    pair_step = max(1, _BLOCK_ELEMENTS // max(1, width))
     for start in range(0, count, block):
         stop = min(start + block, count)
         diagonal = (np.arange(stop - start), np.arange(start, stop))
@@ -149,11 +164,65 @@ def knn_minority(matrix: np.ndarray, k: int) -> np.ndarray:
             cut = np.partition(upper, k - 1, axis=1)[:, k - 1, None]
             candidates = ~(lower > cut)
             candidates[diagonal] = False
-            for i, row in zip(range(start, stop), candidates):
-                near = np.flatnonzero(row)
-                diffs = matrix[near] - matrix[i]
-                out[i] = near[np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")[:k]]
+            rows, near = np.nonzero(candidates)  # every row holds at least k candidates
+            dist = np.empty(len(rows))
+            for part in range(0, len(rows), pair_step):  # at most _BLOCK_ELEMENTS differences
+                pairs = slice(part, part + pair_step)
+                diffs = matrix[near[pairs]]
+                diffs -= matrix[rows[pairs] + start]
+                dist[pairs] = np.einsum("ij,ij->i", diffs, diffs)
+        order = np.lexsort((dist, rows))  # by row, then distance, then index: stable
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[start:stop] = near[order[first[:, None] + np.arange(k)]]
     return out
+
+
+def _draw_picks_and_gaps(
+    rng: np.random.Generator, k: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` rounds of ``(rng.integers(k), rng.random())``, as two arrays.
+
+    Reads the rounds' 64-bit words in one ``random_raw`` call and applies the
+    stream rules of the module docstring, which hold for k up to 2**32.  A
+    rejected pick ends the array pass: its round is drawn with the
+    generator's own calls, and the pass resumes after it.  The generator
+    ends in the state the calls would leave.
+    """
+    bits = rng.bit_generator
+    pick, gap = np.zeros(count, dtype=np.int64), np.empty(count)
+    done = 0
+    while done < count:
+        state = bits.state
+        kept = state["has_uint32"]
+        rounds = np.arange(count - done)
+        # a fresh round's pick reads a new word; the others take the kept half
+        fresh = (rounds + kept) % 2 == 0 if k > 1 else np.zeros(len(rounds), dtype=bool)
+        gap_word = rounds + np.cumsum(fresh)  # the pick word, if any, precedes the gap word
+        words = bits.random_raw(gap_word[-1] + 1)
+        gap[done:] = (words[gap_word] >> 11) * 2.0**-53
+        pick_words = words[gap_word[fresh] - 1]
+        halves = np.stack([pick_words & 0xFFFFFFFF, pick_words >> 32], axis=1).ravel()
+        halves = np.concatenate([np.full(kept, state["uinteger"], dtype=np.uint64), halves])
+        stop, used = len(rounds), 0
+        if k > 1:
+            wide = halves[:stop] * np.uint64(k)
+            pick[done:] = wide >> 32
+            rejected = np.flatnonzero((wide & 0xFFFFFFFF) < (2**32 - k) % k)
+            stop = used = rejected[0] if len(rejected) else stop
+        # replay the words of the `stop` accepted rounds, then set the kept half
+        picked = np.count_nonzero(fresh[:stop])
+        read = kept + 2 * picked  # 32-bit halves the accepted rounds made available
+        bits.state = state
+        bits.random_raw(stop + picked)
+        state = bits.state
+        state["has_uint32"] = int(read > used)
+        state["uinteger"] = int(halves[read - 1]) if read else state["uinteger"]
+        bits.state = state
+        done += stop
+        if done < count:
+            pick[done], gap[done] = rng.integers(k), rng.random()
+            done += 1
+    return pick, gap
 
 
 def populate_synthetic(
@@ -222,10 +291,7 @@ def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
     per_sample = n_percent // 100
     neighbors = knn_minority(matrix, config.k)
     source = np.repeat(np.arange(len(selected)), per_sample)
-    pick, gap = np.empty_like(source), np.empty(len(source))
-    for n in range(len(source)):  # per row a neighbour, then a gap: one fixed random stream
-        pick[n] = rng.integers(config.k)
-        gap[n] = rng.random()
+    pick, gap = _draw_picks_and_gaps(rng, config.k, len(source))
     neighbor = neighbors[source, pick]
     values = populate_synthetic(matrix, source, neighbor, gap)
     source, neighbor = selected[source].tolist(), selected[neighbor].tolist()
@@ -303,12 +369,15 @@ def balance_token_dataset(
 def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
     """Render rows in the file format; inverse of parse_feature_rows.
 
-    Labels starting with ``#`` (re-read as comments) or holding a tab or
-    a line break are rejected.
+    Rows narrower than 1 value, which the reader refuses, and labels
+    starting with ``#`` (re-read as comments) or holding a tab or a line
+    break are rejected.
     """
     if not rows:
         raise ValueError("nothing to write: no feature rows")
     width = rows[0].width
+    if width < 1:
+        raise ValueError(f"attribute count must be at least 1, got {width}")
     lines = [str(width)]
     for idx, row in enumerate(rows):
         if row.width != width:

@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import NUMBER_FIELDS, float_or_none, same_float
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amner import resample
@@ -63,6 +64,16 @@ def per_row_smote(minority, config):
             out.rows.append(FeatureRow(sample + gap * (neighbor - sample), subset[local_i].label))
             out.provenance.append(Provenance(orig_i, selected[nn_local], gap))
     return out
+
+
+def per_round_draws(rng, k, count):
+    """smote's draws as it made them before one array pass: a neighbour pick,
+    then a gap, per synthetic row."""
+    pick, gap = np.empty(count, dtype=np.int64), np.empty(count)
+    for n in range(count):
+        pick[n] = rng.integers(k)
+        gap[n] = rng.random()
+    return pick, gap
 
 
 def digest(rows):
@@ -159,6 +170,20 @@ class TestKnn:
         for i in range(len(samples)):
             assert neighbours[i].tolist() == restacking_knn(samples, i, 5)
 
+    def test_equal_rows_rank_by_index_in_bounded_memory(self):
+        # every row is a candidate of every row: 2,000 x 2,000 pairs of width 300
+        matrix = np.ones((2000, 300))
+        tracemalloc.start()
+        try:
+            neighbours = knn_minority(matrix, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        lowest = np.arange(6)
+        for i, row in enumerate(neighbours):
+            assert row.tolist() == lowest[lowest != i][:5].tolist()
+
 
 def _knn_matrices():
     """Matrices whose neighbour search is easy to get wrong: exact ties from
@@ -187,6 +212,29 @@ class TestKnnProperties:
                 neighbours = knn_minority(matrix, k)
                 for i in range(len(samples)):
                     assert neighbours[i].tolist() == restacking_knn(samples, i, k)
+
+
+class TestDrawProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           k=st.sampled_from([1, 2, 3, 5, 7, 100, 2**31 + 11, 2**32]),
+           rounds=st.one_of(st.integers(0, 5), st.integers(0, 400)),
+           permutations=st.integers(0, 2))
+    @example(seed=7, k=5, rounds=25, permutations=1)  # leaves half a word behind
+    @example(seed=7, k=2**31 + 11, rounds=1, permutations=1)
+    @example(seed=0, k=3, rounds=0, permutations=0)
+    def test_equals_per_round_calls(self, seed, k, rounds, permutations):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (want_rng, got_rng):
+            for _ in range(permutations):
+                rng.permutation(48)
+        if (seed, permutations) == (7, 1):
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+        want = per_round_draws(want_rng, k, rounds)
+        pick, gap = resample._draw_picks_and_gaps(got_rng, k, rounds)
+        assert pick.tolist() == want[0].tolist()
+        assert gap.tobytes() == want[1].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestPopulate:
@@ -426,6 +474,10 @@ class TestFeatureRowFormat:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_feature_rows("width\nPER\t1.0\n")
+
+    def test_row_narrower_than_one_value_rejected(self):
+        with pytest.raises(ValueError, match="attribute count must be at least 1, got 0"):
+            write_feature_rows([FeatureRow(np.array([]), "O")])
 
     @pytest.mark.parametrize("label", ["#PER", "P\tER", "PER\n", "PER\r"])
     def test_label_that_would_not_read_back_rejected(self, label):
