@@ -216,11 +216,11 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None, masks
     counts, starts, fwd, _, _, order = pack
     scores = _scores(params, masks)
     trans, start, _ = scores
-    _, suffix = _backward(scores, packed, pack, np.max)
-
-    totals = start + suffix[:counts[0]]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite best score is refused below
+        _, suffix = _backward(scores, packed, pack, np.max)
+        totals = start + suffix[:counts[0]]
     best = np.max(totals, axis=1)[np.argsort(order)]
-    if np.isnan(best).any():
+    if not (best < np.inf).all():  # NaN or +inf; -inf is the no-legal-path case
         raise ValueError("non-finite scores in Viterbi decoding")
     if (best == NEG_INF).any():
         raise ValueError("no legal path: the constraint mask excludes every sequence")

@@ -242,14 +242,15 @@ def _bilstm_forward(
     hidden, first = params.hidden, counts[0]
     reads = (fwd, rev) if rows is None else (rows[fwd], rows[rev])
     gates = np.empty((2, len(fwd), 4 * hidden))
-    for d, idx in enumerate(reads):
-        # numpy sends a one-row product to a matrix-vector routine, which
-        # sums in another order than the rows of a GEMM
-        if 1 < len(xs) < len(idx):
-            gates[d] = (xs @ params.w_x[d].T + params.b[d])[idx]
-        else:
-            np.matmul(xs[idx], params.w_x[d].T, out=gates[d])
-            gates[d] += params.b[d]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gate is refused below
+        for d, idx in enumerate(reads):
+            # numpy sends a one-row product to a matrix-vector routine, which
+            # sums in another order than the rows of a GEMM
+            if 1 < len(xs) < len(idx):
+                gates[d] = (xs @ params.w_x[d].T + params.b[d])[idx]
+            else:
+                np.matmul(xs[idx], params.w_x[d].T, out=gates[d])
+                gates[d] += params.b[d]
     gates = gates.reshape(2, -1, 4, hidden)
     # an overflowed product would saturate the gates instead of propagating
     # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN;

@@ -8,7 +8,9 @@ row: neighbor index, then gap), so equal seeds give identical output
 including provenance.
 
 The per-row draws are read in one array pass from the raw 64-bit words of
-numpy's PCG64 stream, under the rules by which ``Generator`` reads them:
+numpy's PCG64 stream, under the rules below by which ``Generator`` reads
+them.  A call in which any pick is rejected, at a chance below
+rows * k / 2**32, is drawn again with the generator's own calls instead:
 
 - ``integers(k)``, for 2 <= k <= 2**32, reads one 32-bit draw u and returns
   ``(u * k) >> 32`` (Lemire 2019, arXiv:1805.10941).  It draws again while
@@ -183,45 +185,35 @@ def _draw_picks_and_gaps(
     """``count`` rounds of ``(rng.integers(k), rng.random())``, as two arrays.
 
     Reads the rounds' 64-bit words in one ``random_raw`` call and applies the
-    stream rules of the module docstring, which hold for k up to 2**32.  A
-    rejected pick ends the array pass: its round is drawn with the
-    generator's own calls, and the pass resumes after it.  The generator
-    ends in the state the calls would leave.
+    stream rules of the module docstring, which hold for k up to 2**32, then
+    sets the kept half the calls would leave.  If any pick is rejected, the
+    generator is put back and every round is drawn with its own calls.
     """
     bits = rng.bit_generator
-    pick, gap = np.zeros(count, dtype=np.int64), np.empty(count)
-    done = 0
-    while done < count:
-        state = bits.state
-        kept = state["has_uint32"]
-        rounds = np.arange(count - done)
-        # a fresh round's pick reads a new word; the others take the kept half
-        fresh = (rounds + kept) % 2 == 0 if k > 1 else np.zeros(len(rounds), dtype=bool)
-        gap_word = rounds + np.cumsum(fresh)  # the pick word, if any, precedes the gap word
-        words = bits.random_raw(gap_word[-1] + 1)
-        gap[done:] = (words[gap_word] >> 11) * 2.0**-53
-        pick_words = words[gap_word[fresh] - 1]
-        halves = np.stack([pick_words & 0xFFFFFFFF, pick_words >> 32], axis=1).ravel()
-        halves = np.concatenate([np.full(kept, state["uinteger"], dtype=np.uint64), halves])
-        stop, used = len(rounds), 0
-        if k > 1:
-            wide = halves[:stop] * np.uint64(k)
-            pick[done:] = wide >> 32
-            rejected = np.flatnonzero((wide & 0xFFFFFFFF) < (2**32 - k) % k)
-            stop = used = rejected[0] if len(rejected) else stop
-        # replay the words of the `stop` accepted rounds, then set the kept half
-        picked = np.count_nonzero(fresh[:stop])
-        read = kept + 2 * picked  # 32-bit halves the accepted rounds made available
-        bits.state = state
-        bits.random_raw(stop + picked)
-        state = bits.state
-        state["has_uint32"] = int(read > used)
-        state["uinteger"] = int(halves[read - 1]) if read else state["uinteger"]
-        bits.state = state
-        done += stop
-        if done < count:
-            pick[done], gap[done] = rng.integers(k), rng.random()
-            done += 1
+    state = bits.state
+    kept = state["has_uint32"]
+    rounds = np.arange(count)
+    # a fresh round's pick reads a new word; the others take the kept half
+    fresh = (rounds + kept) % 2 == 0 if k > 1 else np.zeros(count, dtype=bool)
+    gap_word = rounds + np.cumsum(fresh)  # the pick word, if any, precedes the gap word
+    words = bits.random_raw(count + np.count_nonzero(fresh))
+    gap = (words[gap_word] >> 11) * 2.0**-53
+    pick_words = words[gap_word[fresh] - 1]
+    halves = np.stack([pick_words & 0xFFFFFFFF, pick_words >> 32], axis=1).ravel()
+    halves = np.concatenate([np.full(kept, state["uinteger"], dtype=np.uint64), halves])
+    pick, used = np.zeros(count, dtype=np.int64), 0
+    if k > 1:
+        wide = halves[:count] * np.uint64(k)
+        if ((wide & 0xFFFFFFFF) < (2**32 - k) % k).any():
+            bits.state = state
+            for n in range(count):
+                pick[n], gap[n] = rng.integers(k), rng.random()
+            return pick, gap
+        pick[:], used = wide >> 32, count
+    state = bits.state
+    state["has_uint32"] = int(len(halves) > used)
+    state["uinteger"] = int(halves[-1]) if len(halves) else state["uinteger"]
+    bits.state = state
     return pick, gap
 
 
@@ -282,11 +274,6 @@ def smote(minority: Sequence[FeatureRow], config: SmoteConfig) -> SyntheticSet:
         selected = rng.permutation(len(minority))[:keep]
         matrix = matrix[selected]
         n_percent = 100
-
-    if config.k >= len(selected):
-        raise ValueError(
-            f"k={config.k} must be smaller than the effective sample count {len(selected)}"
-        )
 
     per_sample = n_percent // 100
     neighbors = knn_minority(matrix, config.k)

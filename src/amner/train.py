@@ -82,8 +82,10 @@ def parse_train_config(text: str | bytes, base: TrainConfig | None = None) -> Tr
     """Parse the flat `name value` config document into a TrainConfig.
 
     Each value is read as its field's annotated type; ``none`` clears an optional field.
+    An option may be set once.
     """
     values = dataclasses.asdict(base or TrainConfig())
+    seen = set()
     for lineno, line in text_lines(text):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -94,6 +96,9 @@ def parse_train_config(text: str | bytes, base: TrainConfig | None = None) -> Tr
         name, raw = parts
         if name not in _FIELD_TYPES:
             raise FormatError(f"unknown option {name!r}", lineno)
+        if name in seen:
+            raise FormatError(f"duplicate option {name!r}", lineno)
+        seen.add(name)
         try:
             unset = _FIELD_TYPES[name].endswith(" | None") and raw.lower() == "none"
             values[name] = None if unset else field_type(name)(raw)

@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,11 +405,43 @@ class TestTrainTagEval:
         assert "epoch 0 loss" in log_text
         assert "epoch 1 loss" in log_text
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # numpy's overflow warnings would print to stderr, or raise under -W error,
+    # before the error a non-finite check reports
     def test_diverging_run_is_data_error(self, tmp_path, corpus_path, capsys):
-        args = ["train", corpus_path, "--model", str(tmp_path / "m.model")] + self.TRAIN_ARGS
-        assert main(args + ["--lr", "1e300"]) == 1
-        assert "error: epoch 0, batch 1" in capsys.readouterr().err
+        model = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model), *self.TRAIN_ARGS, "--lr", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 1
+        assert "error: epoch 0, batch 1: non-finite LSTM input projection" in capsys.readouterr().err
+        assert not model.exists()
+
+    # the first input's words are distinct; the second repeats one, so the
+    # word BiLSTM projects each distinct row once
+    @pytest.mark.parametrize("text", ["a\tO\nb\tO\nc\tO\n\n", "a\tO\nb\tO\na\tO\n\n"],
+                             ids=["distinct", "repeated"])
+    @pytest.mark.parametrize("tensors, message", [
+        (("word.w_x", "word_table.matrix"), "error: non-finite LSTM input projection"),
+        (("crf.transitions",), "error: non-finite scores in Viterbi decoding"),
+    ], ids=["lstm", "viterbi"])
+    def test_overflowing_model_tags_without_warning(
+        self, tmp_path, corpus_path, capsys, text, tensors, message
+    ):
+        from amner.serialize import load_model, save_model
+
+        model_path = tmp_path / "m.model"
+        assert main(["train", corpus_path, "--model", str(model_path), *self.TRAIN_ARGS]) == 0
+        model, config = load_model(model_path)
+        for name in tensors:
+            model.tensors()[name][...] = 1e308
+        save_model(model_path, model, config)
+        capsys.readouterr()
+        out = tmp_path / "out.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tag", "--model", str(model_path), write(tmp_path / "in.tsv", text), str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "1e999"])
     def test_non_finite_vector_is_data_error(self, tmp_path, corpus_path, capsys, value):
@@ -432,6 +465,7 @@ class TestTrainTagEval:
         ("max_epochs -1\n", [], "error: max_epochs must be non-negative"),
         ("dropout 1.5\n", [], "error: dropout must be in [0, 1)"),
         ("seed -1\n", [], "error: seed must be non-negative"),
+        ("seed 1\nseed 2\n", [], "error: line 2: duplicate option 'seed'"),
     ])
     def test_bad_settings_are_data_errors(self, tmp_path, corpus_path, capsys, config, flags, message):
         cfg = tmp_path / "train.cfg"

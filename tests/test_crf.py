@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ class TestViterbi:
         masks = np.ones((2, 2), bool), np.zeros(2, bool)
         with pytest.raises(ValueError, match="no legal path"):
             viterbi_decode(CrfParams.zeros(2), EM_2X2, masks=masks)
+
+    # unmasked, the best score overflows to +inf; masked, +inf meets a
+    # forbidden -inf as NaN; neither may warn before the error
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_overflowed_scores_rejected_without_warning(self, masked):
+        params = CrfParams(np.full((5, 5), 1e308), np.zeros(5), np.zeros(5))
+        masks = build_iob2_mask(IOB2_TAGS) if masked else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite scores in Viterbi decoding"):
+                viterbi_decode(params, np.zeros((3, 5)), masks=masks)
 
     def test_masked_decoding_avoids_forbidden_transitions(self):
         tags = default_tagset(["LOC", "ORG"])

@@ -222,6 +222,7 @@ class TestDrawProperties:
            permutations=st.integers(0, 2))
     @example(seed=7, k=5, rounds=25, permutations=1)  # leaves half a word behind
     @example(seed=7, k=2**31 + 11, rounds=1, permutations=1)
+    @example(seed=4, k=2**31 + 11, rounds=5, permutations=0)  # only the last pick is rejected
     @example(seed=0, k=3, rounds=0, permutations=0)
     def test_equals_per_round_calls(self, seed, k, rounds, permutations):
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -235,6 +236,33 @@ class TestDrawProperties:
         assert pick.tolist() == want[0].tolist()
         assert gap.tobytes() == want[1].tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    # at the default k a pick is rejected with chance 2**-32, so these draws
+    # come from the array pass alone, with or without a kept half to start
+    @pytest.mark.parametrize("permutations", [0, 1])
+    def test_default_k_reads_only_raw_words(self, permutations):
+        want_rng, got_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for rng in (want_rng, got_rng):
+            for _ in range(permutations):
+                rng.permutation(48)
+        assert got_rng.bit_generator.state["has_uint32"] == permutations
+        want = per_round_draws(want_rng, 5, 10_000)
+        pick, gap = resample._draw_picks_and_gaps(RawWordsOnly(got_rng), 5, 10_000)
+        assert pick.tolist() == want[0].tolist()
+        assert gap.tobytes() == want[1].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class RawWordsOnly:
+    """A generator whose own draws raise; only its bit generator can be read."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, *args):
+        raise AssertionError("drew with the generator's own calls")
+
+    random = integers
 
 
 class TestPopulate:
