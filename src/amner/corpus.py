@@ -31,6 +31,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 OUTSIDE = "O"
 
 
@@ -71,6 +73,12 @@ def text_lines(data: str | bytes) -> Iterator[tuple[int, str]]:
             raise FormatError(f"invalid UTF-8: {exc}") from exc
     for lineno, line in enumerate(data.split("\n"), start=1):
         yield lineno, line.rstrip("\r")
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """True if ``a``, empty or not, holds no NaN or infinity.  min and max
+    propagate NaN, and an infinity is one of them: two reductions, no copy."""
+    return not a.size or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 @dataclass(frozen=True)

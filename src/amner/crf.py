@@ -167,12 +167,13 @@ def _forward(scores, packed: np.ndarray, lengths: np.ndarray, pack):
     trans, start, end = scores
     counts, starts, fwd = pack[:3]
     alpha = packed.copy()
-    alpha[:counts[0]] += start
-    for n, lo, prev in zip(counts[1:], starts[1:], starts):
-        alpha[lo:lo + n] += _logsumexp(alpha[prev:prev + n, :, None] + trans, axis=1)
-    alpha = _unpack(alpha, fwd)
-    log_z = _logsumexp(alpha[np.cumsum(lengths) - 1] + end, axis=1)
-    if np.isnan(log_z).any():
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite log_z is refused below
+        alpha[:counts[0]] += start
+        for n, lo, prev in zip(counts[1:], starts[1:], starts):
+            alpha[lo:lo + n] += _logsumexp(alpha[prev:prev + n, :, None] + trans, axis=1)
+        alpha = _unpack(alpha, fwd)
+        log_z = _logsumexp(alpha[np.cumsum(lengths) - 1] + end, axis=1)
+    if not (log_z < np.inf).all():  # NaN or +inf; -inf is the no-legal-path case
         raise ValueError("non-finite scores in the partition computation")
     if (log_z == NEG_INF).any():
         raise ValueError("no legal path: the constraint mask excludes every sequence")
@@ -248,7 +249,8 @@ def nll_loss_and_grad(
     if gold.shape != packed.shape[:1]:
         raise ValueError(f"gold paths {gold.shape} do not match {len(packed)} emission rows")
     scores = _scores(params, masks)
-    gold_score = _path_scores(scores, packed, gold, lengths, pack)  # also validates legality
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the loss non-finite
+        gold_score = _path_scores(scores, packed, gold, lengths, pack)  # also validates legality
     alpha, log_z = _forward(scores, packed, lengths, pack)
     beta, table = (_unpack(a, pack[2]) for a in _backward(scores, packed, pack, _logsumexp))
     loss = float(np.sum(log_z - gold_score))

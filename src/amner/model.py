@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import FormatError, Sentence, TagScheme, tag_to_str, text_lines
+from .corpus import FormatError, Sentence, TagScheme, all_finite, tag_to_str, text_lines
 from .crf import CrfParams, _pack, build_iob2_mask
 
 
@@ -168,8 +168,7 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
     rng = np.random.default_rng(seed)
     rows.append(_glorot(rng, max(count, 1), dim, (dim,)))
     matrix = np.stack(rows)
-    # min and max propagate NaN, and an infinity is one of them
-    if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+    if not all_finite(matrix):
         bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
         vector_lines = (n for n, line in text_lines(text) if n > 1 and line.strip())
         raise FormatError("non-finite value", next(itertools.islice(vector_lines, bad, None)))
@@ -253,9 +252,8 @@ def _bilstm_forward(
                 gates[d] += params.b[d]
     gates = gates.reshape(2, -1, 4, hidden)
     # an overflowed product would saturate the gates instead of propagating
-    # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN;
-    # min and max propagate NaN, and an infinity is one of them
-    if not (np.isfinite(gates.min()) and np.isfinite(gates.max())):
+    # NaN, since a multi-row GEMM may return inf where the IEEE sum is NaN
+    if not all_finite(gates):
         raise ValueError("non-finite LSTM input projection")
     hs, cs = np.zeros((2, 2, first + gates.shape[1], hidden))
     tanh_c = np.empty(gates.shape[:2] + (hidden,))

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import FormatError, text_lines
+from .corpus import FormatError, all_finite, text_lines
 
 MATCH_MAJORITY = "match-majority"
 
@@ -48,7 +48,7 @@ class FeatureRow:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError(f"feature row must be 1-D, got shape {values.shape}")
-        _check_rows(np.isfinite(values).all(), (self.label,))
+        _check_rows(values, (self.label,))
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -63,8 +63,7 @@ class FeatureRow:
             raise ValueError(f"feature row matrix must be 2-D, got shape {matrix.shape}")
         if len(labels) != len(matrix):
             raise ValueError(f"{len(labels)} labels for {len(matrix)} feature rows")
-        finite = not matrix.size or np.isfinite(matrix.min()) and np.isfinite(matrix.max())
-        _check_rows(finite, labels)
+        _check_rows(matrix, labels)
         new = object.__new__
         rows = []
         for values, label in zip(matrix, labels):
@@ -78,9 +77,9 @@ class FeatureRow:
         return self.values.shape[0]
 
 
-def _check_rows(finite: bool, labels: Sequence[str]) -> None:
+def _check_rows(values: np.ndarray, labels: Sequence[str]) -> None:
     """The checks every feature row passes: finite values and a non-empty label."""
-    if not finite:
+    if not all_finite(values):
         raise ValueError("feature row contains non-finite values")
     if not all(labels):
         raise ValueError("feature row needs a label")

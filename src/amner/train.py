@@ -19,7 +19,7 @@ import numpy as np
 from . import crf as crf_mod
 from . import metrics as metrics_mod
 from .corpus import (
-    FormatError, Sentence, TagScheme, Token, check_valid, tag_from_str, text_lines
+    FormatError, Sentence, TagScheme, Token, all_finite, check_valid, tag_from_str, text_lines
 )
 from .model import (
     Batch,
@@ -199,8 +199,7 @@ def clip_global_norm(grads: dict[str, np.ndarray | SparseRows], max_norm: float 
     arrays = {name: g.values if isinstance(g, SparseRows) else g for name, g in grads.items()}
     squares = [float(np.einsum("i,i->", a.ravel(), a.ravel())) for a in arrays.values()]
     for (name, a), square in zip(arrays.items(), squares):
-        # min and max propagate NaN, and an infinity is one of them
-        if not math.isfinite(square) and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        if not math.isfinite(square) and not all_finite(a):
             raise ValueError(f"non-finite gradient in tensor {name}")
     total = np.sqrt(sum(squares))
     if max_norm is not None and total > max_norm and total > 0:

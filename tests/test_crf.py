@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +33,11 @@ def brute_force_log_partition(params, emissions, masks=None):
         for path in enumerate_legal_paths(params, emissions.shape[0], masks)
     ]
     return np.logaddexp.reduce(scores)
+
+
+def outside_path_loss(params, emissions, masks):
+    """The loss of the gold path of tag 0 throughout (O, which IOB2 masks allow)."""
+    return nll_loss_and_grad(params, emissions, np.zeros(len(emissions), int), masks=masks)
 
 
 def brute_force_viterbi(params, emissions, masks=None):
@@ -171,16 +175,19 @@ class TestViterbi:
         with pytest.raises(ValueError, match="no legal path"):
             viterbi_decode(CrfParams.zeros(2), EM_2X2, masks=masks)
 
-    # unmasked, the best score overflows to +inf; masked, +inf meets a
-    # forbidden -inf as NaN; neither may warn before the error
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_overflowed_scores_rejected_without_warning(self, masked):
+    # unmasked, the best score and the partition overflow to +inf; masked,
+    # +inf meets a forbidden -inf as NaN; neither may warn before the error
+    @pytest.mark.parametrize("run, masked", [
+        (viterbi_decode, False), (viterbi_decode, True),
+        (forward_log_partition, False), (forward_log_partition, True),
+        (outside_path_loss, False), (outside_path_loss, True),
+    ], ids=["False", "True", "partition-False", "partition-True", "nll-False", "nll-True"])
+    def test_overflowed_scores_rejected_without_warning(self, run, masked):
         params = CrfParams(np.full((5, 5), 1e308), np.zeros(5), np.zeros(5))
         masks = build_iob2_mask(IOB2_TAGS) if masked else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite scores in Viterbi decoding"):
-                viterbi_decode(params, np.zeros((3, 5)), masks=masks)
+        message = "Viterbi decoding" if run is viterbi_decode else "the partition computation"
+        with pytest.raises(ValueError, match=f"non-finite scores in {message}"):
+            run(params, np.zeros((3, 5)), masks=masks)
 
     def test_masked_decoding_avoids_forbidden_transitions(self):
         tags = default_tagset(["LOC", "ORG"])
