@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import O_TAG, OUTSIDE, Tag, TagScheme, tag_from_str, tag_violation
+from .corpus import O_TAG, OUTSIDE, Tag, TagScheme, all_finite, tag_from_str, tag_violation
 
 NEG_INF = -np.inf
 
@@ -249,10 +249,11 @@ def nll_loss_and_grad(
     if gold.shape != packed.shape[:1]:
         raise ValueError(f"gold paths {gold.shape} do not match {len(packed)} emission rows")
     scores = _scores(params, masks)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the loss non-finite
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gold score is refused below
         gold_score = _path_scores(scores, packed, gold, lengths, pack)  # also validates legality
     alpha, log_z = _forward(scores, packed, lengths, pack)
-    beta, table = (_unpack(a, pack[2]) for a in _backward(scores, packed, pack, _logsumexp))
+    if not all_finite(gold_score):  # checked after the partition, whose errors come first
+        raise ValueError("non-finite gold path score")
     loss = float(np.sum(log_z - gold_score))
 
     # the marginals: of each row's tag, and of each tag pair of a row and the one before it
@@ -260,8 +261,11 @@ def nll_loss_and_grad(
     heads, lasts = ends - lengths, ends - 1
     pairs = np.delete(np.arange(len(gold)), heads)
     norm = np.repeat(log_z, lengths)[:, None]
-    d_emissions = np.exp(alpha + beta - norm)
-    pairwise = np.exp(alpha[pairs - 1, :, None] + scores[0] + table[pairs, None, :] - norm[pairs, :, None])
+    # a non-finite gradient is left to the training step's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, table = (_unpack(a, pack[2]) for a in _backward(scores, packed, pack, _logsumexp))
+        d_emissions = np.exp(alpha + beta - norm)
+        pairwise = np.exp(alpha[pairs - 1, :, None] + scores[0] + table[pairs, None, :] - norm[pairs, :, None])
     d_start = d_emissions[heads].sum(axis=0)
     d_end = d_emissions[lasts].sum(axis=0)
     d_trans = pairwise.sum(axis=0)

@@ -32,10 +32,13 @@ The encoder holds a batch of N sentences in one layout: their R tokens
 concatenated in sentence order, (R, ·), each an index into the batch's
 word types, which hold one word-table row each.  One BiLSTM routine
 runs both BiLSTMs on that layout: the character BiLSTM once over the
-characters of the batch's word types, one input row per character, and
-the word BiLSTM once over the tokens of all N sentences, one input row
-per word type, so that it projects each type once, except under training
-dropout, which masks each token's row and so projects each token.
+characters of the batch's word types, each character reading its
+character-table row, and the word BiLSTM once over the tokens of all N
+sentences, each token reading its word type's row.  The routine projects
+each row once when there are fewer rows than positions, so the character
+BiLSTM projects each character-table row once and the word BiLSTM each
+type once, except under training dropout, which masks each token's row
+and so projects each token.
 Inside, it packs the positions step by step: the sequences are ordered
 longest first, so the ones still running at a step are a prefix, and
 one time loop steps that prefix in both directions at once.  No array
@@ -220,15 +223,21 @@ def _bilstm_forward(
 ):
     """Both directions over concatenated sequences of R positions, where
     sequence n is the next lengths[n] positions and position r reads row
-    rows[r] of xs, or row r when ``rows`` is None; the reverse direction
-    reads each sequence from its own last position.  Returns (outs (R,
-    2H), cache), outs[r] holding both directions' states after position r.
+    rows[r] of xs, or row r when ``rows`` is None; a row outside xs raises
+    IndexError.  The reverse direction reads each sequence from its own
+    last position.  Returns (outs (R, 2H), cache), outs[r] holding both
+    directions' states after position r.
 
     Internally the kernel works in the packed layout of :func:`crf._pack`:
     one GEMM per direction computes the input projection, of each row of
     xs once when xs has more than one row but fewer than there are
-    positions, else of each position's row, and one time loop steps both
-    directions over the prefix of positions still running.  The cache holds the caller's xs,
+    positions, else of each position's row, to the same bits either way.
+    One time loop then steps both directions over the prefix of positions
+    still running.  Its recurrent product reads a C-contiguous copy of
+    w_h^T, made once per call: on OpenBLAS 0.3.31 with one thread, a
+    product through the transposed view is 1.4-3.4x slower at 4-25 rows,
+    the running rows of tagging and training batches, while at 1-3 rows
+    the two sum in another order.  The cache holds the caller's xs,
     not a copy, so xs must not change before the backward pass, and the
     row each packed position reads per direction; hs and cs (2, counts[0]
     + R, H) whose first counts[0] rows are the zero initial states and row
@@ -237,6 +246,8 @@ def _bilstm_forward(
     """
     if not lengths.all():
         raise ValueError("cannot run a BiLSTM over an empty sequence")
+    if rows is not None and not 0 <= rows.min() <= rows.max() < len(xs):
+        raise IndexError(f"input rows must lie in [0, {len(xs)})")
     pack = counts, starts, fwd, rev, prev, _ = _pack(lengths)
     hidden, first = params.hidden, counts[0]
     reads = (fwd, rev) if rows is None else (rows[fwd], rows[rev])
@@ -246,7 +257,10 @@ def _bilstm_forward(
             # numpy sends a one-row product to a matrix-vector routine, which
             # sums in another order than the rows of a GEMM
             if 1 < len(xs) < len(idx):
-                gates[d] = (xs @ params.w_x[d].T + params.b[d])[idx]
+                proj = xs @ params.w_x[d].T
+                proj += params.b[d]
+                # mode="clip" skips the buffered copy mode="raise" makes; rows are checked above
+                np.take(proj, idx, axis=0, out=gates[d], mode="clip")
             else:
                 np.matmul(xs[idx], params.w_x[d].T, out=gates[d])
                 gates[d] += params.b[d]
@@ -257,7 +271,7 @@ def _bilstm_forward(
         raise ValueError("non-finite LSTM input projection")
     hs, cs = np.zeros((2, 2, first + gates.shape[1], hidden))
     tanh_c = np.empty(gates.shape[:2] + (hidden,))
-    w_h_t = params.w_h.transpose(0, 2, 1)
+    w_h_t = np.ascontiguousarray(params.w_h.transpose(0, 2, 1))
     peep = params.p[:, None]  # (2, 1, 3, H): broadcast over the rows
     for n, lo in zip(counts, starts):
         here, read = slice(lo, lo + n), slice(prev[lo], prev[lo] + n)
@@ -342,7 +356,7 @@ def _chars_forward(table: EmbeddingTable, params: BiLstmParams, words: Sequence[
     """
     lengths = np.array([len(word) for word in words])
     ids = table.ids("".join(words))
-    outs, cache = _bilstm_forward(params, table.matrix[ids], lengths)
+    outs, cache = _bilstm_forward(params, table.matrix, lengths, ids)
     hidden, ends = params.hidden, np.cumsum(lengths)
     last, first = ends - 1, ends - lengths
     vecs = np.concatenate([outs[last, :hidden], outs[first, hidden:]], axis=1)

@@ -189,6 +189,12 @@ class TestViterbi:
         with pytest.raises(ValueError, match=f"non-finite scores in {message}"):
             run(params, np.zeros((3, 5)), masks=masks)
 
+    def test_overflowed_gold_score_rejected_without_warning(self):
+        # log_z is 1e308, but the gold path's score sums to +inf left to right
+        params = CrfParams(np.array([[1e308]]), np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="non-finite gold path score"):
+            nll_loss_and_grad(params, np.array([[-1e308], [1e308]]), [0, 0])
+
     def test_masked_decoding_avoids_forbidden_transitions(self):
         tags = default_tagset(["LOC", "ORG"])
         params = CrfParams.zeros(len(tags))

@@ -281,18 +281,21 @@ class TestPackedKernel:
     @given(
         lengths=st.lists(st.integers(1, 9), min_size=1, max_size=8),
         seed=st.integers(0, 2**16),
+        dims=st.just((3, 2)),
     )
-    @example(lengths=[1], seed=0)
-    @example(lengths=[5, 5, 5, 5], seed=1)
-    @example(lengths=[1, 9, 3, 9, 1, 2], seed=2)
-    def test_matches_per_sequence_runs(self, lengths, seed):
+    @example(lengths=[1], seed=0, dims=(3, 2))
+    @example(lengths=[5, 5, 5, 5], seed=1, dims=(3, 2))
+    @example(lengths=[1, 9, 3, 9, 1, 2], seed=2, dims=(3, 2))
+    # the word BiLSTM's default widths; the last three steps run 3, 2 and 1 rows
+    @example(lengths=[6, 5, 4, 3, 3, 3, 2], seed=3, dims=(350, 100))
+    def test_matches_per_sequence_runs(self, lengths, seed, dims):
         rng = np.random.default_rng(seed)
-        params = BiLstmParams.random(3, 2, rng)
+        (width, hidden), lengths = dims, np.array(lengths)
+        params = BiLstmParams.random(width, hidden, rng)
         params.p[:] = rng.normal(size=params.p.shape)
         params.b[:] = rng.normal(size=params.b.shape)
-        lengths = np.array(lengths)
-        xs = rng.normal(size=(lengths.sum(), 3))
-        d_outs = rng.normal(size=(lengths.sum(), 4))
+        xs = rng.normal(size=(lengths.sum(), width))
+        d_outs = rng.normal(size=(lengths.sum(), 2 * hidden))
         outs, cache = _bilstm_forward(params, xs, lengths)
         grads, d_xs = _bilstm_backward(params, cache, d_outs)
 
@@ -333,20 +336,26 @@ class TestDistinctRows:
         rows=st.lists(st.integers(0, 6), min_size=1, max_size=12),
         unused=st.integers(0, 2),
         seed=st.integers(0, 2**16),
+        dims=st.just((3, 2)),
     )
-    @example(lengths=[1], rows=[0], unused=0, seed=0)
-    @example(lengths=[4], rows=[0], unused=0, seed=1)  # a one-row table
-    @example(lengths=[3, 1, 2], rows=[2, 0, 2, 1, 1, 2], unused=1, seed=2)
-    @example(lengths=[2, 2], rows=[1, 0, 3, 2], unused=0, seed=3)  # as many rows as positions
-    def test_equals_gathered_rows(self, lengths, rows, unused, seed):
+    @example(lengths=[1], rows=[0], unused=0, seed=0, dims=(3, 2))
+    @example(lengths=[4], rows=[0], unused=0, seed=1, dims=(3, 2))  # a one-row table
+    @example(lengths=[3, 1, 2], rows=[2, 0, 2, 1, 1, 2], unused=1, seed=2, dims=(3, 2))
+    # as many rows as positions
+    @example(lengths=[2, 2], rows=[1, 0, 3, 2], unused=0, seed=3, dims=(3, 2))
+    # the character BiLSTM's default widths: 90 words of 1-12 characters, 567
+    # positions, reading a 200-row table
+    @example(lengths=[1 + n % 12 for n in range(90)], rows=[n * 37 % 200 for n in range(200)],
+             unused=0, seed=4, dims=(25, 25))
+    def test_equals_gathered_rows(self, lengths, rows, unused, seed, dims):
         rng = np.random.default_rng(seed)
-        params = BiLstmParams.random(3, 2, rng)
+        (width, hidden), lengths = dims, np.array(lengths)
+        params = BiLstmParams.random(width, hidden, rng)
         params.p[:] = rng.normal(size=params.p.shape)
         params.b[:] = rng.normal(size=params.b.shape)
-        lengths = np.array(lengths)
         rows = np.resize(np.array(rows), lengths.sum())  # repeats rows to one per position
-        table = rng.normal(size=(rows.max() + 1 + unused, 3))
-        d_outs = rng.normal(size=(lengths.sum(), 4))
+        table = rng.normal(size=(rows.max() + 1 + unused, width))
+        d_outs = rng.normal(size=(lengths.sum(), 2 * hidden))
         outs, cache = _bilstm_forward(params, table, lengths, rows)
         grads, d_xs = _bilstm_backward(params, cache, d_outs)
         want_outs, want_cache = _bilstm_forward(params, table[rows], lengths)
@@ -355,6 +364,18 @@ class TestDistinctRows:
         assert d_xs.tobytes() == want_d_xs.tobytes()
         for name, arr in want_grads.tensors("").items():
             assert grads.tensors("")[name].tobytes() == arr.tobytes(), name
+
+    # the table's rows are projected when it has fewer rows than there are
+    # positions, each position's row otherwise; both refuse a row outside it
+    @pytest.mark.parametrize("table_rows", [2, 9])
+    @pytest.mark.parametrize("bad", ["negative", "past the end"])
+    def test_out_of_range_row_rejected(self, table_rows, bad):
+        rng = np.random.default_rng(0)
+        params = BiLstmParams.random(3, 2, rng)
+        table = rng.normal(size=(table_rows, 3))
+        rows = np.array([0, 1, 1, 0, -1 if bad == "negative" else table_rows])
+        with pytest.raises(IndexError, match="input rows"):
+            _bilstm_forward(params, table, np.array([3, 2]), rows)
 
     _SENTENCES = st.lists(
         st.lists(st.sampled_from(["alpha", "beta", "gamma", "zzz", "ab"]), min_size=1, max_size=5),
