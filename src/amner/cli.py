@@ -146,9 +146,7 @@ def cmd_smote(args) -> int:
 
 
 def _effective_config(args) -> TrainConfig:
-    config = TrainConfig()
-    if args.config:
-        config = train_mod.parse_train_config(_read_bytes(args.config), base=config)
+    config = train_mod.parse_train_config(_read_bytes(args.config)) if args.config else TrainConfig()
     flags = {
         "max_epochs": args.epochs, "batch_size": args.batch, "learning_rate": args.lr,
         "dropout": args.dropout, "clip_norm": args.clip, "seed": args.seed,
@@ -439,7 +437,7 @@ def run_command(command, args) -> int:
     except UsageError as exc:
         _say(f"usage error: {exc}")
         return USAGE_ERROR
-    except (ValueError, OSError, train_mod.TrainingError) as exc:
+    except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return DATA_ERROR
 

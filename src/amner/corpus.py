@@ -91,14 +91,19 @@ class Tag:
     def __post_init__(self):
         if self.position not in ("B", "I", "O"):
             raise ValueError(f"bad tag position {self.position!r}")
-        if self.position == "O":
-            if self.etype is not None:
-                raise ValueError("O tag must not carry an entity type")
-        else:
-            if not self.etype:
-                raise ValueError(f"{self.position} tag needs an entity type")
-            if self.etype == OUTSIDE:
-                raise ValueError(f"entity type may not be the reserved marker {OUTSIDE!r}")
+        if self.position != "O":
+            self.check_etype(self.etype)
+        elif self.etype is not None:
+            raise ValueError("O tag must not carry an entity type")
+
+    @staticmethod
+    def check_etype(etype: str) -> None:
+        """The entity-type rule: non-empty, not ``O``, and holding no character
+        for which ``str.isspace()`` is true (U+00A0 and U+3000 included), so
+        ``PER`` and ``PER `` are never two types and a kv key stays one word."""
+        if not etype or etype == OUTSIDE or any(c.isspace() for c in etype):
+            raise ValueError(f"entity type {etype!r} must be non-empty, not {OUTSIDE!r}, "
+                             "and hold no whitespace")
 
 
 O_TAG = Tag("O")
@@ -148,8 +153,7 @@ class EntitySpan:
     def __post_init__(self):
         if not (0 <= self.start < self.end):
             raise ValueError(f"bad span bounds ({self.start}, {self.end})")
-        if not self.etype or self.etype == OUTSIDE:
-            raise ValueError(f"bad span entity type {self.etype!r}")
+        Tag.check_etype(self.etype)
 
     def overlaps(self, other: "EntitySpan") -> bool:
         return self.start < other.end and other.start < self.end
@@ -172,12 +176,13 @@ def tag_to_str(tag: Tag, scheme: TagScheme) -> str:
 def tag_from_str(text: str, scheme: TagScheme) -> Tag:
     if text == OUTSIDE:
         return O_TAG
-    if scheme is TagScheme.STANFORD:
-        if not text or any(c.isspace() for c in text):
-            raise ValueError(f"bad stanford tag {text!r}")
-        return Tag("I", text)
-    if len(text) > 2 and text[1] == "-" and text[0] in ("B", "I"):
-        return Tag(text[0], text[2:])
+    try:
+        if scheme is TagScheme.STANFORD:
+            return Tag("I", text)
+        if len(text) > 2 and text[1] == "-" and text[0] in ("B", "I"):
+            return Tag(text[0], text[2:])
+    except ValueError as exc:
+        raise ValueError(f"bad {scheme.value} tag {text!r}: {exc}") from None
     raise ValueError(f"bad {scheme.value} tag {text!r}; expected O, B-TYPE or I-TYPE")
 
 
@@ -190,6 +195,7 @@ def parse_corpus(text: str | bytes, scheme: TagScheme | None) -> list[Sentence]:
     is tagged O.  Raises :class:`FormatError` on malformed input.
     """
     allowed_columns = (1, 2) if scheme is None else (2,)
+    tags: dict[str, Tag] = {}  # each distinct tag text is read once
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     for lineno, line in text_lines(text):
@@ -208,8 +214,9 @@ def parse_corpus(text: str | bytes, scheme: TagScheme | None) -> list[Sentence]:
                 lineno,
             )
         try:
-            tag = O_TAG if scheme is None else tag_from_str(columns[1], scheme)
-            tokens.append(Token(columns[0], tag))
+            if scheme is not None and columns[1] not in tags:
+                tags[columns[1]] = tag_from_str(columns[1], scheme)
+            tokens.append(Token(columns[0], O_TAG if scheme is None else tags[columns[1]]))
         except ValueError as exc:
             raise FormatError(str(exc), lineno) from exc
     if tokens:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import O_TAG, OUTSIDE, Tag, TagScheme, all_finite, tag_from_str, tag_violation
+from .corpus import O_TAG, Tag, TagScheme, all_finite, tag_from_str, tag_to_str, tag_violation
 
 NEG_INF = -np.inf
 
@@ -301,8 +301,5 @@ def build_iob2_mask(tagset: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def default_tagset(entity_types: list[str]) -> list[str]:
     """Tag vocabulary for a set of entity types: O first, then B/I pairs."""
-    tags = [OUTSIDE]
-    for etype in sorted(set(entity_types)):
-        tags.append(f"B-{etype}")
-        tags.append(f"I-{etype}")
-    return tags
+    tags = [O_TAG] + [Tag(p, etype) for etype in sorted(set(entity_types)) for p in "BI"]
+    return [tag_to_str(tag, TagScheme.IOB2) for tag in tags]

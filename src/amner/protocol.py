@@ -36,7 +36,8 @@ import numpy as np
 
 from .cli import int_at_least, run_command, tag_scheme, train_setting
 from .corpus import (
-    Sentence, Tag, TagScheme, Token, convert_scheme, corpus_stats, parse_corpus, render_stats
+    Sentence, TagScheme, Token, convert_scheme, corpus_stats, parse_corpus, render_stats,
+    tag_from_str, tag_to_str,
 )
 from .metrics import conll_evaluate
 from .model import EmbeddingTable, load_embeddings
@@ -139,9 +140,8 @@ def minority_sentence_oversample(train_set, seed: int) -> list[Sentence]:
 def token_rows(sentences, table: EmbeddingTable) -> list[FeatureRow]:
     tokens = [token for sentence in sentences for token in sentence.tokens]
     vectors = table.matrix[table.ids(token.surface for token in tokens)]
-    return FeatureRow.from_matrix(
-        vectors, [token.tag.etype if token.tag.position != "O" else "O" for token in tokens]
-    )
+    labels = [tag_to_str(token.tag, TagScheme.STANFORD) for token in tokens]
+    return FeatureRow.from_matrix(vectors, labels)
 
 
 def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
@@ -170,9 +170,7 @@ def softmax_token_classifier(train_rows, test_sentences, table, args) -> float:
         logits = table.matrix[rows] @ params["w"] + params["b"]
         tokens = []
         for token, best in zip(sentence.tokens, np.argmax(logits, axis=1)):
-            label = labels[int(best)]
-            tag = Tag("O") if label == "O" else Tag("I", label)
-            tokens.append(Token(token.surface, tag))
+            tokens.append(Token(token.surface, tag_from_str(labels[int(best)], TagScheme.STANFORD)))
         return Sentence(tuple(tokens))
 
     predicted = [classify(s) for s in test_sentences]

@@ -355,9 +355,9 @@ def balance_token_dataset(
 def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
     """Render rows in the file format; inverse of parse_feature_rows.
 
-    Rows narrower than 1 value, which the reader refuses, and labels
-    starting with ``#`` (re-read as comments) or holding a tab or a line
-    break are rejected.
+    Rows narrower than 1 value and labels holding whitespace, which the
+    reader refuses, and labels starting with ``#`` (re-read as comments)
+    are rejected.
     """
     if not rows:
         raise ValueError("nothing to write: no feature rows")
@@ -368,10 +368,8 @@ def write_feature_rows(rows: Sequence[FeatureRow]) -> str:
     for idx, row in enumerate(rows):
         if row.width != width:
             raise ValueError(f"row width {row.width} != declared {width}")
-        if row.label.startswith("#") or any(c in row.label for c in "\t\r\n"):
-            raise ValueError(
-                f"row {idx}: label {row.label!r} starts with '#' or holds a tab or line break"
-            )
+        if row.label.startswith("#") or any(c.isspace() for c in row.label):
+            raise ValueError(f"row {idx}: label {row.label!r} starts with '#' or holds whitespace")
         lines.append(row.label + "\t" + " ".join(map(repr, row.values.tolist())))
     return "\n".join(lines) + "\n"
 
@@ -382,6 +380,7 @@ def parse_feature_rows(text: str | bytes) -> list[FeatureRow]:
     The first line is the attribute count, at least 1; every other line
     is blank, a ``#`` comment or ``label<TAB>values``, with exactly that
     many values split on whitespace and read as ``float()`` reads them.
+    A label is non-empty and, like an entity type, holds no whitespace.
     UTF-8 text or bytes, LF or CRLF line ends.
 
     One bulk parse reads the values into one checked matrix, and the rows'
@@ -422,6 +421,8 @@ def _parse_matrix(text: str | bytes) -> list[FeatureRow]:
     matrix = np.loadtxt(chain([first], texts), dtype=np.float64, comments=None, ndmin=2)
     if matrix.shape != (len(labels), width):
         raise ValueError(f"read shape {matrix.shape}, expected {(len(labels), width)}")
+    if any(c.isspace() for label in set(labels) for c in label):  # each distinct label once
+        raise ValueError("a label holds whitespace")
     return FeatureRow.from_matrix(matrix, labels)
 
 
@@ -431,6 +432,8 @@ def _parse_lines(text: str | bytes) -> list[FeatureRow]:
     width = _header_width(lines)
     rows: list[FeatureRow] = []
     for lineno, label, values_text in _data_lines(lines):
+        if any(c.isspace() for c in label):
+            raise FormatError(f"label {label!r} holds whitespace", lineno)
         parts = values_text.split()
         if len(parts) != width:
             raise FormatError(f"expected {width} values, got {len(parts)}", lineno)

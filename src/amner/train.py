@@ -34,10 +34,6 @@ from .model import (
 )
 
 
-class TrainingError(RuntimeError):
-    pass
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.001
@@ -78,13 +74,13 @@ def field_type(name: str) -> type:
     return {"int": int, "float": float}[_FIELD_TYPES[name].removesuffix(" | None")]
 
 
-def parse_train_config(text: str | bytes, base: TrainConfig | None = None) -> TrainConfig:
+def parse_train_config(text: str | bytes) -> TrainConfig:
     """Parse the flat `name value` config document into a TrainConfig.
 
     Each value is read as its field's annotated type; ``none`` clears an optional field.
     An option may be set once.
     """
-    values = dataclasses.asdict(base or TrainConfig())
+    values = dataclasses.asdict(TrainConfig())
     seen = set()
     for lineno, line in text_lines(text):
         line = line.strip()
@@ -473,14 +469,14 @@ def train_model(
                 try:
                     loss, grads = sentence_loss_and_grads(view, batch, rng=dropout_rng)
                     if not np.isfinite(loss):
-                        raise TrainingError(f"non-finite loss in epoch {epoch}, batch {batch_idx}")
+                        raise ValueError("non-finite loss")
                     norms.append(clip_global_norm(grads, config.clip_norm))
                     sparse = grads["word_table.matrix"]
                     word_grad[sparse.rows] = sparse.values
                     grads["word_table.matrix"] = word_grad
                     adam_step(state, params, grads, config.learning_rate)
                 except ValueError as exc:
-                    raise TrainingError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
+                    raise ValueError(f"epoch {epoch}, batch {batch_idx}: {exc}") from exc
                 word_grad[sparse.rows] = 0.0
                 entry.loss += loss
                 entry.tokens += int(batch.lengths.sum())

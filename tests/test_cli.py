@@ -292,6 +292,13 @@ class TestSmote:
         src = self.make_rows(tmp_path)
         assert main(["smote", src, "out.tsv"]) == 2
 
+    def test_whitespace_label_is_data_error(self, tmp_path, capsys):
+        src = write(tmp_path / "rows.tsv", "1\nO\t0\nO\t1\nP ER\t2\nP ER\t3\n")
+        dst = str(tmp_path / "out.tsv")
+        assert main(["smote", "--target", "match-majority", "--smote-k", "1", src, dst]) == 1
+        assert "error: line 4: label 'P ER' holds whitespace" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "rows.tsv"]
+
     def test_bad_utf8_is_a_format_error(self, tmp_path, capsys):
         (tmp_path / "rows.tsv").write_bytes(b"1\nA\xff\t1\n")
         assert main(["smote", "--target", "2", str(tmp_path / "rows.tsv"), "out.tsv"]) == 1
@@ -324,6 +331,24 @@ def test_invalid_sequence_names_sentence_and_token(tmp_path, capsys, command):
     }
     assert main([arg.format(**paths) for arg in command]) == 1
     assert "error: sentence 1, token 0: invalid under iob2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme, tag", [
+    ("iob2", "B-PER "), ("iob1", "I-PER "), ("stanford", "PER\u3000"),
+])
+@pytest.mark.parametrize("command", [
+    ["stats", "--format", "kv", "--scheme", "{scheme}"], ["validate", "--scheme", "{scheme}"],
+    ["train", "--model", "{model}"],
+], ids=["stats", "validate", "train"])
+def test_whitespace_entity_type_is_data_error(tmp_path, capsys, scheme, tag, command):
+    src = write(tmp_path / "c.tsv", f"a\t{tag}\n")
+    args = [arg.format(scheme=scheme, model=tmp_path / "m.model") for arg in command]
+    assert main([*args, src]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    read_as = "iob2" if command[0] == "train" else scheme  # train reads iob2 only
+    assert f"error: line 1: bad {read_as} tag {tag!r}" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.tsv"]
 
 
 class TestGradcheck:

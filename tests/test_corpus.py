@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from amner.corpus import (
     validate_tags,
     write_corpus,
 )
+from amner.crf import default_tagset
 
 IOB1, IOB2, STANFORD = TagScheme.IOB1, TagScheme.IOB2, TagScheme.STANFORD
 
@@ -98,6 +101,31 @@ class TestParse:
     def test_bare_type_rejected_under_iob(self):
         with pytest.raises(FormatError):
             parse_corpus("x\tORG\n", IOB2)
+
+
+# entity types that break the type rule by holding whitespace, and each
+# scheme's spelling of a tag of that type
+SPACE_TYPES = {"space": "PER ", "nbsp": "P\u00a0ER", "ideographic": "PER\u3000"}
+SCHEME_SPELLINGS = {IOB1: "I-{}", IOB2: "B-{}", STANFORD: "{}"}
+
+
+class TestEntityTypeRule:
+    @pytest.mark.parametrize("etype", SPACE_TYPES.values(), ids=SPACE_TYPES)
+    @pytest.mark.parametrize("scheme", SCHEME_SPELLINGS, ids=lambda scheme: scheme.value)
+    def test_whitespace_type_refused_naming_its_line(self, scheme, etype):
+        tag = SCHEME_SPELLINGS[scheme].format(etype)
+        with pytest.raises(FormatError) as err:
+            parse_corpus(f"a\tO\nb\t{tag}\n", scheme)
+        assert err.value.line == 2
+        assert str(err.value).startswith(f"line 2: bad {scheme.value} tag {tag!r}: entity type ")
+
+    @pytest.mark.parametrize("etype", ["", "O", *SPACE_TYPES.values()])
+    def test_tag_span_and_tagset_refuse_a_bad_type(self, etype):
+        for build in (lambda: Tag("B", etype), lambda: EntitySpan(0, 1, etype),
+                      lambda: default_tagset(["PER", etype])):
+            message = f"^entity type {re.escape(repr(etype))} must be non-empty"
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestWrite:

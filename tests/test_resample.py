@@ -505,7 +505,7 @@ class TestFeatureRowFormat:
         with pytest.raises(ValueError, match="attribute count must be at least 1, got 0"):
             write_feature_rows([FeatureRow(np.array([]), "O")])
 
-    @pytest.mark.parametrize("label", ["#PER", "P\tER", "PER\n", "PER\r"])
+    @pytest.mark.parametrize("label", ["#PER", "P\tER", "PER\n", "PER\r", "P ER", "PER\u00a0"])
     def test_label_that_would_not_read_back_rejected(self, label):
         rows = rows_from([(1.0, 2.0)], label="O") + rows_from([(3.0, 4.0)], label=label)
         with pytest.raises(ValueError, match="row 1: label"):
@@ -523,12 +523,12 @@ class TestFeatureRowFormat:
             parse_feature_rows(text)
 
 
-# labels the writer accepts: it refuses a leading '#', a tab and a line break
+# labels the writer accepts: it refuses a leading '#' and whitespace
 _LABELS = st.text(min_size=1, max_size=5)
 
 
 def _writable(label: str) -> bool:
-    return not label.startswith("#") and not set(label) & {"\t", "\r", "\n"}
+    return not label.startswith("#") and not any(c.isspace() for c in label)
 
 
 class TestFeatureRowProperties:
@@ -590,7 +590,7 @@ def _data_line(draw, width: int) -> str:
     for value in values[1:]:
         text += draw(_GAPS) + value
     text = draw(st.sampled_from(["", " ", "\u00a0"])) + text + draw(st.sampled_from(["", " "]))
-    label = draw(st.sampled_from(["O", "PER", "B-LOC", "", " ", "ሰው"]))
+    label = draw(st.sampled_from(["O", "PER", "B-LOC", "", " ", "P ER", "PER\u00a0", "ሰው"]))
     if kind == "no-tab":
         return label + " " + text
     if kind == "two-tabs":
@@ -662,6 +662,8 @@ class TestBulkReader:
             ("1\nO\t1\r2\n", "line 2: expected 1 values, got 2"),
             ("1\nO\t1\nO\t\n", "line 3: expected 1 values, got 0"),
             ("2\nO\t1 2 #3\n", "line 2: expected 2 values, got 3"),
+            ("2\nO\t1 2\nP ER\t3 4\n", "line 3: label 'P ER' holds whitespace"),
+            ("2\nPER\u3000\t1 2\nO\t1\n", r"line 2: label 'PER\\u3000' holds whitespace"),
         ],
     )
     def test_first_bad_line_named(self, text, message):

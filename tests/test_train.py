@@ -17,7 +17,6 @@ from amner.train import (
     AdamState,
     GradCheckResult,
     TrainConfig,
-    TrainingError,
     adam_step,
     build_model,
     clip_global_norm,
@@ -105,12 +104,6 @@ class TestConfig:
         config = TrainConfig(learning_rate=0.01, batch_size=4, seed=7, clip_norm=5.0)
         parsed = parse_train_config(config.to_kv())
         assert parsed == config
-
-    def test_overrides_base(self):
-        base = TrainConfig(seed=3)
-        parsed = parse_train_config("max_epochs 9\n", base=base)
-        assert parsed.max_epochs == 9
-        assert parsed.seed == 3
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown option"):
@@ -366,7 +359,7 @@ class TestTraining:
         corpus = synthetic_corpus(3, seed=15)
         model = tiny_model(corpus, seed=15)
         model.encoder.proj_w[0, 0] = np.nan
-        with pytest.raises(TrainingError, match="epoch 0, batch 0"):
+        with pytest.raises(ValueError, match="epoch 0, batch 0"):
             train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0))
 
     def test_epoch_records(self):
@@ -393,7 +386,7 @@ class TestTraining:
         # with extra words, Adam runs on fewer rows than the table has
         for extra_vocab in ((), ("only-extra0", "only-extra1")):
             model = tiny_model(corpus, seed=27, extra_vocab=extra_vocab)
-            with pytest.raises(TrainingError, match="epoch 0, batch 0: .*word_table.matrix"):
+            with pytest.raises(ValueError, match="epoch 0, batch 0: .*word_table.matrix"):
                 train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0))
 
     def test_early_stop_patience(self):
@@ -566,7 +559,7 @@ class TestCompactWordTableAdam:
             return (np.nan if len(calls) == 5 else loss), grads
 
         monkeypatch.setattr(train_mod, "sentence_loss_and_grads", failing_fifth)
-        with pytest.raises(TrainingError, match="non-finite loss in epoch 1, batch 1"):
+        with pytest.raises(ValueError, match="epoch 1, batch 1: non-finite loss"):
             train_model(self.CORPUS, trained, config)
         for name, array in dense.tensors().items():
             assert trained.tensors()[name].tobytes() == array.tobytes(), name
@@ -592,7 +585,7 @@ class TestCompactWordTableAdam:
             return loss, grads
 
         monkeypatch.setattr(train_mod, "sentence_loss_and_grads", poisoned_fifth)
-        with pytest.raises(TrainingError, match="epoch 1, batch 1: non-finite gradient in tensor crf.end"):
+        with pytest.raises(ValueError, match="epoch 1, batch 1: non-finite gradient in tensor crf.end"):
             train_model(self.CORPUS, trained, config)
         for name, array in dense.tensors().items():
             assert trained.tensors()[name].tobytes() == array.tobytes(), name
