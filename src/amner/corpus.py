@@ -27,7 +27,9 @@ which names the offending line where there is one.
 
 from __future__ import annotations
 
+import codecs
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -62,17 +64,64 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+_CHUNK = 1 << 20  # text_lines decodes and splits about this many bytes or characters at a time
+
+
 def text_lines(data: str | bytes) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` pairs of UTF-8 text, 1-based, with the
     trailing carriage returns of each line removed.  Only ``\\n`` ends a
-    line.  Bytes that are not UTF-8 raise :class:`FormatError`."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8: {exc}") from exc
-    for lineno, line in enumerate(data.split("\n"), start=1):
+    line.  Bytes that are not UTF-8 raise :class:`FormatError` before the
+    first line.
+
+    The lines are those of ``data.split("\\n")``, decoded and split about
+    ``_CHUNK`` bytes or characters at a time, so no whole decoded copy or
+    whole list of lines is held.
+    """
+    if isinstance(data, bytes) and len(data) > _CHUNK:
+        _check_utf8(data)
+    lines = itertools.chain.from_iterable(_split(data))
+    for lineno, line in enumerate(lines, start=1):
         yield lineno, line.rstrip("\r")
+
+
+def _split(data: str | bytes) -> Iterator[list[str]]:
+    """``data.split("\\n")`` in consecutive lists, each decoded from a piece
+    of at most ``_CHUNK`` that ends at a newline, unless one line is longer.
+    Input of one chunk or less is decoded whole."""
+    newline = "\n" if isinstance(data, str) else b"\n"
+    start = 0
+    while len(data) - start > _CHUNK:
+        cut = data.rfind(newline, start, start + _CHUNK)
+        if cut < 0:
+            cut = data.find(newline, start + _CHUNK)
+            if cut < 0:
+                break
+        yield _decode(data[start:cut]).split("\n")
+        start = cut + 1
+    yield _decode(data[start:]).split("\n")
+
+
+def _decode(data: str | bytes) -> str:
+    try:
+        return data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"invalid UTF-8: {exc}") from exc
+
+
+def _check_utf8(data: bytes) -> None:
+    """Raise the error ``_decode(data)`` would, decoding a chunk at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for start in range(0, len(data), _CHUNK):
+        chunk = data[start : start + _CHUNK]
+        try:
+            decoder.decode(chunk, final=start + _CHUNK >= len(data))
+        except UnicodeDecodeError as exc:
+            # exc.object is the bytes the decoder held back from earlier chunks, then chunk
+            offset = start + len(chunk) - len(exc.object)
+            whole = UnicodeDecodeError(
+                "utf-8", data, exc.start + offset, exc.end + offset, exc.reason
+            )
+            raise FormatError(f"invalid UTF-8: {whole}") from whole
 
 
 def all_finite(a: np.ndarray) -> bool:

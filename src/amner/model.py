@@ -147,8 +147,12 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
     if dim != expected_dim:
         raise FormatError(f"dimension {dim} != expected {expected_dim}", 1)
 
+    # filled in place, with room for no more rows than the input has line
+    # breaks, whatever the header declares; rows past the declared count are
+    # parsed and counted, not kept
+    newlines = text.count("\n" if isinstance(text, str) else b"\n")
+    matrix = np.empty((max(0, min(count, newlines)) + 1, dim))
     vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
     for lineno, line in lines:
         if not line.strip():
             continue
@@ -164,13 +168,13 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
             values = np.array(parts[1:], dtype=np.float64)
         except ValueError:
             raise FormatError("non-numeric value", lineno) from None
-        vocab[token] = len(rows)
-        rows.append(values)
-    if len(rows) != count:
-        raise FormatError(f"header declares {count} rows, file has {len(rows)}")
+        if len(vocab) < len(matrix) - 1:
+            matrix[len(vocab)] = values
+        vocab[token] = len(vocab)
+    if len(vocab) != count:
+        raise FormatError(f"header declares {count} rows, file has {len(vocab)}")
     rng = np.random.default_rng(seed)
-    rows.append(_glorot(rng, max(count, 1), dim, (dim,)))
-    matrix = np.stack(rows)
+    matrix[count] = _glorot(rng, max(count, 1), dim, (dim,))
     if not all_finite(matrix):
         bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
         vector_lines = (n for n, line in text_lines(text) if n > 1 and line.strip())

@@ -1,6 +1,8 @@
 """Shared test utilities: deterministic synthetic IOB2 corpora, number
-fields for the parsers of the text vector and feature-row files, and
-malformed variants of a valid input file."""
+fields for the parsers of the text vector and feature-row files,
+malformed variants of a valid input file, vector files and traced peaks."""
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -90,3 +92,21 @@ def malformed(draw, valid: bytes):
         cut = draw(st.integers(0, 3))
         data[pos : pos + cut] = piece
     return bytes(data)
+
+
+def vector_file(rows: int, dim: int, seed: int = 0) -> bytes:
+    """A `V D` vector file of ``rows`` tokens w0, w1, ..., each value
+    written as repr() writes a normal draw."""
+    values = np.random.default_rng(seed).normal(size=(rows, dim)).tolist()
+    body = "".join(f"w{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(values))
+    return f"{rows} {dim}\n{body}".encode()
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import NUMBER_FIELDS, float_or_none
+from helpers import NUMBER_FIELDS, float_or_none, traced_peak, vector_file
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amner.corpus as corpus_mod
 from amner.corpus import O_TAG, FormatError, Sentence, TagScheme, Token, tag_from_str
 from amner.model import (
     Batch,
@@ -164,6 +165,38 @@ class TestEmbeddings:
         with pytest.raises(FormatError) as err:
             load_embeddings("1 2\na 1 x\n", expected_dim=2)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, declared, found",
+        [
+            ("-1 2\na 1 2\n", -1, 1),
+            ("99999999999 2\na 1 2\n", 99999999999, 1),
+            ("3 2\na 1 2\n", 3, 1),
+            ("1 2\na 1 2\nb 3 4\n", 1, 2),
+        ],
+    )
+    def test_header_count_mismatch_names_both_counts(self, text, declared, found):
+        message = f"^header declares {declared} rows, file has {found}$"
+        for form in (text, text.encode()):
+            with pytest.raises(FormatError, match=message) as err:
+                load_embeddings(form, expected_dim=2)
+            assert err.value.line is None
+
+    def test_huge_header_count_allocates_no_table(self):
+        def load():
+            with pytest.raises(FormatError, match="^header declares 99999999999 rows, file has 1$"):
+                load_embeddings(b"99999999999 2\na 1 2\n", expected_dim=2)
+
+        assert traced_peak(load) < 2**20
+
+    def test_table_is_filled_in_place(self):
+        # about 1.9 MB of text: no whole decoded copy, line list or row list
+        data = vector_file(2000, 50)
+        assert len(data) > corpus_mod._CHUNK
+        table_bytes = 2001 * 50 * 8
+        for form in (data, data.decode()):
+            peak = traced_peak(lambda: load_embeddings(form, expected_dim=50))
+            assert peak < table_bytes + 2 * corpus_mod._CHUNK + 2**18
 
     @settings(max_examples=300, deadline=None)
     @given(field=NUMBER_FIELDS.filter(lambda f: not set(f) & {" ", "\n", "\r"}))

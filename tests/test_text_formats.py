@@ -3,12 +3,14 @@ every malformed input raises FormatError naming a real line, and a
 file's content parses alike as str or bytes, with LF or CRLF endings."""
 
 import inspect
+from unittest import mock
 
 import pytest
 from helpers import malformed
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amner.corpus as corpus_mod
 from amner.corpus import FormatError, TagScheme, load_translit_table, parse_corpus, text_lines
 from amner.model import load_embeddings
 from amner.resample import parse_feature_rows
@@ -61,6 +63,73 @@ class TestTextLines:
     def test_invalid_utf8_has_no_line(self):
         with pytest.raises(FormatError, match="^invalid UTF-8: ") as err:
             list(text_lines(b"ok\n\xff\n"))
+        assert err.value.line is None
+
+
+def split_lines(text: str) -> list[tuple[int, str]]:
+    return [(n, line.rstrip("\r")) for n, line in enumerate(text.split("\n"), start=1)]
+
+
+def whole_decode_message(data: bytes) -> str:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"invalid UTF-8: {exc}"
+    raise AssertionError("valid UTF-8")
+
+
+class TestChunkedTextLines:
+    """text_lines decodes and splits ``_CHUNK`` at a time; small chunks put
+    every line ending and every multi-byte character across some edge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.lists(st.sampled_from(["a", "\n", "\r", "\r\n", "ሀ", "é", " "])).map("".join),
+        chunk=st.integers(1, 8),
+    )
+    def test_str_and_bytes_read_as_one_split(self, text, chunk):
+        with mock.patch.object(corpus_mod, "_CHUNK", chunk):
+            assert list(text_lines(text)) == split_lines(text)
+            assert list(text_lines(text.encode())) == split_lines(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(
+            st.sampled_from(
+                [b"a", b"\n", b"\xe1\x88\x80", b"\xe1\x88", b"\xff", b"\x80", b"\xed\xa0\x80"]
+            )
+        ).map(b"".join),
+        chunk=st.integers(1, 8),
+    )
+    def test_invalid_bytes_raise_the_whole_input_error(self, data, chunk):
+        try:
+            expected = split_lines(data.decode("utf-8"))
+        except UnicodeDecodeError:
+            expected = whole_decode_message(data)
+        with mock.patch.object(corpus_mod, "_CHUNK", chunk):
+            try:
+                assert list(text_lines(data)) == expected
+            except FormatError as exc:
+                assert str(exc) == expected
+
+    @pytest.mark.parametrize(
+        "data, chunk",
+        [("ab\r\ncd\r\n", 3), (b"ab\r\ncd\r\n", 3), ("ሀ\r\nb", 2), ("ሀ\r\nb".encode(), 4)],
+    )
+    def test_crlf_split_across_a_chunk_edge(self, data, chunk):
+        text = data if isinstance(data, str) else data.decode()
+        with mock.patch.object(corpus_mod, "_CHUNK", chunk):
+            assert next(corpus_mod._split(data))[-1].endswith("\r")  # the edge falls inside CRLF
+            assert list(text_lines(data)) == split_lines(text)
+
+    def test_invalid_byte_past_the_first_chunk_raises_before_any_line(self):
+        data = b"ok\nfine\n\xffx\n"
+        with mock.patch.object(corpus_mod, "_CHUNK", 4):
+            lines = text_lines(data)
+            with pytest.raises(FormatError) as err:
+                next(lines)
+        assert str(err.value) == whole_decode_message(data)
+        assert "position 8: invalid start byte" in str(err.value)
         assert err.value.line is None
 
 

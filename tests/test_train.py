@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import parity
 import pytest
-from helpers import synthetic_corpus
+from helpers import synthetic_corpus, traced_peak, vector_file
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -303,6 +304,25 @@ class TestModelAssembly:
         table = model.encoder.word_table
         assert np.allclose(table.matrix[table.vocab[word]], 0.25)
         assert not np.allclose(table.matrix[-1], 0.25)
+
+    def test_pretrained_rows_copied_in_blocks(self):
+        from amner.model import load_embeddings
+
+        corpus, dim = synthetic_corpus(3, seed=2), 100
+        pretrained = load_embeddings(vector_file(4000, dim), expected_dim=dim)
+        extra = list(pretrained.vocab)
+        built = []
+        with mock.patch.object(train_mod, "_COPY_ROWS", 512):  # 8 blocks, the last one short
+            peak = traced_peak(lambda: built.append(build_model(
+                corpus, word_dim=dim, char_dim=3, char_hidden=3, word_hidden=4,
+                pretrained=pretrained, extra_vocab=extra,
+            )))
+        table = built[0].encoder.word_table
+        assert np.array_equal(table.matrix[table.ids(extra)], pretrained.matrix[:-1])
+        # the model's tensors plus one block: no room for a second table
+        block = 512 * dim * 8
+        assert block + 2**20 < pretrained.matrix.nbytes
+        assert peak < sum(a.nbytes for a in built[0].tensors().values()) + block + 2**20
 
     def test_loss_positive_at_init(self):
         corpus = synthetic_corpus(4, seed=3)
