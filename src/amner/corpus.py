@@ -351,11 +351,6 @@ def corpus_spans(sentences: Sequence[Sentence], scheme: TagScheme) -> list[list[
     return out
 
 
-def extract_spans(sentence: Sentence, scheme: TagScheme) -> list[EntitySpan]:
-    """The maximal entity spans of one valid sentence, sorted by start."""
-    return corpus_spans([sentence], scheme)[0]
-
-
 def spans_to_tags(spans: Sequence[EntitySpan], length: int, scheme: TagScheme) -> list[Tag]:
     """Render disjoint spans as a per-token tag list of the given length."""
     ordered = sorted(spans)
@@ -435,17 +430,18 @@ class TranslitTable:
 
     def __post_init__(self):
         for char, latin in self.mapping.items():
-            if len(char) != 1:
-                raise ValueError(f"table key {char!r} is not a single character")
-            if not latin:
-                raise ValueError(f"empty replacement for {char!r} would drop characters")
+            self.check_entry(char, latin)
 
-
-@dataclass(frozen=True)
-class TranslitResult:
-    text: str
-    mapped: int
-    unmapped: int
+    @staticmethod
+    def check_entry(char: str, latin: str) -> None:
+        """The table rule: a key is one character, and its replacement is
+        non-empty and holds no tab, CR or LF, the characters a token surface
+        may not hold, so no mapped surface is dropped or split."""
+        if len(char) != 1:
+            raise ValueError(f"table key {char!r} is not a single character")
+        if not latin or "\t" in latin or "\n" in latin or "\r" in latin:
+            raise ValueError(f"replacement {latin!r} for {char!r} must be non-empty "
+                             "and hold no tab or line break")
 
 
 def load_translit_table(text: str | bytes) -> TranslitTable:
@@ -460,50 +456,33 @@ def load_translit_table(text: str | bytes) -> TranslitTable:
                 f"expected 2 tab-separated columns, got {len(columns)}", lineno
             )
         char, latin = columns
-        if len(char) != 1:
-            raise FormatError(f"first column {char!r} is not a single character", lineno)
-        if not latin:
-            raise FormatError("empty replacement string", lineno)
+        try:
+            TranslitTable.check_entry(char, latin)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from exc
         if char in mapping and mapping[char] != latin:
             raise FormatError(f"conflicting duplicate entry for {char!r}", lineno)
         mapping[char] = latin
     return TranslitTable(mapping)
 
 
-def transliterate(text: str, table: TranslitTable) -> TranslitResult:
-    """Replace each mapped character by its Latin string.
+def transliterate_corpus(
+    sentences: Sequence[Sentence], table: TranslitTable
+) -> tuple[list[Sentence], int, int]:
+    """Replace each mapped character of every token surface by its Latin
+    string; returns (corpus, mapped, unmapped).
 
     Unmapped characters pass through unchanged; both kinds are counted
     so no character is ever silently dropped.
     """
-    parts: list[str] = []
-    mapped = unmapped = 0
-    for char in text:
-        latin = table.mapping.get(char)
-        if latin is None:
-            parts.append(char)
-            unmapped += 1
-        else:
-            parts.append(latin)
-            mapped += 1
-    return TranslitResult("".join(parts), mapped, unmapped)
-
-
-def transliterate_corpus(
-    sentences: Sequence[Sentence], table: TranslitTable
-) -> tuple[list[Sentence], int, int]:
-    """Transliterate every token surface; returns (corpus, mapped, unmapped)."""
-    out: list[Sentence] = []
-    mapped = unmapped = 0
-    for sentence in sentences:
-        tokens = []
-        for token in sentence.tokens:
-            result = transliterate(token.surface, table)
-            mapped += result.mapped
-            unmapped += result.unmapped
-            tokens.append(Token(result.text, token.tag))
-        out.append(Sentence(tuple(tokens)))
-    return out, mapped, unmapped
+    translation = str.maketrans(table.mapping)
+    out = [
+        Sentence(tuple(Token(t.surface.translate(translation), t.tag) for t in s.tokens))
+        for s in sentences
+    ]
+    chars = "".join(t.surface for s in sentences for t in s.tokens)
+    mapped = sum(map(table.mapping.__contains__, chars))
+    return out, mapped, len(chars) - mapped
 
 
 # ---------------------------------------------------------------------------

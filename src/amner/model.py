@@ -162,6 +162,8 @@ def load_embeddings(text: str | bytes, expected_dim: int, seed: int = 0) -> Embe
                 f"expected a token plus {dim} values, got {len(parts)} fields", lineno
             )
         token = parts[0]
+        if not token:
+            raise FormatError("empty token", lineno)
         if token in vocab:
             raise FormatError(f"duplicate token {token!r}", lineno)
         try:  # one call per line; numpy reads each string as float() does

@@ -22,7 +22,7 @@ from amner.corpus import (
     TagScheme,
     Token,
     convert_scheme,
-    extract_spans,
+    corpus_spans,
     spans_to_tags,
     tag_from_str,
     write_corpus,
@@ -233,7 +233,7 @@ def test_criterion_8_scheme_round_trips():
             Token(f"w{i}", tag_from_str(t, IOB2)) for i, t in enumerate(row)
         ))
         via_iob1 = convert_scheme(convert_scheme([sentence], IOB2, IOB1), IOB1, IOB2)[0]
-        spans = extract_spans(sentence, IOB2)
+        spans = corpus_spans([sentence], IOB2)[0]
         via_spans = spans_to_tags(spans, len(sentence), IOB2)
         ok = ok and list(via_iob1.tags) == list(sentence.tags)
         ok = ok and via_spans == list(sentence.tags)

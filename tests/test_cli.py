@@ -108,6 +108,14 @@ class TestStatsTranslit:
         assert main(["translit", "--format", "kv", "--table", table, src, str(tmp_path / "o")]) == 0
         assert capsys.readouterr().out == "characters.mapped 2\ncharacters.unmapped 2\n"
 
+    def test_translit_table_line_break_names_its_line(self, tmp_path, capsys):
+        table = write(tmp_path / "t.tsv", "x\ta\rb\n")
+        src = write(tmp_path / "c.tsv", "x\tO\n\n")
+        dst = tmp_path / "out.tsv"
+        assert main(["translit", "--table", table, src, str(dst)]) == 1
+        assert "error: line 1: replacement 'a\\rb' for 'x' must be non-empty" in capsys.readouterr().err
+        assert not dst.exists()
+
 
 class TestKappa:
     def test_identical_files(self, tmp_path, capsys):
@@ -470,6 +478,14 @@ class TestTrainTagEval:
         args = ["train", corpus_path, "--model", str(model), "--embeddings", str(vectors)]
         assert main(args + self.TRAIN_ARGS) == 1
         assert "error: line 3: non-finite value" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_empty_vector_token_is_data_error(self, tmp_path, corpus_path, capsys):
+        vectors = write(tmp_path / "vectors.txt", "2 6\n 0 0 0 0 0 0\nw1 0 0 0 0 0 0\n")
+        model = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model), "--embeddings", vectors]
+        assert main(args + self.TRAIN_ARGS) == 1
+        assert "error: line 2: empty token" in capsys.readouterr().err
         assert not model.exists()
 
     # a bad value read from the config file is a data error

@@ -11,17 +11,17 @@ from amner.corpus import (
     Tag,
     TagScheme,
     Token,
+    TranslitTable,
     convert_scheme,
+    corpus_spans,
     corpus_stats,
     count_adjacent_same_type,
     count_multi_token_runs,
-    extract_spans,
     load_translit_table,
     parse_corpus,
     render_stats,
     spans_to_tags,
     tag_from_str,
-    transliterate,
     transliterate_corpus,
     validate_tags,
     write_corpus,
@@ -182,25 +182,25 @@ class TestValidate:
         sentence = Sentence((Token("a", Tag("I", "LOC")), Token("b", Tag("B", "LOC"))))
         assert [v.index for v in validate_tags(sentence, STANFORD)] == [1]
         with pytest.raises(ValueError, match="sentence 0, token 1: invalid under stanford"):
-            extract_spans(sentence, STANFORD)
+            corpus_spans([sentence], STANFORD)[0]
 
 
 class TestSpans:
     def test_iob2_run(self):
-        spans = extract_spans(make_sentence(["B-ORG", "I-ORG", "I-ORG", "O"]), IOB2)
+        spans = corpus_spans([make_sentence(["B-ORG", "I-ORG", "I-ORG", "O"])], IOB2)[0]
         assert spans == [EntitySpan(0, 3, "ORG")]
 
     def test_iob2_adjacent_b(self):
-        spans = extract_spans(make_sentence(["B-LOC", "B-LOC"]), IOB2)
+        spans = corpus_spans([make_sentence(["B-LOC", "B-LOC"])], IOB2)[0]
         assert spans == [EntitySpan(0, 1, "LOC"), EntitySpan(1, 2, "LOC")]
 
     def test_stanford_merges_run(self):
-        spans = extract_spans(make_sentence(["ORG", "ORG", "O"], STANFORD), STANFORD)
+        spans = corpus_spans([make_sentence(["ORG", "ORG", "O"], STANFORD)], STANFORD)[0]
         assert spans == [EntitySpan(0, 2, "ORG")]
 
     def test_invalid_sequence_raises(self):
         with pytest.raises(ValueError):
-            extract_spans(make_sentence(["O", "I-LOC"]), IOB2)
+            corpus_spans([make_sentence(["O", "I-LOC"])], IOB2)[0]
 
     def test_spans_to_tags_iob2(self):
         tags = spans_to_tags([EntitySpan(0, 2, "LOC"), EntitySpan(2, 3, "LOC")], 3, IOB2)
@@ -238,14 +238,14 @@ class TestConvert:
     def test_stanford_merges_adjacent_names(self):
         converted = convert_scheme([make_sentence(["PER", "PER"], STANFORD)], STANFORD, IOB2)
         assert list(converted[0].tags) == [Tag("B", "PER"), Tag("I", "PER")]
-        assert extract_spans(converted[0], IOB2) == [EntitySpan(0, 2, "PER")]
+        assert corpus_spans([converted[0]], IOB2)[0] == [EntitySpan(0, 2, "PER")]
 
     def test_iob2_to_stanford_loses_boundary(self):
         source = [make_sentence(["B-LOC", "B-LOC"])]
         assert count_adjacent_same_type(source, IOB2) == 1
         converted = convert_scheme(source, IOB2, STANFORD)
         back = convert_scheme(converted, STANFORD, IOB2)
-        assert extract_spans(back[0], IOB2) == [EntitySpan(0, 2, "LOC")]
+        assert corpus_spans([back[0]], IOB2)[0] == [EntitySpan(0, 2, "LOC")]
 
     def test_multi_token_run_count(self):
         corpus = [sentence_from_row(STANFORD_ROW, STANFORD)]
@@ -278,7 +278,7 @@ def iob2_tag_rows(draw):
 @settings(max_examples=200, deadline=None)
 def test_span_round_trip_property(row):
     sentence = make_sentence(row)
-    spans = extract_spans(sentence, IOB2)
+    spans = corpus_spans([sentence], IOB2)[0]
     assert spans == sorted(spans)
     assert all(s.end <= len(sentence) for s in spans)
     assert all(a.end <= b.start for a, b in zip(spans, spans[1:]))
@@ -303,27 +303,59 @@ def test_parse_write_identity_property(rows):
     assert write_corpus(parse_corpus(text, IOB2), IOB2) == text
 
 
+def translit_reference(text, mapping):
+    """The per-character loop that ``str.translate`` replaced, kept as the
+    reference: (text, mapped, unmapped)."""
+    parts, mapped, unmapped = [], 0, 0
+    for char in text:
+        latin = mapping.get(char)
+        if latin is None:
+            parts.append(char)
+            unmapped += 1
+        else:
+            parts.append(latin)
+            mapped += 1
+    return "".join(parts), mapped, unmapped
+
+
+# Ethiopic and ASCII keys; replacements may hold other keys, which must not
+# be mapped again, and surfaces hold unmapped characters too
+TRANSLIT_KEYS = "ሀሁሐኀለሉabxy"
+TRANSLIT_TAGS = [Tag("O"), Tag("B", "PER"), Tag("I", "PER"), Tag("B", "LOC")]
+
+
+@st.composite
+def translit_cases(draw):
+    keys = draw(st.lists(st.sampled_from(TRANSLIT_KEYS), unique=True))
+    latin = st.text(st.sampled_from(TRANSLIT_KEYS + "hale"), min_size=1, max_size=3)
+    mapping = {key: draw(latin) for key in keys}
+    surface = st.text(st.sampled_from(TRANSLIT_KEYS + "Xé1ጀ"), min_size=1, max_size=8)
+    token = st.builds(Token, surface, st.sampled_from(TRANSLIT_TAGS))
+    sentences = st.lists(st.lists(token, min_size=1, max_size=4), max_size=4)
+    return mapping, [Sentence(tuple(tokens)) for tokens in draw(sentences)]
+
+
 class TestTransliterate:
     TABLE = load_translit_table("ሀ\tha\nሐ\tha\nኀ\tha\nለ\tle\n")
 
+    def one(self, surface):
+        """The surface and counts of a one-token corpus."""
+        corpus = [Sentence((Token(surface, Tag("O")),))]
+        out, mapped, unmapped = transliterate_corpus(corpus, self.TABLE)
+        return out[0].tokens[0].surface, mapped, unmapped
+
     def test_basic_mapping(self):
-        result = transliterate("ሀ", self.TABLE)
-        assert result.text == "ha"
-        assert (result.mapped, result.unmapped) == (1, 0)
+        assert self.one("ሀ") == ("ha", 1, 0)
 
     def test_variant_collapse(self):
-        assert transliterate("ሐ", self.TABLE).text == "ha"
-        assert transliterate("ኀ", self.TABLE).text == "ha"
+        assert self.one("ሐ")[0] == "ha"
+        assert self.one("ኀ")[0] == "ha"
 
     def test_latin_passthrough(self):
-        result = transliterate("abc", self.TABLE)
-        assert result.text == "abc"
-        assert (result.mapped, result.unmapped) == (0, 3)
+        assert self.one("abc") == ("abc", 0, 3)
 
     def test_mixed(self):
-        result = transliterate("ሀለX", self.TABLE)
-        assert result.text == "haleX"
-        assert (result.mapped, result.unmapped) == (2, 1)
+        assert self.one("ሀለX") == ("haleX", 2, 1)
 
     def test_corpus_transliteration(self):
         corpus = [Sentence((Token("ሀለ", Tag("B", "PER")), Token("X", Tag("O"))))]
@@ -331,6 +363,16 @@ class TestTransliterate:
         assert out[0].tokens[0].surface == "hale"
         assert out[0].tokens[0].tag == Tag("B", "PER")
         assert (mapped, unmapped) == (2, 1)
+
+    @given(translit_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_character_loop(self, case):
+        mapping, corpus = case
+        out, mapped, unmapped = transliterate_corpus(corpus, TranslitTable(mapping))
+        expected = [translit_reference(t.surface, mapping) for s in corpus for t in s.tokens]
+        assert [t.surface for s in out for t in s.tokens] == [e[0] for e in expected]
+        assert [s.tags for s in out] == [s.tags for s in corpus]
+        assert (mapped, unmapped) == (sum(e[1] for e in expected), sum(e[2] for e in expected))
 
     def test_table_rejects_multichar_key(self):
         with pytest.raises(FormatError):
@@ -343,6 +385,17 @@ class TestTransliterate:
     def test_table_rejects_empty_replacement(self):
         with pytest.raises(FormatError):
             load_translit_table("ሀ\t\n")
+
+    # a token surface may hold none of these, so a replacement may not either
+    @pytest.mark.parametrize("latin", ["a\rb", "a\nb", "a\tb", ""], ids=["cr", "lf", "tab", "empty"])
+    def test_table_rule_refuses_what_a_surface_cannot_hold(self, latin):
+        with pytest.raises(ValueError, match="must be non-empty and hold no tab or line break"):
+            TranslitTable({"x": latin})
+
+    def test_loader_names_the_line_a_carriage_return_breaks(self):
+        with pytest.raises(FormatError, match=r"^line 1: replacement 'a\\rb' for 'x'") as err:
+            load_translit_table("x\ta\rb\n")
+        assert err.value.line == 1
 
 
 class TestStats:

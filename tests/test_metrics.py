@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amner.corpus import EntitySpan, Sentence, TagScheme, Token, extract_spans, tag_from_str
+from amner.corpus import EntitySpan, Sentence, TagScheme, Token, corpus_spans, tag_from_str
 from amner.metrics import (
     AgreementTable,
     MucTally,
@@ -183,8 +183,8 @@ class TestMuc:
         for _ in range(20):
             gold, pred = random_pair(rng, n_sentences=4)
             tally = muc_evaluate(gold, pred)
-            n_gold = sum(len(extract_spans(s, IOB2)) for s in gold)
-            n_pred = sum(len(extract_spans(s, IOB2)) for s in pred)
+            n_gold = sum(map(len, corpus_spans(gold, IOB2)))
+            n_pred = sum(map(len, corpus_spans(pred, IOB2)))
             assert tally.possible == n_gold
             assert tally.actual == n_pred
 
@@ -263,8 +263,8 @@ class TestSemeval:
         rng = np.random.default_rng(31)
         gold, pred = random_pair(rng)
         report = semeval_evaluate(gold, pred)
-        n_gold = sum(len(extract_spans(s, IOB2)) for s in gold)
-        n_pred = sum(len(extract_spans(s, IOB2)) for s in pred)
+        n_gold = sum(map(len, corpus_spans(gold, IOB2)))
+        n_pred = sum(map(len, corpus_spans(pred, IOB2)))
         for mode, tally in report.items():
             assert tally.possible == tally.cor + tally.inc + tally.par + tally.mis
             assert tally.actual == tally.cor + tally.inc + tally.par + tally.spu

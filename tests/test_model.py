@@ -148,6 +148,13 @@ class TestEmbeddings:
             load_embeddings("2 1\na 1\na 2\n", expected_dim=1)
         assert err.value.line == 3
 
+    # no corpus word is empty, so such a row could never be read
+    @pytest.mark.parametrize("text", [b"2 2\n 0.1 0.2\nw 0.3 0.4\n", b"2 2\n 0.1 0.2\n 0.3 0.4\n"],
+                             ids=["one", "two"])
+    def test_empty_token_rejected(self, text):
+        with pytest.raises(FormatError, match="^line 2: empty token$"):
+            load_embeddings(text, expected_dim=2)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(FormatError):
             load_embeddings("1 3\na 1 2 3\n", expected_dim=2)
