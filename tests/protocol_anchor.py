@@ -1,25 +1,17 @@
 """A fixed corpus and vector file whose `scripts/reproduce.py` stdout is pinned by SHA-256.
 
-    python tests/protocol_anchor.py DIR    # writes DIR/c.tsv and DIR/v.txt
-
-The committed `tests/data/protocol-anchor.sha256` holds, in `sha256sum -c`
-form, the SHA-256 of the stdout of each run in `RUNS`, made with DIR as
-the working directory (stdout names the corpus by the path it was given):
-
-    reproduce.py --corpus c.tsv --embeddings v.txt --protocol all --folds 3 \\
-        --epochs 4 --lr 0.05 --word-dim 4 --smote-k 1 --allow-stats-mismatch > all.out
-    reproduce.py --corpus c.tsv --max-sentences 20 --folds 2 --epochs 4 \\
-        --lr 0.05 --word-dim 4 > subsample.out
-
-The first runs every protocol and both SMOTE modes; the second covers the
-subsample line and the skipped token mode.  Both print every F1 line, so a
-change to any score changes a hash.  Each gives the same bytes with one
-and with two BLAS threads.
+`write_inputs(DIR)` writes DIR/c.tsv and DIR/v.txt.  The committed
+`tests/data/protocol-anchor.sha256` holds, in `sha256sum -c` form, the
+SHA-256 of the stdout of each `reproduce.py` run in `RUNS`, by output file
+name, made with DIR as the working directory (stdout names the corpus by the
+path it was given).  The first runs every protocol and both SMOTE modes; the
+second covers the subsample line and the skipped token mode.  Both print
+every F1 line, so a change to any score changes a hash.  Each gives the same
+bytes with one and with two BLAS threads.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +50,3 @@ def expected_sha256() -> dict[str, str]:
     pairs = (line.split() for line in SHA_PATH.read_text(encoding="utf-8").splitlines())
     return {name: digest for digest, name in pairs}
 
-
-if __name__ == "__main__":
-    write_inputs(Path(sys.argv[1]))

@@ -1,8 +1,7 @@
 """A fixed feature-row file whose `amner smote` output is pinned by SHA-256.
 
-    python tests/smote_anchor.py ROWS.tsv    # writes the rows file
-
-The committed `tests/data/smote-balance.sha256` is the SHA-256 of the file
+`rows_text()` returns the file's text.  The committed
+`tests/data/smote-balance.sha256` is the SHA-256 of the file
 
     amner smote --target match-majority --seed 7 ROWS.tsv OUT.tsv
 
@@ -21,7 +20,6 @@ behind, so the first run's draws start from it.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 SHA_PATH = Path(__file__).resolve().parent / "data" / "smote-balance.sha256"
@@ -51,6 +49,3 @@ def amount_sha256() -> dict[str, str]:
     pairs = (line.split() for line in AMOUNT_SHA_PATH.read_text(encoding="utf-8").splitlines())
     return {name: digest for digest, name in pairs}
 
-
-if __name__ == "__main__":
-    Path(sys.argv[1]).write_text(rows_text(), encoding="utf-8")
