@@ -12,10 +12,9 @@ carry exactly zero probability.  The partition function and the
 marginals behind the loss gradient are computed in the log domain.
 
 The loss and Viterbi decoding take the (R, K) emissions of N sequences
-concatenated in order, plus each sequence's length; a single (L, K)
-matrix without lengths is one sequence.  No array of the CRF or of the
-model holds padding: the recursions step all N sequences at once in the
-packed layout of :func:`_pack`, which the BiLSTM kernel of
+concatenated in order, plus each sequence's length.  No array of the CRF
+or of the model holds padding: the recursions step all N sequences at
+once in the packed layout of :func:`_pack`, which the BiLSTM kernel of
 :mod:`amner.model` shares, with the same per-sequence operations as on
 one, and scatter their tables back to the concatenated rows.
 """
@@ -125,7 +124,7 @@ def _layout(params: CrfParams, emissions: np.ndarray, lengths):
     emissions = np.asarray(emissions, dtype=np.float64)
     if emissions.ndim != 2 or not len(emissions) or emissions.shape[1] != params.num_tags:
         raise ValueError(f"emissions must be (R, {params.num_tags}) with R >= 1, got {emissions.shape}")
-    lengths = np.asarray(emissions.shape[:1] if lengths is None else lengths, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or (lengths < 1).any() or lengths.sum() != len(emissions):
         raise ValueError(f"lengths must be at least 1 and sum to the {len(emissions)} emission rows")
     pack = _pack(lengths)
@@ -151,15 +150,6 @@ def _path_scores(scores, packed: np.ndarray, tags: np.ndarray, lengths, pack) ->
     return total[np.argsort(order)] + end[tags[np.cumsum(lengths) - 1]]
 
 
-def score_sequence(params: CrfParams, emissions: np.ndarray, tags, masks=None) -> float:
-    """Score of one tag path; raises if the path crosses a masked entry."""
-    packed, lengths, pack = _layout(params, emissions, None)
-    tags = np.array(list(tags), dtype=np.int64)
-    if len(tags) != len(packed):
-        raise ValueError(f"path length {len(tags)} != sequence length {len(packed)}")
-    return float(_path_scores(_scores(params, masks), packed, tags, lengths, pack)[0])
-
-
 def _forward(scores, packed: np.ndarray, lengths: np.ndarray, pack):
     """(alpha (R, K), log_z (N,)): alpha[r, k] is the log-sum of the scores
     of all legal prefixes of r's sequence that end at row r with tag k,
@@ -178,12 +168,6 @@ def _forward(scores, packed: np.ndarray, lengths: np.ndarray, pack):
     if (log_z == NEG_INF).any():
         raise ValueError("no legal path: the constraint mask excludes every sequence")
     return alpha, log_z
-
-
-def forward_log_partition(params: CrfParams, emissions: np.ndarray, masks=None) -> float:
-    """log sum over all mask-legal paths of exp(path score)."""
-    packed, lengths, pack = _layout(params, emissions, None)
-    return float(_forward(_scores(params, masks), packed, lengths, pack)[1][0])
 
 
 def _backward(scores, packed: np.ndarray, pack, reduce):
@@ -205,14 +189,13 @@ def _backward(scores, packed: np.ndarray, pack, reduce):
     return inner, table
 
 
-def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None, masks=None):
-    """Highest-scoring legal path of each sequence, as (paths, scores); for
-    a single (L, K) matrix without lengths, (path, score).  Ties break to
-    the lexicographically smallest tag sequence (via a suffix table and
-    greedy reconstruction).  Each score is the recursion's maximum, not a
-    rescoring of the path.
+def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths, masks=None):
+    """Highest-scoring legal path of each of the sequences ``lengths`` in
+    the (R, K) ``emissions``, as (paths, scores): a list of tag-id lists
+    and an (N,) array.  Ties break to the lexicographically smallest tag
+    sequence (via a suffix table and greedy reconstruction).  Each score
+    is the recursion's maximum, not a rescoring of the path.
     """
-    single = lengths is None
     packed, lengths, pack = _layout(params, emissions, lengths)
     counts, starts, fwd, _, _, order = pack
     scores = _scores(params, masks)
@@ -229,20 +212,18 @@ def viterbi_decode(params: CrfParams, emissions: np.ndarray, lengths=None, masks
     paths[:counts[0]] = np.argmax(totals, axis=1)  # argmax picks the smallest index on ties
     for n, lo, prev in zip(counts[1:], starts[1:], starts):
         paths[lo:lo + n] = np.argmax(trans[paths[prev:prev + n]] + suffix[lo:lo + n], axis=1)
-    out = [path.tolist() for path in np.split(_unpack(paths, fwd), np.cumsum(lengths)[:-1])]
-    return (out[0], float(best[0])) if single else (out, best)
+    return [path.tolist() for path in np.split(_unpack(paths, fwd), np.cumsum(lengths)[:-1])], best
 
 
 def nll_loss_and_grad(
-    params: CrfParams, emissions: np.ndarray, gold, lengths=None, masks=None
+    params: CrfParams, emissions: np.ndarray, gold, lengths, masks=None
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Summed negative log-likelihood of the gold paths plus all gradients.
 
     ``gold`` is the (R,) tag ids beside the (R, K) ``emissions`` of the
-    sequences ``lengths`` (one sequence without lengths).  Returns (loss,
-    d_emissions (R, K), crf gradient dict keyed like tensors()).
-    Gradients are marginal expectations minus gold indicators, summed
-    over the sequences.
+    sequences ``lengths``.  Returns (loss, d_emissions (R, K), crf
+    gradient dict keyed like tensors()).  Gradients are marginal
+    expectations minus gold indicators, summed over the sequences.
     """
     packed, lengths, pack = _layout(params, emissions, lengths)
     gold = np.asarray(gold, dtype=np.int64)

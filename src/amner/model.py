@@ -50,7 +50,7 @@ layout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -428,40 +428,6 @@ class EncoderParams:
         }
 
 
-def init_encoder(
-    word_tokens: Sequence[str],
-    char_tokens: Sequence[str],
-    num_tags: int,
-    word_dim: int = 300,
-    char_dim: int = 25,
-    char_hidden: int = 25,
-    word_hidden: int = 100,
-    dropout_rate: float = 0.5,
-    seed: int = 0,
-) -> EncoderParams:
-    """Seeded random encoder; weight matrices are uniform with the
-    +-sqrt(6 / (fan_in + fan_out)) bound, biases and peepholes zero.
-    """
-    if min(word_dim, char_dim, char_hidden, word_hidden) < 1:
-        raise ValueError("word_dim, char_dim, char_hidden and word_hidden must each be at least 1")
-    rng = np.random.default_rng(seed)
-    char_table = EmbeddingTable.random(char_tokens, char_dim, rng)
-    char_bilstm = BiLstmParams.random(char_dim, char_hidden, rng)
-    word_table = EmbeddingTable.random(word_tokens, word_dim, rng)
-    token_width = word_dim + 2 * char_hidden
-    word_bilstm = BiLstmParams.random(token_width, word_hidden, rng)
-    proj_w = _glorot(rng, 2 * word_hidden, num_tags, (2 * word_hidden, num_tags))
-    return EncoderParams(
-        char_table, char_bilstm, word_table, word_bilstm,
-        proj_w, np.zeros(num_tags), dropout_rate,
-    )
-
-
-def init_crf(num_tags: int, rng: np.random.Generator) -> CrfParams:
-    transitions = _glorot(rng, num_tags, num_tags, (num_tags, num_tags))
-    return CrfParams(transitions, np.zeros(num_tags), np.zeros(num_tags))
-
-
 @dataclass
 class Batch:
     """N sentences as the encoder reads them: their R tokens concatenated
@@ -605,13 +571,14 @@ class ModelParams:
     encoder: EncoderParams
     crf: CrfParams
     masked_training: bool = False  # whether the training loss applies them too
+    masks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.tags) != self.encoder.num_tags or len(self.tags) != self.crf.num_tags:
             raise ValueError("tag count disagrees between tag list, encoder and CRF")
         if len(set(self.tags)) != len(self.tags):
             raise ValueError("duplicate tags")
-        build_iob2_mask(self.tags)  # raises unless the tags are an IOB2 tag set
+        self.masks = build_iob2_mask(self.tags)  # raises unless the tags are an IOB2 tag set
 
     @property
     def tag_index(self) -> dict[str, int]:

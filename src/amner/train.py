@@ -23,14 +23,15 @@ from .corpus import (
 )
 from .model import (
     Batch,
+    BiLstmParams,
     EmbeddingTable,
+    EncoderParams,
     ModelParams,
     SparseRows,
+    _glorot,
     encode_backward,
     encode_batch,
     encode_forward,
-    init_crf,
-    init_encoder,
 )
 
 
@@ -280,8 +281,10 @@ def build_model(
     """Initialize a tagger for an IOB2 corpus.
 
     Vocabularies are the sorted surface forms and characters of the
-    corpus (plus ``extra_vocab``).  Rows found in ``pretrained`` replace
-    their random counterparts; everything else keeps the seeded init.
+    corpus (plus ``extra_vocab``).  Weights are Glorot-uniform, biases and
+    peepholes zero: the encoder's drawn in tensor order from
+    ``default_rng(seed)``, the CRF's from ``default_rng(seed + 1)``.  Rows
+    found in ``pretrained`` then replace their random counterparts.
     ``masked_training`` makes the training loss apply the IOB2 masks of
     the tags; decoding applies them regardless.
     """
@@ -298,12 +301,16 @@ def build_model(
             if token.tag.position != "O":
                 etypes.add(token.tag.etype)
     tags = crf_mod.default_tagset(sorted(etypes))
-
-    encoder = init_encoder(
-        sorted(words), sorted(chars), len(tags),
-        word_dim=word_dim, char_dim=char_dim,
-        char_hidden=char_hidden, word_hidden=word_hidden,
-        dropout_rate=dropout, seed=seed,
+    k = len(tags)
+    if min(word_dim, char_dim, char_hidden, word_hidden) < 1:
+        raise ValueError("word_dim, char_dim, char_hidden and word_hidden must each be at least 1")
+    rng = np.random.default_rng(seed)
+    encoder = EncoderParams(
+        EmbeddingTable.random(sorted(chars), char_dim, rng),
+        BiLstmParams.random(char_dim, char_hidden, rng),
+        EmbeddingTable.random(sorted(words), word_dim, rng),
+        BiLstmParams.random(word_dim + 2 * char_hidden, word_hidden, rng),
+        _glorot(rng, 2 * word_hidden, k, (2 * word_hidden, k)), np.zeros(k), dropout,
     )
     if pretrained is not None:
         if pretrained.dim != word_dim:
@@ -317,13 +324,9 @@ def build_model(
             rows = found[start : start + _COPY_ROWS]
             encoder.word_table.matrix[rows] = pretrained.matrix[src[rows]]
 
-    crf_params = init_crf(len(tags), np.random.default_rng(seed + 1))
-    return ModelParams(tags, encoder, crf_params, masked_training)
-
-
-def _loss_masks(model: ModelParams):
-    """The training loss's CRF masks: the IOB2 masks if the model trains masked."""
-    return crf_mod.build_iob2_mask(model.tags) if model.masked_training else None
+    transitions = _glorot(np.random.default_rng(seed + 1), k, k, (k, k))
+    crf = crf_mod.CrfParams(transitions, np.zeros(k), np.zeros(k))
+    return ModelParams(tags, encoder, crf, masked_training)
 
 
 def sentence_loss_and_grads(
@@ -339,7 +342,7 @@ def sentence_loss_and_grads(
     """
     emissions, cache = encode_forward(model.encoder, batch, rng=rng)
     loss, d_emissions, grads = crf_mod.nll_loss_and_grad(
-        model.crf, emissions, batch.tags, batch.lengths, masks=_loss_masks(model)
+        model.crf, emissions, batch.tags, batch.lengths, model.masks if model.masked_training else None
     )
     grads.update(encode_backward(model.encoder, cache, d_emissions))
     return loss, grads
@@ -360,7 +363,6 @@ def tag_sentences(model: ModelParams, sentences: Sequence[Sentence]) -> list[Sen
     sentence alone; each word type's character vector is computed once
     per call.
     """
-    masks = crf_mod.build_iob2_mask(model.tags)
     tags = [tag_from_str(text, TagScheme.IOB2) for text in model.tags]
     type_vectors: dict[str, np.ndarray] = {}
     out: list[Sentence] = list(sentences)
@@ -377,7 +379,7 @@ def tag_sentences(model: ModelParams, sentences: Sequence[Sentence]) -> list[Sen
     for chunk in chunks:
         batch = encode_batch(model.encoder, [sentences[i] for i in chunk])
         emissions, _ = encode_forward(model.encoder, batch, type_vectors=type_vectors)
-        paths, _ = crf_mod.viterbi_decode(model.crf, emissions, batch.lengths, masks=masks)
+        paths, _ = crf_mod.viterbi_decode(model.crf, emissions, batch.lengths, masks=model.masks)
         for i, path in zip(chunk, paths):
             tokens = zip(sentences[i].tokens, path)
             out[i] = Sentence(tuple(Token(tok.surface, tags[idx]) for tok, idx in tokens))
@@ -421,8 +423,8 @@ def train_model(
     entity F1 on ``dev`` when given).  ``on_epoch`` may return True to
     stop early; ``config.patience`` stops after that many epochs without
     a dev F1 improvement, and is refused without ``dev``.  ``sentences``
-    and ``dev`` must be valid IOB2, which is checked before any update,
-    and ``config.dropout`` must equal the model's rate.
+    and ``dev`` must be non-empty and valid IOB2, which is checked before
+    any update, and ``config.dropout`` must equal the model's rate.
 
     The corpus is encoded once, gold tags included, and each batch is
     gathered from it.  Training reads and updates a view of the model
@@ -437,6 +439,8 @@ def train_model(
     """
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
+    if dev is not None and not dev:
+        raise ValueError("cannot score an empty dev set")
     if config.patience is not None and dev is None:
         raise ValueError("patience stops on dev F1 and needs a dev set")
     if config.dropout != model.encoder.dropout_rate:
@@ -558,11 +562,11 @@ def gradient_check(
         raise ValueError("step and tolerance must be finite and positive")
     batch = encode_batch(model.encoder, [sentence], model.tag_index)
     _, analytic = sentence_loss_and_grads(model, batch)
-    masks = _loss_masks(model)
+    masks = model.masks if model.masked_training else None
 
     def loss() -> float:  # the NLL without the encoder's backward pass
         emissions = encode_forward(model.encoder, batch)[0]
-        return crf_mod.nll_loss_and_grad(model.crf, emissions, batch.tags, masks=masks)[0]
+        return crf_mod.nll_loss_and_grad(model.crf, emissions, batch.tags, batch.lengths, masks)[0]
 
     params = model.tensors()
     report: dict[str, float] = {}

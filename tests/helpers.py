@@ -1,6 +1,7 @@
 """Shared test utilities: deterministic synthetic IOB2 corpora, number
 fields for the parsers of the text vector and feature-row files,
-malformed variants of a valid input file, vector files and traced peaks."""
+malformed variants of a valid input file, vector files, traced peaks and
+the score of a CRF path."""
 
 import tracemalloc
 
@@ -100,6 +101,14 @@ def vector_file(rows: int, dim: int, seed: int = 0) -> bytes:
     values = np.random.default_rng(seed).normal(size=(rows, dim)).tolist()
     body = "".join(f"w{i} " + " ".join(map(repr, row)) + "\n" for i, row in enumerate(values))
     return f"{rows} {dim}\n{body}".encode()
+
+
+def path_score(params, emissions, path) -> float:
+    """Score of a tag path, summed left to right as the crf module docstring writes it."""
+    score = params.start_scores[path[0]] + emissions[0, path[0]]
+    for pos in range(1, len(path)):
+        score += params.transitions[path[pos - 1], path[pos]] + emissions[pos, path[pos]]
+    return float(score + params.end_scores[path[-1]])
 
 
 def traced_peak(call) -> int:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from acceptance_data import overfit_corpus
+from helpers import path_score
 
 from amner.corpus import (
     Sentence,
@@ -27,7 +28,7 @@ from amner.corpus import (
     tag_from_str,
     write_corpus,
 )
-from amner.crf import CrfParams, forward_log_partition, viterbi_decode
+from amner.crf import CrfParams, nll_loss_and_grad, viterbi_decode
 from amner.metrics import AgreementTable, cohen_kappa, f1_from_pr, interpret_kappa
 from amner.resample import FeatureRow, SmoteConfig, smote
 from amner.train import TrainConfig, build_model, gradient_check, train_model
@@ -61,14 +62,8 @@ def random_crf_instance(rng):
 
 
 def enumerate_paths(params, emissions):
-    k = params.num_tags
-    length = emissions.shape[0]
-    for path in itertools.product(range(k), repeat=length):
-        score = params.start_scores[path[0]] + emissions[0, path[0]]
-        for pos in range(1, length):
-            score += params.transitions[path[pos - 1], path[pos]] + emissions[pos, path[pos]]
-        score += params.end_scores[path[-1]]
-        yield list(path), float(score)
+    for path in itertools.product(range(params.num_tags), repeat=emissions.shape[0]):
+        yield list(path), path_score(params, emissions, path)
 
 
 def test_criterion_1_partition_oracle():
@@ -77,8 +72,12 @@ def test_criterion_1_partition_oracle():
     worst = 0.0
     for _ in range(500):
         params, emissions = random_crf_instance(rng)
-        expected = np.logaddexp.reduce([s for _, s in enumerate_paths(params, emissions)])
-        worst = max(worst, abs(forward_log_partition(params, emissions) - expected))
+        paths = list(enumerate_paths(params, emissions))
+        expected = np.logaddexp.reduce([s for _, s in paths])
+        # log Z is the loss of a gold path plus that path's score
+        gold, gold_score = paths[0]
+        loss = nll_loss_and_grad(params, emissions, gold, [len(emissions)])[0]
+        worst = max(worst, abs(loss + gold_score - expected))
     elapsed = time.perf_counter() - start
     report(1, "CRF partition matches exhaustive enumeration",
            worst <= 1e-8 and elapsed <= 10.0,
@@ -95,7 +94,7 @@ def test_criterion_2_viterbi_oracle():
         for path, score in enumerate_paths(params, emissions):
             if score > best_score or (score == best_score and path < best_path):
                 best_path, best_score = path, score
-        path, score = viterbi_decode(params, emissions)
+        (path,), (score,) = viterbi_decode(params, emissions, [len(emissions)])
         ok = ok and path == best_path and abs(score - best_score) < 1e-9
     elapsed = time.perf_counter() - start
     report(2, "Viterbi matches enumerated argmax with tie-breaks",

@@ -556,6 +556,17 @@ class TestTrainTagEval:
         assert "epoch" not in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("text", ["", "\n# note\n\n"], ids=["empty", "no-sentences"])
+    def test_empty_dev_set_is_data_error_before_training(self, tmp_path, corpus_path, capsys, text):
+        dev = write(tmp_path / "dev.tsv", text)
+        model = tmp_path / "m.model"
+        args = ["train", corpus_path, "--model", str(model), "--dev", dev]
+        assert main(args + self.TRAIN_ARGS) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot score an empty dev set" in err
+        assert "epoch" not in err
+        assert not model.exists()
+
     def test_train_is_byte_deterministic(self, tmp_path, corpus_path):
         a_path = tmp_path / "a.model"
         b_path = tmp_path / "b.model"

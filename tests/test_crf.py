@@ -3,15 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from helpers import path_score
 
 from amner.corpus import Sentence, TagScheme, Token, tag_from_str, validate_tags
 from amner.crf import (
     CrfParams,
     build_iob2_mask,
     default_tagset,
-    forward_log_partition,
     nll_loss_and_grad,
-    score_sequence,
     viterbi_decode,
 )
 
@@ -29,21 +28,23 @@ def enumerate_legal_paths(params, length, masks=None):
 
 def brute_force_log_partition(params, emissions, masks=None):
     scores = [
-        score_sequence(params, emissions, path, masks=masks)
+        path_score(params, emissions, path)
         for path in enumerate_legal_paths(params, emissions.shape[0], masks)
     ]
     return np.logaddexp.reduce(scores)
 
 
-def outside_path_loss(params, emissions, masks):
-    """The loss of the gold path of tag 0 throughout (O, which IOB2 masks allow)."""
-    return nll_loss_and_grad(params, emissions, np.zeros(len(emissions), int), masks=masks)
+def log_partition(params, emissions, masks=None):
+    """log Z of one sequence: the loss of its all-O gold path plus that path's score."""
+    outside = [0] * len(emissions)
+    loss = nll_loss_and_grad(params, emissions, outside, [len(emissions)], masks)[0]
+    return loss + path_score(params, emissions, outside)
 
 
 def brute_force_viterbi(params, emissions, masks=None):
     best_path, best_score = None, -np.inf
     for path in enumerate_legal_paths(params, emissions.shape[0], masks):
-        score = score_sequence(params, emissions, path, masks=masks)
+        score = path_score(params, emissions, path)
         if score > best_score or (score == best_score and path < best_path):
             best_path, best_score = path, score
     return best_path, best_score
@@ -65,52 +66,51 @@ EM_2X2 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestScoreSequence:
+    """A gold path's score, as the loss reads it: loss = log Z - score, so
+    the losses of two gold paths differ by the difference of their scores."""
+
     def test_zero_transition_path(self):
+        # [0, 0] scores 1 + 3 = 4, and [1, 1] scores 2 + 4 = 6
         params = CrfParams.zeros(2)
-        assert score_sequence(params, EM_2X2, [0, 0]) == 4.0
+        first, second = (nll_loss_and_grad(params, EM_2X2, gold, [2])[0] for gold in ([0, 0], [1, 1]))
+        assert first - second == 6.0 - 4.0
 
     def test_single_token(self):
+        # [0] scores 0.5 + 2 + 0.25 = 2.75, and [1] scores 0
         params = CrfParams(np.zeros((2, 2)), np.array([0.5, 0.0]), np.array([0.25, 0.0]))
-        assert score_sequence(params, np.array([[2.0, 0.0]]), [0]) == 2.75
-
-    def test_masked_transition_rejected(self):
-        masks = np.array([[True, False], [True, True]]), np.ones(2, bool)
-        with pytest.raises(ValueError, match="masked"):
-            score_sequence(CrfParams.zeros(2), EM_2X2, [0, 1], masks=masks)
+        emissions = np.array([[2.0, 0.0]])
+        first, second = (nll_loss_and_grad(params, emissions, [tag], [1])[0] for tag in (0, 1))
+        assert second - first == 2.75
 
     def test_masked_start_rejected(self):
         masks = np.ones((2, 2), bool), np.array([True, False])
         with pytest.raises(ValueError, match="tag 1 at position 0 is masked out"):
-            score_sequence(CrfParams.zeros(2), EM_2X2, [1, 0], masks=masks)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            score_sequence(CrfParams.zeros(2), EM_2X2, [0])
+            nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [1, 0], [2], masks)
 
 
 class TestLogPartition:
     def test_two_by_two_analytic(self):
         # paths score 4, 5, 5, 6 -> logZ = 4 + 2*log(1 + e)
-        log_z = forward_log_partition(CrfParams.zeros(2), EM_2X2)
+        log_z = log_partition(CrfParams.zeros(2), EM_2X2)
         assert abs(log_z - (4.0 + 2.0 * math.log(1.0 + math.e))) < 1e-12
 
     def test_trivial_instance(self):
-        assert forward_log_partition(CrfParams.zeros(1), np.array([[0.0]])) == 0.0
+        assert log_partition(CrfParams.zeros(1), np.array([[0.0]])) == 0.0
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(101)
         for _ in range(100):
             params, emissions = random_instance(rng)
             expected = brute_force_log_partition(params, emissions)
-            assert abs(forward_log_partition(params, emissions) - expected) <= 1e-8
+            assert abs(log_partition(params, emissions) - expected) <= 1e-8
 
     def test_path_probabilities_sum_to_one(self):
+        # a path's probability is exp(-loss) with that path as the gold one
         rng = np.random.default_rng(55)
         for _ in range(20):
             params, emissions = random_instance(rng, max_len=3, max_tags=4)
-            log_z = forward_log_partition(params, emissions)
             mass = sum(
-                math.exp(score_sequence(params, emissions, p) - log_z)
+                math.exp(-nll_loss_and_grad(params, emissions, p, [len(emissions)])[0])
                 for p in enumerate_legal_paths(params, emissions.shape[0])
             )
             assert abs(mass - 1.0) < 1e-10
@@ -120,15 +120,17 @@ class TestLogPartition:
         params, emissions = random_instance(rng, max_len=4, max_tags=4)
         shifted = emissions.copy()
         shifted[0] += 2.5
-        before = forward_log_partition(params, emissions)
-        after = forward_log_partition(params, shifted)
+        before = log_partition(params, emissions)
+        after = log_partition(params, shifted)
         assert abs(after - (before + 2.5)) < 1e-9
-        assert viterbi_decode(params, emissions)[0] == viterbi_decode(params, shifted)[0]
+        lengths = [len(emissions)]
+        assert viterbi_decode(params, emissions, lengths)[0] == viterbi_decode(params, shifted, lengths)[0]
 
     def test_over_constrained_mask_rejected(self):
+        # no path is legal, so neither is the gold one
         masks = np.ones((2, 2), bool), np.zeros(2, bool)
-        with pytest.raises(ValueError, match="no legal path"):
-            forward_log_partition(CrfParams.zeros(2), EM_2X2, masks=masks)
+        with pytest.raises(ValueError, match="tag 0 at position 0 is masked out"):
+            log_partition(CrfParams.zeros(2), EM_2X2, masks)
 
     def test_masked_matches_enumeration(self):
         rng = np.random.default_rng(103)
@@ -137,21 +139,21 @@ class TestLogPartition:
             params = CrfParams(*(rng.uniform(-3, 3, shape) for shape in ((5, 5), 5, 5)))
             emissions = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), 5))
             expected = brute_force_log_partition(params, emissions, masks)
-            assert abs(forward_log_partition(params, emissions, masks=masks) - expected) <= 1e-8
+            assert abs(log_partition(params, emissions, masks) - expected) <= 1e-8
             expected_path, expected_score = brute_force_viterbi(params, emissions, masks)
-            path, score = viterbi_decode(params, emissions, masks=masks)
+            (path,), (score,) = viterbi_decode(params, emissions, [len(emissions)], masks)
             assert path == expected_path
             assert abs(score - expected_score) < 1e-9
 
 
 class TestViterbi:
     def test_two_by_two(self):
-        path, score = viterbi_decode(CrfParams.zeros(2), EM_2X2)
+        (path,), (score,) = viterbi_decode(CrfParams.zeros(2), EM_2X2, [2])
         assert path == [1, 1]
         assert score == 6.0
 
     def test_single_tag(self):
-        path, score = viterbi_decode(CrfParams.zeros(1), np.array([[1.0], [2.0]]))
+        (path,), (score,) = viterbi_decode(CrfParams.zeros(1), np.array([[1.0], [2.0]]), [2])
         assert path == [0, 0]
         assert score == 3.0
 
@@ -160,40 +162,41 @@ class TestViterbi:
         for _ in range(100):
             params, emissions = random_instance(rng)
             expected_path, expected_score = brute_force_viterbi(params, emissions)
-            path, score = viterbi_decode(params, emissions)
+            (path,), (score,) = viterbi_decode(params, emissions, [len(emissions)])
             assert path == expected_path
             assert abs(score - expected_score) < 1e-9
 
     def test_exact_tie_breaks_lexicographic(self):
         # all paths score 0; the smallest sequence must win
-        path, score = viterbi_decode(CrfParams.zeros(3), np.zeros((3, 3)))
+        (path,), (score,) = viterbi_decode(CrfParams.zeros(3), np.zeros((3, 3)), [3])
         assert path == [0, 0, 0]
         assert score == 0.0
 
     def test_over_constrained_mask_rejected(self):
         masks = np.ones((2, 2), bool), np.zeros(2, bool)
         with pytest.raises(ValueError, match="no legal path"):
-            viterbi_decode(CrfParams.zeros(2), EM_2X2, masks=masks)
+            viterbi_decode(CrfParams.zeros(2), EM_2X2, [2], masks)
 
     # unmasked, the best score and the partition overflow to +inf; masked,
     # +inf meets a forbidden -inf as NaN; neither may warn before the error
-    @pytest.mark.parametrize("run, masked", [
-        (viterbi_decode, False), (viterbi_decode, True),
-        (forward_log_partition, False), (forward_log_partition, True),
-        (outside_path_loss, False), (outside_path_loss, True),
-    ], ids=["False", "True", "partition-False", "partition-True", "nll-False", "nll-True"])
-    def test_overflowed_scores_rejected_without_warning(self, run, masked):
+    @pytest.mark.parametrize("nll, masked", [
+        (False, False), (False, True), (True, False), (True, True),
+    ], ids=["False", "True", "nll-False", "nll-True"])
+    def test_overflowed_scores_rejected_without_warning(self, nll, masked):
         params = CrfParams(np.full((5, 5), 1e308), np.zeros(5), np.zeros(5))
         masks = build_iob2_mask(IOB2_TAGS) if masked else None
-        message = "Viterbi decoding" if run is viterbi_decode else "the partition computation"
+        message = "the partition computation" if nll else "Viterbi decoding"
         with pytest.raises(ValueError, match=f"non-finite scores in {message}"):
-            run(params, np.zeros((3, 5)), masks=masks)
+            if nll:
+                log_partition(params, np.zeros((3, 5)), masks)
+            else:
+                viterbi_decode(params, np.zeros((3, 5)), [3], masks)
 
     def test_overflowed_gold_score_rejected_without_warning(self):
         # log_z is 1e308, but the gold path's score sums to +inf left to right
         params = CrfParams(np.array([[1e308]]), np.zeros(1), np.zeros(1))
         with pytest.raises(ValueError, match="non-finite gold path score"):
-            nll_loss_and_grad(params, np.array([[-1e308], [1e308]]), [0, 0])
+            nll_loss_and_grad(params, np.array([[-1e308], [1e308]]), [0, 0], [2])
 
     def test_masked_decoding_avoids_forbidden_transitions(self):
         tags = default_tagset(["LOC", "ORG"])
@@ -202,7 +205,7 @@ class TestViterbi:
         o_idx = tags.index("O")
         for _ in range(50):
             emissions = rng.uniform(-3, 3, size=(5, len(tags)))
-            path, _ = viterbi_decode(params, emissions, masks=build_iob2_mask(tags))
+            (path,), _ = viterbi_decode(params, emissions, [5], build_iob2_mask(tags))
             for prev, cur in zip(path, path[1:]):
                 if tags[cur].startswith("I-"):
                     assert tags[prev].endswith(tags[cur][2:])
@@ -213,7 +216,7 @@ class TestViterbi:
 class TestLoss:
     def test_worked_example(self):
         params = CrfParams.zeros(2)
-        loss, d_em, _ = nll_loss_and_grad(params, EM_2X2, [1, 1])
+        loss, d_em, _ = nll_loss_and_grad(params, EM_2X2, [1, 1], [2])
         expected = (4.0 + 2.0 * math.log(1.0 + math.e)) - 6.0
         assert abs(loss - expected) < 1e-12
         assert d_em.shape == EM_2X2.shape
@@ -221,7 +224,7 @@ class TestLoss:
     def test_unique_legal_path_has_zero_loss(self):
         # start {0} and the one transition 0 -> 1 leave one path of length 2
         masks = np.array([[False, True], [False, False]]), np.array([True, False])
-        loss, d_em, grads = nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1], masks=masks)
+        loss, d_em, grads = nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1], [2], masks)
         assert abs(loss) < 1e-12
         assert np.max(np.abs(d_em)) < 1e-12
 
@@ -231,13 +234,13 @@ class TestLoss:
             params, emissions = random_instance(rng)
             paths = list(enumerate_legal_paths(params, emissions.shape[0]))
             gold = paths[int(rng.integers(len(paths)))]
-            loss, _, _ = nll_loss_and_grad(params, emissions, gold)
+            loss, _, _ = nll_loss_and_grad(params, emissions, gold, [len(emissions)])
             assert loss >= -1e-12
 
     def test_illegal_gold_rejected(self):
         masks = np.array([[True, False], [True, True]]), np.ones(2, bool)
-        with pytest.raises(ValueError):
-            nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1], masks=masks)
+        with pytest.raises(ValueError, match="tag 1 at position 1 is masked out"):
+            nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1], [2], masks)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -246,10 +249,10 @@ class TestLoss:
             params, emissions = random_instance(rng, max_len=4, max_tags=4)
             paths = list(enumerate_legal_paths(params, emissions.shape[0]))
             gold = paths[int(rng.integers(len(paths)))]
-            _, d_em, grads = nll_loss_and_grad(params, emissions, gold)
+            _, d_em, grads = nll_loss_and_grad(params, emissions, gold, [len(emissions)])
 
             def loss_at(em, pr):
-                return nll_loss_and_grad(pr, em, gold)[0]
+                return nll_loss_and_grad(pr, em, gold, [len(emissions)])[0]
 
             for idx in np.ndindex(emissions.shape):
                 bumped = emissions.copy()
@@ -375,8 +378,8 @@ class TestBatches:
                     paths = list(enumerate_legal_paths(params, length, masks))
                     gold[here] = paths[int(rng.integers(len(paths)))]
             rows = [
-                nll_loss_and_grad(params, emissions[here], gold[here], masks=masks)
-                for here in sequence_slices(lengths)
+                nll_loss_and_grad(params, emissions[here], gold[here], [length], masks)
+                for here, length in zip(sequence_slices(lengths), lengths)
             ]
             loss, d_em, grads = nll_loss_and_grad(params, emissions, gold, lengths, masks=masks)
             assert abs(loss - sum(row[0] for row in rows)) <= 1e-12 * max(1.0, abs(loss))
@@ -391,8 +394,8 @@ class TestBatches:
         for trial in range(44):
             params, masks, emissions, lengths = concatenated_batch(rng, trial, skewed=trial >= 40)
             paths, scores = viterbi_decode(params, emissions, lengths, masks=masks)
-            for n, here in enumerate(sequence_slices(lengths)):
-                path, score = viterbi_decode(params, emissions[here], masks=masks)
+            for n, (here, length) in enumerate(zip(sequence_slices(lengths), lengths)):
+                (path,), (score,) = viterbi_decode(params, emissions[here], [length], masks)
                 assert paths[n] == path
                 assert scores[n] == score
 
@@ -413,7 +416,9 @@ class TestBatches:
             rows = zip(free_rows, masked_rows, sequence_slices(lengths))
             for batch_free, batch_masked, here in rows:
                 single = emissions[here]
-                singles = viterbi_decode(params, single), viterbi_decode(params, single, masks=masks)
+                (free_path,), (free_score,) = viterbi_decode(params, single, [len(single)])
+                (masked_path,), (masked_score,) = viterbi_decode(params, single, [len(single)], masks)
+                singles = (free_path, free_score), (masked_path, masked_score)
                 for got, want in ((batch_free, batch_masked), singles):
                     path = got[0]
                     total += 1
@@ -431,6 +436,6 @@ class TestBatches:
             with pytest.raises(ValueError, match="lengths must be at least 1 and sum to the 6"):
                 nll_loss_and_grad(CrfParams.zeros(2), emissions, np.zeros(6, int), lengths)
         with pytest.raises(ValueError, match="gold paths"):
-            nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1, 1])
+            nll_loss_and_grad(CrfParams.zeros(2), EM_2X2, [0, 1, 1], [2])
         with pytest.raises(ValueError, match="gold paths"):  # gold as (N, T) is not (R,)
             nll_loss_and_grad(CrfParams.zeros(2), emissions, np.zeros((2, 3), int), [3, 3])

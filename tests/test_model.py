@@ -13,15 +13,16 @@ from amner.model import (
     Batch,
     BiLstmParams,
     EmbeddingTable,
+    EncoderParams,
     SparseRows,
     _bilstm_backward,
     _bilstm_forward,
     _chars_backward,
     _chars_forward,
+    _glorot,
     encode_backward,
     encode_batch,
     encode_forward,
-    init_encoder,
     load_embeddings,
 )
 from amner.train import AdamState, adam_step
@@ -99,12 +100,11 @@ def row_of(table, token):
 
 
 def tiny_encoder(seed=0, dropout=0.0, num_tags=3):
-    return init_encoder(
-        word_tokens=["alpha", "beta", "gamma"],
-        char_tokens=list("abgelmt"),
-        num_tags=num_tags,
-        word_dim=4, char_dim=2, char_hidden=2, word_hidden=3,
-        dropout_rate=dropout, seed=seed,
+    rng = np.random.default_rng(seed)
+    return EncoderParams(
+        EmbeddingTable.random(list("abgelmt"), 2, rng), BiLstmParams.random(2, 2, rng),
+        EmbeddingTable.random(["alpha", "beta", "gamma"], 4, rng), BiLstmParams.random(8, 3, rng),
+        _glorot(rng, 6, num_tags, (6, num_tags)), np.zeros(num_tags), dropout,
     )
 
 

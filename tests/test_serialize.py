@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 from unittest import mock
@@ -331,10 +332,18 @@ def test_corrupt_or_truncated_file_loads_or_raises_format_error(data):
     chars=st.lists(st.text(min_size=1, max_size=2), unique=True, max_size=4),
 )
 def test_any_vocabulary_round_trips(words, chars):
-    from amner.model import ModelParams, init_crf, init_encoder
+    from amner.corpus import O_TAG, Sentence, Tag, Token
+    from amner.model import EmbeddingTable
 
-    encoder = init_encoder(words, chars, 3, word_dim=2, char_dim=2, char_hidden=1, word_hidden=1)
-    model = ModelParams(["O", "B-X", "I-X"], encoder, init_crf(3, np.random.default_rng(0)))
+    # a model of tags O, B-X and I-X, whose tables then take the drawn vocabularies
+    tokens = Token("x", Tag("B", "X")), Token("y", Tag("I", "X")), Token("z", O_TAG)
+    built = build_model([Sentence(tokens)], word_dim=2, char_dim=2, char_hidden=1, word_hidden=1)
+    rng = np.random.default_rng(0)
+    encoder = dataclasses.replace(
+        built.encoder,
+        char_table=EmbeddingTable.random(chars, 2, rng), word_table=EmbeddingTable.random(words, 2, rng),
+    )
+    model = dataclasses.replace(built, encoder=encoder)
     if any("\n" in token or "\r" in token for token in words + chars):
         with pytest.raises(ModelFormatError, match="line break"):
             model_to_bytes(model)

@@ -10,6 +10,8 @@ from helpers import synthetic_corpus, traced_peak, vector_file
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amner.crf as crf_mod
+import amner.model as model_mod
 import amner.train as train_mod
 from amner.corpus import O_TAG, Sentence, TagScheme, Token, tag_from_str
 from amner.model import encode_batch
@@ -443,6 +445,34 @@ class TestTraining:
             train_model(corpus + [stray], model, TrainConfig(max_epochs=1, batch_size=2, dropout=0.0))
         for name, arr in model.tensors().items():
             assert arr.tobytes() == before[name].tobytes(), name
+
+    def test_empty_dev_set_stops_training_before_any_update(self):
+        corpus = synthetic_corpus(4, seed=17)
+        model = tiny_model(corpus, seed=17)
+        before = {name: arr.copy() for name, arr in model.tensors().items()}
+        with pytest.raises(ValueError, match="cannot score an empty dev set"):
+            train_model(corpus, model, TrainConfig(max_epochs=1, dropout=0.0, patience=1), dev=[])
+        for name, arr in model.tensors().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
+    def test_masks_are_built_once_per_model_object(self, monkeypatch):
+        corpus = synthetic_corpus(6, seed=17)
+        model = build_model(
+            corpus, word_dim=8, char_dim=3, char_hidden=3, word_hidden=4,
+            dropout=0.0, seed=17, masked_training=True,
+        )
+        calls = []
+
+        def counted(tags, build=crf_mod.build_iob2_mask):
+            calls.append(tags)
+            return build(tags)
+
+        monkeypatch.setattr(crf_mod, "build_iob2_mask", counted)
+        monkeypatch.setattr(model_mod, "build_iob2_mask", counted)
+        tag_sentences(model, corpus)
+        assert not calls  # the model carries its masks
+        train_model(corpus, model, TrainConfig(max_epochs=1, batch_size=2, dropout=0.0))
+        assert len(calls) == 1  # the training view's, for all 3 batches
 
     @pytest.mark.parametrize("dropout", [0.1, 0.9])
     def test_dropout_other_than_the_models_is_refused(self, dropout):
